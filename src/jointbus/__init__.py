@@ -56,9 +56,6 @@ from .bpdecode import (
     FactorGraph,
     bp_decode,
     build_factor_graph,
-    cac_node_update,
-    ecc_node_update,
-    variable_node_update,
 )
 from .densevo import (
     AsymptoticRate,
@@ -74,11 +71,13 @@ from .densevo import (
     rho_tilde,
 )
 from .simkit import (
+    CodeInstances,
     EnsembleSpec,
     ModifiedPastState,
     SimConfig,
     TrialStats,
     bec_transmit,
+    build_instances,
     de_vs_simulation,
     gen_past_modified,
     gen_past_uniform,

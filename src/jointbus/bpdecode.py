@@ -25,8 +25,8 @@ from typing import Iterable, Optional, Union
 
 import numpy as np
 
-from .buscore import BitsLike, as_bits
-from .ira import IraGraph
+from .buscore import BitsLike, as_bits, check_transition
+from .ira import IraGraph, ira_encode, validate_checks
 from .jointcode import WireLayout, build_layout, _segments_payload_bits
 
 __all__ = [
@@ -35,9 +35,6 @@ __all__ = [
     "FactorGraph",
     "DecodeResult",
     "build_factor_graph",
-    "cac_node_update",
-    "variable_node_update",
-    "ecc_node_update",
     "bp_decode",
 ]
 
@@ -99,7 +96,13 @@ class ErasureWord:
 
 @dataclass(frozen=True)
 class FactorGraph:
-    """Decoding graph for one past state, code instance, and wire layout."""
+    """Decoding graph for one past state, code instance, and wire layout.
+
+    Built from a disjoint union of instances (past states side by side,
+    ``IraGraph.union`` and segments that never cross from one instance
+    into the next), it decodes every instance at once: no crosstalk check
+    and no chain link joins two instances.
+    """
 
     a_bits: np.ndarray
     layout: WireLayout
@@ -110,6 +113,7 @@ class FactorGraph:
     pinned_vals: np.ndarray
     adj_prev: np.ndarray       # wire i shares a segment with wire i-1
     edge_wire: np.ndarray      # wire index of each sparse edge's variable end
+    chain_start: np.ndarray    # parity j starts an accumulator chain
 
     @property
     def n(self) -> int:
@@ -142,6 +146,9 @@ class DecodeResult:
     converged: bool
     residual_erasures: int
     x_ecc_trace: Optional[tuple[float, ...]] = None
+    # Set when payload extraction found the resolved word inconsistent: the
+    # first pinned wire, crosstalk pair or parity check it breaks.
+    violation: Optional[str] = None
 
 
 def build_factor_graph(
@@ -181,66 +188,8 @@ def build_factor_graph(
         pinned_vals=pinned_vals,
         adj_prev=adj_prev,
         edge_wire=edge_wire,
+        chain_start=graph.chain_start_mask(),
     )
-
-
-def cac_node_update(
-    past_pair: tuple[int, int], incoming: int, from_side: str
-) -> int:
-    """Message through one pairwise crosstalk check.
-
-    For past pair (0, 1) the forbidden next pair is (1, 0): a known 1
-    entering from the left forces the right wire to 1, and a known 0
-    entering from the right forces the left wire to 0; the mirrored rule
-    applies for past pair (1, 0). Every other input yields an erasure.
-    """
-    ap, an = int(past_pair[0]), int(past_pair[1])
-    if ap == an:
-        raise ValueError("a crosstalk check exists only where the past bits differ")
-    if from_side not in ("left", "right"):
-        raise ValueError(f"from_side must be 'left' or 'right', got {from_side!r}")
-    if incoming == ERASED:
-        return ERASED
-    forb_left, forb_right = 1 - ap, 1 - an
-    if from_side == "left":
-        return (1 - forb_right) if incoming == forb_left else ERASED
-    return (1 - forb_left) if incoming == forb_right else ERASED
-
-
-def variable_node_update(channel: int, incoming: Iterable[int]) -> tuple[list[int], int]:
-    """Extrinsic per-edge outputs and the final decision of one variable.
-
-    Each outgoing edge repeats any known value among the channel and the
-    other edges; the decision may also use the edge's own input. Two
-    distinct known inputs cannot happen on an erasure channel and raise.
-    """
-    inc = [int(v) for v in incoming]
-    vals = [int(channel), *inc]
-    known = {v for v in vals if v != ERASED}
-    if len(known) > 1:
-        raise ValueError("contradictory known inputs at a variable node")
-    out = []
-    for k in range(len(inc)):
-        others = {v for i, v in enumerate(vals) if v != ERASED and i != k + 1}
-        out.append(others.pop() if others else ERASED)
-    return out, (known.pop() if known else ERASED)
-
-
-def ecc_node_update(incoming: Iterable[int]) -> list[int]:
-    """Per-edge outputs of one XOR check: known iff all other inputs are."""
-    inc = [int(v) for v in incoming]
-    unknown = [i for i, v in enumerate(inc) if v == ERASED]
-    if len(unknown) >= 2:
-        return [ERASED] * len(inc)
-    total = 0
-    for v in inc:
-        if v != ERASED:
-            total ^= v
-    if len(unknown) == 1:
-        out = [ERASED] * len(inc)
-        out[unknown[0]] = total
-        return out
-    return [total ^ v for v in inc]
 
 
 def bp_decode(
@@ -255,10 +204,13 @@ def bp_decode(
 
     Stops at the first outer iteration that changes no message (reported as
     ``converged``) or after ``max_outer`` iterations. When every wire
-    resolves and ``extract_payload`` is set, the payload is re-extracted
-    from the code-carrying wires; a resolved word whose index falls outside
-    the payload range yields ``info_bits=None``. ``record_trace`` captures
-    the erased fraction of the variable-to-check messages of step 3 per
+    resolves and ``extract_payload`` is set, the word is first checked
+    against the received pinned wires, the crosstalk constraints and the
+    parity checks; an inconsistent word yields ``info_bits=None`` and names
+    what it breaks in ``violation``. Otherwise the payload is re-extracted
+    from the code-carrying wires, and a word whose index falls outside the
+    payload range yields ``info_bits=None``. ``record_trace`` captures the
+    erased fraction of the variable-to-check messages of step 3 per
     iteration.
     """
     rcv = received if isinstance(received, ErasureWord) else ErasureWord(received)
@@ -290,6 +242,17 @@ def bp_decode(
     ch_p = src_ch[fg.parity_slots]
     val_p_ch = val[fg.parity_slots]
     idx_p = np.arange(num_p, dtype=np.int64)
+    cs = fg.chain_start
+    # Knowledge sources along the chains, fixed for the whole decode: the
+    # last channel-known parity at or before j, the first one after j, and
+    # the start of j's chain, whose implicit zero parity sits just before it.
+    lch = np.maximum.accumulate(np.where(ch_p, idx_p, -1))
+    lcs = np.maximum.accumulate(np.where(cs, idx_p, 0))
+    lsp = np.maximum(lch, lcs - 1)
+    src_idx = np.concatenate(([-1], lch[:-1]))
+    lsp_r = np.maximum.accumulate(np.where(ch_p[::-1], idx_p, -1))
+    nxt_seed = np.concatenate((lsp_r[::-1][1:], [-1]))
+    r_star = np.where(nxt_seed >= 0, num_p - 1 - nxt_seed, 0)
 
     trace: list[float] = []
     iterations = 0
@@ -327,8 +290,8 @@ def bp_decode(
             trace.append(float(1.0 - ext.mean()) if num_e else 0.0)
 
         # Step 4: chain fixed point. ok marks checks whose sparse inputs are
-        # all known; knowledge spreads along the chain from known parities
-        # (and the implicit zero before parity 0) until the first break.
+        # all known; knowledge spreads along each chain from known parities
+        # (and the implicit zero before its first parity) until a break.
         unk = np.bincount(e_chk[~ext], minlength=num_p) if num_e else np.zeros(num_p, np.int64)
         ok = unk == 0
         s = np.zeros(num_p, dtype=np.int64)
@@ -336,25 +299,22 @@ def bp_decode(
             ones = ext & (val[fg.edge_wire] == 1)
             s = np.bincount(e_chk[ones], minlength=num_p) & 1
         if num_p:
-            lsp = np.maximum.accumulate(np.where(ch_p, idx_p, -1))
+            okl = ok & ~cs  # check j is satisfied and links parity j-1 to j
             lbp = np.maximum.accumulate(np.where(~ok, idx_p, -1))
             kf = lsp >= lbp  # parity j -> check j+1 known
-            pass_r = np.concatenate(([False], ok[::-1][:-1]))
-            lsp_r = np.maximum.accumulate(np.where(ch_p[::-1], idx_p, -1))
+            pass_r = np.concatenate(([False], okl[::-1][:-1]))
             lbp_r = np.maximum.accumulate(np.where(~pass_r, idx_p, -1))
             kb = (lsp_r >= lbp_r)[::-1]  # parity j -> check j known
-            kf_prev = np.concatenate(([True], kf[:-1]))
+            kf_prev = np.concatenate(([True], kf[:-1])) | cs
             res_fwd = ok & kf_prev
-            res_bwd = np.concatenate((ok[1:] & kb[1:], [False]))
+            res_bwd = np.concatenate((okl[1:] & kb[1:], [False]))
             parity_known = ch_p | res_fwd | res_bwd
 
             cum = np.bitwise_xor.accumulate(s)
-            src_idx = np.concatenate(([-1], lsp[:-1]))
-            base_fwd = np.where(src_idx >= 0, val_p_ch[src_idx] ^ cum[src_idx], 0)
+            from_zero = lcs > src_idx
+            base_fwd = np.where(from_zero, np.concatenate(([0], cum))[lcs],
+                                val_p_ch[src_idx] ^ cum[src_idx])
             v_fwd = (base_fwd ^ cum).astype(np.uint8)
-            tmp = lsp_r[::-1]
-            nxt_seed = np.concatenate((tmp[1:], [-1]))
-            r_star = np.where(nxt_seed >= 0, num_p - 1 - nxt_seed, 0)
             v_bwd = (val_p_ch[r_star] ^ cum[r_star] ^ cum).astype(np.uint8)
             val_p = np.where(ch_p, val_p_ch, np.where(res_fwd, v_fwd, v_bwd)).astype(np.uint8)
 
@@ -377,7 +337,7 @@ def bp_decode(
             newly_edges = known_ci & ~resolved[fg.edge_wire]
             if newly_edges.any():
                 ej = e_chk[newly_edges]
-                valp_prev = np.concatenate(([0], val_p[:-1])).astype(np.uint8)
+                valp_prev = np.where(cs, 0, np.concatenate(([0], val_p[:-1]))).astype(np.uint8)
                 fill = (s[ej] ^ valp_prev[ej] ^ val_p[ej]).astype(np.uint8)
                 wires = fg.edge_wire[newly_edges]
                 val[wires] = fill
@@ -397,22 +357,19 @@ def bp_decode(
     residual = int(np.count_nonzero(~resolved))
     out = np.where(resolved, val, ERASED).astype(np.uint8)
     info_bits = None
+    violation = None
     if residual == 0 and extract_payload:
-        # A resolved word that violates a constraint or indexes past the
+        # A resolved word that breaks a constraint or indexes past the
         # payload range carries no payload; the word itself is still
         # returned for inspection.
-        try:
+        violation = _first_violation(symbols, val, fg)
+        if violation is None:
             books, k = _segments_payload_bits(a, fg.layout)
             index = 0
             for (seg_s, seg_d), book in zip(fg.layout.segments, books):
                 index = index * book.codeword_count + book.rank(val[seg_s : seg_s + seg_d])
-        except ValueError:
-            index, k = 1, 0
-        if not index >> k:
-            bits = []
-            for i in range(k - 1, -1, -1):
-                bits.append((index >> i) & 1)
-            info_bits = tuple(bits)
+            if not index >> k:
+                info_bits = tuple((index >> i) & 1 for i in range(k - 1, -1, -1))
     return DecodeResult(
         word=ErasureWord(out),
         info_bits=info_bits,
@@ -420,4 +377,26 @@ def bp_decode(
         converged=converged,
         residual_erasures=residual,
         x_ecc_trace=tuple(trace) if record_trace else None,
+        violation=violation,
     )
+
+
+def _first_violation(received: np.ndarray, word: np.ndarray, fg: FactorGraph) -> Optional[str]:
+    """The first pinned wire, crosstalk pair or parity check, in that
+    order, that a fully resolved word contradicts; None if it is a
+    codeword."""
+    pins = fg.pinned_wires
+    got = received[pins]
+    bad = np.flatnonzero((got != ERASED) & (got != fg.pinned_vals))
+    if bad.size:
+        w = int(pins[bad[0]])
+        return (f"wire {w + 1} is pinned to its past bit {int(fg.pinned_vals[bad[0]])} "
+                f"but {int(got[bad[0]])} was received")
+    pairs = check_transition(fg.a_bits, word).opposing_pairs
+    if pairs:
+        return f"wires {pairs[0][0]} and {pairs[0][1]} make opposing transitions"
+    info, par = word[fg.info_wires], word[fg.parity_slots]
+    if not validate_checks(info, par, fg.graph):
+        j = int(np.flatnonzero(par != ira_encode(info, fg.graph))[0])
+        return f"parity check {j + 1} fails (parity wire {int(fg.parity_slots[j]) + 1})"
+    return None

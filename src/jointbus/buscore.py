@@ -8,7 +8,7 @@ arrays are 0-based.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable, Optional, Union
 
 import numpy as np
 
@@ -124,14 +124,19 @@ class ViolationReport:
         return not self.opposing_pairs
 
 
-def _run_bounds(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """0-based run start positions and run lengths of a bit array."""
-    if a.size == 1:
-        return np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64)
-    starts = np.flatnonzero(a[1:] == a[:-1]) + 1
-    starts = np.concatenate(([0], starts))
-    lengths = np.diff(np.concatenate((starts, [a.size])))
-    return starts, lengths
+def _run_bounds(a: np.ndarray, cuts: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
+    """0-based run start positions and run lengths of a bit array.
+
+    ``cuts`` are extra positions where a run must start: with bus words
+    laid side by side, their offsets keep every run inside one word.
+    """
+    is_start = np.empty(a.size, dtype=bool)
+    is_start[0] = True
+    np.equal(a[1:], a[:-1], out=is_start[1:])
+    if cuts is not None:
+        is_start[cuts] = True
+    starts = np.flatnonzero(is_start)
+    return starts, np.diff(starts, append=a.size)
 
 
 def parse_runs(a: BitsLike) -> RunParse:

@@ -17,23 +17,20 @@ import os
 import sys
 from typing import Optional, Sequence
 
-import numpy as np
-
 from . import __version__
 from .buscore import BusState, free_wires, parse_runs
 from .bpdecode import ErasureWord, bp_decode, build_factor_graph
 from .cac import cac_rate, count_codewords
 from .densevo import DeModel, de_threshold, de_trajectory
-from .ira import DegreeDistribution, rate_ldpc, recc_from_rldpc, sample_graph
+from .ira import DegreeDistribution, rate_ldpc, recc_from_rldpc
 from .jointcode import (
-    build_layout,
     embedded_encode,
     payload_size,
     rate_embedded,
     rate_shielded,
     select_parity_wires,
 )
-from .simkit import EnsembleSpec, SimConfig, run_trials, trial_rng
+from .simkit import EnsembleSpec, SimConfig, build_instances, run_trials
 
 SIM_COLUMNS = ["N", "eps", "trials", "pb_code", "pb_info", "pe", "insufficient_rate", "seed"]
 TRAJ_COLUMNS = ["iteration", "x_ecc", "y_ecc", "x_p", "y_p", "x_cac", "y_cac"]
@@ -212,20 +209,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _codec_instance(args: argparse.Namespace):
-    state = BusState(args.past)
-    dist = _load_dist(args)
-    r_ecc = recc_from_rldpc(rate_ldpc(dist))
-    p_needed = round(len(state) * (1.0 - r_ecc))
-    layout = build_layout(state, p_needed)
-    rng = trial_rng(args.seed, 0)
-    if layout.num_parity == 0:
-        from .ira import IraGraph
-
-        empty = np.zeros(0, dtype=np.int64)
-        graph = IraGraph(layout.num_info, 0, empty, empty.copy())
-    else:
-        graph = sample_graph(layout.num_info, layout.num_parity, dist, rng)
-    return state, layout, graph
+    inst = build_instances(args.seed, [0], _load_dist(args), past=args.past)
+    return inst.a, inst.layout, inst.graph
 
 
 def cmd_codec_encode(args: argparse.Namespace) -> int:
@@ -248,6 +233,8 @@ def cmd_codec_decode(args: argparse.Namespace) -> int:
     received = ErasureWord(args.received)
     fg = build_factor_graph(state, graph, layout)
     result = bp_decode(received, fg)
+    if result.violation is not None:
+        raise ValueError(f"received word is not a codeword: {result.violation}")
     if result.info_bits is not None:
         print("payload: " + "".join(str(b) for b in result.info_bits))
         return 0

@@ -8,7 +8,9 @@ predecessor implicitly zero.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -146,14 +148,39 @@ class IraGraph:
 
     ``edge_info[k]`` / ``edge_check[k]`` give endpoint indices of sparse
     edge k (info nodes 0..num_info-1, checks 0..num_parity-1). Check j also
-    connects parity j and, for j >= 1, parity j-1. Multi-edges are kept;
-    encoding and validation collapse them modulo 2.
+    connects parity j and, unless j starts a chain, parity j-1; a chain's
+    first check sees an implicit zero instead. ``chain_starts`` lists the
+    first parity of each accumulator chain: one chain for a sampled
+    instance, one per instance for a disjoint union (``IraGraph.union``).
+    Multi-edges are kept; encoding and validation collapse them modulo 2.
     """
 
     num_info: int
     num_parity: int
     edge_info: np.ndarray
     edge_check: np.ndarray
+    chain_starts: tuple[int, ...] = (0,)
+
+    @classmethod
+    def union(cls, graphs: Sequence["IraGraph"]) -> "IraGraph":
+        """Disjoint union: the nodes of each graph are numbered after those
+        of the graphs before it, and each keeps its own parity chains."""
+        info_off = np.cumsum([0] + [g.num_info for g in graphs])
+        par_off = np.cumsum([0] + [g.num_parity for g in graphs])
+        return cls(
+            num_info=int(info_off[-1]),
+            num_parity=int(par_off[-1]),
+            edge_info=np.concatenate([g.edge_info + o for g, o in zip(graphs, info_off)]),
+            edge_check=np.concatenate([g.edge_check + o for g, o in zip(graphs, par_off)]),
+            chain_starts=tuple(int(o) + j for g, o in zip(graphs, par_off)
+                               for j in g.chain_starts if j < g.num_parity),
+        )
+
+    def chain_start_mask(self) -> np.ndarray:
+        """Per parity, whether it is the first of its chain."""
+        mask = np.zeros(self.num_parity, dtype=bool)
+        mask[[j for j in self.chain_starts if j < self.num_parity]] = True
+        return mask
 
     @property
     def num_edges(self) -> int:
@@ -198,6 +225,18 @@ def sample_graph(
     if num_info == 0:
         empty = np.zeros(0, dtype=np.int64)
         return IraGraph(0, num_parity, empty, empty.copy())
+    v_sockets, c_sockets = _sockets(num_info, num_parity, dist)
+    perm = rng.permutation(c_sockets.size)
+    return IraGraph(num_info, num_parity, v_sockets, c_sockets[perm])
+
+
+# One entry: the trials of a uniform-ensemble campaign all share one size,
+# and more entries would pin megabytes per size on wide buses.
+@functools.lru_cache(maxsize=1)
+def _sockets(num_info: int, num_parity: int,
+             dist: DegreeDistribution) -> tuple[np.ndarray, np.ndarray]:
+    """Variable-side and check-side sockets before matching (read-only:
+    many trials of one size share them)."""
     vdeg = _realize_degrees(num_info, dist.L_coeffs)
     cdeg = _realize_degrees(num_parity, dist.R_coeffs)
     residual = int(vdeg.sum() - cdeg.sum())
@@ -217,19 +256,26 @@ def sample_graph(
             raise ValueError("socket counts cannot be balanced against the variable side")
     v_sockets = np.repeat(np.arange(num_info, dtype=np.int64), vdeg)
     c_sockets = np.repeat(np.arange(num_parity, dtype=np.int64), cdeg)
-    perm = rng.permutation(c_sockets.size)
-    return IraGraph(num_info, num_parity, v_sockets, c_sockets[perm])
+    v_sockets.setflags(write=False)
+    c_sockets.setflags(write=False)
+    return v_sockets, c_sockets
 
 
 def ira_encode(systematic_bits: BitsLike, graph: IraGraph) -> np.ndarray:
-    """Accumulated parities p_j = p_{j-1} xor s_j for the systematic word."""
+    """Accumulated parities p_j = p_{j-1} xor s_j for the systematic word,
+    with p_{j-1} = 0 at the start of each chain."""
     bits = as_bits(systematic_bits) if len(systematic_bits) else np.zeros(0, dtype=np.uint8)
     if bits.size != graph.num_info:
         raise ValueError(f"expected {graph.num_info} systematic bits, got {bits.size}")
     s = np.zeros(graph.num_parity, dtype=np.uint8)
     if graph.num_edges:
         np.bitwise_xor.at(s, graph.edge_check, bits[graph.edge_info])
-    return np.bitwise_xor.accumulate(s)
+    cum = np.bitwise_xor.accumulate(s)
+    if len(graph.chain_starts) <= 1:
+        return cum
+    # Each chain starts from zero: cancel what earlier chains accumulated.
+    start = np.maximum.accumulate(np.where(graph.chain_start_mask(), np.arange(s.size), 0))
+    return cum ^ np.concatenate((np.zeros(1, dtype=np.uint8), cum))[start]
 
 
 def validate_checks(systematic_bits: BitsLike, parities: BitsLike, graph: IraGraph) -> bool:

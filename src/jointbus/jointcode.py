@@ -128,17 +128,47 @@ class DminResult:
     d_ecc: int
 
 
-def _stride_select(free_count: int, p_needed: int) -> list[int]:
-    """Indices of parity wires within the free-wire list, spread uniformly."""
-    chosen: set[int] = set()
-    for i in range(p_needed):
-        j = round(i * free_count / p_needed)
-        while j in chosen:
-            j += 1
-        if j >= free_count:
-            j = min(set(range(free_count)) - chosen)
-        chosen.add(j)
-    return sorted(chosen)
+def _stride_select(free_counts: np.ndarray, p_needed: int) -> np.ndarray:
+    """Per instance (row), the indices of its parity wires within its
+    free-wire list, spread uniformly: round(i * count / p_needed).
+
+    Needs count >= p_needed: consecutive targets then lie at least one
+    apart, so they round to distinct indices below count.
+    """
+    return np.rint(np.arange(p_needed) * free_counts[:, None] / p_needed).astype(np.int64)
+
+
+def _layout_from_runs(n: int, starts: np.ndarray, lengths: np.ndarray,
+                      slot_runs: np.ndarray) -> WireLayout:
+    """Layout whose parity slots are the chosen length-1 runs and whose
+    segments are all other runs; nothing is pinned."""
+    seg = ~slot_runs
+    layout = WireLayout(
+        n=n,
+        parity_slots=tuple(starts[slot_runs].tolist()),
+        pinned=(),
+        segments=tuple(zip(starts[seg].tolist(), lengths[seg].tolist())),
+    )
+    # Fill the cached arrays from the arrays at hand instead of rebuilding
+    # them from the tuples on first use.
+    vars(layout).update(seg_starts=starts[seg], seg_lengths=lengths[seg],
+                        parity_slot_array=starts[slot_runs])
+    return layout
+
+
+def _stride_layout(n: int, starts: np.ndarray, lengths: np.ndarray, offsets: np.ndarray,
+                   p_needed: int) -> WireLayout:
+    """Layout of bus words laid side by side (word i on wires
+    offsets[i]:offsets[i+1], runs cut at the offsets), each of which has
+    at least ``p_needed`` free wires: every word takes its parity slots
+    from its own free-wire list by uniform stride."""
+    free_runs = np.flatnonzero(lengths == 1)
+    word_of_run = np.searchsorted(offsets, starts[free_runs], side="right") - 1
+    counts = np.bincount(word_of_run, minlength=offsets.size - 1)
+    first = np.cumsum(counts) - counts
+    slot_runs = np.zeros(starts.size, dtype=bool)
+    slot_runs[free_runs[(first[:, None] + _stride_select(counts, p_needed)).ravel()]] = True
+    return _layout_from_runs(n, starts, lengths, slot_runs)
 
 
 def build_layout(a: BitsLike, p_needed: int) -> WireLayout:
@@ -154,30 +184,27 @@ def build_layout(a: BitsLike, p_needed: int) -> WireLayout:
     if p_needed < 0:
         raise ValueError("p_needed must be >= 0")
     starts, lengths = _run_bounds(arr)
-    runs = list(zip((int(s) for s in starts), (int(d) for d in lengths)))
+    if p_needed <= np.count_nonzero(lengths == 1):
+        return _stride_layout(arr.size, starts, lengths, np.array([0, arr.size]), p_needed)
+    runs = list(zip(starts.tolist(), lengths.tolist()))
     free = [s for s, d in runs if d == 1]
     pinned: list[tuple[int, int]] = []
-    if p_needed <= len(free):
-        slots = [free[j] for j in _stride_select(len(free), p_needed)]
-        taken = set(slots)
-        segments = [(s, d) for s, d in runs if not (d == 1 and s in taken)]
-    else:
-        slots = list(free)
-        segments = [(s, d) for s, d in runs if d > 1]
-        deficit = p_needed - len(free)
-        for _ in range(deficit):
-            segments.sort()
-            best = max(range(len(segments)), key=lambda i: (segments[i][1], -i), default=-1)
-            if best < 0 or segments[best][1] < 2:
-                raise ValueError(
-                    f"cannot place {p_needed} parities: {len(free)} free wires and "
-                    f"shield capacity exhausted (at most {(arr.size - len(free)) // 2} pairs)"
-                )
-            s, d = segments.pop(best)
-            pinned.append((s + d - 2, int(arr[s + d - 2])))
-            slots.append(s + d - 1)
-            if d - 2 >= 1:
-                segments.append((s, d - 2))
+    slots = list(free)
+    segments = [(s, d) for s, d in runs if d > 1]
+    deficit = p_needed - len(free)
+    for _ in range(deficit):
+        segments.sort()
+        best = max(range(len(segments)), key=lambda i: (segments[i][1], -i), default=-1)
+        if best < 0 or segments[best][1] < 2:
+            raise ValueError(
+                f"cannot place {p_needed} parities: {len(free)} free wires and "
+                f"shield capacity exhausted (at most {(arr.size - len(free)) // 2} pairs)"
+            )
+        s, d = segments.pop(best)
+        pinned.append((s + d - 2, int(arr[s + d - 2])))
+        slots.append(s + d - 1)
+        if d - 2 >= 1:
+            segments.append((s, d - 2))
     return WireLayout(
         n=arr.size,
         parity_slots=tuple(sorted(slots)),

@@ -3,15 +3,18 @@
 Each trial draws a fresh past state, builds a code instance sized to it,
 sends one bus word through the erasure channel, and decodes. Trials are
 keyed by (seed, trial index) through a counter-based generator, so results
-are reproducible and independent of execution order or parallelism.
+are reproducible and independent of execution order, batching or
+parallelism. Short trials run in batches: their instances are laid side by
+side as one disjoint union and decoded by a single decoder call.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import reduce
 from math import sqrt
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -19,13 +22,22 @@ from .buscore import BitsLike, BusState, as_bits, fib, state_from_runs, _run_bou
 from .bpdecode import ERASED, ErasureWord, bp_decode, build_factor_graph
 from .densevo import DeModel, de_trajectory
 from .ira import DegreeDistribution, IraGraph, ira_encode, rate_ldpc, recc_from_rldpc, sample_graph
-from .jointcode import WireLayout, build_layout, _segments_payload_bits
+from .jointcode import (
+    WireLayout,
+    build_layout,
+    embedded_encode,
+    payload_size,
+    _layout_from_runs,
+    _stride_layout,
+)
 
 __all__ = [
     "EnsembleSpec",
     "SimConfig",
     "TrialStats",
     "ModifiedPastState",
+    "CodeInstances",
+    "build_instances",
     "bec_transmit",
     "gen_past_uniform",
     "gen_past_modified",
@@ -177,30 +189,31 @@ def _ratio1(up_to: int) -> np.ndarray:
     return np.asarray(_RATIO1)
 
 
-def _sample_valid_word(a: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
-                       rng: np.random.Generator) -> np.ndarray:
-    """Uniform valid continuation, independently per run.
+def _valid_word(a: np.ndarray, starts: np.ndarray, lengths: np.ndarray, u: np.ndarray,
+                word_of_run: Optional[np.ndarray] = None) -> np.ndarray:
+    """Uniform valid continuation from one uniform draw per wire.
 
     Works on transition indicators t = b xor a: validity is exactly 'no two
-    adjacent transitions inside a run', and the runs decouple. Sampling is
-    sequential within each run with Fibonacci-ratio probabilities, swept
-    position-by-position across all runs at once.
+    adjacent transitions inside a run', and the runs decouple. Within a run
+    the wires are sampled in order, a transition coming with Fibonacci-ratio
+    probability unless the previous wire transitioned. The draws ``u`` are
+    consumed position by position across all runs: first wire of every
+    run, then second wire of every run long enough, and so on; for words
+    laid side by side (``word_of_run``), word by word.
     """
     n = a.size
-    t = np.zeros(n, dtype=np.uint8)
+    run_of_wire = np.repeat(np.arange(starts.size), lengths)
+    pos = np.arange(n)
+    offset = pos - starts[run_of_wire]
     d_max = int(lengths.max())
-    ratios = _ratio1(d_max + 1)
-    forced = np.zeros(starts.size, dtype=bool)
-    for j in range(d_max):
-        act = np.flatnonzero(lengths > j)
-        if act.size == 0:
-            break
-        pos = starts[act] + j
-        rem = lengths[act] - j
-        u = rng.random(act.size)
-        one = (u < ratios[rem]) & ~forced[act]
-        t[pos[one]] = 1
-        forced[act] = one
+    key = offset if word_of_run is None else word_of_run[run_of_wire] * d_max + offset
+    uw = np.empty(n)
+    uw[np.argsort(key, kind="stable")] = u
+    c = uw < _ratio1(d_max + 1)[lengths[run_of_wire] - offset]
+    # t_j = c_j and not t_{j-1}: inside each stretch where c holds, the
+    # transitions fall on every other wire, starting at its first.
+    first = np.maximum.accumulate(np.where(~c, pos + 1, np.where(offset == 0, pos, 0)))
+    t = c & ((pos - first) % 2 == 0)
     return (a ^ t).astype(np.uint8)
 
 
@@ -250,97 +263,169 @@ def gen_past_modified(
     )
 
 
-def _gen_modified_layout(
-    spec: EnsembleSpec, rng: np.random.Generator
-) -> tuple[np.ndarray, WireLayout]:
-    """Modified-ensemble draw as (bits, layout): parity slots are exactly
-    the parity-part wires, segments the payload-part runs."""
-    draw = gen_past_modified(spec, rng)
-    arr = draw.state.bits
-    starts, lengths = _run_bounds(arr)
-    part2 = {w - 1 for w in draw.part2_wires}
-    slots = []
-    segments = []
-    for s, d in zip(starts, lengths):
-        s, d = int(s), int(d)
-        if d == 1 and s in part2:
-            slots.append(s)
-        else:
-            segments.append((s, d))
-    layout = WireLayout(
-        n=arr.size, parity_slots=tuple(slots), pinned=(), segments=tuple(segments)
-    )
-    return arr, layout
+# Wires decoded together: run_trials batches max(1, BATCH_WIRES // N) trials,
+# so the fixed cost of each numpy call in the decoder is shared by many
+# short trials, while a bus this wide or wider runs one trial at a time.
+BATCH_WIRES = 4096
 
 
-def _insufficient_counts(n: int) -> tuple[int, ...]:
-    # trials, bits_code, errs_code, bits_info, errs_info, blocks, insufficient
-    return (1, n, n, 0, 0, 1, 1)
+@dataclass(frozen=True)
+class CodeInstances:
+    """The code instances of some trials, laid side by side as one
+    disjoint union.
+
+    Instance i is trial ``trials[i]`` on wires offsets[i]:offsets[i+1]:
+    no segment of ``layout`` crosses into the next instance, and ``graph``
+    (``IraGraph.union``) restarts its parity chain at each instance, so
+    ``build_factor_graph`` and ``bp_decode`` treat the instances as
+    independent. A single trial is the case of one instance. ``word`` is
+    the transmitted codeword when a mode was given, and ``rngs`` holds each
+    trial's stream, positioned after the draws of its instance.
+    """
+
+    trials: tuple[int, ...]
+    offsets: np.ndarray
+    a: np.ndarray
+    layout: WireLayout
+    graph: IraGraph
+    word: Optional[np.ndarray]
+    rngs: tuple[np.random.Generator, ...]
+    insufficient: int = 0  # trials dropped: a uniform past state short of free wires
 
 
-def _graph_for_layout(layout: WireLayout, dist: DegreeDistribution,
-                      rng: np.random.Generator) -> IraGraph:
-    if layout.num_parity == 0:
+def _sample_code(num_info: int, num_parity: int, dist: DegreeDistribution,
+                 rng: np.random.Generator) -> IraGraph:
+    if num_parity == 0:
         empty = np.zeros(0, dtype=np.int64)
-        return IraGraph(layout.num_info, 0, empty, empty.copy())
-    return sample_graph(layout.num_info, layout.num_parity, dist, rng)
+        return IraGraph(num_info, 0, empty, empty.copy())
+    return sample_graph(num_info, num_parity, dist, rng)
 
 
-def _run_one_trial(config: SimConfig, trial_index: int) -> tuple[int, ...]:
-    rng = trial_rng(config.seed, trial_index)
-    ens = config.ensemble
-    if ens.kind == "uniform":
-        r_ecc = recc_from_rldpc(rate_ldpc(config.dist))
-        arr = rng.integers(0, 2, ens.n, dtype=np.uint8)
-        starts, lengths = _run_bounds(arr)
-        p_req = round(ens.n * (1.0 - r_ecc))
-        if int(np.count_nonzero(lengths == 1)) < p_req:
-            return _insufficient_counts(ens.n)
-        layout = build_layout(arr, p_req)
+def _side_by_side(pasts: list[np.ndarray]):
+    """Past states laid side by side: the bits, the word offsets, and the
+    runs, cut at every offset."""
+    offsets = np.cumsum([0] + [x.size for x in pasts])
+    a = np.concatenate(pasts)
+    starts, lengths = _run_bounds(a, offsets[:-1])
+    return a, offsets, starts, lengths
+
+
+def build_instances(
+    seed: int,
+    trials: Iterable[int],
+    dist: DegreeDistribution,
+    ensemble: Optional[EnsembleSpec] = None,
+    past: Optional[BitsLike] = None,
+    mode: Optional[str] = None,
+) -> CodeInstances:
+    """Code instances of the given trials: past state, layout, graph and,
+    when ``mode`` is given, the transmitted word.
+
+    Trial t draws from its own stream ``trial_rng(seed, t)``, in order: the
+    past state (from ``ensemble``, unless ``past`` fixes it for a single
+    trial), the graph, then the word, uniform over valid codewords
+    ('uniform-codeword') or the encoding of a uniform payload
+    ('info-bits'). A code of ``dist`` needs round(N (1 - r_ecc)) parities: a
+    uniform-ensemble state with fewer free wires drops its trial (counted
+    in ``insufficient``), a given ``past`` falls back to shield pairs (see
+    ``build_layout``), and a modified-ensemble state brings its own parity
+    wires.
+    """
+    trials = tuple(trials)
+    if not trials:
+        raise ValueError("at least one trial is required")
+    if (ensemble is None) == (past is None):
+        raise ValueError("give either an ensemble or a past state")
+    if mode not in (None, "uniform-codeword", "info-bits"):
+        raise ValueError(f"mode must be 'uniform-codeword' or 'info-bits', got {mode!r}")
+    if past is not None and len(trials) != 1:
+        raise ValueError("a given past state makes exactly one instance")
+    rngs = [trial_rng(seed, t) for t in trials]
+    r_ecc = recc_from_rldpc(rate_ldpc(dist))
+    if past is not None:
+        pasts = [as_bits(past)]
+    elif ensemble.kind == "uniform":
+        pasts = [rng.integers(0, 2, ensemble.n, dtype=np.uint8) for rng in rngs]
     else:
-        arr, layout = _gen_modified_layout(ens, rng)
-        starts, lengths = _run_bounds(arr)
-    n = arr.size
-    graph = _graph_for_layout(layout, config.dist, rng)
+        draws = [gen_past_modified(ensemble, rng) for rng in rngs]
+        pasts = [d.state.bits for d in draws]
+    a, offsets, starts, lengths = _side_by_side(pasts)
 
-    info_idx = layout.info_wire_array
-    slot_idx = layout.parity_slot_array
-    if config.mode == "uniform-codeword":
-        word = _sample_valid_word(arr, starts, lengths, rng)
+    insufficient = 0
+    if past is not None:
+        layout = build_layout(a, round(a.size * (1.0 - r_ecc)))
+    elif ensemble.kind == "uniform":
+        p = round(ensemble.n * (1.0 - r_ecc))
+        keep = np.bincount(starts[lengths == 1] // ensemble.n, minlength=len(pasts)) >= p
+        insufficient = len(trials) - int(np.count_nonzero(keep))
+        if insufficient == len(trials):
+            empty = np.zeros(0, dtype=np.int64)
+            return CodeInstances((), np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.uint8),
+                                 WireLayout(n=0, parity_slots=(), pinned=(), segments=()),
+                                 IraGraph(0, 0, empty, empty.copy(), chain_starts=()),
+                                 None, (), insufficient)
+        if insufficient:
+            kept = np.flatnonzero(keep).tolist()
+            trials = tuple(trials[i] for i in kept)
+            rngs = [rngs[i] for i in kept]
+            pasts = [pasts[i] for i in kept]
+            a, offsets, starts, lengths = _side_by_side(pasts)
+        layout = _stride_layout(a.size, starts, lengths, offsets, p)
     else:
-        _, k = _segments_payload_bits(arr, layout)
-        payload = rng.integers(0, 2, k, dtype=np.uint8)
-        from .jointcode import embedded_encode
+        part2 = np.zeros(a.size, dtype=bool)
+        part2[np.concatenate([np.asarray(d.part2_wires, dtype=np.int64) + (o - 1)
+                              for d, o in zip(draws, offsets)])] = True
+        layout = _layout_from_runs(a.size, starts, lengths, (lengths == 1) & part2[starts])
+    num_info = np.diff(np.searchsorted(layout.info_wire_array, offsets)).tolist()
+    num_parity = np.diff(np.searchsorted(layout.parity_slot_array, offsets)).tolist()
+    graphs = [_sample_code(k, q, dist, rng) for k, q, rng in zip(num_info, num_parity, rngs)]
+    graph = IraGraph.union(graphs)
 
-        word = embedded_encode(payload, arr, graph).word.bits.copy()
-    word[slot_idx] = ira_encode(word[info_idx], graph)
+    word = None
+    if mode == "uniform-codeword":
+        u = np.concatenate([rng.random(x.size) for rng, x in zip(rngs, pasts)])
+        word_of_run = np.searchsorted(offsets, starts, side="right") - 1
+        word = _valid_word(a, starts, lengths, u, word_of_run)
+    elif mode == "info-bits":
+        word = np.concatenate([
+            embedded_encode(rng.integers(0, 2, payload_size(x, g.num_parity), dtype=np.uint8),
+                            x, g).word.bits
+            for x, g, rng in zip(pasts, graphs, rngs)])
+    if word is not None:
+        word[layout.parity_slot_array] = ira_encode(word[layout.info_wire_array], graph)
+    return CodeInstances(trials=trials, offsets=offsets, a=a, layout=layout, graph=graph,
+                         word=word, rngs=tuple(rngs), insufficient=insufficient)
 
-    received = bec_transmit(word, config.eps, rng)
-    fg = build_factor_graph(arr, graph, layout)
-    result = bp_decode(received, fg, max_outer=config.max_outer, extract_payload=False)
-    out = result.word.symbols
-    decided = out != ERASED
-    if not np.array_equal(out[decided], word[decided]):
+
+def _run_batch(config: SimConfig, trials: range) -> TrialStats:
+    """Counts of one batch of trials, decoded as one disjoint union."""
+    n = config.ensemble.n
+    inst = build_instances(config.seed, trials, config.dist, ensemble=config.ensemble,
+                           mode=config.mode)
+    k = inst.insufficient
+    stats = TrialStats(trials=k, bits_code=k * n, bit_errors_code=k * n, block_errors=k,
+                       insufficient_free_wire_events=k, rng_seed=config.seed)
+    if not inst.trials:
+        return stats
+    sizes = np.diff(inst.offsets)
+    u = np.concatenate([rng.random(size) for rng, size in zip(inst.rngs, sizes.tolist())])
+    received = np.where(u < config.eps, ERASED, inst.word)
+    fg = build_factor_graph(inst.a, inst.graph, inst.layout)
+    out = bp_decode(received, fg, max_outer=config.max_outer, extract_payload=False).word.symbols
+    erased = out == ERASED
+    if not np.array_equal(out[~erased], inst.word[~erased]):
         raise RuntimeError("decoder emitted a bit that differs from the transmitted word")
-    residual = result.residual_erasures
-    residual_info = int(np.count_nonzero(out[info_idx] == ERASED))
-    return (
-        1,
-        n,
-        residual,
-        int(info_idx.size),
-        residual_info,
-        int(residual > 0),
-        0,
-    )
-
-
-def _run_chunk(config: SimConfig, lo: int, hi: int) -> tuple[int, ...]:
-    totals = (0,) * 7
-    for t in range(lo, hi):
-        counts = _run_one_trial(config, t)
-        totals = tuple(a + b for a, b in zip(totals, counts))
-    return totals
+    instance_of_wire = np.repeat(np.arange(sizes.size), sizes)
+    residual = np.bincount(instance_of_wire[erased], minlength=sizes.size)
+    return stats.add(TrialStats(
+        trials=sizes.size,
+        bits_code=inst.a.size,
+        bit_errors_code=int(residual.sum()),
+        bits_info=fg.num_info_vars,
+        bit_errors_info=int(np.count_nonzero(erased[fg.info_wires])),
+        block_errors=int(np.count_nonzero(residual)),
+        rng_seed=config.seed,
+    ))
 
 
 def run_trials(config: SimConfig) -> TrialStats:
@@ -350,28 +435,19 @@ def run_trials(config: SimConfig) -> TrialStats:
     parities is declared a block error without decoding; its code bits all
     count as errors, and it is tallied separately so alternative accounting
     can be recomputed. Payload-bit counts skip such trials (no layout
-    exists). Statistics are invariant to ``jobs``.
+    exists). Trials run in batches of max(1, BATCH_WIRES // N), each
+    decoded at once; statistics are invariant to batching and ``jobs``.
     """
-    if config.jobs > 1 and config.trials > 1:
-        workers = min(config.jobs, config.trials)
-        chunk = -(-config.trials // (workers * 4))
-        bounds = [(lo, min(lo + chunk, config.trials)) for lo in range(0, config.trials, chunk)]
-        totals = (0,) * 7
+    size = max(1, BATCH_WIRES // config.ensemble.n)
+    batches = [range(lo, min(lo + size, config.trials)) for lo in range(0, config.trials, size)]
+    if config.jobs > 1 and len(batches) > 1:
+        workers = min(config.jobs, len(batches))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for counts in pool.map(_run_chunk, *zip(*[(config, lo, hi) for lo, hi in bounds])):
-                totals = tuple(a + b for a, b in zip(totals, counts))
+            parts = list(pool.map(_run_batch, [config] * len(batches), batches,
+                                  chunksize=-(-len(batches) // (workers * 4))))
     else:
-        totals = _run_chunk(config, 0, config.trials)
-    return TrialStats(
-        trials=totals[0],
-        bits_code=totals[1],
-        bit_errors_code=totals[2],
-        bits_info=totals[3],
-        bit_errors_info=totals[4],
-        block_errors=totals[5],
-        insufficient_free_wire_events=totals[6],
-        rng_seed=config.seed,
-    )
+        parts = [_run_batch(config, batch) for batch in batches]
+    return reduce(TrialStats.add, parts, TrialStats(rng_seed=config.seed))
 
 
 def de_vs_simulation(
@@ -390,20 +466,12 @@ def de_vs_simulation(
     (iteration, empirical fraction, predicted fraction).
     """
     r_ecc = recc_from_rldpc(rate_ldpc(dist))
-    rng = trial_rng(seed, 0)
-    arr = rng.integers(0, 2, n, dtype=np.uint8)
-    starts, lengths = _run_bounds(arr)
-    p_req = round(n * (1.0 - r_ecc))
-    if int(np.count_nonzero(lengths == 1)) < p_req:
+    inst = build_instances(seed, [0], dist, ensemble=EnsembleSpec("uniform", n),
+                           mode="uniform-codeword")
+    if inst.insufficient:
         raise ValueError("drawn past state lacks free wires; use a larger n or another seed")
-    layout = build_layout(arr, p_req)
-    graph = _graph_for_layout(layout, dist, rng)
-    word = _sample_valid_word(arr, starts, lengths, rng)
-    info_idx = layout.info_wire_array
-    slot_idx = layout.parity_slot_array
-    word[slot_idx] = ira_encode(word[info_idx], graph)
-    received = bec_transmit(word, eps, rng)
-    fg = build_factor_graph(arr, graph, layout)
+    received = bec_transmit(inst.word, eps, inst.rngs[0])
+    fg = build_factor_graph(inst.a, inst.graph, inst.layout)
     result = bp_decode(received, fg, max_outer=iterations, record_trace=True,
                        extract_payload=False)
     empirical = list(result.x_ecc_trace or ())

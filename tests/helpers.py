@@ -1,18 +1,79 @@
 """Independent reference implementations used as test oracles.
 
-Everything here is deliberately slow and literal: per-edge message dicts,
-explicit schedules, and worklist peeling. The production decoder must agree
+Everything here is deliberately slow and literal: per-node message rules,
+per-edge message dicts, explicit schedules, and worklist peeling. The production decoder must agree
 with these on small instances.
 """
 
 from __future__ import annotations
 
+from typing import Iterable
+
 import numpy as np
 
-from jointbus.bpdecode import ERASED, cac_node_update, ecc_node_update
+from jointbus.bpdecode import ERASED
 from jointbus.buscore import as_bits
 from jointbus.ira import IraGraph
 from jointbus.jointcode import WireLayout, build_layout
+
+
+def cac_node_update(
+    past_pair: tuple[int, int], incoming: int, from_side: str
+) -> int:
+    """Message through one pairwise crosstalk check.
+
+    For past pair (0, 1) the forbidden next pair is (1, 0): a known 1
+    entering from the left forces the right wire to 1, and a known 0
+    entering from the right forces the left wire to 0; the mirrored rule
+    applies for past pair (1, 0). Every other input yields an erasure.
+    """
+    ap, an = int(past_pair[0]), int(past_pair[1])
+    if ap == an:
+        raise ValueError("a crosstalk check exists only where the past bits differ")
+    if from_side not in ("left", "right"):
+        raise ValueError(f"from_side must be 'left' or 'right', got {from_side!r}")
+    if incoming == ERASED:
+        return ERASED
+    forb_left, forb_right = 1 - ap, 1 - an
+    if from_side == "left":
+        return (1 - forb_right) if incoming == forb_left else ERASED
+    return (1 - forb_left) if incoming == forb_right else ERASED
+
+
+def variable_node_update(channel: int, incoming: Iterable[int]) -> tuple[list[int], int]:
+    """Extrinsic per-edge outputs and the final decision of one variable.
+
+    Each outgoing edge repeats any known value among the channel and the
+    other edges; the decision may also use the edge's own input. Two
+    distinct known inputs cannot happen on an erasure channel and raise.
+    """
+    inc = [int(v) for v in incoming]
+    vals = [int(channel), *inc]
+    known = {v for v in vals if v != ERASED}
+    if len(known) > 1:
+        raise ValueError("contradictory known inputs at a variable node")
+    out = []
+    for k in range(len(inc)):
+        others = {v for i, v in enumerate(vals) if v != ERASED and i != k + 1}
+        out.append(others.pop() if others else ERASED)
+    return out, (known.pop() if known else ERASED)
+
+
+def ecc_node_update(incoming: Iterable[int]) -> list[int]:
+    """Per-edge outputs of one XOR check: known iff all other inputs are."""
+    inc = [int(v) for v in incoming]
+    unknown = [i for i, v in enumerate(inc) if v == ERASED]
+    if len(unknown) >= 2:
+        return [ERASED] * len(inc)
+    total = 0
+    for v in inc:
+        if v != ERASED:
+            total ^= v
+    if len(unknown) == 1:
+        out = [ERASED] * len(inc)
+        out[unknown[0]] = total
+        return out
+    return [total ^ v for v in inc]
 
 
 def valid_words(a) -> list[np.ndarray]:
@@ -26,6 +87,54 @@ def valid_words(a) -> list[np.ndarray]:
         if not np.any((arr[:-1] != arr[1:]) & (t[:-1] == 1) & (t[1:] == 1)):
             out.append(bits)
     return out
+
+
+def stride_select(free_count: int, p_needed: int) -> list[int]:
+    """Literal uniform-stride choice of parity wires within a free-wire list."""
+    chosen: set[int] = set()
+    for i in range(p_needed):
+        j = round(i * free_count / p_needed)
+        while j in chosen:
+            j += 1
+        if j >= free_count:
+            j = min(set(range(free_count)) - chosen)
+        chosen.add(j)
+    return sorted(chosen)
+
+
+def sequential_valid_word(a, starts, lengths, rng) -> np.ndarray:
+    """Uniform valid continuation sampled wire by wire: pass j draws one
+    uniform for position j of every run longer than j, in run order."""
+    from jointbus.buscore import fib
+
+    n = a.size
+    t = np.zeros(n, dtype=np.uint8)
+    forced = np.zeros(starts.size, dtype=bool)
+    for j in range(int(lengths.max())):
+        act = np.flatnonzero(lengths > j)
+        u = rng.random(act.size)
+        for r, x in zip(act, u):
+            rem = int(lengths[r]) - j
+            one = x < fib(rem) / fib(rem + 2) and not forced[r]
+            t[starts[r] + j] = one
+            forced[r] = one
+    return (a ^ t).astype(np.uint8)
+
+
+def disjoint_union(instances):
+    """(a, layout, graph) triples laid side by side: the wires, info nodes
+    and checks of each follow those of the ones before it."""
+    slots, pinned, segments = [], [], []
+    off = 0
+    for _, layout, _ in instances:
+        slots += [w + off for w in layout.parity_slots]
+        pinned += [(w + off, v) for w, v in layout.pinned]
+        segments += [(s + off, d) for s, d in layout.segments]
+        off += layout.n
+    layout = WireLayout(n=off, parity_slots=tuple(slots), pinned=tuple(pinned),
+                        segments=tuple(segments))
+    a = np.concatenate([as_bits(x) for x, _, _ in instances])
+    return a, layout, IraGraph.union([g for _, _, g in instances])
 
 
 def random_instance(rng, n_max=64, dist=None, allow_shields=False):

@@ -4,17 +4,27 @@ import pytest
 from jointbus import (
     ERASED,
     DegreeDistribution,
+    EnsembleSpec,
     ErasureWord,
     bp_decode,
     build_factor_graph,
+    build_instances,
     build_layout,
-    cac_node_update,
-    ecc_node_update,
-    variable_node_update,
+    check_transition,
 )
 from jointbus.ira import IraGraph
 
-from helpers import ReferenceDecoder, encode_instance, peel_decode, random_instance, valid_words
+from helpers import (
+    ReferenceDecoder,
+    cac_node_update,
+    disjoint_union,
+    ecc_node_update,
+    encode_instance,
+    peel_decode,
+    random_instance,
+    valid_words,
+    variable_node_update,
+)
 
 DIST = DegreeDistribution.regular(3, 12)
 
@@ -266,3 +276,89 @@ def test_bp_decode_reports_stall():
     assert res.converged
     assert res.residual_erasures >= 1
     assert res.info_bits is None
+
+
+def test_bp_decode_disjoint_union_matches_single_decodes():
+    # one decode of instances laid side by side equals decoding each alone,
+    # with shield pairs and modified-ensemble layouts mixed in
+    rng = np.random.default_rng(53)
+    modified = EnsembleSpec("modified", 40, r_ecc=0.8)
+    for trial in range(25):
+        parts, words = [], []
+        for k in range(int(rng.integers(1, 6))):
+            if k % 3 == 2:
+                inst = build_instances(trial, [k], DIST, ensemble=modified, mode="uniform-codeword")
+                parts.append((inst.a, inst.layout, inst.graph))
+                words.append(inst.word)
+            else:
+                part = random_instance(rng, n_max=40, allow_shields=(k % 3 == 0))
+                parts.append(part)
+                words.append(encode_instance(rng, *part))
+        rcvs = []
+        for word in words:
+            rcv = word.copy()
+            rcv[rng.random(word.size) < rng.uniform(0.05, 0.8)] = ERASED
+            rcvs.append(rcv)
+        a, layout, graph = disjoint_union(parts)
+        union = bp_decode(np.concatenate(rcvs), build_factor_graph(a, graph, layout),
+                          extract_payload=False).word.symbols
+        singles = [bp_decode(r, build_factor_graph(x, g, lay)).word.symbols
+                   for (x, lay, g), r in zip(parts, rcvs)]
+        refs = [ReferenceDecoder(x, g, lay).decode(r)[0] for (x, lay, g), r in zip(parts, rcvs)]
+        assert np.array_equal(union, np.concatenate(singles)), f"union vs single on trial {trial}"
+        assert np.array_equal(union, np.concatenate(refs)), f"union vs reference on trial {trial}"
+
+
+def test_bp_decode_union_chain_starts_from_zero():
+    # the first instance's only check is broken; the second instance's
+    # parities are all erased and must still resolve forward from the
+    # implicit zero at the start of its own chain
+    first = ("000", build_layout("000", 1), IraGraph(2, 1, np.array([0, 1]), np.array([0, 0])))
+    second = ("000", build_layout("000", 2), IraGraph(1, 2, np.array([0, 0]), np.array([0, 1])))
+    assert first[1].parity_slots == (0,) and second[1].parity_slots == (0, 2)
+    rcvs = [np.array([ERASED, ERASED, 1]), np.array([ERASED, 1, ERASED])]
+    singles = [bp_decode(r, build_factor_graph(x, g, lay)).word.symbols
+               for (x, lay, g), r in zip((first, second), rcvs)]
+    assert singles[1].tolist() == [1, 1, 0]
+    a, layout, graph = disjoint_union([first, second])
+    union = bp_decode(np.concatenate(rcvs), build_factor_graph(a, graph, layout))
+    assert np.array_equal(union.word.symbols, np.concatenate(singles))
+
+
+def test_bp_decode_rejects_inconsistent_words():
+    # a fully known word that breaks a parity check, a crosstalk pair or a
+    # pinned wire carries no payload, and the first broken one is named
+    rng = np.random.default_rng(61)
+    for _ in range(40):
+        a, layout, graph = random_instance(rng, n_max=40, allow_shields=True)
+        fg = build_factor_graph(a, graph, layout)
+        word = encode_instance(rng, a, layout, graph)
+        assert bp_decode(word, fg).violation is None
+        j = int(rng.integers(layout.num_parity))
+        slot = layout.parity_slots[j]
+        flipped = word.copy()
+        flipped[slot] ^= 1
+        res = bp_decode(flipped, fg)
+        assert res.info_bits is None and res.residual_erasures == 0
+        # parity wires touch no crosstalk pair, so the parity check is named
+        assert res.violation == f"parity check {j + 1} fails (parity wire {slot + 1})"
+        for pin, v in layout.pinned:
+            bad = word.copy()
+            bad[pin] ^= 1
+            res = bp_decode(bad, fg)
+            assert res.info_bits is None
+            assert res.violation.startswith(f"wire {pin + 1} is pinned to its past bit {v}")
+        # an information wire flip goes unseen only if it keeps every
+        # crosstalk pair and each of its checks sees it an even number of times
+        i = int(rng.integers(layout.num_info))
+        wire = layout.info_wires[i]
+        odd = np.bincount(graph.edge_check[graph.edge_info == i], minlength=1) % 2
+        flipped_info = word.copy()
+        flipped_info[wire] ^= 1
+        res = bp_decode(flipped_info, fg)
+        caught = bool(odd.any()) or not check_transition(a, flipped_info).ok
+        assert (res.violation is not None) == caught
+        if caught:
+            assert res.info_bits is None
+        # off the payload path nothing is checked
+        assert bp_decode(flipped, fg, extract_payload=False).violation is None

@@ -183,6 +183,22 @@ def test_codec_decode_all_erased(capsys):
     assert residual > 0
 
 
+@pytest.mark.parametrize("received, fault", [
+    ("1000000000000000", "parity check 1 fails (parity wire 1)"),
+    ("0000000010000000", "parity check 2 fails (parity wire 9)"),
+    ("0000000000000001", "parity check 3 fails (parity wire 16)"),
+    ("0100000000000000", "wires 2 and 3 make opposing transitions"),
+])
+def test_codec_decode_rejects_inconsistent_word(capsys, received, fault):
+    # the all-zero codeword of payload 0000000000 with one wire flipped:
+    # parity wires 1, 9, 16 or information wire 2
+    code, out, err = run_cli(capsys, "codec", "decode", "--past", "0010011000110100",
+                             "--received", received, "--seed", "5")
+    assert code == 3
+    assert out == ""
+    assert fault in err
+
+
 def test_codec_wrong_payload_length(capsys):
     code, _, err = run_cli(capsys, "codec", "encode", "--past", "00000000",
                            "--payload", "1", "--seed", "0")

@@ -144,6 +144,20 @@ def test_validate_checks_and_linearity():
     assert not validate_checks(u, p, g)
 
 
+def test_ira_encode_union_restarts_each_chain():
+    rng = np.random.default_rng(12)
+    dist = DegreeDistribution.regular(3, 12)
+    graphs = [sample_graph(40, 10, dist, rng), IraGraph(5, 0, np.zeros(0, np.int64),
+                                                        np.zeros(0, np.int64)),
+              sample_graph(24, 6, dist, rng), sample_graph(8, 2, dist, rng)]
+    union = IraGraph.union(graphs)
+    assert union.chain_starts == (0, 10, 16)
+    bits = [rng.integers(0, 2, g.num_info, dtype=np.uint8) for g in graphs]
+    parities = np.concatenate([ira_encode(b, g) for b, g in zip(bits, graphs)])
+    assert np.array_equal(ira_encode(np.concatenate(bits), union), parities)
+    assert validate_checks(np.concatenate(bits), parities, union)
+
+
 def test_validate_checks_accepts_other_codeword():
     # info node 0 feeds only check 0; flipping it and every parity yields
     # another codeword of this two-check code

@@ -21,6 +21,9 @@ from jointbus import (
     wires_needed,
 )
 from jointbus.ira import IraGraph
+from jointbus.jointcode import _stride_select
+
+from helpers import stride_select
 
 DIST = DegreeDistribution.regular(3, 12)
 
@@ -66,6 +69,14 @@ def test_select_parity_shield_contract():
 def test_select_parity_exhausted():
     with pytest.raises(ValueError, match="cannot place"):
         select_parity_wires("01", 2)
+
+
+def test_stride_select_matches_literal_choice():
+    counts = np.arange(1, 80)
+    for p in range(1, 80):
+        rows = _stride_select(counts[counts >= p], p)
+        for count, row in zip(counts[counts >= p], rows):
+            assert row.tolist() == stride_select(int(count), p)
 
 
 def test_layout_partitions_wires():

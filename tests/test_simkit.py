@@ -1,3 +1,6 @@
+import dataclasses
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -6,19 +9,24 @@ from jointbus import (
     DegreeDistribution,
     EnsembleSpec,
     SimConfig,
+    TrialStats,
     bec_transmit,
+    build_instances,
+    build_layout,
+    check_transition,
     de_vs_simulation,
     gen_past_modified,
     gen_past_uniform,
     parse_runs,
     run_trials,
     trial_rng,
+    validate_checks,
     wilson_interval,
 )
-from jointbus.simkit import _sample_run_length, _sample_valid_word
+from jointbus.simkit import BATCH_WIRES, _run_batch, _sample_run_length, _valid_word
 from jointbus.buscore import _run_bounds
 
-from helpers import valid_words
+from helpers import disjoint_union, sequential_valid_word, valid_words
 
 DIST = DegreeDistribution.regular(3, 12)
 
@@ -63,7 +71,7 @@ def test_sample_valid_word_uniform_per_run():
     counts = {}
     trials = 20_000
     for _ in range(trials):
-        w = tuple(_sample_valid_word(a, starts, lengths, rng))
+        w = tuple(_valid_word(a, starts, lengths, rng.random(a.size)))
         counts[w] = counts.get(w, 0) + 1
     expected = {tuple(w) for w in valid_words(a)}
     assert set(counts) == expected
@@ -76,9 +84,20 @@ def test_sample_valid_word_never_violates():
     for _ in range(200):
         a = rng.integers(0, 2, 512, dtype=np.uint8)
         starts, lengths = _run_bounds(a)
-        w = _sample_valid_word(a, starts, lengths, rng)
+        w = _valid_word(a, starts, lengths, rng.random(a.size))
         t = w ^ a
         assert not np.any((a[:-1] != a[1:]) & (t[:-1] == 1) & (t[1:] == 1))
+
+
+def test_sample_valid_word_matches_sequential_sampler():
+    # one draw per wire, consumed in the sequential sampler's order
+    rng = np.random.default_rng(29)
+    for seed in range(300):
+        a = rng.integers(0, 2, int(rng.integers(1, 120)), dtype=np.uint8)
+        starts, lengths = _run_bounds(a)
+        fast = _valid_word(a, starts, lengths, trial_rng(seed, 1).random(a.size))
+        slow = sequential_valid_word(a, starts, lengths, trial_rng(seed, 1))
+        assert np.array_equal(fast, slow)
 
 
 def test_modified_run_length_law():
@@ -125,6 +144,47 @@ def test_run_trials_reproducible_and_parallel_invariant():
     s3 = run_trials(SimConfig(ensemble=cfg.ensemble, dist=DIST, eps=0.2,
                               trials=64, seed=99, jobs=2))
     assert s1 == s3
+
+
+ENSEMBLES = [EnsembleSpec("uniform", 100), EnsembleSpec("modified", 100, r_ecc=0.8)]
+MODES = ["uniform-codeword", "info-bits"]
+
+
+@pytest.mark.parametrize("ensemble", ENSEMBLES, ids=["uniform", "modified"])
+@pytest.mark.parametrize("mode", MODES)
+def test_build_instances_batch_is_union_of_single_trials(ensemble, mode):
+    batch = build_instances(2, range(12), DIST, ensemble=ensemble, mode=mode)
+    singles = [build_instances(2, [t], DIST, ensemble=ensemble, mode=mode) for t in range(12)]
+    kept = [inst for inst in singles if inst.trials]
+    assert batch.trials == tuple(t for inst in kept for t in inst.trials)
+    assert batch.insufficient == sum(inst.insufficient for inst in singles)
+    assert batch.insufficient == (3 if ensemble.kind == "uniform" else 0)
+    a, layout, graph = disjoint_union([(inst.a, inst.layout, inst.graph) for inst in kept])
+    assert np.array_equal(batch.a, a)
+    assert batch.layout == layout
+    assert np.array_equal(batch.graph.edge_info, graph.edge_info)
+    assert np.array_equal(batch.graph.edge_check, graph.edge_check)
+    assert batch.graph.chain_starts == graph.chain_starts
+    assert np.array_equal(batch.word, np.concatenate([inst.word for inst in kept]))
+    for inst in kept:
+        assert check_transition(inst.a, inst.word).ok
+        assert validate_checks(inst.word[inst.layout.info_wire_array],
+                               inst.word[inst.layout.parity_slot_array], inst.graph)
+        if ensemble.kind == "uniform":
+            assert inst.layout == build_layout(inst.a, inst.layout.num_parity)
+
+
+@pytest.mark.parametrize("ensemble", ENSEMBLES, ids=["uniform", "modified"])
+@pytest.mark.parametrize("mode", MODES)
+def test_run_trials_invariant_to_batching_and_jobs(ensemble, mode):
+    size = max(1, BATCH_WIRES // ensemble.n)
+    base = SimConfig(ensemble=ensemble, dist=DIST, eps=0.2, trials=size + 1, seed=21,
+                     mode=mode)
+    singles = [_run_batch(base, range(t, t + 1)) for t in range(size + 1)]
+    for trials in (size - 1, size, size + 1):
+        expect = reduce(TrialStats.add, singles[:trials], TrialStats(rng_seed=21))
+        for jobs in (1, 2):
+            assert run_trials(dataclasses.replace(base, trials=trials, jobs=jobs)) == expect
 
 
 def test_run_trials_insufficient_accounting():
