@@ -5,9 +5,8 @@ crosstalk checks inside each alternating run, the sparse code checks, and
 the parity accumulator chain. One outer iteration follows the schedule:
 
   1. information variables -> crosstalk checks
-  2. crosstalk checks -> information variables (repeated within runs until
-     nothing changes; a forced wire never transitions, so one pass reaches
-     the fixed point)
+  2. crosstalk checks -> information variables (one pass reaches the fixed
+     point within runs: a forced wire never transitions)
   3. information variables -> code checks
   4. code checks <-> parity variables until the chain converges
   5. code checks -> information variables
@@ -16,6 +15,14 @@ Erasures only ever disappear, so the outer loop stops at the first
 iteration that changes no message. The engine below is array-based: known/
 unknown flags are tracked per edge, the chain fixed point is computed by
 prefix scans, and values are filled in as nodes resolve.
+
+Because message knowledge is monotone, the decoder works on a frontier:
+step 3 revisits only the edges whose variable-to-check message is still
+erased, step 5 only the edges of checks that gained knowledge, and the
+per-check and per-node counts move by the edges that became known. An
+outer iteration thus costs O(active edges + N + P) plus one gather over
+the edges, not a full recomputation of every message; iterations, trace
+and output are those of the full sweep (``tests/helpers.sweep_decode``).
 """
 
 from __future__ import annotations
@@ -196,7 +203,6 @@ def bp_decode(
     received: SymbolsLike,
     fg: FactorGraph,
     max_outer: int = 200,
-    saturate_runs: bool = True,
     record_trace: bool = False,
     extract_payload: bool = True,
 ) -> DecodeResult:
@@ -213,6 +219,8 @@ def bp_decode(
     erased fraction of the variable-to-check messages of step 3 per
     iteration.
     """
+    if max_outer < 1:
+        raise ValueError(f"max_outer must be >= 1, got {max_outer}")
     rcv = received if isinstance(received, ErasureWord) else ErasureWord(received)
     n = fg.n
     if len(rcv) != n:
@@ -231,12 +239,22 @@ def bp_decode(
 
     num_e = fg.edge_wire.size
     num_p = fg.num_parity_vars
-    num_i = fg.num_info_vars
-    e_info = fg.graph.edge_info
     e_chk = fg.graph.edge_check
+    e_wire = fg.edge_wire
+    # Per-edge knowledge only grows: ext (variable-to-check known) and
+    # known_ci (check-to-variable known) never revert, and a wire's value
+    # never changes once resolved. So the per-check counts of erased inputs
+    # (unk) and of known ones mod 2 (s), and the per-wire count of known
+    # check messages (cnt_ci), move only by the edges that became known.
+    # Edges out of channel-known wires carry known messages from the start.
+    ext = src_ch[e_wire]
+    open_v2c = np.flatnonzero(~ext)
+    unk = np.bincount(e_chk[open_v2c], minlength=num_p)
+    s = np.bincount(e_chk[ext & (val[e_wire] == 1)], minlength=num_p) & 1
     known_ci = np.zeros(num_e, dtype=bool)
-    cnt_ci = np.zeros(num_i, dtype=np.int64)
-    src_ecc_wire = np.zeros(n, dtype=bool)
+    num_known_ci = 0
+    level = np.zeros(num_p, dtype=np.int64)
+    cnt_ci = np.zeros(n, dtype=np.int64)
     src_cac = np.zeros(n, dtype=bool)
 
     ch_p = src_ch[fg.parity_slots]
@@ -249,10 +267,12 @@ def bp_decode(
     lch = np.maximum.accumulate(np.where(ch_p, idx_p, -1))
     lcs = np.maximum.accumulate(np.where(cs, idx_p, 0))
     lsp = np.maximum(lch, lcs - 1)
-    src_idx = np.concatenate(([-1], lch[:-1]))
+    src_idx = np.concatenate(([-1], lch))[:-1]
     lsp_r = np.maximum.accumulate(np.where(ch_p[::-1], idx_p, -1))
-    nxt_seed = np.concatenate((lsp_r[::-1][1:], [-1]))
+    nxt_seed = np.concatenate((lsp_r[::-1], [-1]))[1:]
     r_star = np.where(nxt_seed >= 0, num_p - 1 - nxt_seed, 0)
+    from_zero = lcs > src_idx
+    val_src, val_r_star = val_p_ch[src_idx], val_p_ch[r_star]
 
     trace: list[float] = []
     iterations = 0
@@ -263,41 +283,37 @@ def bp_decode(
         iterations = it
 
         # Steps 1-2: a known transitioning wire pins both in-run neighbours
-        # to their past bits; pinned values never transition, so repeating
-        # the pass cannot force anything new.
-        passes = 0
-        while True:
-            passes += 1
-            m = (src_ch | src_ecc_wire) & (val != a) & resolved
-            force = np.zeros(n, dtype=bool)
-            force[1:] = m[:-1] & fg.adj_prev[1:]
-            force[:-1] |= m[1:] & fg.adj_prev[1:]
-            grew = bool(np.any(force & ~src_cac))
-            src_cac |= force
-            newly = force & ~resolved
-            val[newly] = a[newly]
-            resolved |= force
-            if not (saturate_runs and grew and passes < n):
-                break
+        # to their past bits. A forced wire keeps its past bit and so never
+        # transitions: one pass reaches the fixed point.
+        m = (src_ch | (cnt_ci > 0)) & (val != a) & resolved
+        force = np.zeros(n, dtype=bool)
+        force[1:] = m[:-1] & fg.adj_prev[1:]
+        force[:-1] |= m[1:] & fg.adj_prev[1:]
+        src_cac |= force
+        newly = force & ~resolved
+        val[newly] = a[newly]
+        resolved |= force
 
-        # Step 3: extrinsic variable-to-check messages.
-        intrinsic = src_ch | src_cac
-        if num_e:
-            ext = intrinsic[fg.edge_wire] | ((cnt_ci[e_info] - known_ci) > 0)
-        else:
-            ext = np.zeros(0, dtype=bool)
+        # Step 3: extrinsic variable-to-check messages of the open edges.
+        if open_v2c.size:
+            w = e_wire[open_v2c]
+            now = (src_ch | src_cac)[w] | (cnt_ci[w] > known_ci[open_v2c])
+            one = (val[w] == 1)[now]
+            closed, open_v2c = open_v2c[now], open_v2c[~now]
+            ext[closed] = True
+            c = e_chk[closed]
+            unk -= np.bincount(c, minlength=num_p)
+            s ^= np.bincount(c[one], minlength=num_p) & 1
+            # Edge-sized arrays go before the next step: on a wide bus the
+            # first iterations touch most edges.
+            del w, now, one, closed, c
         if record_trace:
-            trace.append(float(1.0 - ext.mean()) if num_e else 0.0)
+            trace.append(float(1.0 - (num_e - open_v2c.size) / num_e) if num_e else 0.0)
 
         # Step 4: chain fixed point. ok marks checks whose sparse inputs are
         # all known; knowledge spreads along each chain from known parities
         # (and the implicit zero before its first parity) until a break.
-        unk = np.bincount(e_chk[~ext], minlength=num_p) if num_e else np.zeros(num_p, np.int64)
         ok = unk == 0
-        s = np.zeros(num_p, dtype=np.int64)
-        if num_e:
-            ones = ext & (val[fg.edge_wire] == 1)
-            s = np.bincount(e_chk[ones], minlength=num_p) & 1
         if num_p:
             okl = ok & ~cs  # check j is satisfied and links parity j-1 to j
             lbp = np.maximum.accumulate(np.where(~ok, idx_p, -1))
@@ -311,11 +327,10 @@ def bp_decode(
             parity_known = ch_p | res_fwd | res_bwd
 
             cum = np.bitwise_xor.accumulate(s)
-            from_zero = lcs > src_idx
             base_fwd = np.where(from_zero, np.concatenate(([0], cum))[lcs],
-                                val_p_ch[src_idx] ^ cum[src_idx])
+                                val_src ^ cum[src_idx])
             v_fwd = (base_fwd ^ cum).astype(np.uint8)
-            v_bwd = (val_p_ch[r_star] ^ cum[r_star] ^ cum).astype(np.uint8)
+            v_bwd = (val_r_star ^ cum[r_star] ^ cum).astype(np.uint8)
             val_p = np.where(ch_p, val_p_ch, np.where(res_fwd, v_fwd, v_bwd)).astype(np.uint8)
 
             newly_p = parity_known & ~resolved[fg.parity_slots]
@@ -323,32 +338,39 @@ def bp_decode(
                 wires = fg.parity_slots[newly_p]
                 val[wires] = val_p[newly_p]
                 resolved[wires] = True
-        else:
-            kf_prev = np.zeros(0, dtype=bool)
-            kb = np.zeros(0, dtype=bool)
-            val_p = np.zeros(0, dtype=np.uint8)
-            parity_known = np.zeros(0, dtype=bool)
 
-        # Step 5: check-to-variable messages and value fill-in.
+        # Step 5: check-to-variable messages and value fill-in. A check
+        # whose two chain messages are known sends a known message to its
+        # one erased sparse input (level 1) or, with none erased, to all of
+        # them (level 2); only checks whose level rose send new ones.
         if num_e:
-            chain_ok = kf_prev & kb
-            other_ok = (unk[e_chk] == 0) | ((unk[e_chk] == 1) & ~ext)
-            known_ci = other_ok & chain_ok[e_chk]
-            newly_edges = known_ci & ~resolved[fg.edge_wire]
-            if newly_edges.any():
-                ej = e_chk[newly_edges]
-                valp_prev = np.where(cs, 0, np.concatenate(([0], val_p[:-1]))).astype(np.uint8)
-                fill = (s[ej] ^ valp_prev[ej] ^ val_p[ej]).astype(np.uint8)
-                wires = fg.edge_wire[newly_edges]
-                val[wires] = fill
-                resolved[wires] = True
-            cnt_ci = np.bincount(e_info[known_ci], minlength=num_i)
-            src_ecc_wire[fg.info_wires] = cnt_ci > 0
+            prev_level = level
+            level = np.where(kf_prev & kb, 2 - np.minimum(unk, 2), 0)
+            rose = level > prev_level
+            if rose.any():
+                # g: per edge, the level its check rose to (0: no rise).
+                # closed is in ascending edge order, so a wire filled twice
+                # keeps its last fill, as in a sweep over every edge.
+                g = np.where(rose, level, 0).astype(np.int8)[e_chk]
+                closed = np.flatnonzero(((g == 2) | ((g == 1) & ~ext)) & ~known_ci)
+                known_ci[closed] = True
+                num_known_ci += closed.size
+                w = e_wire[closed]
+                fresh = ~resolved[w]
+                if fresh.any():
+                    ej = e_chk[closed[fresh]]
+                    valp_prev = np.where(cs, 0, np.concatenate(([0], val_p[:-1]))).astype(np.uint8)
+                    wires = w[fresh]
+                    val[wires] = (s[ej] ^ valp_prev[ej] ^ val_p[ej]).astype(np.uint8)
+                    resolved[wires] = True
+                del g, closed, fresh
+                cnt_ci += np.bincount(w, minlength=n)
+                del w
 
         if resolved.all():
             converged = True
             break
-        sig = (int(resolved.sum()), int(known_ci.sum()), int(src_cac.sum()))
+        sig = (int(np.count_nonzero(resolved)), num_known_ci, int(np.count_nonzero(src_cac)))
         if sig == prev_sig:
             converged = True
             break

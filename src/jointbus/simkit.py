@@ -85,6 +85,10 @@ class SimConfig:
             raise ValueError("trials must be >= 1")
         if self.mode not in ("uniform-codeword", "info-bits"):
             raise ValueError(f"mode must be 'uniform-codeword' or 'info-bits', got {self.mode!r}")
+        if self.max_outer < 1:
+            raise ValueError(f"max_outer must be >= 1, got {self.max_outer}")
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
 
 
 @dataclass

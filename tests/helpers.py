@@ -11,10 +11,17 @@ from typing import Iterable
 
 import numpy as np
 
-from jointbus.bpdecode import ERASED
+from jointbus.bpdecode import (
+    ERASED,
+    DecodeResult,
+    ErasureWord,
+    FactorGraph,
+    SymbolsLike,
+    _first_violation,
+)
 from jointbus.buscore import as_bits
 from jointbus.ira import IraGraph
-from jointbus.jointcode import WireLayout, build_layout
+from jointbus.jointcode import WireLayout, build_layout, _segments_payload_bits
 
 
 def cac_node_update(
@@ -353,3 +360,195 @@ def peel_decode(a, graph: IraGraph, layout: WireLayout, received) -> np.ndarray:
                 sym[unknown[0]] = acc
                 changed = True
     return sym
+
+
+def sweep_decode(
+    received: SymbolsLike,
+    fg: FactorGraph,
+    max_outer: int = 200,
+    saturate_runs: bool = True,
+    record_trace: bool = False,
+    extract_payload: bool = True,
+) -> DecodeResult:
+    """The full-sweep decode loop: every outer iteration recomputes every
+    per-edge message over the whole graph, and ``saturate_runs`` repeats the
+    crosstalk pass until it forces nothing new. Reference for ``bp_decode``,
+    which must return an equal ``DecodeResult``.
+
+    Stops at the first outer iteration that changes no message (reported as
+    ``converged``) or after ``max_outer`` iterations. When every wire
+    resolves and ``extract_payload`` is set, the word is first checked
+    against the received pinned wires, the crosstalk constraints and the
+    parity checks; an inconsistent word yields ``info_bits=None`` and names
+    what it breaks in ``violation``. Otherwise the payload is re-extracted
+    from the code-carrying wires, and a word whose index falls outside the
+    payload range yields ``info_bits=None``. ``record_trace`` captures the
+    erased fraction of the variable-to-check messages of step 3 per
+    iteration.
+    """
+    rcv = received if isinstance(received, ErasureWord) else ErasureWord(received)
+    n = fg.n
+    if len(rcv) != n:
+        raise ValueError(f"received word has {len(rcv)} symbols, bus has {n} wires")
+    a = fg.a_bits
+    symbols = rcv.symbols
+
+    resolved = symbols != ERASED
+    val = np.where(resolved, symbols, 0).astype(np.uint8)
+    src_ch = resolved.copy()
+    if fg.pinned_wires.size:
+        # The receiver knows pinned wires repeat their past bit.
+        val[fg.pinned_wires] = fg.pinned_vals
+        resolved[fg.pinned_wires] = True
+        src_ch[fg.pinned_wires] = True
+
+    num_e = fg.edge_wire.size
+    num_p = fg.num_parity_vars
+    num_i = fg.num_info_vars
+    e_info = fg.graph.edge_info
+    e_chk = fg.graph.edge_check
+    known_ci = np.zeros(num_e, dtype=bool)
+    cnt_ci = np.zeros(num_i, dtype=np.int64)
+    src_ecc_wire = np.zeros(n, dtype=bool)
+    src_cac = np.zeros(n, dtype=bool)
+
+    ch_p = src_ch[fg.parity_slots]
+    val_p_ch = val[fg.parity_slots]
+    idx_p = np.arange(num_p, dtype=np.int64)
+    cs = fg.chain_start
+    # Knowledge sources along the chains, fixed for the whole decode: the
+    # last channel-known parity at or before j, the first one after j, and
+    # the start of j's chain, whose implicit zero parity sits just before it.
+    lch = np.maximum.accumulate(np.where(ch_p, idx_p, -1))
+    lcs = np.maximum.accumulate(np.where(cs, idx_p, 0))
+    lsp = np.maximum(lch, lcs - 1)
+    src_idx = np.concatenate(([-1], lch[:-1]))
+    lsp_r = np.maximum.accumulate(np.where(ch_p[::-1], idx_p, -1))
+    nxt_seed = np.concatenate((lsp_r[::-1][1:], [-1]))
+    r_star = np.where(nxt_seed >= 0, num_p - 1 - nxt_seed, 0)
+
+    trace: list[float] = []
+    iterations = 0
+    converged = False
+    prev_sig = (-1, -1, -1)
+
+    for it in range(1, max_outer + 1):
+        iterations = it
+
+        # Steps 1-2: a known transitioning wire pins both in-run neighbours
+        # to their past bits; pinned values never transition, so repeating
+        # the pass cannot force anything new.
+        passes = 0
+        while True:
+            passes += 1
+            m = (src_ch | src_ecc_wire) & (val != a) & resolved
+            force = np.zeros(n, dtype=bool)
+            force[1:] = m[:-1] & fg.adj_prev[1:]
+            force[:-1] |= m[1:] & fg.adj_prev[1:]
+            grew = bool(np.any(force & ~src_cac))
+            src_cac |= force
+            newly = force & ~resolved
+            val[newly] = a[newly]
+            resolved |= force
+            if not (saturate_runs and grew and passes < n):
+                break
+
+        # Step 3: extrinsic variable-to-check messages.
+        intrinsic = src_ch | src_cac
+        if num_e:
+            ext = intrinsic[fg.edge_wire] | ((cnt_ci[e_info] - known_ci) > 0)
+        else:
+            ext = np.zeros(0, dtype=bool)
+        if record_trace:
+            trace.append(float(1.0 - ext.mean()) if num_e else 0.0)
+
+        # Step 4: chain fixed point. ok marks checks whose sparse inputs are
+        # all known; knowledge spreads along each chain from known parities
+        # (and the implicit zero before its first parity) until a break.
+        unk = np.bincount(e_chk[~ext], minlength=num_p) if num_e else np.zeros(num_p, np.int64)
+        ok = unk == 0
+        s = np.zeros(num_p, dtype=np.int64)
+        if num_e:
+            ones = ext & (val[fg.edge_wire] == 1)
+            s = np.bincount(e_chk[ones], minlength=num_p) & 1
+        if num_p:
+            okl = ok & ~cs  # check j is satisfied and links parity j-1 to j
+            lbp = np.maximum.accumulate(np.where(~ok, idx_p, -1))
+            kf = lsp >= lbp  # parity j -> check j+1 known
+            pass_r = np.concatenate(([False], okl[::-1][:-1]))
+            lbp_r = np.maximum.accumulate(np.where(~pass_r, idx_p, -1))
+            kb = (lsp_r >= lbp_r)[::-1]  # parity j -> check j known
+            kf_prev = np.concatenate(([True], kf[:-1])) | cs
+            res_fwd = ok & kf_prev
+            res_bwd = np.concatenate((okl[1:] & kb[1:], [False]))
+            parity_known = ch_p | res_fwd | res_bwd
+
+            cum = np.bitwise_xor.accumulate(s)
+            from_zero = lcs > src_idx
+            base_fwd = np.where(from_zero, np.concatenate(([0], cum))[lcs],
+                                val_p_ch[src_idx] ^ cum[src_idx])
+            v_fwd = (base_fwd ^ cum).astype(np.uint8)
+            v_bwd = (val_p_ch[r_star] ^ cum[r_star] ^ cum).astype(np.uint8)
+            val_p = np.where(ch_p, val_p_ch, np.where(res_fwd, v_fwd, v_bwd)).astype(np.uint8)
+
+            newly_p = parity_known & ~resolved[fg.parity_slots]
+            if newly_p.any():
+                wires = fg.parity_slots[newly_p]
+                val[wires] = val_p[newly_p]
+                resolved[wires] = True
+        else:
+            kf_prev = np.zeros(0, dtype=bool)
+            kb = np.zeros(0, dtype=bool)
+            val_p = np.zeros(0, dtype=np.uint8)
+            parity_known = np.zeros(0, dtype=bool)
+
+        # Step 5: check-to-variable messages and value fill-in.
+        if num_e:
+            chain_ok = kf_prev & kb
+            other_ok = (unk[e_chk] == 0) | ((unk[e_chk] == 1) & ~ext)
+            known_ci = other_ok & chain_ok[e_chk]
+            newly_edges = known_ci & ~resolved[fg.edge_wire]
+            if newly_edges.any():
+                ej = e_chk[newly_edges]
+                valp_prev = np.where(cs, 0, np.concatenate(([0], val_p[:-1]))).astype(np.uint8)
+                fill = (s[ej] ^ valp_prev[ej] ^ val_p[ej]).astype(np.uint8)
+                wires = fg.edge_wire[newly_edges]
+                val[wires] = fill
+                resolved[wires] = True
+            cnt_ci = np.bincount(e_info[known_ci], minlength=num_i)
+            src_ecc_wire[fg.info_wires] = cnt_ci > 0
+
+        if resolved.all():
+            converged = True
+            break
+        sig = (int(resolved.sum()), int(known_ci.sum()), int(src_cac.sum()))
+        if sig == prev_sig:
+            converged = True
+            break
+        prev_sig = sig
+
+    residual = int(np.count_nonzero(~resolved))
+    out = np.where(resolved, val, ERASED).astype(np.uint8)
+    info_bits = None
+    violation = None
+    if residual == 0 and extract_payload:
+        # A resolved word that breaks a constraint or indexes past the
+        # payload range carries no payload; the word itself is still
+        # returned for inspection.
+        violation = _first_violation(symbols, val, fg)
+        if violation is None:
+            books, k = _segments_payload_bits(a, fg.layout)
+            index = 0
+            for (seg_s, seg_d), book in zip(fg.layout.segments, books):
+                index = index * book.codeword_count + book.rank(val[seg_s : seg_s + seg_d])
+            if not index >> k:
+                info_bits = tuple((index >> i) & 1 for i in range(k - 1, -1, -1))
+    return DecodeResult(
+        word=ErasureWord(out),
+        info_bits=info_bits,
+        iterations=iterations,
+        converged=converged,
+        residual_erasures=residual,
+        x_ecc_trace=tuple(trace) if record_trace else None,
+        violation=violation,
+    )

@@ -22,6 +22,7 @@ from helpers import (
     encode_instance,
     peel_decode,
     random_instance,
+    sweep_decode,
     valid_words,
     variable_node_update,
 )
@@ -204,6 +205,8 @@ def test_bp_decode_matches_reference_and_peeling():
 
 
 def test_bp_decode_literal_schedule_equivalent():
+    # one crosstalk pass per iteration reaches what repeating it until
+    # nothing changes reaches
     rng = np.random.default_rng(23)
     for _ in range(40):
         a, layout, graph = random_instance(rng, n_max=48)
@@ -211,9 +214,52 @@ def test_bp_decode_literal_schedule_equivalent():
         rcv = word.copy()
         rcv[rng.random(a.size) < 0.5] = ERASED
         fg = build_factor_graph(a, graph, layout)
-        res_sat = bp_decode(rcv, fg, saturate_runs=True)
-        res_lit = bp_decode(rcv, fg, saturate_runs=False)
+        res = bp_decode(rcv, fg)
+        res_sat = sweep_decode(rcv, fg, saturate_runs=True)
+        res_lit = sweep_decode(rcv, fg, saturate_runs=False)
+        assert np.array_equal(res.word.symbols, res_sat.word.symbols)
         assert np.array_equal(res_sat.word.symbols, res_lit.word.symbols)
+
+
+def _assert_same_result(fg, rcv, max_outer, context):
+    got = bp_decode(rcv, fg, max_outer=max_outer, record_trace=True)
+    want = sweep_decode(rcv, fg, max_outer=max_outer, record_trace=True)
+    assert got == want, context
+
+
+def test_bp_decode_matches_full_sweep_reference():
+    # the frontier decoder returns what recomputing every message in every
+    # iteration returns, field by field: word, payload, iteration count,
+    # stopping flag, residual, trace and violation, also when a stall or
+    # max_outer cuts the decode short and when known bits contradict
+    rng = np.random.default_rng(71)
+    for trial in range(120):
+        a, layout, graph = random_instance(rng, n_max=64, allow_shields=(trial % 2 == 0))
+        fg = build_factor_graph(a, graph, layout)
+        word = encode_instance(rng, a, layout, graph)
+        rcv = word.copy()
+        if trial % 3 == 0:
+            rcv[rng.random(a.size) < 0.05] ^= 1
+        rcv[rng.random(a.size) < rng.uniform(0.0, 0.6)] = ERASED
+        for max_outer in (1, 2, 3, 200):
+            _assert_same_result(fg, rcv, max_outer, (trial, max_outer))
+    for ensemble in (EnsembleSpec("uniform", 300), EnsembleSpec("modified", 300, r_ecc=0.8)):
+        inst = build_instances(7, range(12), DIST, ensemble=ensemble, mode="uniform-codeword")
+        fg = build_factor_graph(inst.a, inst.graph, inst.layout)
+        for eps in (0.0, 0.15, 0.22, 0.3, 0.5):
+            rcv = inst.word.copy()
+            if eps == 0.3:
+                rcv[rng.random(rcv.size) < 0.01] ^= 1
+            rcv[rng.random(rcv.size) < eps] = ERASED
+            for max_outer in (1, 2, 3, 200):
+                _assert_same_result(fg, rcv, max_outer, (ensemble.kind, eps, max_outer))
+
+
+def test_bp_decode_rejects_nonpositive_max_outer():
+    fg = build_factor_graph("0101", _empty_graph(4))
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="max_outer"):
+            bp_decode("0e01", fg, max_outer=bad)
 
 
 def test_bp_decode_monotone_trace():

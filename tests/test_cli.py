@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -94,6 +95,26 @@ def test_simulate_csv_deterministic(capsys, tmp_path):
     assert len(lines) == 1 + 2 * 3
     sidecar = json.loads((p1.with_suffix(".csv.json")).read_text())
     assert sidecar["config"]["trials"] == 25
+
+
+def test_simulate_csv_bytes_pinned(capsys):
+    # fixed-seed CSV bytes are part of the contract: a decoder or engine
+    # change that moves them shows here
+    code, out, _ = run_cli(capsys, "simulate", "--regular", "3,12", "--blocklen", "100,1000",
+                           "--eps", "0:0.3:0.05", "--trials", "200", "--seed", "7",
+                           "--jobs", "1")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "4369a725493c122ae3546948b774410204b6f683b74ed35c47b23311abae9176")
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_simulate_rejects_nonpositive_jobs(capsys, jobs):
+    code, out, err = run_cli(capsys, "simulate", "--regular", "3,12", "--blocklen", "100",
+                             "--eps", "0.1", "--trials", "5", "--jobs", jobs)
+    assert code == 3
+    assert "jobs must be >= 1" in err
+    assert out == ""
 
 
 def test_simulate_config_file(capsys, tmp_path):

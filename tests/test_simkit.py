@@ -187,6 +187,14 @@ def test_run_trials_invariant_to_batching_and_jobs(ensemble, mode):
             assert run_trials(dataclasses.replace(base, trials=trials, jobs=jobs)) == expect
 
 
+@pytest.mark.parametrize("field", ["jobs", "max_outer"])
+@pytest.mark.parametrize("value", [0, -3])
+def test_sim_config_rejects_nonpositive_jobs_and_max_outer(field, value):
+    with pytest.raises(ValueError, match=field):
+        SimConfig(ensemble=EnsembleSpec("uniform", 100), dist=DIST, eps=0.1, trials=5,
+                  seed=0, **{field: value})
+
+
 def test_run_trials_insufficient_accounting():
     # tiny buses often lack free wires; those trials are block errors with
     # every code bit counted errored and no payload-bit accounting
