@@ -13,6 +13,7 @@ from .buscore import (
     state_from_runs,
 )
 from .cac import (
+    UNSET,
     RunCodebook,
     cac_decode,
     cac_encode,
@@ -34,7 +35,6 @@ from .ira import (
 from .jointcode import (
     DminResult,
     EmbeddedCodeword,
-    ParitySelection,
     RateComparison,
     WireLayout,
     build_layout,
@@ -46,7 +46,6 @@ from .jointcode import (
     payload_size,
     rate_embedded,
     rate_shielded,
-    select_parity_wires,
     wires_needed,
 )
 from .bpdecode import (

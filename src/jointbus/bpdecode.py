@@ -33,8 +33,9 @@ from typing import Iterable, Optional, Union
 import numpy as np
 
 from .buscore import BitsLike, as_bits, check_transition
+from .cac import _decode_segments
 from .ira import IraGraph, ira_encode, validate_checks
-from .jointcode import WireLayout, build_layout, _segments_payload_bits
+from .jointcode import WireLayout, build_layout
 
 __all__ = [
     "ERASED",
@@ -154,7 +155,8 @@ class DecodeResult:
     residual_erasures: int
     x_ecc_trace: Optional[tuple[float, ...]] = None
     # Set when payload extraction found the resolved word inconsistent: the
-    # first pinned wire, crosstalk pair or parity check it breaks.
+    # first pinned wire, crosstalk pair or parity check it breaks, or its
+    # payload index past the 2**K range.
     violation: Optional[str] = None
 
 
@@ -214,8 +216,9 @@ def bp_decode(
     against the received pinned wires, the crosstalk constraints and the
     parity checks; an inconsistent word yields ``info_bits=None`` and names
     what it breaks in ``violation``. Otherwise the payload is re-extracted
-    from the code-carrying wires, and a word whose index falls outside the
-    payload range yields ``info_bits=None``. ``record_trace`` captures the
+    from the code-carrying wires; a word whose index falls outside the
+    payload range yields ``info_bits=None`` and the codec's out-of-range
+    message in ``violation``. ``record_trace`` captures the
     erased fraction of the variable-to-check messages of step 3 per
     iteration.
     """
@@ -386,12 +389,11 @@ def bp_decode(
         # returned for inspection.
         violation = _first_violation(symbols, val, fg)
         if violation is None:
-            books, k = _segments_payload_bits(a, fg.layout)
-            index = 0
-            for (seg_s, seg_d), book in zip(fg.layout.segments, books):
-                index = index * book.codeword_count + book.rank(val[seg_s : seg_s + seg_d])
-            if not index >> k:
-                info_bits = tuple((index >> i) & 1 for i in range(k - 1, -1, -1))
+            # Every crosstalk pair holds, so only the index range can fail.
+            try:
+                info_bits = tuple(_decode_segments(val, a, fg.layout.segments).tolist())
+            except ValueError as exc:
+                violation = str(exc)
     return DecodeResult(
         word=ErasureWord(out),
         info_bits=info_bits,

@@ -4,7 +4,14 @@ Given the past bus state, the valid next states are the words with no
 opposing transition on any adjacent wire pair. Valid words factor across
 alternating runs of the past state, and each run of length d admits exactly
 F(d+2) continuations, so the code is realized run by run with a global
-mixed-radix wrapper.
+mixed-radix wrapper (an enumerative code in the sense of Cover, 1973).
+
+The payload codec lives here once: ``_encode_segments``/``_decode_segments``
+map payload bits to and from a word over any list of (start, length)
+segments, and ``_payload_bits`` gives the payload size. ``cac_encode`` and
+``cac_decode`` apply it to the runs of the past state; the embedded encoder,
+``decode_payload`` and the decoder's payload extraction apply it to the
+segments a ``WireLayout`` leaves after the parities.
 """
 
 from __future__ import annotations
@@ -125,14 +132,15 @@ def run_rank(past_run_bits: BitsLike, continuation: BitsLike) -> int:
     return RunCodebook(past_run_bits).rank(continuation)
 
 
-def _active_runs(a: np.ndarray, excluded: set[int]) -> list[tuple[int, int]]:
+def _active_runs(a: np.ndarray, excluded_wires) -> list[tuple[int, int]]:
     """(start, length) of runs kept for encoding, 0-based, wire order.
 
-    Excluded wires must be free (length-1 runs); they are dropped entirely
-    so the mixed radix never touches them.
+    Excluded wires (1-based) must be free (length-1 runs); they are dropped
+    entirely so the mixed radix never touches them.
     """
     starts, lengths = _run_bounds(a)
     free = set(int(s) for s in starts[lengths == 1])
+    excluded = {int(w) - 1 for w in excluded_wires}
     bad = excluded - free
     if bad:
         wires = sorted(w + 1 for w in bad)
@@ -144,22 +152,61 @@ def _active_runs(a: np.ndarray, excluded: set[int]) -> list[tuple[int, int]]:
     ]
 
 
-def _excluded_set(excluded_wires) -> set[int]:
-    return {int(w) - 1 for w in excluded_wires}
+def _payload_bits(segments) -> int:
+    """Payload size over (start, length) segments: floor(log2) of the
+    product of their run counts F(d + 2). The fractional remainder of the
+    index space is never used."""
+    return math.prod(fib(d + 2) for _, d in segments).bit_length() - 1
+
+
+def _encode_segments(info_bits: BitsLike, a: np.ndarray, segments) -> np.ndarray:
+    """Payload -> word over the (start, length) segments of past state ``a``.
+
+    The payload is read as a big-endian integer and decomposed by mixed
+    radix over the per-segment codeword counts (first segment most
+    significant); each digit is unranked within its segment. Wires outside
+    the segments are ``UNSET``.
+    """
+    k = _payload_bits(segments)
+    bits = as_bits(info_bits) if len(info_bits) else np.zeros(0, dtype=np.uint8)
+    if bits.size != k:
+        raise ValueError(f"payload must have exactly {k} bits, got {bits.size}")
+    index = int.from_bytes(np.packbits(bits).tobytes(), "big") >> (-k % 8)
+    books = [RunCodebook(a[s : s + d]) for s, d in segments]
+    digits: list[int] = []
+    for book in reversed(books):
+        index, dig = divmod(index, book.codeword_count)
+        digits.append(dig)
+    out = np.full(a.size, UNSET, dtype=np.uint8)
+    for (s, d), book, dig in zip(segments, books, reversed(digits)):
+        out[s : s + d] = book.unrank(dig)
+    return out
+
+
+def _decode_segments(word: np.ndarray, a: np.ndarray, segments) -> np.ndarray:
+    """Inverse of ``_encode_segments``; wires outside the segments are
+    ignored. Raises if a segment violates a crosstalk constraint or if the
+    recombined index falls outside the 2**K payload range."""
+    if word.size != a.size:
+        raise ValueError("word length does not match the past state")
+    k = _payload_bits(segments)
+    index = 0
+    for s, d in segments:
+        book = RunCodebook(a[s : s + d])
+        try:
+            index = index * book.codeword_count + book.rank(word[s : s + d])
+        except ValueError as exc:
+            raise ValueError(f"wires {s + 1}..{s + d}: {exc}") from None
+    if index >> k:
+        raise ValueError(f"word index {index} falls outside the used range [0, 2**{k})")
+    packed = np.frombuffer(index.to_bytes((k + 7) // 8, "big"), dtype=np.uint8)
+    return np.unpackbits(packed)[-k % 8 :]
 
 
 def k_info(a: BitsLike, excluded_wires: tuple[int, ...] = ()) -> int:
-    """Payload size in bits for past state ``a`` with the given exclusions.
-
-    floor(log2) of the codeword count over the non-excluded runs; the
-    fractional remainder of the index space is never used.
-    """
+    """Payload size in bits for past state ``a`` with the given exclusions."""
     arr = as_bits(a)
-    runs = _active_runs(arr, _excluded_set(excluded_wires))
-    total = 1
-    for _, d in runs:
-        total *= fib(d + 2)
-    return total.bit_length() - 1
+    return _payload_bits(_active_runs(arr, excluded_wires))
 
 
 def cac_encode(
@@ -167,34 +214,13 @@ def cac_encode(
 ) -> np.ndarray:
     """Encode a payload onto all wires except ``excluded_wires`` (1-based).
 
-    The payload is read as a big-endian integer, decomposed by mixed radix
-    over the per-run codeword counts (first run most significant), and each
-    digit is unranked within its run. Returns a full-length array with
-    ``UNSET`` on excluded wires; every assigned pair satisfies the
-    crosstalk constraints of ``a``.
+    The no-parity case of the payload codec, over the runs of ``a`` minus
+    the excluded free wires. Returns a full-length array with ``UNSET`` on
+    excluded wires; every assigned pair satisfies the crosstalk constraints
+    of ``a``.
     """
     arr = as_bits(a)
-    bits = as_bits(info_bits) if len(info_bits) else np.zeros(0, dtype=np.uint8)
-    excluded = _excluded_set(excluded_wires)
-    runs = _active_runs(arr, excluded)
-    books = [RunCodebook(arr[s : s + d]) for s, d in runs]
-    counts = [b.codeword_count for b in books]
-    total = math.prod(counts)
-    k = total.bit_length() - 1
-    if bits.size != k:
-        raise ValueError(f"payload must have exactly {k} bits, got {bits.size}")
-    index = 0
-    for b in bits:
-        index = (index << 1) | int(b)
-    digits: list[int] = []
-    for c in reversed(counts):
-        index, dig = divmod(index, c)
-        digits.append(dig)
-    digits.reverse()
-    out = np.full(arr.size, UNSET, dtype=np.uint8)
-    for (s, d), book, dig in zip(runs, books, digits):
-        out[s : s + d] = book.unrank(dig)
-    return out
+    return _encode_segments(info_bits, arr, _active_runs(arr, excluded_wires))
 
 
 def cac_decode(
@@ -211,29 +237,9 @@ def cac_decode(
         word = np.array([int(c) for c in b_partial], dtype=np.uint8)
     else:
         word = np.asarray(b_partial, dtype=np.uint8)
-    if word.size != arr.size:
-        raise ValueError("word length does not match the past state")
     if not np.all(word <= UNSET):
         raise ValueError("partial-word symbols must be 0, 1, or unset")
-    excluded = _excluded_set(excluded_wires)
-    runs = _active_runs(arr, excluded)
-    books = [RunCodebook(arr[s : s + d]) for s, d in runs]
-    counts = [b.codeword_count for b in books]
-    total = math.prod(counts)
-    k = total.bit_length() - 1
-    index = 0
-    for (s, d), book in zip(runs, books):
-        try:
-            index = index * book.codeword_count + book.rank(word[s : s + d])
-        except ValueError as exc:
-            raise ValueError(f"wires {s + 1}..{s + d}: {exc}") from None
-    if index >> k:
-        raise ValueError(f"word index {index} falls outside the used range [0, 2**{k})")
-    out = np.empty(k, dtype=np.uint8)
-    for i in range(k - 1, -1, -1):
-        out[i] = index & 1
-        index >>= 1
-    return out
+    return _decode_segments(word, arr, _active_runs(arr, excluded_wires))
 
 
 def cac_rate(a: BitsLike) -> float:

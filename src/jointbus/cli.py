@@ -20,16 +20,10 @@ from typing import Optional, Sequence
 from . import __version__
 from .buscore import BusState, free_wires, parse_runs
 from .bpdecode import ErasureWord, bp_decode, build_factor_graph
-from .cac import cac_rate, count_codewords
+from .cac import cac_rate, count_codewords, _payload_bits
 from .densevo import DeModel, de_threshold, de_trajectory
 from .ira import DegreeDistribution, rate_ldpc, recc_from_rldpc
-from .jointcode import (
-    embedded_encode,
-    payload_size,
-    rate_embedded,
-    rate_shielded,
-    select_parity_wires,
-)
+from .jointcode import embedded_encode, rate_embedded, rate_shielded
 from .simkit import EnsembleSpec, SimConfig, build_instances, run_trials
 
 SIM_COLUMNS = ["N", "eps", "trials", "pb_code", "pb_info", "pe", "insufficient_rate", "seed"]
@@ -215,16 +209,14 @@ def _codec_instance(args: argparse.Namespace):
 
 def cmd_codec_encode(args: argparse.Namespace) -> int:
     state, layout, graph = _codec_instance(args)
-    payload = args.payload
-    k = payload_size(state, layout.num_parity)
-    if len(payload) != k:
-        raise ValueError(f"payload must have exactly {k} bits for this past state")
-    code = embedded_encode([int(c) for c in payload], state, graph)
-    sel = select_parity_wires(state, layout.num_parity)
+    code = embedded_encode([int(c) for c in args.payload], state, graph)
+    # 1-based wire roles: a shield pair is its pinned wire and the parity
+    # slot to its right, which is not listed again among the parity wires.
+    shield_slots = {pin + 1 for pin, _ in layout.pinned}
     print(f"word:         {code.word}")
-    print(f"payload bits: {k}")
-    print(f"parity wires: {list(sel.parity_wires)}")
-    print(f"shield pairs: {list(sel.shield_pairs)}")
+    print(f"payload bits: {_payload_bits(layout.segments)}")
+    print(f"parity wires: {[w + 1 for w in layout.parity_slots if w not in shield_slots]}")
+    print(f"shield pairs: {[(pin + 1, pin + 2) for pin, _ in layout.pinned]}")
     return 0
 
 

@@ -6,6 +6,10 @@ run short), CAC-encode the payload onto the remaining wires, feed those bits
 to the repeat-accumulate code, and drop the parities into the reserved
 slots. Parity placement is a deterministic function of the past state, so a
 receiver that tracks the bus can reproduce it without side information.
+
+The payload codec itself lives once, in ``cac.py``: ``payload_size``,
+``embedded_encode`` and ``decode_payload`` apply it to the segments of the
+layout.
 """
 
 from __future__ import annotations
@@ -13,22 +17,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .buscore import BitsLike, BusState, as_bits, _run_bounds
-from .cac import RunCodebook, cac_rate
+from .cac import cac_rate, _decode_segments, _encode_segments, _payload_bits
 from .ira import IraGraph, ira_encode
 
 __all__ = [
     "WireLayout",
-    "ParitySelection",
     "EmbeddedCodeword",
     "RateComparison",
     "DminResult",
     "build_layout",
-    "select_parity_wires",
     "payload_size",
     "embedded_encode",
     "decode_payload",
@@ -91,21 +92,11 @@ class WireLayout:
         return len(self.parity_slots)
 
 
-class ParitySelection(NamedTuple):
-    """1-based parity placement: chosen free wires plus shield pairs."""
-
-    parity_wires: tuple[int, ...]
-    shield_pairs: tuple[tuple[int, int], ...]
-
-
 @dataclass(frozen=True)
 class EmbeddedCodeword:
-    """One encoded bus word together with its wire roles (1-based)."""
+    """One encoded bus word together with the layout of its wire roles."""
 
     word: BusState
-    parity_wires: tuple[int, ...]
-    info_wires: tuple[int, ...]
-    shield_pairs: tuple[tuple[int, int], ...]
     layout: WireLayout
 
 
@@ -213,76 +204,29 @@ def build_layout(a: BitsLike, p_needed: int) -> WireLayout:
     )
 
 
-def select_parity_wires(a: BitsLike, p_needed: int) -> ParitySelection:
-    """1-based parity placement for ``p_needed`` parities (see build_layout)."""
-    layout = build_layout(a, p_needed)
-    shield = tuple((pin + 1, pin + 2) for pin, _ in layout.pinned)
-    shield_slots = {pin + 1 for pin, _ in layout.pinned}
-    parity = tuple(w + 1 for w in layout.parity_slots if w not in shield_slots)
-    return ParitySelection(parity_wires=parity, shield_pairs=shield)
-
-
 def payload_size(a: BitsLike, p_needed: int) -> int:
     """Payload bits carried by one bus word under the given parity budget."""
-    layout = build_layout(a, p_needed)
-    return _segments_payload_bits(as_bits(a), layout)[1]
+    return _payload_bits(build_layout(a, p_needed).segments)
 
 
-def _segments_payload_bits(arr: np.ndarray, layout: WireLayout):
-    books = [RunCodebook(arr[s : s + d]) for s, d in layout.segments]
-    total = math.prod(b.codeword_count for b in books)
-    return books, total.bit_length() - 1
-
-
-def embedded_encode(
-    info_bits: BitsLike,
-    a: BitsLike,
-    graph: IraGraph,
-    selection: Optional[ParitySelection] = None,
-) -> EmbeddedCodeword:
+def embedded_encode(info_bits: BitsLike, a: BitsLike, graph: IraGraph) -> EmbeddedCodeword:
     """Encode a payload into a crosstalk-safe bus word with embedded parities.
 
     ``graph`` must be sized for the layout: num_parity parities and one info
-    node per payload-carrying wire. If ``selection`` is given it is checked
-    against the placement recomputed from ``a`` (the receiver can only
-    reproduce placements that are functions of the past state).
+    node per payload-carrying wire.
     """
     arr = as_bits(a)
     layout = build_layout(arr, graph.num_parity)
-    if selection is not None and selection != select_parity_wires(arr, graph.num_parity):
-        raise ValueError("parity selection does not match the placement derived from the past state")
     if graph.num_info != layout.num_info:
         raise ValueError(
             f"graph has {graph.num_info} info nodes but the layout carries {layout.num_info}"
         )
-    books, k = _segments_payload_bits(arr, layout)
-    bits = as_bits(info_bits) if len(info_bits) else np.zeros(0, dtype=np.uint8)
-    if bits.size != k:
-        raise ValueError(f"payload must have exactly {k} bits, got {bits.size}")
-    index = 0
-    for b in bits:
-        index = (index << 1) | int(b)
-    word = np.zeros(arr.size, dtype=np.uint8)
-    digits: list[int] = []
-    for book in reversed(books):
-        index, dig = divmod(index, book.codeword_count)
-        digits.append(dig)
-    digits.reverse()
-    for (s, d), book, dig in zip(layout.segments, books, digits):
-        word[s : s + d] = book.unrank(dig)
-    systematic = word[layout.info_wire_array]
-    parities = ira_encode(systematic, graph)
-    word[layout.parity_slot_array] = parities
+    # Every wire outside the segments is a parity slot or a pinned wire.
+    word = _encode_segments(info_bits, arr, layout.segments)
+    word[layout.parity_slot_array] = ira_encode(word[layout.info_wire_array], graph)
     for pin, val in layout.pinned:
         word[pin] = val
-    shield_slots = {pin + 1 for pin, _ in layout.pinned}
-    return EmbeddedCodeword(
-        word=BusState(word),
-        parity_wires=tuple(w + 1 for w in layout.parity_slots if w not in shield_slots),
-        info_wires=tuple(w + 1 for w in layout.info_wires),
-        shield_pairs=tuple((pin + 1, pin + 2) for pin, _ in layout.pinned),
-        layout=layout,
-    )
+    return EmbeddedCodeword(word=BusState(word), layout=layout)
 
 
 def decode_payload(word: BitsLike, a: BitsLike, p_needed: int) -> np.ndarray:
@@ -292,24 +236,7 @@ def decode_payload(word: BitsLike, a: BitsLike, p_needed: int) -> np.ndarray:
     if the recombined index falls outside the 2**K payload range.
     """
     arr = as_bits(a)
-    w = as_bits(word)
-    if w.size != arr.size:
-        raise ValueError("word length does not match the past state")
-    layout = build_layout(arr, p_needed)
-    books, k = _segments_payload_bits(arr, layout)
-    index = 0
-    for (s, d), book in zip(layout.segments, books):
-        try:
-            index = index * book.codeword_count + book.rank(w[s : s + d])
-        except ValueError as exc:
-            raise ValueError(f"wires {s + 1}..{s + d}: {exc}") from None
-    if index >> k:
-        raise ValueError(f"word index {index} falls outside the used range [0, 2**{k})")
-    out = np.empty(k, dtype=np.uint8)
-    for i in range(k - 1, -1, -1):
-        out[i] = index & 1
-        index >>= 1
-    return out
+    return _decode_segments(as_bits(word), arr, build_layout(arr, p_needed).segments)
 
 
 def rate_shielded(r_cac: float, r_ecc: float) -> float:
@@ -438,18 +365,14 @@ def dmin_witness(c0_info: BitsLike, a: BitsLike, graph: IraGraph) -> tuple[BusSt
     return words[0], words[1]
 
 
-def _segment_words(book: RunCodebook) -> np.ndarray:
-    """All valid continuations of one run, packed as integers (first wire
-    most significant)."""
-    d = len(book)
-    out = np.empty(book.codeword_count, dtype=np.int64)
-    for k in range(book.codeword_count):
-        bits = book.unrank(k)
-        v = 0
-        for b in bits:
-            v = (v << 1) | int(b)
-        out[k] = v
-    return out
+def _segment_words(past_run: np.ndarray) -> np.ndarray:
+    """All valid continuations of one alternating run, packed as integers
+    (first wire most significant), ascending: the words whose transitions
+    against the past run never fall on two adjacent wires."""
+    d = past_run.size
+    words = np.arange(1 << d, dtype=np.int64)
+    t = words ^ int((past_run.astype(np.int64) << np.arange(d - 1, -1, -1)).sum())
+    return words[(t & (t >> 1)) == 0]
 
 
 def _xor_closure(values: np.ndarray, width: int) -> np.ndarray:
@@ -499,7 +422,7 @@ def dmin_bruteforce(a: BitsLike, graph: IraGraph) -> DminResult:
         raise ValueError("no systematic bits to scan")
     diffs = np.zeros(1, dtype=np.int64)
     for s, d in layout.segments:
-        seg = _xor_closure(_segment_words(RunCodebook(arr[s : s + d])), d)
+        seg = _xor_closure(_segment_words(arr[s : s + d]), d)
         diffs = ((diffs[:, None] << d) | seg[None, :]).ravel()
     diffs = diffs[diffs != 0]
     d_emb = int(_word_weights(diffs, width, graph).min())

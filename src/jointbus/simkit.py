@@ -42,6 +42,7 @@ __all__ = [
     "gen_past_uniform",
     "gen_past_modified",
     "run_trials",
+    "trial_rng",
     "de_vs_simulation",
     "wilson_interval",
 ]

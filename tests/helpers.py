@@ -20,8 +20,9 @@ from jointbus.bpdecode import (
     _first_violation,
 )
 from jointbus.buscore import as_bits
+from jointbus.cac import _decode_segments
 from jointbus.ira import IraGraph
-from jointbus.jointcode import WireLayout, build_layout, _segments_payload_bits
+from jointbus.jointcode import WireLayout, build_layout
 
 
 def cac_node_update(
@@ -381,8 +382,9 @@ def sweep_decode(
     against the received pinned wires, the crosstalk constraints and the
     parity checks; an inconsistent word yields ``info_bits=None`` and names
     what it breaks in ``violation``. Otherwise the payload is re-extracted
-    from the code-carrying wires, and a word whose index falls outside the
-    payload range yields ``info_bits=None``. ``record_trace`` captures the
+    from the code-carrying wires; a word whose index falls outside the
+    payload range yields ``info_bits=None`` and the codec's out-of-range
+    message in ``violation``. ``record_trace`` captures the
     erased fraction of the variable-to-check messages of step 3 per
     iteration.
     """
@@ -537,12 +539,10 @@ def sweep_decode(
         # returned for inspection.
         violation = _first_violation(symbols, val, fg)
         if violation is None:
-            books, k = _segments_payload_bits(a, fg.layout)
-            index = 0
-            for (seg_s, seg_d), book in zip(fg.layout.segments, books):
-                index = index * book.codeword_count + book.rank(val[seg_s : seg_s + seg_d])
-            if not index >> k:
-                info_bits = tuple((index >> i) & 1 for i in range(k - 1, -1, -1))
+            try:
+                info_bits = tuple(_decode_segments(val, a, fg.layout.segments).tolist())
+            except ValueError as exc:
+                violation = str(exc)
     return DecodeResult(
         word=ErasureWord(out),
         info_bits=info_bits,

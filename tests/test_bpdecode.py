@@ -11,6 +11,7 @@ from jointbus import (
     build_instances,
     build_layout,
     check_transition,
+    decode_payload,
 )
 from jointbus.ira import IraGraph
 
@@ -300,7 +301,7 @@ def test_bp_decode_cac_checks_only_help():
 
 def test_bp_decode_uniform_codeword_out_of_payload_range():
     # a fully resolved word outside the floor-truncated index range reports
-    # no payload but zero residual erasures
+    # no payload but zero residual erasures, and names the index
     a = np.array([0, 1, 1, 0], dtype=np.uint8)
     layout = build_layout(a, 0)
     graph = _empty_graph(4)
@@ -313,6 +314,7 @@ def test_bp_decode_uniform_codeword_out_of_payload_range():
     res = bp_decode(word, fg)
     assert res.residual_erasures == 0
     assert res.info_bits is None
+    assert res.violation == "word index 8 falls outside the used range [0, 2**3)"
 
 
 def test_bp_decode_reports_stall():
@@ -371,15 +373,27 @@ def test_bp_decode_union_chain_starts_from_zero():
     assert np.array_equal(union.word.symbols, np.concatenate(singles))
 
 
+def _range_fault(word, a, layout):
+    """The codec's message for a valid word whose payload index is past
+    the payload range; None for a word in range."""
+    try:
+        decode_payload(word, a, layout.num_parity)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
 def test_bp_decode_rejects_inconsistent_words():
     # a fully known word that breaks a parity check, a crosstalk pair or a
-    # pinned wire carries no payload, and the first broken one is named
+    # pinned wire carries no payload, and the first broken one is named;
+    # a codeword (any valid word here, not only those in the payload range)
+    # is faulted only for an index past the payload range
     rng = np.random.default_rng(61)
     for _ in range(40):
         a, layout, graph = random_instance(rng, n_max=40, allow_shields=True)
         fg = build_factor_graph(a, graph, layout)
         word = encode_instance(rng, a, layout, graph)
-        assert bp_decode(word, fg).violation is None
+        assert bp_decode(word, fg).violation == _range_fault(word, a, layout)
         j = int(rng.integers(layout.num_parity))
         slot = layout.parity_slots[j]
         flipped = word.copy()
@@ -403,8 +417,9 @@ def test_bp_decode_rejects_inconsistent_words():
         flipped_info[wire] ^= 1
         res = bp_decode(flipped_info, fg)
         caught = bool(odd.any()) or not check_transition(a, flipped_info).ok
-        assert (res.violation is not None) == caught
         if caught:
-            assert res.info_bits is None
+            assert res.violation is not None and res.info_bits is None
+        else:
+            assert res.violation == _range_fault(flipped_info, a, layout)
         # off the payload path nothing is checked
         assert bp_decode(flipped, fg, extract_payload=False).violation is None

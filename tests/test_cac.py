@@ -1,21 +1,29 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from jointbus import (
+    IraGraph,
     RunCodebook,
+    bp_decode,
+    build_factor_graph,
+    build_layout,
     cac_decode,
     cac_encode,
     cac_rate,
     check_transition,
     count_codewords,
     fib,
+    ira_encode,
     k_info,
+    payload_size,
     run_rank,
     run_unrank,
 )
-from jointbus.cac import UNSET
+from jointbus.cac import UNSET, _decode_segments, _encode_segments, _payload_bits
 
 from helpers import valid_words
 
@@ -195,3 +203,52 @@ def test_cac_rate_bounds():
         a = rng.integers(0, 2, int(rng.integers(1, 65)), dtype=np.uint8)
         r = cac_rate(a)
         assert 0.5 <= r <= 1.0
+
+
+def test_payload_codec_matches_whole_word_oracle():
+    # every past state up to 8 wires and every admissible parity count up
+    # to 2, shielded layouts included: payload index i is the i-th valid
+    # assignment of the payload wires in lexicographic wire order, decode
+    # inverts encode, and each valid assignment past 2**k is rejected by
+    # the codec and reported as a violation by the decoder
+    layouts = shielded = 0
+    for n in range(1, 9):
+        for x in range(1 << n):
+            a = np.array([(x >> (n - 1 - i)) & 1 for i in range(n)], dtype=np.uint8)
+            words = valid_words(a)
+            for p in (0, 1, 2):
+                try:
+                    layout = build_layout(a, p)
+                except ValueError:
+                    continue
+                layouts += 1
+                shielded += bool(layout.pinned)
+                segs, info = layout.segments, layout.info_wire_array
+                oracle = sorted({tuple(w[info].tolist()) for w in words})
+                k = _payload_bits(segs)
+                assert k == payload_size(a, p)
+                assert 1 << k <= len(oracle) < 2 << k
+                rest = np.ones(n, dtype=bool)
+                rest[info] = False
+                for i in range(1 << k):
+                    bits = np.array([(i >> (k - 1 - j)) & 1 for j in range(k)], dtype=np.uint8)
+                    word = _encode_segments(bits, a, segs)
+                    assert tuple(word[info].tolist()) == oracle[i]
+                    assert np.all(word[rest] == UNSET)
+                    assert _decode_segments(word, a, segs).tolist() == bits.tolist()
+                # info node i feeds check i mod p (no edges when p = 0)
+                edges = np.arange(layout.num_info if p else 0)
+                graph = IraGraph(layout.num_info, p, edges, edges % max(p, 1))
+                fg = build_factor_graph(a, graph, layout)
+                for i in range(1 << k, len(oracle)):
+                    full = a.copy()
+                    full[info] = oracle[i]
+                    full[layout.parity_slot_array] = ira_encode(full[info], graph)
+                    msg = f"word index {i} falls outside the used range [0, 2**{k})"
+                    with pytest.raises(ValueError, match=re.escape(msg)):
+                        _decode_segments(full, a, segs)
+                    res = bp_decode(full, fg)
+                    assert res.info_bits is None and res.violation == msg
+    # 1524 of the 1530 (state, p) pairs place their parities, 244 of them
+    # on shield pairs
+    assert (layouts, shielded) == (1524, 244)

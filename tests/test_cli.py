@@ -178,6 +178,20 @@ def test_codec_roundtrip(capsys):
     assert out.strip() == f"payload: {payload}"
 
 
+@pytest.mark.parametrize("past, seed, payload, roles", [
+    ("0101010101010101", "1", "0" * 7, ["parity wires: []",
+                                        "shield pairs: [(11, 12), (13, 14), (15, 16)]"]),
+    ("0010011000110100", "5", "0" * 10, ["parity wires: [1, 9, 16]", "shield pairs: []"]),
+])
+def test_codec_encode_prints_wire_roles(capsys, past, seed, payload, roles):
+    # 1-based parity wires (shield slots excluded) and shield pairs of the layout
+    code, out, _ = run_cli(capsys, "codec", "encode", "--past", past,
+                           "--payload", payload, "--seed", seed)
+    assert code == 0
+    assert out.splitlines() == ["word:         0000000000000000",
+                                f"payload bits: {len(payload)}", *roles]
+
+
 def test_codec_decode_with_erasure(capsys):
     past = "0010011000110100"
     k = payload_size(past, 3)
@@ -209,10 +223,12 @@ def test_codec_decode_all_erased(capsys):
     ("0000000010000000", "parity check 2 fails (parity wire 9)"),
     ("0000000000000001", "parity check 3 fails (parity wire 16)"),
     ("0100000000000000", "wires 2 and 3 make opposing transitions"),
+    ("0111111101111111", "word index 1079 falls outside the used range [0, 2**10)"),
 ])
 def test_codec_decode_rejects_inconsistent_word(capsys, received, fault):
     # the all-zero codeword of payload 0000000000 with one wire flipped:
-    # parity wires 1, 9, 16 or information wire 2
+    # parity wires 1, 9, 16 or information wire 2; last, a word that passes
+    # every crosstalk and parity check but indexes past the payload range
     code, out, err = run_cli(capsys, "codec", "decode", "--past", "0010011000110100",
                              "--received", received, "--seed", "5")
     assert code == 3

@@ -16,14 +16,13 @@ from jointbus import (
     rate_embedded,
     rate_shielded,
     sample_graph,
-    select_parity_wires,
     validate_checks,
     wires_needed,
 )
 from jointbus.ira import IraGraph
-from jointbus.jointcode import _stride_select
+from jointbus.jointcode import _segment_words, _stride_select
 
-from helpers import stride_select
+from helpers import stride_select, valid_words
 
 DIST = DegreeDistribution.regular(3, 12)
 
@@ -37,38 +36,38 @@ def _graph_for(a, p_needed, rng, dist=DIST):
 
 
 def test_select_parity_stride():
-    sel = select_parity_wires("0000", 2)
-    assert sel.parity_wires == (1, 3)
-    assert sel.shield_pairs == ()
+    layout = build_layout("0000", 2)
+    assert layout.parity_slots == (0, 2)
+    assert layout.pinned == ()
 
 
 def test_select_parity_none_needed():
-    assert select_parity_wires("0110", 0) == ((), ())
+    layout = build_layout("0110", 0)
+    assert layout.parity_slots == () and layout.pinned == ()
 
 
 def test_select_parity_all_free():
-    sel = select_parity_wires("0000", 4)
-    assert sel.parity_wires == (1, 2, 3, 4)
+    layout = build_layout("0000", 4)
+    assert layout.parity_slots == (0, 1, 2, 3)
+    assert layout.pinned == ()
 
 
 def test_select_parity_shield_contract():
     # no free wires: the parity rides a shield pair whose left wire repeats
     # its own past bit
     a = "0101"
-    sel = select_parity_wires(a, 1)
-    assert sel.parity_wires == ()
-    assert len(sel.shield_pairs) == 1
-    pin, slot = sel.shield_pairs[0]
-    assert slot == pin + 1
     layout = build_layout(a, 1)
-    assert layout.pinned == ((pin - 1, int(a[pin - 1])),)
+    assert len(layout.pinned) == 1
+    pin, val = layout.pinned[0]
+    assert layout.parity_slots == (pin + 1,)
+    assert val == int(a[pin])
     # placement is a deterministic function of the past state
-    assert select_parity_wires(a, 1) == sel
+    assert build_layout(a, 1) == layout
 
 
 def test_select_parity_exhausted():
     with pytest.raises(ValueError, match="cannot place"):
-        select_parity_wires("01", 2)
+        build_layout("01", 2)
 
 
 def test_stride_select_matches_literal_choice():
@@ -102,8 +101,8 @@ def test_embedded_encode_no_parities_identity():
     layout, graph = _graph_for(a, 0, np.random.default_rng(1))
     code = embedded_encode([1, 0, 1, 1], a, graph)
     assert str(code.word) == "1011"
-    assert code.parity_wires == ()
-    assert code.info_wires == (1, 2, 3, 4)
+    assert code.layout.parity_slots == ()
+    assert code.layout.info_wires == (0, 1, 2, 3)
 
 
 def test_embedded_encode_hand_accumulator():
@@ -139,18 +138,6 @@ def test_embedded_encode_random_property():
         assert decode_payload(w, a, p).tolist() == payload.tolist()
 
 
-def test_embedded_encode_selection_crosscheck():
-    a = "0000"
-    layout, graph = _graph_for(a, 2, np.random.default_rng(2))
-    good = select_parity_wires(a, 2)
-    code = embedded_encode([0, 0], a, graph, selection=good)
-    assert code.parity_wires == good.parity_wires
-    from jointbus import ParitySelection
-
-    with pytest.raises(ValueError, match="parity selection"):
-        embedded_encode([0, 0], a, graph, selection=ParitySelection((2, 4), ()))
-
-
 def test_embedded_encode_wire_accounting():
     rng = np.random.default_rng(21)
     for _ in range(200):
@@ -162,7 +149,8 @@ def test_embedded_encode_wire_accounting():
             continue
         k = payload_size(a, 4)
         code = embedded_encode(rng.integers(0, 2, k, dtype=np.uint8), a, graph)
-        assert len(code.info_wires) + len(code.parity_wires) + 2 * len(code.shield_pairs) == n
+        assert code.layout == layout
+        assert layout.num_info + layout.num_parity + len(layout.pinned) == n
 
 
 def test_rate_theorems():
@@ -280,6 +268,14 @@ def test_dmin_witness_random_property():
         assert np.array_equal((c1.bits ^ c2.bits)[info], c0)
         assert np.array_equal((c1.bits ^ c2.bits)[slots], ira_encode(c0, graph))
         done += 1
+
+
+def test_segment_words_are_the_valid_run_continuations():
+    for d in range(1, 11):
+        for phase in (0, 1):
+            past = np.array([(phase + i) % 2 for i in range(d)], dtype=np.uint8)
+            packed = [int("".join(map(str, w.tolist())), 2) for w in valid_words(past)]
+            assert _segment_words(past).tolist() == sorted(packed)
 
 
 def test_dmin_bruteforce_single_payload_bit():
