@@ -10,8 +10,9 @@ The payload codec lives here once: ``_encode_segments``/``_decode_segments``
 map payload bits to and from a word over any list of (start, length)
 segments, and ``_payload_bits`` gives the payload size. ``cac_encode`` and
 ``cac_decode`` apply it to the runs of the past state; the embedded encoder,
-``decode_payload`` and the decoder's payload extraction apply it to the
-segments a ``WireLayout`` leaves after the parities.
+the instance builder's info-bits words, ``decode_payload`` and the
+decoder's payload extraction apply it to the segments a ``WireLayout``
+leaves after the parities.
 """
 
 from __future__ import annotations

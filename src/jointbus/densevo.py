@@ -185,6 +185,8 @@ def de_trajectory(
     it (detected when successive x_ecc values stop moving at double
     precision).
     """
+    if not 0.0 <= eps <= 1.0:
+        raise ValueError(f"eps must lie in [0, 1], got {eps}")
     if tol <= 0:
         raise ValueError("tol must be positive")
     states: list[DeState] = []

@@ -221,12 +221,18 @@ def embedded_encode(info_bits: BitsLike, a: BitsLike, graph: IraGraph) -> Embedd
         raise ValueError(
             f"graph has {graph.num_info} info nodes but the layout carries {layout.num_info}"
         )
-    # Every wire outside the segments is a parity slot or a pinned wire.
-    word = _encode_segments(info_bits, arr, layout.segments)
+    word = _complete_word(_encode_segments(info_bits, arr, layout.segments), layout, graph)
+    return EmbeddedCodeword(word=BusState(word), layout=layout)
+
+
+def _complete_word(word: np.ndarray, layout: WireLayout, graph: IraGraph) -> np.ndarray:
+    """Fill in the wires outside the segments of a word whose info wires are
+    set: every such wire is a parity slot, which takes its parity of the info
+    wires, or a pinned wire, which takes its past bit. Works in place."""
     word[layout.parity_slot_array] = ira_encode(word[layout.info_wire_array], graph)
     for pin, val in layout.pinned:
         word[pin] = val
-    return EmbeddedCodeword(word=BusState(word), layout=layout)
+    return word
 
 
 def decode_payload(word: BitsLike, a: BitsLike, p_needed: int) -> np.ndarray:

@@ -20,16 +20,10 @@ import numpy as np
 
 from .buscore import BitsLike, BusState, as_bits, fib, state_from_runs, _run_bounds
 from .bpdecode import ERASED, ErasureWord, bp_decode, build_factor_graph
+from .cac import _encode_segments, _payload_bits
 from .densevo import DeModel, de_trajectory
-from .ira import DegreeDistribution, IraGraph, ira_encode, rate_ldpc, recc_from_rldpc, sample_graph
-from .jointcode import (
-    WireLayout,
-    build_layout,
-    embedded_encode,
-    payload_size,
-    _layout_from_runs,
-    _stride_layout,
-)
+from .ira import DegreeDistribution, IraGraph, rate_ldpc, recc_from_rldpc, sample_graph
+from .jointcode import WireLayout, build_layout, _complete_word, _layout_from_runs, _stride_layout
 
 __all__ = [
     "EnsembleSpec",
@@ -284,8 +278,8 @@ class CodeInstances:
     (``IraGraph.union``) restarts its parity chain at each instance, so
     ``build_factor_graph`` and ``bp_decode`` treat the instances as
     independent. A single trial is the case of one instance. ``word`` is
-    the transmitted codeword when a mode was given, and ``rngs`` holds each
-    trial's stream, positioned after the draws of its instance.
+    the transmitted codeword, and ``rngs`` holds each trial's stream,
+    positioned after the draws of its instance.
     """
 
     trials: tuple[int, ...]
@@ -293,7 +287,7 @@ class CodeInstances:
     a: np.ndarray
     layout: WireLayout
     graph: IraGraph
-    word: Optional[np.ndarray]
+    word: np.ndarray
     rngs: tuple[np.random.Generator, ...]
     insufficient: int = 0  # trials dropped: a uniform past state short of free wires
 
@@ -321,27 +315,32 @@ def build_instances(
     dist: DegreeDistribution,
     ensemble: Optional[EnsembleSpec] = None,
     past: Optional[BitsLike] = None,
-    mode: Optional[str] = None,
+    mode: str = "uniform-codeword",
 ) -> CodeInstances:
-    """Code instances of the given trials: past state, layout, graph and,
-    when ``mode`` is given, the transmitted word.
+    """Code instances of the given trials: past state, layout, graph and
+    the transmitted word.
 
     Trial t draws from its own stream ``trial_rng(seed, t)``, in order: the
     past state (from ``ensemble``, unless ``past`` fixes it for a single
-    trial), the graph, then the word, uniform over valid codewords
-    ('uniform-codeword') or the encoding of a uniform payload
-    ('info-bits'). A code of ``dist`` needs round(N (1 - r_ecc)) parities: a
-    uniform-ensemble state with fewer free wires drops its trial (counted
-    in ``insufficient``), a given ``past`` falls back to shield pairs (see
-    ``build_layout``), and a modified-ensemble state brings its own parity
-    wires.
+    trial), the graph, then the word. A code of ``dist`` needs
+    round(N (1 - r_ecc)) parities: a uniform-ensemble state with fewer free
+    wires drops its trial (counted in ``insufficient``), a given ``past``
+    falls back to shield pairs (see ``build_layout``), and a
+    modified-ensemble state brings its own parity wires.
+
+    The word is drawn on the trial's own layout, the one it is decoded on.
+    'uniform-codeword' draws it uniformly over the valid words of the
+    layout's runs, where a shield pair cuts its run at the pinned wire and
+    at the wire after it; 'info-bits' CAC-encodes a uniform payload of as
+    many bits as the trial's own segments carry. Either way the parity
+    slots then take their parities and the pinned wires their past bits.
     """
     trials = tuple(trials)
     if not trials:
         raise ValueError("at least one trial is required")
     if (ensemble is None) == (past is None):
         raise ValueError("give either an ensemble or a past state")
-    if mode not in (None, "uniform-codeword", "info-bits"):
+    if mode not in ("uniform-codeword", "info-bits"):
         raise ValueError(f"mode must be 'uniform-codeword' or 'info-bits', got {mode!r}")
     if past is not None and len(trials) != 1:
         raise ValueError("a given past state makes exactly one instance")
@@ -368,7 +367,7 @@ def build_instances(
             return CodeInstances((), np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.uint8),
                                  WireLayout(n=0, parity_slots=(), pinned=(), segments=()),
                                  IraGraph(0, 0, empty, empty.copy(), chain_starts=()),
-                                 None, (), insufficient)
+                                 np.zeros(0, dtype=np.uint8), (), insufficient)
         if insufficient:
             kept = np.flatnonzero(keep).tolist()
             trials = tuple(trials[i] for i in kept)
@@ -386,18 +385,22 @@ def build_instances(
     graphs = [_sample_code(k, q, dist, rng) for k, q, rng in zip(num_info, num_parity, rngs)]
     graph = IraGraph.union(graphs)
 
-    word = None
     if mode == "uniform-codeword":
+        if layout.pinned:
+            pins = np.array([w for w, _ in layout.pinned])
+            starts, lengths = _run_bounds(a, np.concatenate((offsets[:-1], pins, pins + 1)))
         u = np.concatenate([rng.random(x.size) for rng, x in zip(rngs, pasts)])
         word_of_run = np.searchsorted(offsets, starts, side="right") - 1
         word = _valid_word(a, starts, lengths, u, word_of_run)
-    elif mode == "info-bits":
-        word = np.concatenate([
-            embedded_encode(rng.integers(0, 2, payload_size(x, g.num_parity), dtype=np.uint8),
-                            x, g).word.bits
-            for x, g, rng in zip(pasts, graphs, rngs)])
-    if word is not None:
-        word[layout.parity_slot_array] = ira_encode(word[layout.info_wire_array], graph)
+    else:
+        bounds = np.searchsorted(layout.seg_starts, offsets).tolist()
+        parts = []
+        for x, o, lo, hi, rng in zip(pasts, offsets.tolist(), bounds, bounds[1:], rngs):
+            segments = [(s - o, d) for s, d in layout.segments[lo:hi]]
+            payload = rng.integers(0, 2, _payload_bits(segments), dtype=np.uint8)
+            parts.append(_encode_segments(payload, x, segments))
+        word = np.concatenate(parts)
+    _complete_word(word, layout, graph)
     return CodeInstances(trials=trials, offsets=offsets, a=a, layout=layout, graph=graph,
                          word=word, rngs=tuple(rngs), insufficient=insufficient)
 

@@ -77,6 +77,14 @@ def test_de_trajectory_stall(capsys, tmp_path):
     assert "version" in sidecar
 
 
+@pytest.mark.parametrize("eps", ["1.5", "-0.2", "nan"])
+def test_de_trajectory_rejects_eps_outside_unit_interval(capsys, eps):
+    code, out, err = run_cli(capsys, "de", "--regular", "3,12", "--trajectory", eps)
+    assert code == 3
+    assert out == ""
+    assert f"eps must lie in [0, 1], got {float(eps)}" in err
+
+
 def test_de_requires_distribution(capsys):
     code, _, err = run_cli(capsys, "de", "--threshold")
     assert code == 3
@@ -99,13 +107,25 @@ def test_simulate_csv_deterministic(capsys, tmp_path):
 
 def test_simulate_csv_bytes_pinned(capsys):
     # fixed-seed CSV bytes are part of the contract: a decoder or engine
-    # change that moves them shows here
-    code, out, _ = run_cli(capsys, "simulate", "--regular", "3,12", "--blocklen", "100,1000",
-                           "--eps", "0:0.3:0.05", "--trials", "200", "--seed", "7",
-                           "--jobs", "1")
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == (
-        "4369a725493c122ae3546948b774410204b6f683b74ed35c47b23311abae9176")
+    # change that moves them shows here. The modified-ensemble info-bits
+    # row encodes each payload on the trial's own part-2 parity layout.
+    args = ["simulate", "--regular", "3,12", "--blocklen", "100,1000", "--seed", "7",
+            "--jobs", "1"]
+    short = ["--eps", "0:0.3:0.1", "--trials", "60"]
+    modified = ["--ensemble", "modified", "--recc", "0.8"]
+    for extra, digest in [
+        (["--eps", "0:0.3:0.05", "--trials", "200"],
+         "4369a725493c122ae3546948b774410204b6f683b74ed35c47b23311abae9176"),
+        (short + ["--mode", "info-bits"],
+         "7ac5dcd2b8158b3154be5cd3fd46a911f2e8193612da2547870ba03966358ede"),
+        (short + modified,
+         "366ac8cd845aad54a4eafbd073e4938273273694a16b13a67e7dbf1bd5101c88"),
+        (short + modified + ["--mode", "info-bits"],
+         "0ba7993ebadcfb05ae856b898f37585cbb2c5f22189dcc88cbcaee41b2b903e8"),
+    ]:
+        code, out, _ = run_cli(capsys, *args, *extra)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, extra
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
