@@ -10,18 +10,13 @@ from .buscore import (
     fib,
     free_wires,
     parse_runs,
-    state_from_runs,
 )
 from .cac import (
-    UNSET,
     RunCodebook,
     cac_decode,
     cac_encode,
     cac_rate,
     count_codewords,
-    k_info,
-    run_rank,
-    run_unrank,
 )
 from .ira import (
     DegreeDistribution,
@@ -66,8 +61,6 @@ from .densevo import (
     de_threshold,
     de_trajectory,
     p_coeffs,
-    p_poly,
-    rho_tilde,
 )
 from .simkit import (
     CodeInstances,

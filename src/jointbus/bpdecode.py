@@ -35,7 +35,7 @@ import numpy as np
 from .buscore import BitsLike, as_bits, check_transition
 from .cac import _decode_segments
 from .ira import IraGraph, ira_encode, validate_checks
-from .jointcode import WireLayout, build_layout
+from .jointcode import WireLayout
 
 __all__ = [
     "ERASED",
@@ -160,14 +160,10 @@ class DecodeResult:
     violation: Optional[str] = None
 
 
-def build_factor_graph(
-    a: BitsLike, graph: IraGraph, layout: Optional[WireLayout] = None
-) -> FactorGraph:
-    """Assemble the decoding graph; the layout defaults to the placement
-    derived from the past state and the graph's parity count."""
+def build_factor_graph(a: BitsLike, graph: IraGraph, layout: WireLayout) -> FactorGraph:
+    """Assemble the decoding graph of past state ``a``, code ``graph`` and
+    wire ``layout``."""
     arr = as_bits(a)
-    if layout is None:
-        layout = build_layout(arr, graph.num_parity)
     if layout.n != arr.size:
         raise ValueError("layout does not match the past-state length")
     if graph.num_parity != layout.num_parity or graph.num_info != layout.num_info:

@@ -20,7 +20,6 @@ __all__ = [
     "parse_runs",
     "free_wires",
     "check_transition",
-    "state_from_runs",
 ]
 
 BitsLike = Union["BusState", str, Iterable[int], np.ndarray]
@@ -184,7 +183,7 @@ def check_transition(a: BitsLike, b: BitsLike) -> ViolationReport:
     return ViolationReport(tuple((int(i) + 1, int(i) + 2) for i in bad))
 
 
-def state_from_runs(first_bit: int, run_lengths: Iterable[int]) -> BusState:
+def _state_from_runs(first_bit: int, run_lengths: Iterable[int]) -> BusState:
     """Rebuild the unique bus state with the given first bit and run lengths."""
     lengths = np.asarray(list(run_lengths), dtype=np.int64)
     if lengths.size == 0 or np.any(lengths < 1):

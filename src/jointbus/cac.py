@@ -24,18 +24,14 @@ import numpy as np
 from .buscore import BitsLike, as_bits, fib, _run_bounds
 
 __all__ = [
-    "UNSET",
     "RunCodebook",
     "count_codewords",
-    "run_unrank",
-    "run_rank",
-    "k_info",
     "cac_encode",
     "cac_decode",
     "cac_rate",
 ]
 
-# Marker used in partial bus words for wires the codec does not assign.
+# Marker for the wires outside the segments a payload is encoded onto.
 UNSET = np.uint8(2)
 
 
@@ -123,34 +119,9 @@ def count_codewords(a: BitsLike) -> int:
     return out
 
 
-def run_unrank(past_run_bits: BitsLike, index: int) -> np.ndarray:
-    """index-th valid continuation of one alternating run (lexicographic)."""
-    return RunCodebook(past_run_bits).unrank(index)
-
-
-def run_rank(past_run_bits: BitsLike, continuation: BitsLike) -> int:
-    """Lexicographic position of a valid continuation of one run."""
-    return RunCodebook(past_run_bits).rank(continuation)
-
-
-def _active_runs(a: np.ndarray, excluded_wires) -> list[tuple[int, int]]:
-    """(start, length) of runs kept for encoding, 0-based, wire order.
-
-    Excluded wires (1-based) must be free (length-1 runs); they are dropped
-    entirely so the mixed radix never touches them.
-    """
-    starts, lengths = _run_bounds(a)
-    free = set(int(s) for s in starts[lengths == 1])
-    excluded = {int(w) - 1 for w in excluded_wires}
-    bad = excluded - free
-    if bad:
-        wires = sorted(w + 1 for w in bad)
-        raise ValueError(f"excluded wires must be free wires; wires {wires} are not free")
-    return [
-        (int(s), int(d))
-        for s, d in zip(starts, lengths)
-        if not (d == 1 and int(s) in excluded)
-    ]
+def _runs(a: np.ndarray) -> list[tuple[int, int]]:
+    """(start, length) of every run of ``a``, 0-based, wire order."""
+    return list(zip(*(x.tolist() for x in _run_bounds(a))))
 
 
 def _payload_bits(segments) -> int:
@@ -204,43 +175,26 @@ def _decode_segments(word: np.ndarray, a: np.ndarray, segments) -> np.ndarray:
     return np.unpackbits(packed)[-k % 8 :]
 
 
-def k_info(a: BitsLike, excluded_wires: tuple[int, ...] = ()) -> int:
-    """Payload size in bits for past state ``a`` with the given exclusions."""
-    arr = as_bits(a)
-    return _payload_bits(_active_runs(arr, excluded_wires))
+def cac_encode(info_bits: BitsLike, a: BitsLike) -> np.ndarray:
+    """Encode a payload onto every wire of past state ``a``.
 
-
-def cac_encode(
-    info_bits: BitsLike, a: BitsLike, excluded_wires: tuple[int, ...] = ()
-) -> np.ndarray:
-    """Encode a payload onto all wires except ``excluded_wires`` (1-based).
-
-    The no-parity case of the payload codec, over the runs of ``a`` minus
-    the excluded free wires. Returns a full-length array with ``UNSET`` on
-    excluded wires; every assigned pair satisfies the crosstalk constraints
-    of ``a``.
+    The no-parity case of the payload codec, over all runs of ``a``: the
+    payload has ``payload_size(a, 0)`` bits, floor(log2) of
+    ``count_codewords(a)``, and the word satisfies the crosstalk
+    constraints of ``a``.
     """
     arr = as_bits(a)
-    return _encode_segments(info_bits, arr, _active_runs(arr, excluded_wires))
+    return _encode_segments(info_bits, arr, _runs(arr))
 
 
-def cac_decode(
-    b_partial: BitsLike, a: BitsLike, excluded_wires: tuple[int, ...] = ()
-) -> np.ndarray:
-    """Recover the payload from a partial bus word; inverse of ``cac_encode``.
+def cac_decode(word: BitsLike, a: BitsLike) -> np.ndarray:
+    """Recover the payload from a full bus word; inverse of ``cac_encode``.
 
-    Values on excluded wires are ignored. Raises if the word violates a
-    crosstalk constraint or if its recombined index falls outside the
-    2**K payload range.
+    Raises if the word violates a crosstalk constraint or if its
+    recombined index falls outside the 2**K payload range.
     """
     arr = as_bits(a)
-    if isinstance(b_partial, str):
-        word = np.array([int(c) for c in b_partial], dtype=np.uint8)
-    else:
-        word = np.asarray(b_partial, dtype=np.uint8)
-    if not np.all(word <= UNSET):
-        raise ValueError("partial-word symbols must be 0, 1, or unset")
-    return _decode_segments(word, arr, _active_runs(arr, excluded_wires))
+    return _decode_segments(as_bits(word), arr, _runs(arr))
 
 
 def cac_rate(a: BitsLike) -> float:

@@ -20,10 +20,10 @@ from typing import Optional, Sequence
 from . import __version__
 from .buscore import BusState, free_wires, parse_runs
 from .bpdecode import ErasureWord, bp_decode, build_factor_graph
-from .cac import cac_rate, count_codewords, _payload_bits
+from .cac import cac_rate, count_codewords, _encode_segments, _payload_bits
 from .densevo import DeModel, de_threshold, de_trajectory
 from .ira import DegreeDistribution, rate_ldpc, recc_from_rldpc
-from .jointcode import embedded_encode, rate_embedded, rate_shielded
+from .jointcode import rate_embedded, rate_shielded, _complete_word
 from .simkit import EnsembleSpec, SimConfig, build_instances, run_trials
 
 SIM_COLUMNS = ["N", "eps", "trials", "pb_code", "pb_info", "pe", "insufficient_rate", "seed"]
@@ -34,22 +34,44 @@ def _fmt(x: float) -> str:
     return f"{x:.10g}"
 
 
-def _load_dist(args: argparse.Namespace) -> DegreeDistribution:
-    if getattr(args, "regular", None):
-        return DegreeDistribution.parse(args.regular)
-    if getattr(args, "dist_file", None):
-        with open(args.dist_file) as fh:
-            spec = json.load(fh)
-        try:
-            return DegreeDistribution(
-                tuple((int(d), float(w)) for d, w in spec["L"]),
-                tuple((int(d), float(w)) for d, w in spec["R"]),
-            )
-        except (KeyError, TypeError) as exc:
-            raise ValueError(
-                "distribution file must hold node-perspective pairs under keys 'L' and 'R'"
-            ) from exc
-    raise ValueError("a degree distribution is required: pass --regular dv,dc or --dist-file")
+def _read_json(flag: str, path: str):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ValueError(f"{flag}: cannot read {path}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {path} is not valid JSON: {exc}") from None
+
+
+def _load_dist(regular: Optional[str], dist_file: Optional[str],
+               default: Optional[str] = None) -> DegreeDistribution:
+    """The code of --regular or --dist-file (never both); ``default`` is
+    the --regular value used when neither is given."""
+    if dist_file is None:
+        regular = default if regular is None else regular
+        if regular is None:
+            raise ValueError("a degree distribution is required: pass --regular dv,dc or --dist-file")
+        return DegreeDistribution.parse(regular)
+    spec = _read_json("--dist-file", dist_file)
+    try:
+        pairs = [tuple((int(d), float(w)) for d, w in spec[key]) for key in ("L", "R")]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(
+            "--dist-file must hold node-perspective pairs under keys 'L' and 'R'"
+        ) from exc
+    return DegreeDistribution(*pairs)
+
+
+def _check_out(path: Optional[str]) -> None:
+    """Reject an --out path that cannot be written, before any work."""
+    if path is None:
+        return
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        raise ValueError(f"--out: directory {folder} does not exist")
+    if os.path.isdir(path):
+        raise ValueError(f"--out: {path} is a directory")
 
 
 def _write_rows(path: Optional[str], header: list[str], rows: list[list[str]],
@@ -78,19 +100,26 @@ def _sidecar(args: argparse.Namespace, extra: dict) -> dict:
 
 
 def _parse_eps_grid(spec: str) -> list[float]:
-    if ":" in spec:
-        parts = spec.split(":")
-        if len(parts) != 3:
-            raise ValueError(f"eps grid must be start:stop:step, got {spec!r}")
-        start, stop, step = (float(p) for p in parts)
-        if step <= 0:
-            raise ValueError("eps grid step must be positive")
-        count = int(round((stop - start) / step)) + 1
-        return [round(start + i * step, 12) for i in range(count) if start + i * step <= stop + 1e-12]
-    return [float(p) for p in spec.split(",")]
+    try:
+        if ":" in spec:
+            start, stop, step = (float(p) for p in spec.split(":"))
+            ok = 0.0 <= start <= stop <= 1.0 and step > 0
+            count = int(round((stop - start) / step)) + 1 if ok else 0
+            values = [round(start + i * step, 12) for i in range(count)
+                      if start + i * step <= stop + 1e-12]
+        else:
+            values = [float(p) for p in spec.split(",")]
+    except ValueError:
+        values = []
+    if not values or not all(0.0 <= x <= 1.0 for x in values):
+        raise ValueError("--eps must be values in [0, 1]: one, a comma list, or "
+                         f"start:stop:step with start <= stop and step > 0; got {spec!r}")
+    return values
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    if args.recc is not None and not 0.0 < args.recc <= 1.0:
+        raise ValueError(f"--recc must lie in (0, 1], got {args.recc}")
     state = BusState(args.state)
     runs = parse_runs(state)
     free = free_wires(state)
@@ -119,7 +148,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_de(args: argparse.Namespace) -> int:
-    dist = _load_dist(args)
+    _check_out(args.out)
+    dist = _load_dist(args.regular, args.dist_file)
     r_ecc = recc_from_rldpc(rate_ldpc(dist))
     model = DeModel.for_code(dist, r_ecc, d_max=args.dmax)
     if args.threshold:
@@ -146,7 +176,7 @@ def cmd_de(args: argparse.Namespace) -> int:
 
 _SIM_KEYS = {
     "blocklen": str, "eps": str, "trials": int, "seed": int, "mode": str,
-    "ensemble": str, "recc": float, "regular": str, "dist_file": str,
+    "ensemble": str, "regular": str, "dist_file": str,
     "jobs": int, "out": str,
 }
 _SIM_DEFAULTS = {"seed": 0, "mode": "uniform-codeword", "ensemble": "uniform",
@@ -158,14 +188,22 @@ def _resolve_sim_config(args: argparse.Namespace) -> dict:
     keys are rejected by name."""
     resolved: dict = dict(_SIM_DEFAULTS)
     if args.config:
-        with open(args.config) as fh:
-            loaded = json.load(fh)
+        loaded = _read_json("--config", args.config)
         if not isinstance(loaded, dict):
-            raise ValueError("config file must hold a JSON object")
+            raise ValueError("--config file must hold a JSON object")
         for key, value in loaded.items():
             if key not in _SIM_KEYS:
                 raise ValueError(f"unknown config key: {key!r}")
-            resolved[key] = _SIM_KEYS[key](value) if value is not None else None
+            try:
+                resolved[key] = _SIM_KEYS[key](value) if value is not None else None
+            except (TypeError, ValueError):
+                raise ValueError(f"--config: bad value {value!r} for key {key!r}") from None
+        if resolved.get("regular") is not None and resolved.get("dist_file") is not None:
+            raise ValueError("--config: keys 'regular' and 'dist_file' are mutually exclusive")
+    if args.regular is not None or args.dist_file is not None:
+        # a distribution flag replaces the config file's distribution
+        resolved.pop("regular", None)
+        resolved.pop("dist_file", None)
     for key in _SIM_KEYS:
         flag = getattr(args, key, None)
         if flag is not None:
@@ -178,42 +216,47 @@ def _resolve_sim_config(args: argparse.Namespace) -> dict:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _resolve_sim_config(args)
-    dist_args = argparse.Namespace(regular=cfg.get("regular"), dist_file=cfg.get("dist_file"))
-    dist = _load_dist(dist_args)
+    _check_out(cfg.get("out"))
+    dist = _load_dist(cfg.get("regular"), cfg.get("dist_file"))
     eps_grid = _parse_eps_grid(str(cfg["eps"]))
-    blocklens = [int(p) for p in str(cfg["blocklen"]).split(",")]
+    try:
+        blocklens = [int(p) for p in str(cfg["blocklen"]).split(",")]
+    except ValueError:
+        raise ValueError(f"--blocklen must list bus widths, got {cfg['blocklen']!r}") from None
+    # every point is checked before the first one runs
+    configs = [
+        SimConfig(ensemble=EnsembleSpec(kind=cfg["ensemble"], n=n), dist=dist, eps=eps,
+                  trials=int(cfg["trials"]), seed=int(cfg["seed"]), mode=cfg["mode"],
+                  jobs=int(cfg["jobs"]))
+        for n in blocklens for eps in eps_grid
+    ]
     rows = []
-    for n in blocklens:
-        for eps in eps_grid:
-            ensemble = EnsembleSpec(kind=cfg["ensemble"], n=n,
-                                    r_ecc=None if cfg["ensemble"] == "uniform" else cfg.get("recc"))
-            config = SimConfig(
-                ensemble=ensemble, dist=dist, eps=eps, trials=int(cfg["trials"]),
-                seed=int(cfg["seed"]), mode=cfg["mode"], jobs=int(cfg["jobs"]),
-            )
-            stats = run_trials(config)
-            rows.append([
-                str(n), _fmt(eps), str(stats.trials), _fmt(stats.pb_code),
-                _fmt(stats.pb_info), _fmt(stats.pe), _fmt(stats.insufficient_rate),
-                str(stats.rng_seed),
-            ])
+    for config in configs:
+        stats = run_trials(config)
+        rows.append([
+            str(config.ensemble.n), _fmt(config.eps), str(stats.trials), _fmt(stats.pb_code),
+            _fmt(stats.pb_info), _fmt(stats.pe), _fmt(stats.insufficient_rate),
+            str(stats.rng_seed),
+        ])
     sidecar = {"version": __version__, "config": {k: cfg.get(k) for k in sorted(_SIM_KEYS)}}
     _write_rows(cfg.get("out"), SIM_COLUMNS, rows, sidecar)
     return 0
 
 
 def _codec_instance(args: argparse.Namespace):
-    inst = build_instances(args.seed, [0], _load_dist(args), past=args.past)
+    dist = _load_dist(args.regular, args.dist_file, default="3,12")
+    inst = build_instances(args.seed, [0], dist, past=args.past)
     return inst.a, inst.layout, inst.graph
 
 
 def cmd_codec_encode(args: argparse.Namespace) -> int:
     state, layout, graph = _codec_instance(args)
-    code = embedded_encode([int(c) for c in args.payload], state, graph)
+    payload = [int(c) for c in args.payload]
+    word = _complete_word(_encode_segments(payload, state, layout.segments), layout, graph)
     # 1-based wire roles: a shield pair is its pinned wire and the parity
     # slot to its right, which is not listed again among the parity wires.
     shield_slots = {pin + 1 for pin, _ in layout.pinned}
-    print(f"word:         {code.word}")
+    print(f"word:         {BusState(word)}")
     print(f"payload bits: {_payload_bits(layout.segments)}")
     print(f"parity wires: {[w + 1 for w in layout.parity_slots if w not in shield_slots]}")
     print(f"shield pairs: {[(pin + 1, pin + 2) for pin, _ in layout.pinned]}")
@@ -243,6 +286,12 @@ def cmd_codec(args: argparse.Namespace) -> int:
     return cmd_codec_decode(args)
 
 
+def _add_dist_flags(p: argparse.ArgumentParser, default_note: str = "") -> None:
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--regular", help="regular code shorthand dv,dc" + default_note)
+    group.add_argument("--dist-file", help="JSON with node-perspective degree pairs L and R")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="jointbus",
@@ -257,8 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("de", help="density-evolution threshold or trajectory")
-    p.add_argument("--regular", help="regular code shorthand dv,dc")
-    p.add_argument("--dist-file", help="JSON with node-perspective degree pairs L and R")
+    _add_dist_flags(p)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--threshold", action="store_true", help="bisect the decoding threshold")
     group.add_argument("--trajectory", type=float, metavar="EPS", help="emit the trajectory at EPS")
@@ -269,15 +317,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="Monte-Carlo error-rate sweep")
     p.add_argument("--config", help="JSON config file; flags override its keys")
-    p.add_argument("--regular", help="regular code shorthand dv,dc")
-    p.add_argument("--dist-file", help="JSON with node-perspective degree pairs L and R")
+    _add_dist_flags(p)
     p.add_argument("--blocklen", help="comma-separated bus widths")
     p.add_argument("--eps", help="erasure probability: value, list, or start:stop:step")
     p.add_argument("--trials", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--mode", choices=["uniform-codeword", "info-bits"])
     p.add_argument("--ensemble", choices=["uniform", "modified"])
-    p.add_argument("--recc", type=float, help="ensemble rate (modified only)")
     p.add_argument("--jobs", type=int)
     p.add_argument("--out", help="CSV output path (stdout if omitted)")
     p.set_defaults(func=cmd_simulate)
@@ -285,8 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("codec", help="encode or decode a single bus word")
     p.add_argument("action", choices=["encode", "decode"])
     p.add_argument("--past", required=True, help="past bus state bit string")
-    p.add_argument("--regular", default="3,12", help="regular code shorthand dv,dc")
-    p.add_argument("--dist-file", help="JSON with node-perspective degree pairs L and R")
+    _add_dist_flags(p, " (3,12 unless --dist-file is given)")
     p.add_argument("--seed", type=int, default=0, help="code-instance seed (encoder and decoder must agree)")
     p.add_argument("--payload", help="payload bits (encode)")
     p.add_argument("--received", help="received word over {0,1,e} (decode)")

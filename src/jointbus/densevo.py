@@ -25,9 +25,7 @@ __all__ = [
     "DeState",
     "CacDegreeDist",
     "DeModel",
-    "rho_tilde",
     "p_coeffs",
-    "p_poly",
     "de_step",
     "de_trajectory",
     "de_threshold",
@@ -50,7 +48,7 @@ class DeState:
     y_cac: float
 
 
-def rho_tilde(d: int, r_ecc: float) -> float:
+def _rho_tilde(d: int, r_ecc: float) -> float:
     """Edge-perspective weight of run-constraint nodes of degree d.
 
     Free wires make up the degree-1 mass 1 - 3/(4 r_ecc); longer runs carry
@@ -72,7 +70,9 @@ def p_coeffs(d: int, i: int) -> tuple[Fraction, Fraction]:
 
     The first coefficient weights (1 - x), the second (1 - x^2): fractions
     of the F(d+2) valid run words in which the position is pinned by one
-    forcing neighbour or by either of two.
+    forcing neighbour or by either of two. With each neighbour erased
+    independently with probability x, the position is pinned with
+    probability p1 (1 - x) + p2 (1 - x^2).
     """
     if d < 2:
         raise ValueError(f"forcing polynomials need run length >= 2, got {d}")
@@ -84,14 +84,6 @@ def p_coeffs(d: int, i: int) -> tuple[Fraction, Fraction]:
     one_sided = Fraction(fib(i - 1) * fib(d - i + 1) + fib(i) * fib(d - i), denom)
     two_sided = Fraction(fib(i - 1) * fib(d - i), denom)
     return one_sided, two_sided
-
-
-def p_poly(d: int, i: int, x: float) -> float:
-    """Probability that position i of a length-d run is pinned by its
-    neighbours when each neighbour is independently erased with
-    probability x."""
-    p1, p2 = p_coeffs(d, i)
-    return float(p1) * (1.0 - x) + float(p2) * (1.0 - x * x)
 
 
 class CacDegreeDist:
@@ -112,7 +104,7 @@ class CacDegreeDist:
             raise ValueError("d_max must be at least 2")
         self.r_ecc = float(r_ecc)
         self.d_max = int(d_max)
-        self.rho = [0.0] + [rho_tilde(d, r_ecc) for d in range(1, d_max + 1)]
+        self.rho = [0.0] + [_rho_tilde(d, r_ecc) for d in range(1, d_max + 1)]
         lin = Fraction(0)
         quad = Fraction(0)
         for d in range(2, d_max + 1):
@@ -171,30 +163,29 @@ def de_step(state: DeState, eps: float, model: DeModel) -> DeState:
 
 
 _START = DeState(1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
+# x_ecc below this counts as decoding success.
+_SUCCESS_TOL = 1e-10
 
 
 def de_trajectory(
     eps: float,
     model: DeModel,
-    tol: float = 1e-10,
     max_iter: int = 100_000,
 ) -> tuple[list[DeState], str]:
     """Iterate from the all-erased start; verdict 'success' or 'stall'.
 
-    Success means x_ecc fell below ``tol``; a stall is a fixed point above
+    Success means x_ecc fell below 1e-10; a stall is a fixed point above
     it (detected when successive x_ecc values stop moving at double
     precision).
     """
     if not 0.0 <= eps <= 1.0:
         raise ValueError(f"eps must lie in [0, 1], got {eps}")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     states: list[DeState] = []
     state = _START
     for _ in range(max_iter):
         new = de_step(state, eps, model)
         states.append(new)
-        if new.x_ecc < tol:
+        if new.x_ecc < _SUCCESS_TOL:
             return states, "success"
         if abs(new.x_ecc - state.x_ecc) < 1e-15 and abs(new.y_ecc - state.y_ecc) < 1e-15:
             return states, "stall"
@@ -202,12 +193,7 @@ def de_trajectory(
     return states, "stall"
 
 
-def de_threshold(
-    model: DeModel,
-    tol_eps: float = 1e-3,
-    tol: float = 1e-10,
-    max_iter: int = 100_000,
-) -> float:
+def de_threshold(model: DeModel, tol_eps: float = 1e-3) -> float:
     """Bisect the channel parameter for the success/stall boundary.
 
     Returns the interval midpoint; the half-width of the final bracket is
@@ -218,7 +204,7 @@ def de_threshold(
     lo, hi = 0.0, 1.0
     while hi - lo > tol_eps:
         mid = (lo + hi) / 2.0
-        _, verdict = de_trajectory(mid, model, tol=tol, max_iter=max_iter)
+        _, verdict = de_trajectory(mid, model)
         if verdict == "success":
             lo = mid
         else:

@@ -18,7 +18,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .buscore import BitsLike, BusState, as_bits, fib, state_from_runs, _run_bounds
+from .buscore import BitsLike, BusState, as_bits, fib, _run_bounds, _state_from_runs
 from .bpdecode import ERASED, ErasureWord, bp_decode, build_factor_graph
 from .cac import _encode_segments, _payload_bits
 from .densevo import DeModel, de_trajectory
@@ -46,20 +46,16 @@ __all__ = [
 class EnsembleSpec:
     """How past bus states are drawn: 'uniform' over all words of length n,
     or 'modified' (independent runs interleaved at random, parities tied to
-    the dedicated length-1 runs)."""
+    the dedicated length-1 runs, sized for the rate of the code)."""
 
     kind: str
     n: int
-    r_ecc: Optional[float] = None
 
     def __post_init__(self):
         if self.kind not in ("uniform", "modified"):
             raise ValueError(f"ensemble kind must be 'uniform' or 'modified', got {self.kind!r}")
         if self.n < 1:
             raise ValueError("ensemble length must be >= 1")
-        if self.kind == "modified":
-            if self.r_ecc is None or not 0.75 < self.r_ecc <= 1.0:
-                raise ValueError("modified ensemble needs r_ecc in (3/4, 1]")
 
 
 @dataclass(frozen=True)
@@ -70,7 +66,6 @@ class SimConfig:
     trials: int
     seed: int
     mode: str = "uniform-codeword"
-    max_outer: int = 200
     jobs: int = 1
 
     def __post_init__(self):
@@ -80,8 +75,6 @@ class SimConfig:
             raise ValueError("trials must be >= 1")
         if self.mode not in ("uniform-codeword", "info-bits"):
             raise ValueError(f"mode must be 'uniform-codeword' or 'info-bits', got {self.mode!r}")
-        if self.max_outer < 1:
-            raise ValueError(f"max_outer must be >= 1, got {self.max_outer}")
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
 
@@ -228,10 +221,9 @@ def _sample_run_length(n_runs: int, r_ecc: float, rng: np.random.Generator) -> n
     return lengths.astype(np.int64)
 
 
-def gen_past_modified(
-    spec: EnsembleSpec, rng: np.random.Generator
-) -> ModifiedPastState:
-    """Draw a past state as randomly interleaved independent runs.
+def gen_past_modified(n: int, r_ecc: float, rng: np.random.Generator) -> ModifiedPastState:
+    """Draw a past state as randomly interleaved independent runs, for a
+    code of rate ``r_ecc`` in (3/4, 1].
 
     The payload part contributes round(n (r_ecc - 1/2)) runs with the
     heavy-tailed length law above; the parity part contributes
@@ -239,10 +231,12 @@ def gen_past_modified(
     realized payload-part length. The first bit is uniform and the rest
     follow from the run structure.
     """
-    if spec.kind != "modified":
-        raise ValueError("spec.kind must be 'modified'")
-    r = float(spec.r_ecc)
-    n1 = max(1, round(spec.n * (r - 0.5)))
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if not 0.75 < r_ecc <= 1.0:
+        raise ValueError(f"modified ensemble needs r_ecc in (3/4, 1], got {r_ecc}")
+    r = float(r_ecc)
+    n1 = max(1, round(n * (r - 0.5)))
     lengths1 = _sample_run_length(n1, r, rng)
     ell1 = int(lengths1.sum())
     n2 = round(ell1 * (1.0 - r) / r)
@@ -251,7 +245,7 @@ def gen_past_modified(
     perm = rng.permutation(n1 + n2)
     lengths, labels = lengths[perm], labels[perm]
     first_bit = int(rng.integers(0, 2))
-    state = state_from_runs(first_bit, lengths)
+    state = _state_from_runs(first_bit, lengths)
     wire_is_part1 = np.repeat(labels, lengths)
     part1 = np.flatnonzero(wire_is_part1) + 1
     part2 = np.flatnonzero(~wire_is_part1) + 1
@@ -326,7 +320,8 @@ def build_instances(
     round(N (1 - r_ecc)) parities: a uniform-ensemble state with fewer free
     wires drops its trial (counted in ``insufficient``), a given ``past``
     falls back to shield pairs (see ``build_layout``), and a
-    modified-ensemble state brings its own parity wires.
+    modified-ensemble state, drawn for the rate r_ecc of ``dist``, brings
+    its own parity wires.
 
     The word is drawn on the trial's own layout, the one it is decoded on.
     'uniform-codeword' draws it uniformly over the valid words of the
@@ -351,7 +346,7 @@ def build_instances(
     elif ensemble.kind == "uniform":
         pasts = [rng.integers(0, 2, ensemble.n, dtype=np.uint8) for rng in rngs]
     else:
-        draws = [gen_past_modified(ensemble, rng) for rng in rngs]
+        draws = [gen_past_modified(ensemble.n, r_ecc, rng) for rng in rngs]
         pasts = [d.state.bits for d in draws]
     a, offsets, starts, lengths = _side_by_side(pasts)
 
@@ -419,7 +414,7 @@ def _run_batch(config: SimConfig, trials: range) -> TrialStats:
     u = np.concatenate([rng.random(size) for rng, size in zip(inst.rngs, sizes.tolist())])
     received = np.where(u < config.eps, ERASED, inst.word)
     fg = build_factor_graph(inst.a, inst.graph, inst.layout)
-    out = bp_decode(received, fg, max_outer=config.max_outer, extract_payload=False).word.symbols
+    out = bp_decode(received, fg, extract_payload=False).word.symbols
     erased = out == ERASED
     if not np.array_equal(out[~erased], inst.word[~erased]):
         raise RuntimeError("decoder emitted a bit that differs from the transmitted word")

@@ -16,3 +16,11 @@ def test_package_reexports_exactly_module_all():
     for m in MODULES:
         for name in m.__all__:
             assert getattr(jointbus, name) is getattr(m, name)
+
+
+def test_test_only_names_are_not_public():
+    # names only tests reached: removed, or private to their module
+    for name in ("UNSET", "k_info", "run_rank", "run_unrank", "p_poly", "rho_tilde",
+                 "state_from_runs"):
+        assert not hasattr(jointbus, name)
+        assert all(name not in m.__all__ for m in MODULES)

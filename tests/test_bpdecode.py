@@ -100,9 +100,9 @@ def test_ecc_node_update():
 
 
 def test_factor_graph_counts():
-    fg = build_factor_graph("0101", _empty_graph(4))
+    fg = build_factor_graph("0101", _empty_graph(4), build_layout("0101", 0))
     assert fg.num_cac_checks == 3 and fg.num_ecc_checks == 0
-    fg = build_factor_graph("0000", _empty_graph(4))
+    fg = build_factor_graph("0000", _empty_graph(4), build_layout("0000", 0))
     assert fg.num_cac_checks == 0
     # two runs [3, 2] with one free wire used as parity: checks stay inside runs
     a = "0100101"
@@ -139,7 +139,7 @@ def test_factor_graph_size_mismatch():
 
 
 def test_bp_decode_no_erasures():
-    fg = build_factor_graph("0000", _empty_graph(4))
+    fg = build_factor_graph("0000", _empty_graph(4), build_layout("0000", 0))
     res = bp_decode("1011", fg)
     assert res.converged and res.iterations == 1
     assert res.residual_erasures == 0
@@ -153,7 +153,7 @@ def test_bp_decode_cac_forcing_example():
     a = "0101"
     completions = [w for w in valid_words(a) if tuple(w[:3]) == (1, 1, 1)]
     assert len(completions) == 1 and completions[0].tolist() == [1, 1, 1, 1]
-    fg = build_factor_graph(a, _empty_graph(4))
+    fg = build_factor_graph(a, _empty_graph(4), build_layout(a, 0))
     res = bp_decode("111e", fg)
     assert str(res.word) == "1111"
     assert res.residual_erasures == 0
@@ -244,7 +244,7 @@ def test_bp_decode_matches_full_sweep_reference():
         rcv[rng.random(a.size) < rng.uniform(0.0, 0.6)] = ERASED
         for max_outer in (1, 2, 3, 200):
             _assert_same_result(fg, rcv, max_outer, (trial, max_outer))
-    for ensemble in (EnsembleSpec("uniform", 300), EnsembleSpec("modified", 300, r_ecc=0.8)):
+    for ensemble in (EnsembleSpec("uniform", 300), EnsembleSpec("modified", 300)):
         inst = build_instances(7, range(12), DIST, ensemble=ensemble, mode="uniform-codeword")
         fg = build_factor_graph(inst.a, inst.graph, inst.layout)
         for eps in (0.0, 0.15, 0.22, 0.3, 0.5):
@@ -257,7 +257,7 @@ def test_bp_decode_matches_full_sweep_reference():
 
 
 def test_bp_decode_rejects_nonpositive_max_outer():
-    fg = build_factor_graph("0101", _empty_graph(4))
+    fg = build_factor_graph("0101", _empty_graph(4), build_layout("0101", 0))
     for bad in (0, -1):
         with pytest.raises(ValueError, match="max_outer"):
             bp_decode("0e01", fg, max_outer=bad)
@@ -319,7 +319,7 @@ def test_bp_decode_uniform_codeword_out_of_payload_range():
 
 def test_bp_decode_reports_stall():
     # a lone erased info wire inside a run with no code help stays erased
-    fg = build_factor_graph("0101", _empty_graph(4))
+    fg = build_factor_graph("0101", _empty_graph(4), build_layout("0101", 0))
     res = bp_decode("0e01", fg)
     assert res.converged
     assert res.residual_erasures >= 1
@@ -330,7 +330,7 @@ def test_bp_decode_disjoint_union_matches_single_decodes():
     # one decode of instances laid side by side equals decoding each alone,
     # with shield pairs and modified-ensemble layouts mixed in
     rng = np.random.default_rng(53)
-    modified = EnsembleSpec("modified", 40, r_ecc=0.8)
+    modified = EnsembleSpec("modified", 40)
     for trial in range(25):
         parts, words = [], []
         for k in range(int(rng.integers(1, 6))):

@@ -9,8 +9,8 @@ from jointbus import (
     fib,
     free_wires,
     parse_runs,
-    state_from_runs,
 )
+from jointbus.buscore import _state_from_runs
 
 
 def test_fib_base_and_values():
@@ -92,7 +92,7 @@ def test_free_wires_are_length_one_runs(bits):
 @given(st.lists(st.integers(0, 1), min_size=1, max_size=200))
 def test_run_reconstruction_roundtrip(bits):
     rp = parse_runs(bits)
-    rebuilt = state_from_runs(bits[0], rp.run_lengths)
+    rebuilt = _state_from_runs(bits[0], rp.run_lengths)
     assert rebuilt == BusState(bits)
 
 

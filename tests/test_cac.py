@@ -18,10 +18,7 @@ from jointbus import (
     count_codewords,
     fib,
     ira_encode,
-    k_info,
     payload_size,
-    run_rank,
-    run_unrank,
 )
 from jointbus.cac import UNSET, _decode_segments, _encode_segments, _payload_bits
 
@@ -47,15 +44,16 @@ def test_count_codewords_matches_bruteforce():
 
 
 def test_run_unrank_pair_example():
-    words = ["".join(str(b) for b in run_unrank("01", i)) for i in range(3)]
+    book = RunCodebook("01")
+    words = ["".join(str(b) for b in book.unrank(i)) for i in range(3)]
     assert words == ["00", "01", "11"]
     with pytest.raises(ValueError):
-        run_unrank("01", 3)
+        book.unrank(3)
 
 
 def test_run_unrank_free_wire():
-    assert run_unrank("0", 0).tolist() == [0]
-    assert run_unrank("0", 1).tolist() == [1]
+    assert RunCodebook("0").unrank(0).tolist() == [0]
+    assert RunCodebook("0").unrank(1).tolist() == [1]
 
 
 def test_run_unrank_matches_enumeration():
@@ -63,19 +61,20 @@ def test_run_unrank_matches_enumeration():
         for phase in (0, 1):
             past = _alternating(d, phase)
             expected = sorted(tuple(w) for w in valid_words(past))
-            got = [tuple(run_unrank(past, i)) for i in range(fib(d + 2))]
+            got = [tuple(RunCodebook(past).unrank(i)) for i in range(fib(d + 2))]
             assert got == expected
 
 
 def test_run_rank_examples():
-    assert run_rank("01", "11") == 2
+    assert RunCodebook("01").rank("11") == 2
+    book = RunCodebook("010")
     for idx in range(fib(5)):
-        assert run_rank("010", run_unrank("010", idx)) == idx
+        assert book.rank(book.unrank(idx)) == idx
 
 
 def test_run_rank_rejects_violation():
     with pytest.raises(ValueError):
-        run_rank("01", "10")
+        RunCodebook("01").rank("10")
 
 
 def test_rank_unrank_identity_long_runs():
@@ -108,17 +107,9 @@ def test_codebook_rejects_non_alternating():
         RunCodebook("0110")
 
 
-def _filled(partial, a):
-    out = np.asarray(partial).copy()
-    a = np.asarray([int(c) for c in a], dtype=np.uint8)
-    unset = out == UNSET
-    out[unset] = a[unset]
-    return out
-
-
 def test_cac_encode_unconstrained_is_identity():
     a = "0000"
-    assert k_info(a) == 4
+    assert payload_size(a, 0) == 4
     for x in range(16):
         payload = [(x >> (3 - i)) & 1 for i in range(4)]
         word = cac_encode(payload, a)
@@ -128,7 +119,7 @@ def test_cac_encode_unconstrained_is_identity():
 
 def test_cac_encode_single_run():
     a = "0101"
-    assert k_info(a) == 3
+    assert payload_size(a, 0) == 3
     seen = set()
     for x in range(8):
         payload = [(x >> (2 - i)) & 1 for i in range(3)]
@@ -141,7 +132,7 @@ def test_cac_encode_single_run():
 
 def test_cac_encode_two_runs():
     a = "0110"
-    assert k_info(a) == 3  # floor(log2 9)
+    assert payload_size(a, 0) == 3  # floor(log2 9)
     seen = set()
     for x in range(8):
         payload = [(x >> (2 - i)) & 1 for i in range(3)]
@@ -154,7 +145,7 @@ def test_cac_encode_two_runs():
 def test_cac_decode_rejects_out_of_range_word():
     # 0110 has 9 valid words but only 8 payload slots; craft the 9th
     a = np.array([0, 1, 1, 0], dtype=np.uint8)
-    word = np.concatenate([run_unrank([0, 1], 2), run_unrank([1, 0], 2)])
+    word = np.concatenate([RunCodebook([0, 1]).unrank(2), RunCodebook([1, 0]).unrank(2)])
     with pytest.raises(ValueError, match="outside the used range"):
         cac_decode(word, a)
 
@@ -162,17 +153,6 @@ def test_cac_decode_rejects_out_of_range_word():
 def test_cac_decode_rejects_violation():
     with pytest.raises(ValueError):
         cac_decode("1010", "0101")
-
-
-def test_cac_encode_excluded_wires():
-    a = "00100"
-    # wires 1 and 5 are free; exclude them from the payload mapping
-    k = k_info(a, (1, 5))
-    word = cac_encode([0] * k, a, (1, 5))
-    assert word[0] == UNSET and word[4] == UNSET
-    assert cac_decode(word, a, (1, 5)).tolist() == [0] * k
-    with pytest.raises(ValueError, match="not free"):
-        cac_encode([0] * k, a, (2,))
 
 
 def test_cac_encode_wrong_payload_length():
@@ -184,10 +164,10 @@ def test_cac_encode_random_states_valid():
     rng = np.random.default_rng(3)
     for _ in range(300):
         a = rng.integers(0, 2, int(rng.integers(2, 33)), dtype=np.uint8)
-        k = k_info(a)
+        k = payload_size(a, 0)
         payload = rng.integers(0, 2, k, dtype=np.uint8)
         word = cac_encode(payload, a)
-        assert check_transition(a, _filled(word, a)).ok
+        assert check_transition(a, word).ok
         assert cac_decode(word, a).tolist() == payload.tolist()
 
 

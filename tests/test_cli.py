@@ -1,8 +1,13 @@
+import contextlib
 import hashlib
+import io
 import json
+import traceback
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jointbus import gen_past_uniform, payload_size, trial_rng
 from jointbus.cli import main
@@ -12,6 +17,22 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_console(argv):
+    """Exit code, stdout and stderr of ``jointbus argv`` as the console
+    script ends: a usage error's SystemExit code, or 1 with a traceback on
+    stderr for an exception that escapes ``main``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        except Exception:
+            traceback.print_exc()
+            code = 1
+    return code, out.getvalue(), err.getvalue()
 
 
 def test_analyze_constant(capsys):
@@ -112,7 +133,7 @@ def test_simulate_csv_bytes_pinned(capsys):
     args = ["simulate", "--regular", "3,12", "--blocklen", "100,1000", "--seed", "7",
             "--jobs", "1"]
     short = ["--eps", "0:0.3:0.1", "--trials", "60"]
-    modified = ["--ensemble", "modified", "--recc", "0.8"]
+    modified = ["--ensemble", "modified"]
     for extra, digest in [
         (["--eps", "0:0.3:0.05", "--trials", "200"],
          "4369a725493c122ae3546948b774410204b6f683b74ed35c47b23311abae9176"),
@@ -151,6 +172,23 @@ def test_simulate_config_file(capsys, tmp_path):
     assert ",5," in out2.splitlines()[1]
 
 
+def test_simulate_distribution_flag_replaces_config_distribution(tmp_path):
+    # a code flag overrides the config file's code (here one that would be
+    # rejected), and a config file may not name two codes
+    dist = tmp_path / "dist.json"
+    dist.write_text(json.dumps({"L": [[3, 1.0]], "R": [[11, 0.5], [13, 0.5]]}))
+    run = {"blocklen": "40", "eps": "0.1", "trials": 2, "jobs": 1}
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({**run, "regular": "2,4"}))
+    code, out, err = run_console(["simulate", "--config", str(cfg), "--dist-file", str(dist)])
+    assert code == 0, err
+    assert out.startswith("N,eps")
+    cfg.write_text(json.dumps({**run, "regular": "3,12", "dist_file": str(dist)}))
+    code, out, err = run_console(["simulate", "--config", str(cfg)])
+    assert code == 3 and out == ""
+    assert "keys 'regular' and 'dist_file' are mutually exclusive" in err
+
+
 def test_simulate_rejects_unknown_config_key(capsys, tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"blocklen": "40", "eps": "0.1", "trials": 5,
@@ -169,7 +207,7 @@ def test_simulate_missing_required(capsys):
 def test_simulate_modified_ensemble(capsys):
     code, out, _ = run_cli(capsys, "simulate", "--regular", "3,12", "--blocklen", "200",
                            "--eps", "0.05", "--trials", "10", "--seed", "1",
-                           "--ensemble", "modified", "--recc", "0.8", "--jobs", "1")
+                           "--ensemble", "modified", "--jobs", "1")
     assert code == 0
     row = out.splitlines()[1].split(",")
     assert row[0] == "200" and row[2] == "10"
@@ -177,11 +215,21 @@ def test_simulate_modified_ensemble(capsys):
     assert float(row[6]) == 0.0
 
 
-def test_simulate_modified_requires_recc(capsys):
-    code, _, err = run_cli(capsys, "simulate", "--regular", "3,12", "--blocklen", "200",
-                           "--eps", "0.05", "--trials", "5", "--ensemble", "modified")
-    assert code == 3
-    assert "r_ecc" in err
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_simulate_rejects_recc(tmp_path, source):
+    # the modified ensemble takes its rate from the code: a second rate
+    # is a usage error as a flag and an unknown key in a config file
+    argv = ["simulate", "--regular", "3,12", "--blocklen", "200", "--eps", "0.05",
+            "--trials", "5", "--ensemble", "modified", "--jobs", "1"]
+    if source == "flag":
+        code, out, err = run_console(argv + ["--recc", "0.8"])
+        assert code == 2 and "unrecognized arguments: --recc 0.8" in err
+    else:
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"recc": 0.8}))
+        code, out, err = run_console(argv + ["--config", str(cfg)])
+        assert code == 3 and "unknown config key: 'recc'" in err
+    assert out == "" and "Traceback" not in err
 
 
 def test_codec_roundtrip(capsys):
@@ -267,3 +315,94 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["de"])
     assert exc.value.code == 2
+
+
+PAST = "0010011000110100"
+MISSING = "/nonexistent/dist.json"
+MISSING_DIR_OUT = "/nonexistent/dir/x.csv"
+SIM = ["simulate", "--blocklen", "20", "--eps", "0.1", "--trials", "2", "--jobs", "1"]
+
+
+@pytest.mark.parametrize("argv, exit_code, flag", [
+    # distribution flags: one of the two, each one read
+    pytest.param(["codec", "encode", "--past", PAST, "--payload", "0" * 10,
+                  "--dist-file", MISSING], 3, "--dist-file", id="codec-missing-dist-file"),
+    pytest.param(["codec", "decode", "--past", PAST, "--received", "0" * 16,
+                  "--regular", "3,12", "--dist-file", MISSING], 2, "--dist-file",
+                 id="codec-two-codes"),
+    pytest.param(["de", "--regular", "3,12", "--dist-file", MISSING, "--threshold"],
+                 2, "--dist-file", id="de-two-codes"),
+    pytest.param(["de", "--dist-file", MISSING, "--threshold"], 3, "--dist-file",
+                 id="de-missing-dist-file"),
+    pytest.param(SIM + ["--regular", "3,12", "--dist-file", MISSING], 2, "--dist-file",
+                 id="simulate-two-codes"),
+    pytest.param(SIM + ["--dist-file", MISSING], 3, "--dist-file",
+                 id="simulate-missing-dist-file"),
+    pytest.param(["simulate", "--config", "/nonexistent.json"], 3, "--config",
+                 id="simulate-missing-config"),
+    # inputs checked before any work starts
+    pytest.param(SIM + ["--regular", "3,12", "--out", MISSING_DIR_OUT], 3, "--out",
+                 id="simulate-out-in-missing-dir"),
+    pytest.param(["de", "--regular", "3,12", "--threshold", "--out", MISSING_DIR_OUT],
+                 3, "--out", id="de-out-in-missing-dir"),
+    pytest.param(["simulate", "--regular", "3,12", "--blocklen", "20", "--eps", "0.3:0.1:0.1",
+                  "--trials", "2"], 3, "--eps", id="simulate-descending-eps-grid"),
+    pytest.param(["analyze", "01100100", "--recc", "0"], 3, "--recc", id="analyze-recc-0"),
+    pytest.param(["analyze", "01100100", "--recc", "1.5"], 3, "--recc", id="analyze-recc-1.5"),
+])
+def test_cli_rejects_bad_input_by_flag(argv, exit_code, flag):
+    code, out, err = run_console(argv)
+    assert code == exit_code, err
+    assert "Traceback" not in err
+    assert flag in err.partition("error:")[2].splitlines()[0]
+    assert out == ""
+
+
+def _arg(flag, values):
+    """The flag with its first (valid) value or with any value."""
+    return st.one_of(st.just([flag, values[0]]), st.sampled_from(values).map(lambda v: [flag, v]))
+
+
+def _opt(flag, values):
+    """The flag left out, or ``_arg``."""
+    return st.one_of(st.just([]), _arg(flag, values))
+
+
+_DIST = st.one_of(_opt("--regular", ["3,12", "4,40", "2,4", "0,0", "3,0", "x", ""]),
+                  _opt("--dist-file", [MISSING]),
+                  st.just(["--regular", "3,12", "--dist-file", MISSING]))
+_OUT = _opt("--out", [MISSING_DIR_OUT])
+_ARGV = st.one_of(
+    st.tuples(st.just(["analyze"]),
+              st.sampled_from([["01100100"], ["0101"], ["01x1"], [""], []]),
+              _opt("--recc", ["0.9", "1", "0", "1.5", "-1", "nan", "x"])),
+    st.tuples(st.just(["de"]), _DIST,
+              st.sampled_from([["--threshold", "--tol-eps", "0.25"],
+                               ["--threshold", "--tol-eps", "0"],
+                               ["--trajectory", "0.1"], ["--trajectory", "1.5"],
+                               ["--trajectory", "nan"], ["--trajectory", "x"],
+                               ["--threshold", "--trajectory", "0.1"], []]),
+              _opt("--dmax", ["2", "1"]), _OUT),
+    st.tuples(st.just(["simulate"]), _DIST,
+              _arg("--blocklen", ["20", "8,12", "0", "-4", "x", ""]),
+              _arg("--eps", ["0", "0.1,1", "0:0.2:0.1", "0.3:0.1:0.1", "0:1:0", "0:inf:1",
+                             "1.5", "nan", "x"]),
+              _arg("--trials", ["2", "0"]), _opt("--seed", ["0", "-1"]),
+              _opt("--mode", ["info-bits"]), _opt("--ensemble", ["modified"]),
+              _opt("--jobs", ["1", "0"]), _opt("--config", [MISSING]), _OUT),
+    st.tuples(st.just(["codec"]), st.sampled_from([["encode"], ["decode"], ["x"]]),
+              _arg("--past", [PAST, "0101010101010101", "0000", "01x1", ""]), _DIST,
+              _opt("--seed", ["5", "-1"]),
+              _opt("--payload", ["0" * 10, "0" * 7, "1", "01x", ""]),
+              _opt("--received", ["0000000e00000000", "e" * 16, "1" + "0" * 15, "01", "0x"])),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ARGV.map(lambda parts: [arg for part in parts for arg in part]))
+def test_cli_exit_code_is_0_2_or_3_without_traceback(argv):
+    # every argv of a small grammar, bad values included, ends in success,
+    # a usage error or a named validation failure, never an escaped exception
+    code, _, err = run_console(argv)
+    assert code in (0, 2, 3), (argv, err)
+    assert "Traceback" not in err, (argv, err)

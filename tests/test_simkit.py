@@ -116,8 +116,7 @@ def test_modified_run_length_law():
 
 
 def test_gen_past_modified_lengths():
-    spec = EnsembleSpec("modified", 100_000, 0.8)
-    draw = gen_past_modified(spec, trial_rng(19, 0))
+    draw = gen_past_modified(100_000, 0.8, trial_rng(19, 0))
     n = len(draw.state)
     assert abs(n - 100_000) < 5 * np.sqrt(100_000)
     ell1 = len(draw.part1_wires)
@@ -129,7 +128,7 @@ def test_gen_past_modified_lengths():
 
 def test_modified_matches_uniform_run_statistics():
     uniform = gen_past_uniform(100_000, trial_rng(23, 0))
-    modified = gen_past_modified(EnsembleSpec("modified", 100_000, 0.8), trial_rng(23, 1))
+    modified = gen_past_modified(100_000, 0.8, trial_rng(23, 1))
     lu = np.array(parse_runs(uniform).run_lengths)
     lm = np.array(parse_runs(modified.state).run_lengths)
     for d in range(1, 9):
@@ -150,7 +149,7 @@ def test_run_trials_reproducible_and_parallel_invariant():
     assert s1 == s3
 
 
-ENSEMBLES = [EnsembleSpec("uniform", 100), EnsembleSpec("modified", 100, r_ecc=0.8)]
+ENSEMBLES = [EnsembleSpec("uniform", 100), EnsembleSpec("modified", 100)]
 MODES = ["uniform-codeword", "info-bits"]
 SHIELDED = "0101010101010101"  # one run, no free wire: every parity takes a shield pair
 
@@ -162,7 +161,7 @@ def _drawn_payload(seed, trial, inst, ensemble):
     if ensemble is not None and ensemble.kind == "uniform":
         gen_past_uniform(ensemble.n, rng)
     elif ensemble is not None:
-        gen_past_modified(ensemble, rng)
+        gen_past_modified(ensemble.n, 0.8, rng)
     if inst.layout.num_parity:
         sample_graph(inst.layout.num_info, inst.layout.num_parity, DIST, rng)
     return rng.integers(0, 2, _payload_bits(inst.layout.segments), dtype=np.uint8)
@@ -227,7 +226,7 @@ def test_run_trials_invariant_to_batching_and_jobs(ensemble, mode):
             assert run_trials(dataclasses.replace(base, trials=trials, jobs=jobs)) == expect
 
 
-@pytest.mark.parametrize("field", ["jobs", "max_outer"])
+@pytest.mark.parametrize("field", ["jobs"])
 @pytest.mark.parametrize("value", [0, -3])
 def test_sim_config_rejects_nonpositive_jobs_and_max_outer(field, value):
     with pytest.raises(ValueError, match=field):
@@ -270,7 +269,7 @@ def test_run_trials_info_bits_mode():
 
 
 def test_run_trials_modified_ensemble():
-    cfg = SimConfig(ensemble=EnsembleSpec("modified", 400, r_ecc=0.8), dist=DIST,
+    cfg = SimConfig(ensemble=EnsembleSpec("modified", 400), dist=DIST,
                     eps=0.1, trials=30, seed=8)
     stats = run_trials(cfg)
     assert stats.trials == 30
