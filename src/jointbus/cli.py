@@ -22,9 +22,9 @@ from .buscore import BusState, free_wires, parse_runs
 from .bpdecode import ErasureWord, bp_decode, build_factor_graph
 from .cac import cac_rate, count_codewords, _encode_segments, _payload_bits
 from .densevo import DeModel, de_threshold, de_trajectory
-from .ira import DegreeDistribution, rate_ldpc, recc_from_rldpc
-from .jointcode import rate_embedded, rate_shielded, _complete_word
-from .simkit import EnsembleSpec, SimConfig, build_instances, run_trials
+from .ira import DegreeDistribution, rate_ldpc, recc_from_rldpc, sample_graph
+from .jointcode import build_layout, compare_rates, _complete_word
+from .simkit import EnsembleSpec, SimConfig, run_trials, trial_rng
 
 SIM_COLUMNS = ["N", "eps", "trials", "pb_code", "pb_info", "pe", "insufficient_rate", "seed"]
 TRAJ_COLUMNS = ["iteration", "x_ecc", "y_ecc", "x_p", "y_p", "x_cac", "y_cac"]
@@ -99,18 +99,26 @@ def _sidecar(args: argparse.Namespace, extra: dict) -> dict:
     return {"version": __version__, "config": resolved, **extra}
 
 
+# The finest grid accepted: a step of 1e-4 across all of [0, 1].
+_MAX_EPS_POINTS = 10_001
+
+
 def _parse_eps_grid(spec: str) -> list[float]:
+    count = 0
     try:
         if ":" in spec:
             start, stop, step = (float(p) for p in spec.split(":"))
             ok = 0.0 <= start <= stop <= 1.0 and step > 0
-            count = int(round((stop - start) / step)) + 1 if ok else 0
+            # clamped before counting: over a tiny step the span is infinite
+            count = round(min((stop - start) / step, _MAX_EPS_POINTS)) + 1 if ok else 0
             values = [round(start + i * step, 12) for i in range(count)
                       if start + i * step <= stop + 1e-12]
         else:
             values = [float(p) for p in spec.split(",")]
     except ValueError:
         values = []
+    if count > _MAX_EPS_POINTS:
+        raise ValueError(f"--eps grid {spec!r} has more than {_MAX_EPS_POINTS} points")
     if not values or not all(0.0 <= x <= 1.0 for x in values):
         raise ValueError("--eps must be values in [0, 1]: one, a comma list, or "
                          f"start:stop:step with start <= stop and step > 0; got {spec!r}")
@@ -118,11 +126,15 @@ def _parse_eps_grid(spec: str) -> list[float]:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    if args.recc is not None and not 0.0 < args.recc <= 1.0:
-        raise ValueError(f"--recc must lie in (0, 1], got {args.recc}")
     state = BusState(args.state)
     runs = parse_runs(state)
     free = free_wires(state)
+    rates = None
+    if args.recc is not None:
+        try:
+            rates = compare_rates(state, args.recc)
+        except ValueError as exc:
+            raise ValueError(f"--recc {_fmt(args.recc)}: {exc}") from None
     r_cac = cac_rate(state)
     count = count_codewords(state)
     if count.bit_length() <= 128:
@@ -138,12 +150,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         print(f"free wires:       {len(free)}")
     print(f"codeword count:   {count_str}")
     print(f"cac rate:         {_fmt(r_cac)}")
-    if args.recc is not None:
-        r_s = rate_shielded(r_cac, args.recc)
-        r_e = rate_embedded(r_cac, args.recc)
-        print(f"shielded rate:    {_fmt(r_s)}")
-        print(f"embedded rate:    {_fmt(r_e)}")
-        print(f"margin:           {_fmt(r_e - r_s)}")
+    if rates is not None:
+        print(f"shielded rate:    {_fmt(rates.r_shielded)}")
+        print(f"embedded rate:    {_fmt(rates.r_embedded)}")
+        print(f"margin:           {_fmt(rates.margin)}")
     return 0
 
 
@@ -174,10 +184,17 @@ def cmd_de(args: argparse.Namespace) -> int:
     return 0
 
 
+def _json_int(value) -> int:
+    """A JSON integer as it is: no float is truncated, no boolean counted."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError
+    return value
+
+
 _SIM_KEYS = {
-    "blocklen": str, "eps": str, "trials": int, "seed": int, "mode": str,
+    "blocklen": str, "eps": str, "trials": _json_int, "seed": _json_int, "mode": str,
     "ensemble": str, "regular": str, "dist_file": str,
-    "jobs": int, "out": str,
+    "jobs": _json_int, "out": str,
 }
 _SIM_DEFAULTS = {"seed": 0, "mode": "uniform-codeword", "ensemble": "uniform",
                  "jobs": os.cpu_count() or 1}
@@ -226,8 +243,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     # every point is checked before the first one runs
     configs = [
         SimConfig(ensemble=EnsembleSpec(kind=cfg["ensemble"], n=n), dist=dist, eps=eps,
-                  trials=int(cfg["trials"]), seed=int(cfg["seed"]), mode=cfg["mode"],
-                  jobs=int(cfg["jobs"]))
+                  trials=cfg["trials"], seed=cfg["seed"], mode=cfg["mode"], jobs=cfg["jobs"])
         for n in blocklens for eps in eps_grid
     ]
     rows = []
@@ -244,9 +260,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _codec_instance(args: argparse.Namespace):
+    """The instance encoder and decoder agree on: the layout follows from
+    the past state, the graph from the first trial stream of --seed."""
     dist = _load_dist(args.regular, args.dist_file, default="3,12")
-    inst = build_instances(args.seed, [0], dist, past=args.past)
-    return inst.a, inst.layout, inst.graph
+    r_ecc = recc_from_rldpc(rate_ldpc(dist))
+    state = BusState(args.past).bits
+    layout = build_layout(state, round(state.size * (1.0 - r_ecc)))
+    graph = sample_graph(layout.num_info, layout.num_parity, dist, trial_rng(args.seed, 0))
+    return state, layout, graph
 
 
 def cmd_codec_encode(args: argparse.Namespace) -> int:

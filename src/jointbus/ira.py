@@ -216,15 +216,14 @@ def sample_graph(
     Node degrees are realized from the node-perspective distributions; a
     socket-count mismatch left by rounding is absorbed by one check node
     (the last), whose degree moves by the full residual. Sockets are then
-    matched through one uniform permutation.
+    matched through one uniform permutation. Without info nodes or
+    without parities the graph has no edges, and nothing is drawn.
     """
-    if num_parity < 1:
-        raise ValueError("at least one parity is required")
-    if num_info < 0:
-        raise ValueError("num_info must be >= 0")
-    if num_info == 0:
+    if num_info < 0 or num_parity < 0:
+        raise ValueError(f"node counts must be >= 0, got {num_info} info and {num_parity} parity")
+    if num_info == 0 or num_parity == 0:
         empty = np.zeros(0, dtype=np.int64)
-        return IraGraph(0, num_parity, empty, empty.copy())
+        return IraGraph(num_info, num_parity, empty, empty.copy())
     v_sockets, c_sockets = _sockets(num_info, num_parity, dist)
     perm = rng.permutation(c_sockets.size)
     return IraGraph(num_info, num_parity, v_sockets, c_sockets[perm])

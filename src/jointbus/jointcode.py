@@ -272,6 +272,8 @@ def compare_rates(a: BitsLike, r_ecc: float) -> RateComparison:
     CAC rate is certifiably at least 1 - r_ecc/2 and the embedded margin is
     non-negative.
     """
+    if not 0.0 < r_ecc <= 1.0:
+        raise ValueError(f"r_ecc must lie in (0, 1], got {r_ecc}")
     arr = as_bits(a)
     _, lengths = _run_bounds(arr)
     free_fraction = int(np.count_nonzero(lengths == 1)) / arr.size

@@ -23,7 +23,7 @@ from .bpdecode import ERASED, ErasureWord, bp_decode, build_factor_graph
 from .cac import _encode_segments, _payload_bits
 from .densevo import DeModel, de_trajectory
 from .ira import DegreeDistribution, IraGraph, rate_ldpc, recc_from_rldpc, sample_graph
-from .jointcode import WireLayout, build_layout, _complete_word, _layout_from_runs, _stride_layout
+from .jointcode import WireLayout, _complete_word, _layout_from_runs, _stride_layout
 
 __all__ = [
     "EnsembleSpec",
@@ -286,14 +286,6 @@ class CodeInstances:
     insufficient: int = 0  # trials dropped: a uniform past state short of free wires
 
 
-def _sample_code(num_info: int, num_parity: int, dist: DegreeDistribution,
-                 rng: np.random.Generator) -> IraGraph:
-    if num_parity == 0:
-        empty = np.zeros(0, dtype=np.int64)
-        return IraGraph(num_info, 0, empty, empty.copy())
-    return sample_graph(num_info, num_parity, dist, rng)
-
-
 def _side_by_side(pasts: list[np.ndarray]):
     """Past states laid side by side: the bits, the word offsets, and the
     runs, cut at every offset."""
@@ -307,43 +299,33 @@ def build_instances(
     seed: int,
     trials: Iterable[int],
     dist: DegreeDistribution,
-    ensemble: Optional[EnsembleSpec] = None,
-    past: Optional[BitsLike] = None,
+    ensemble: EnsembleSpec,
     mode: str = "uniform-codeword",
 ) -> CodeInstances:
     """Code instances of the given trials: past state, layout, graph and
     the transmitted word.
 
     Trial t draws from its own stream ``trial_rng(seed, t)``, in order: the
-    past state (from ``ensemble``, unless ``past`` fixes it for a single
-    trial), the graph, then the word. A code of ``dist`` needs
-    round(N (1 - r_ecc)) parities: a uniform-ensemble state with fewer free
-    wires drops its trial (counted in ``insufficient``), a given ``past``
-    falls back to shield pairs (see ``build_layout``), and a
-    modified-ensemble state, drawn for the rate r_ecc of ``dist``, brings
-    its own parity wires.
+    past state from ``ensemble``, the graph, then the word. A code of
+    ``dist`` needs round(N (1 - r_ecc)) parities: a uniform-ensemble state
+    with fewer free wires drops its trial (counted in ``insufficient``),
+    and a modified-ensemble state, drawn for the rate r_ecc of ``dist``,
+    brings its own parity wires.
 
     The word is drawn on the trial's own layout, the one it is decoded on.
     'uniform-codeword' draws it uniformly over the valid words of the
-    layout's runs, where a shield pair cuts its run at the pinned wire and
-    at the wire after it; 'info-bits' CAC-encodes a uniform payload of as
-    many bits as the trial's own segments carry. Either way the parity
-    slots then take their parities and the pinned wires their past bits.
+    layout's runs; 'info-bits' CAC-encodes a uniform payload of as many
+    bits as the trial's own segments carry. Either way the parity slots
+    then take their parities.
     """
     trials = tuple(trials)
     if not trials:
         raise ValueError("at least one trial is required")
-    if (ensemble is None) == (past is None):
-        raise ValueError("give either an ensemble or a past state")
     if mode not in ("uniform-codeword", "info-bits"):
         raise ValueError(f"mode must be 'uniform-codeword' or 'info-bits', got {mode!r}")
-    if past is not None and len(trials) != 1:
-        raise ValueError("a given past state makes exactly one instance")
     rngs = [trial_rng(seed, t) for t in trials]
     r_ecc = recc_from_rldpc(rate_ldpc(dist))
-    if past is not None:
-        pasts = [as_bits(past)]
-    elif ensemble.kind == "uniform":
+    if ensemble.kind == "uniform":
         pasts = [rng.integers(0, 2, ensemble.n, dtype=np.uint8) for rng in rngs]
     else:
         draws = [gen_past_modified(ensemble.n, r_ecc, rng) for rng in rngs]
@@ -351,9 +333,7 @@ def build_instances(
     a, offsets, starts, lengths = _side_by_side(pasts)
 
     insufficient = 0
-    if past is not None:
-        layout = build_layout(a, round(a.size * (1.0 - r_ecc)))
-    elif ensemble.kind == "uniform":
+    if ensemble.kind == "uniform":
         p = round(ensemble.n * (1.0 - r_ecc))
         keep = np.bincount(starts[lengths == 1] // ensemble.n, minlength=len(pasts)) >= p
         insufficient = len(trials) - int(np.count_nonzero(keep))
@@ -377,13 +357,10 @@ def build_instances(
         layout = _layout_from_runs(a.size, starts, lengths, (lengths == 1) & part2[starts])
     num_info = np.diff(np.searchsorted(layout.info_wire_array, offsets)).tolist()
     num_parity = np.diff(np.searchsorted(layout.parity_slot_array, offsets)).tolist()
-    graphs = [_sample_code(k, q, dist, rng) for k, q, rng in zip(num_info, num_parity, rngs)]
+    graphs = [sample_graph(k, q, dist, rng) for k, q, rng in zip(num_info, num_parity, rngs)]
     graph = IraGraph.union(graphs)
 
     if mode == "uniform-codeword":
-        if layout.pinned:
-            pins = np.array([w for w, _ in layout.pinned])
-            starts, lengths = _run_bounds(a, np.concatenate((offsets[:-1], pins, pins + 1)))
         u = np.concatenate([rng.random(x.size) for rng, x in zip(rngs, pasts)])
         word_of_run = np.searchsorted(offsets, starts, side="right") - 1
         word = _valid_word(a, starts, lengths, u, word_of_run)
@@ -403,8 +380,7 @@ def build_instances(
 def _run_batch(config: SimConfig, trials: range) -> TrialStats:
     """Counts of one batch of trials, decoded as one disjoint union."""
     n = config.ensemble.n
-    inst = build_instances(config.seed, trials, config.dist, ensemble=config.ensemble,
-                           mode=config.mode)
+    inst = build_instances(config.seed, trials, config.dist, config.ensemble, config.mode)
     k = inst.insufficient
     stats = TrialStats(trials=k, bits_code=k * n, bit_errors_code=k * n, block_errors=k,
                        insufficient_free_wire_events=k, rng_seed=config.seed)
@@ -469,8 +445,7 @@ def de_vs_simulation(
     (iteration, empirical fraction, predicted fraction).
     """
     r_ecc = recc_from_rldpc(rate_ldpc(dist))
-    inst = build_instances(seed, [0], dist, ensemble=EnsembleSpec("uniform", n),
-                           mode="uniform-codeword")
+    inst = build_instances(seed, [0], dist, EnsembleSpec("uniform", n))
     if inst.insufficient:
         raise ValueError("drawn past state lacks free wires; use a larger n or another seed")
     received = bec_transmit(inst.word, eps, inst.rngs[0])

@@ -260,6 +260,24 @@ def test_codec_encode_prints_wire_roles(capsys, past, seed, payload, roles):
                                 f"payload bits: {len(payload)}", *roles]
 
 
+@pytest.mark.parametrize("past, seed, payload, word", [
+    ("0101010101010101", "1", "1011001", "1100000000000100"),  # three shield pairs
+    ("0010011000110100", "5", "1101001110", "0110111100011101"),
+    ("01", "0", "1", "01"),  # no parity
+])
+def test_codec_word_pinned(capsys, past, seed, payload, word):
+    # a payload with ones gives parities that depend on the graph drawn
+    # from --seed, so these words pin the code instance, not just the layout
+    code, out, _ = run_cli(capsys, "codec", "encode", "--past", past,
+                           "--payload", payload, "--seed", seed)
+    assert code == 0
+    assert out.splitlines()[0] == f"word:         {word}"
+    code, out, _ = run_cli(capsys, "codec", "decode", "--past", past,
+                           "--received", word, "--seed", seed)
+    assert code == 0
+    assert out == f"payload: {payload}\n"
+
+
 def test_codec_decode_with_erasure(capsys):
     past = "0010011000110100"
     k = payload_size(past, 3)
@@ -321,6 +339,7 @@ PAST = "0010011000110100"
 MISSING = "/nonexistent/dist.json"
 MISSING_DIR_OUT = "/nonexistent/dir/x.csv"
 SIM = ["simulate", "--blocklen", "20", "--eps", "0.1", "--trials", "2", "--jobs", "1"]
+CONFIG = {"regular": "3,12", "blocklen": "20", "eps": "0.1", "trials": 2, "jobs": 1}
 
 
 @pytest.mark.parametrize("argv, exit_code, flag", [
@@ -349,9 +368,30 @@ SIM = ["simulate", "--blocklen", "20", "--eps", "0.1", "--trials", "2", "--jobs"
                   "--trials", "2"], 3, "--eps", id="simulate-descending-eps-grid"),
     pytest.param(["analyze", "01100100", "--recc", "0"], 3, "--recc", id="analyze-recc-0"),
     pytest.param(["analyze", "01100100", "--recc", "1.5"], 3, "--recc", id="analyze-recc-1.5"),
+    pytest.param(["analyze", "0101010101", "--recc", "0.8"], 3, "--recc",
+                 id="analyze-free-wires-short-of-recc"),
+    # a grid is counted before it is built
+    pytest.param(["simulate", "--regular", "3,12", "--blocklen", "20", "--eps", "0:1:1e-6",
+                  "--trials", "2"], 3, "--eps", id="simulate-eps-grid-too-fine"),
+    pytest.param(["simulate", "--regular", "3,12", "--blocklen", "20", "--eps", "0:1:1e-320",
+                  "--trials", "2"], 3, "--eps", id="simulate-eps-step-underflows"),
+    # integer config keys take JSON integers only
+    pytest.param(["simulate", "--config", {**CONFIG, "trials": 2.7}], 3, "--config",
+                 id="config-trials-float"),
+    pytest.param(["simulate", "--config", {**CONFIG, "seed": 1.9}], 3, "--config",
+                 id="config-seed-float"),
+    pytest.param(["simulate", "--config", {**CONFIG, "jobs": 1.5}], 3, "--config",
+                 id="config-jobs-float"),
+    pytest.param(["simulate", "--config", {**CONFIG, "jobs": True}], 3, "--config",
+                 id="config-jobs-bool"),
 ])
-def test_cli_rejects_bad_input_by_flag(argv, exit_code, flag):
-    code, out, err = run_console(argv)
+def test_cli_rejects_bad_input_by_flag(tmp_path, argv, exit_code, flag):
+    # a dict in argv stands for a config file holding it
+    config = tmp_path / "run.json"
+    for arg in argv:
+        if isinstance(arg, dict):
+            config.write_text(json.dumps(arg))
+    code, out, err = run_console([str(config) if isinstance(a, dict) else a for a in argv])
     assert code == exit_code, err
     assert "Traceback" not in err
     assert flag in err.partition("error:")[2].splitlines()[0]
@@ -386,7 +426,7 @@ _ARGV = st.one_of(
     st.tuples(st.just(["simulate"]), _DIST,
               _arg("--blocklen", ["20", "8,12", "0", "-4", "x", ""]),
               _arg("--eps", ["0", "0.1,1", "0:0.2:0.1", "0.3:0.1:0.1", "0:1:0", "0:inf:1",
-                             "1.5", "nan", "x"]),
+                             "0:1:1e-6", "0:1:1e-320", "1.5", "nan", "x"]),
               _arg("--trials", ["2", "0"]), _opt("--seed", ["0", "-1"]),
               _opt("--mode", ["info-bits"]), _opt("--ensemble", ["modified"]),
               _opt("--jobs", ["1", "0"]), _opt("--config", [MISSING]), _OUT),

@@ -84,6 +84,24 @@ def test_sample_graph_empty_info():
     assert g.num_edges == 0 and g.num_parity == 5
 
 
+@pytest.mark.parametrize("num_info, num_parity", [(7, 0), (0, 0), (0, 5)])
+def test_sample_graph_without_edges_draws_nothing(num_info, num_parity):
+    # no parities (a bus whose code needs none) or no info nodes: an empty
+    # graph, and the stream is left where it was
+    rng = np.random.default_rng(3)
+    before = rng.bit_generator.state
+    g = sample_graph(num_info, num_parity, DegreeDistribution.regular(3, 12), rng)
+    assert (g.num_info, g.num_parity, g.num_edges) == (num_info, num_parity, 0)
+    assert rng.bit_generator.state == before
+
+
+@pytest.mark.parametrize("num_info, num_parity", [(-1, 3), (3, -1)])
+def test_sample_graph_rejects_negative_counts(num_info, num_parity):
+    with pytest.raises(ValueError, match="must be >= 0"):
+        sample_graph(num_info, num_parity, DegreeDistribution.regular(3, 12),
+                     np.random.default_rng(0))
+
+
 def test_sample_graph_deterministic_given_seed():
     d = DegreeDistribution.regular(3, 12)
     g1 = sample_graph(40, 10, d, np.random.default_rng(77))

@@ -201,6 +201,13 @@ def test_compare_rates_hypothesis_violated():
         compare_rates("0101010101", 0.8)
 
 
+@pytest.mark.parametrize("r_ecc", [0.0, -0.5, 1.5])
+def test_compare_rates_rejects_rate_outside_unit_interval(r_ecc):
+    # a single free wire meets the free-wire condition for any rate
+    with pytest.raises(ValueError, match=r"r_ecc must lie in \(0, 1\]"):
+        compare_rates("0", r_ecc)
+
+
 def _witness_instance(a_str, c0_bits, p_needed, seed=0):
     a = np.array([int(c) for c in a_str], dtype=np.uint8)
     rng = np.random.default_rng(seed)

@@ -151,66 +151,56 @@ def test_run_trials_reproducible_and_parallel_invariant():
 
 ENSEMBLES = [EnsembleSpec("uniform", 100), EnsembleSpec("modified", 100)]
 MODES = ["uniform-codeword", "info-bits"]
-SHIELDED = "0101010101010101"  # one run, no free wire: every parity takes a shield pair
 
 
 def _drawn_payload(seed, trial, inst, ensemble):
     """The payload an info-bits trial draws: its stream replayed past its
     past state and its graph, sized by its own segments."""
     rng = trial_rng(seed, trial)
-    if ensemble is not None and ensemble.kind == "uniform":
+    if ensemble.kind == "uniform":
         gen_past_uniform(ensemble.n, rng)
-    elif ensemble is not None:
+    else:
         gen_past_modified(ensemble.n, 0.8, rng)
-    if inst.layout.num_parity:
-        sample_graph(inst.layout.num_info, inst.layout.num_parity, DIST, rng)
+    sample_graph(inst.layout.num_info, inst.layout.num_parity, DIST, rng)
     return rng.integers(0, 2, _payload_bits(inst.layout.segments), dtype=np.uint8)
 
 
-@pytest.mark.parametrize("source", [*ENSEMBLES, SHIELDED], ids=["uniform", "modified", "shielded"])
+@pytest.mark.parametrize("ensemble", ENSEMBLES, ids=["uniform", "modified"])
 @pytest.mark.parametrize("mode", MODES)
-def test_build_instances_batch_is_union_of_single_trials(source, mode):
-    if source == SHIELDED:
-        ensemble = None
-        singles = [(s, 0, build_instances(s, [0], DIST, past=SHIELDED, mode=mode))
-                   for s in range(10)]
-        assert all(inst.layout.pinned for _, _, inst in singles)
-    else:
-        ensemble = source
-        batch = build_instances(2, range(12), DIST, ensemble=ensemble, mode=mode)
-        # 200 trials: enough for a modified-ensemble word whose payload
-        # index leaves the range of a wrongly sized payload to show
-        singles = [(2, t, build_instances(2, [t], DIST, ensemble=ensemble, mode=mode))
-                   for t in range(200)]
-        kept = [inst for _, _, inst in singles[:12] if inst.trials]
-        assert batch.trials == tuple(t for inst in kept for t in inst.trials)
-        assert batch.insufficient == sum(inst.insufficient for _, _, inst in singles[:12])
-        assert batch.insufficient == (3 if ensemble.kind == "uniform" else 0)
-        a, layout, graph = disjoint_union([(inst.a, inst.layout, inst.graph) for inst in kept])
-        assert np.array_equal(batch.a, a)
-        assert batch.layout == layout
-        assert np.array_equal(batch.graph.edge_info, graph.edge_info)
-        assert np.array_equal(batch.graph.edge_check, graph.edge_check)
-        assert batch.graph.chain_starts == graph.chain_starts
-        assert np.array_equal(batch.word, np.concatenate([inst.word for inst in kept]))
-    for seed, t, inst in singles:
+def test_build_instances_batch_is_union_of_single_trials(ensemble, mode):
+    batch = build_instances(2, range(12), DIST, ensemble=ensemble, mode=mode)
+    # 200 trials: enough for a modified-ensemble word whose payload index
+    # leaves the range of a wrongly sized payload to show
+    singles = [build_instances(2, [t], DIST, ensemble=ensemble, mode=mode) for t in range(200)]
+    kept = [inst for inst in singles[:12] if inst.trials]
+    assert batch.trials == tuple(t for inst in kept for t in inst.trials)
+    assert batch.insufficient == sum(inst.insufficient for inst in singles[:12])
+    assert batch.insufficient == (3 if ensemble.kind == "uniform" else 0)
+    a, layout, graph = disjoint_union([(inst.a, inst.layout, inst.graph) for inst in kept])
+    assert np.array_equal(batch.a, a)
+    assert batch.layout == layout
+    assert np.array_equal(batch.graph.edge_info, graph.edge_info)
+    assert np.array_equal(batch.graph.edge_check, graph.edge_check)
+    assert batch.graph.chain_starts == graph.chain_starts
+    assert np.array_equal(batch.word, np.concatenate([inst.word for inst in kept]))
+    for t, inst in enumerate(singles):
         if not inst.trials:
             continue
         assert check_transition(inst.a, inst.word).ok
         assert validate_checks(inst.word[inst.layout.info_wire_array],
                                inst.word[inst.layout.parity_slot_array], inst.graph)
-        if ensemble is not None and ensemble.kind == "uniform":
+        if ensemble.kind == "uniform":
             assert inst.layout == build_layout(inst.a, inst.layout.num_parity)
         # the noiseless word decodes on the layout it was drawn on
         result = bp_decode(inst.word, build_factor_graph(inst.a, inst.graph, inst.layout))
         if mode == "info-bits":
-            assert result.violation is None, (seed, t, result.violation)
-            assert np.array_equal(result.info_bits, _drawn_payload(seed, t, inst, ensemble))
+            assert result.violation is None, (t, result.violation)
+            assert np.array_equal(result.info_bits, _drawn_payload(2, t, inst, ensemble))
         else:
             # a uniform valid word may index past the payload range, but it
-            # breaks no pinned wire, crosstalk pair or parity check
+            # breaks no crosstalk pair or parity check
             assert (result.violation is None
-                    or "falls outside the used range" in result.violation), (seed, t)
+                    or "falls outside the used range" in result.violation), t
 
 
 @pytest.mark.parametrize("ensemble", ENSEMBLES, ids=["uniform", "modified"])
