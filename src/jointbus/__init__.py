@@ -53,7 +53,6 @@ from .bpdecode import (
 )
 from .densevo import (
     AsymptoticRate,
-    CacDegreeDist,
     DeModel,
     DeState,
     asymptotic_cac_rate,

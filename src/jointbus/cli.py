@@ -10,6 +10,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -61,6 +62,15 @@ def _load_dist(regular: Optional[str], dist_file: Optional[str],
             "--dist-file must hold node-perspective pairs under keys 'L' and 'R'"
         ) from exc
     return DegreeDistribution(*pairs)
+
+
+@contextlib.contextmanager
+def _flag(name: str):
+    """Prefix the message of a ValueError raised inside with the flag at fault."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
 
 
 def _check_out(path: Optional[str]) -> None:
@@ -131,10 +141,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     free = free_wires(state)
     rates = None
     if args.recc is not None:
-        try:
+        with _flag(f"--recc {_fmt(args.recc)}"):
             rates = compare_rates(state, args.recc)
-        except ValueError as exc:
-            raise ValueError(f"--recc {_fmt(args.recc)}: {exc}") from None
     r_cac = cac_rate(state)
     count = count_codewords(state)
     if count.bit_length() <= 128:
@@ -161,9 +169,10 @@ def cmd_de(args: argparse.Namespace) -> int:
     _check_out(args.out)
     dist = _load_dist(args.regular, args.dist_file)
     r_ecc = recc_from_rldpc(rate_ldpc(dist))
-    model = DeModel.for_code(dist, r_ecc, d_max=args.dmax)
+    model = DeModel.for_code(dist, r_ecc)
     if args.threshold:
-        value = de_threshold(model, tol_eps=args.tol_eps)
+        with _flag("--tol-eps"):
+            value = de_threshold(model, tol_eps=args.tol_eps)
         print(f"threshold: {_fmt(value)} +- {_fmt(args.tol_eps)}")
         if args.out:
             _write_rows(
@@ -264,7 +273,8 @@ def _codec_instance(args: argparse.Namespace):
     the past state, the graph from the first trial stream of --seed."""
     dist = _load_dist(args.regular, args.dist_file, default="3,12")
     r_ecc = recc_from_rldpc(rate_ldpc(dist))
-    state = BusState(args.past).bits
+    with _flag("--past"):
+        state = BusState(args.past).bits
     layout = build_layout(state, round(state.size * (1.0 - r_ecc)))
     graph = sample_graph(layout.num_info, layout.num_parity, dist, trial_rng(args.seed, 0))
     return state, layout, graph
@@ -272,8 +282,9 @@ def _codec_instance(args: argparse.Namespace):
 
 def cmd_codec_encode(args: argparse.Namespace) -> int:
     state, layout, graph = _codec_instance(args)
-    payload = [int(c) for c in args.payload]
-    word = _complete_word(_encode_segments(payload, state, layout.segments), layout, graph)
+    with _flag("--payload"):
+        word = _encode_segments(args.payload, state, layout.segments)
+    _complete_word(word, layout, graph)
     # 1-based wire roles: a shield pair is its pinned wire and the parity
     # slot to its right, which is not listed again among the parity wires.
     shield_slots = {pin + 1 for pin, _ in layout.pinned}
@@ -286,11 +297,11 @@ def cmd_codec_encode(args: argparse.Namespace) -> int:
 
 def cmd_codec_decode(args: argparse.Namespace) -> int:
     state, layout, graph = _codec_instance(args)
-    received = ErasureWord(args.received)
     fg = build_factor_graph(state, graph, layout)
-    result = bp_decode(received, fg)
-    if result.violation is not None:
-        raise ValueError(f"received word is not a codeword: {result.violation}")
+    with _flag("--received"):
+        result = bp_decode(ErasureWord(args.received), fg)
+        if result.violation is not None:
+            raise ValueError(f"not a codeword: {result.violation}")
     if result.info_bits is not None:
         print("payload: " + "".join(str(b) for b in result.info_bits))
         return 0
@@ -332,7 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--threshold", action="store_true", help="bisect the decoding threshold")
     group.add_argument("--trajectory", type=float, metavar="EPS", help="emit the trajectory at EPS")
     p.add_argument("--tol-eps", type=float, default=1e-3, help="bisection half-width")
-    p.add_argument("--dmax", type=int, default=64, help="run-degree truncation")
     p.add_argument("--out", help="CSV output path (stdout if omitted)")
     p.set_defaults(func=cmd_de)
 

@@ -14,8 +14,9 @@ leaving a one-dimensional recursion in x_ecc.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
-from math import log2
+from math import isfinite, log2
 from typing import NamedTuple
 
 from .buscore import fib
@@ -23,7 +24,6 @@ from .ira import DegreeDistribution
 
 __all__ = [
     "DeState",
-    "CacDegreeDist",
     "DeModel",
     "p_coeffs",
     "de_step",
@@ -48,22 +48,6 @@ class DeState:
     y_cac: float
 
 
-def _rho_tilde(d: int, r_ecc: float) -> float:
-    """Edge-perspective weight of run-constraint nodes of degree d.
-
-    Free wires make up the degree-1 mass 1 - 3/(4 r_ecc); longer runs carry
-    d * 2^(-d-1) / r_ecc each. Defined for r_ecc in (3/4, 1], where the
-    degree-1 mass is non-negative.
-    """
-    if not 0.75 < r_ecc <= 1.0:
-        raise ValueError(f"r_ecc must lie in (3/4, 1], got {r_ecc}")
-    if d < 1:
-        raise ValueError(f"degree must be >= 1, got {d}")
-    if d == 1:
-        return 1.0 - 3.0 / (4.0 * r_ecc)
-    return d * 2.0 ** (-d - 1) / r_ecc
-
-
 def p_coeffs(d: int, i: int) -> tuple[Fraction, Fraction]:
     """Exact one-sided and two-sided forcing coefficients for position i of
     a length-d run.
@@ -86,61 +70,51 @@ def p_coeffs(d: int, i: int) -> tuple[Fraction, Fraction]:
     return one_sided, two_sided
 
 
-class CacDegreeDist:
-    """Run-constraint degree distribution, truncated at d_max.
+# Runs longer than this many wires are left out of the forcing sums. A run
+# of d wires weighs d 2^-(d+1) and its coefficients sum to at most d, so
+# the dropped tail is at most sum_{d > 64} d 2^-(d+1) = 66 * 2^-65 < 1.8e-18
+# (before the 1/r_ecc scale). Both sums round to the same doubles for every
+# cutoff from 60 to 128, and a larger one would only cost build time.
+_RUN_CUTOFF = 64
 
-    Precomputes the aggregate forcing coefficients so one decoder iteration
-    costs O(1): the check-to-variable erasure is
 
-        y_cac(x) = 1 - A (1 - x) - B (1 - x^2),
-
-    with A, B summing rho_d / d times the per-position coefficients over
-    2 <= d <= d_max. Degree-1 nodes send pure erasures and enter only the
-    normalization. The neglected tail mass is bounded and recorded.
-    """
-
-    def __init__(self, r_ecc: float, d_max: int = 64):
-        if d_max < 2:
-            raise ValueError("d_max must be at least 2")
-        self.r_ecc = float(r_ecc)
-        self.d_max = int(d_max)
-        self.rho = [0.0] + [_rho_tilde(d, r_ecc) for d in range(1, d_max + 1)]
-        lin = Fraction(0)
-        quad = Fraction(0)
-        for d in range(2, d_max + 1):
-            s1 = Fraction(0)
-            s2 = Fraction(0)
-            for i in range(1, d + 1):
-                p1, p2 = p_coeffs(d, i)
-                s1 += p1
-                s2 += p2
-            weight = Fraction(1, 2 ** (d + 1))  # rho_d / d without the 1/r_ecc factor
-            lin += weight * s1
-            quad += weight * s2
-        self.forcing_lin = float(lin) / self.r_ecc
-        self.forcing_quad = float(quad) / self.r_ecc
-        # Tail mass of rho beyond d_max: sum_{d > d_max} d 2^(-d-1) / r
-        self.truncation_bound = (self.d_max + 3) * 2.0 ** (-self.d_max - 1) / self.r_ecc
-
-    @property
-    def total_mass(self) -> float:
-        return float(sum(self.rho))
-
-    def y_cac(self, x_cac: float) -> float:
-        """Erasure probability of a run-check-to-variable message."""
-        return 1.0 - self.forcing_lin * (1.0 - x_cac) - self.forcing_quad * (1.0 - x_cac * x_cac)
+@cache
+def _forcing_sums() -> tuple[float, float]:
+    """Aggregate one- and two-sided forcing coefficients over runs of
+    2.._RUN_CUTOFF wires, each run length d weighted 2^-(d+1); built once,
+    on first use. Free wires send pure erasures and add nothing."""
+    lin = Fraction(0)
+    quad = Fraction(0)
+    for d in range(2, _RUN_CUTOFF + 1):
+        coeffs = [p_coeffs(d, i) for i in range(1, d + 1)]
+        weight = Fraction(1, 2 ** (d + 1))
+        lin += weight * sum(p1 for p1, _ in coeffs)
+        quad += weight * sum(p2 for _, p2 in coeffs)
+    return float(lin), float(quad)
 
 
 @dataclass(frozen=True)
 class DeModel:
-    """Degree distributions driving one density-evolution system."""
+    """The code, its rate, and the rate-scaled forcing constants of the
+    run-constraint checks: their check-to-variable erasure is
+
+        y_cac(x) = 1 - forcing_lin (1 - x) - forcing_quad (1 - x^2).
+    """
 
     dist: DegreeDistribution
-    cac: CacDegreeDist
+    r_ecc: float
+    forcing_lin: float
+    forcing_quad: float
 
     @classmethod
-    def for_code(cls, dist: DegreeDistribution, r_ecc: float, d_max: int = 64) -> "DeModel":
-        return cls(dist=dist, cac=CacDegreeDist(r_ecc, d_max))
+    def for_code(cls, dist: DegreeDistribution, r_ecc: float) -> "DeModel":
+        """Defined for r_ecc in (3/4, 1], where the free wires' share
+        1 - 3/(4 r_ecc) of the run-constraint edges is non-negative."""
+        if not 0.75 < r_ecc <= 1.0:
+            raise ValueError(f"r_ecc must lie in (3/4, 1], got {r_ecc}")
+        r_ecc = float(r_ecc)
+        lin, quad = _forcing_sums()
+        return cls(dist, r_ecc, lin / r_ecc, quad / r_ecc)
 
 
 def de_step(state: DeState, eps: float, model: DeModel) -> DeState:
@@ -152,7 +126,8 @@ def de_step(state: DeState, eps: float, model: DeModel) -> DeState:
     """
     dist = model.dist
     x_cac = eps * dist.L(state.y_ecc)
-    y_cac = model.cac.y_cac(x_cac)
+    y_cac = (1.0 - model.forcing_lin * (1.0 - x_cac)
+             - model.forcing_quad * (1.0 - x_cac * x_cac))
     x_ecc = eps * y_cac * dist.lam(state.y_ecc)
     r_val = dist.R(1.0 - x_ecc)
     denom = 1.0 - eps * r_val
@@ -197,10 +172,13 @@ def de_threshold(model: DeModel, tol_eps: float = 1e-3) -> float:
     """Bisect the channel parameter for the success/stall boundary.
 
     Returns the interval midpoint; the half-width of the final bracket is
-    at most ``tol_eps``.
+    at most ``tol_eps``, which must be finite and at least 1e-15: bisection
+    of [0, 1] in doubles reaches every width down to 2^-50 < 1e-15 exactly,
+    but near 1 a bracket of 2^-53 is final (its midpoint rounds onto an
+    end), so a much smaller tolerance would never be met.
     """
-    if tol_eps <= 0:
-        raise ValueError("tol_eps must be positive")
+    if not (isfinite(tol_eps) and tol_eps >= 1e-15):
+        raise ValueError(f"tol_eps must be finite and at least 1e-15, got {tol_eps}")
     lo, hi = 0.0, 1.0
     while hi - lo > tol_eps:
         mid = (lo + hi) / 2.0

@@ -10,11 +10,12 @@ side as one disjoint union and decoded by a single decoder call.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import reduce
 from math import sqrt
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
@@ -182,26 +183,27 @@ def _ratio1(up_to: int) -> np.ndarray:
 
 
 def _valid_word(a: np.ndarray, starts: np.ndarray, lengths: np.ndarray, u: np.ndarray,
-                word_of_run: Optional[np.ndarray] = None) -> np.ndarray:
+                word_of_run: np.ndarray) -> np.ndarray:
     """Uniform valid continuation from one uniform draw per wire.
 
     Works on transition indicators t = b xor a: validity is exactly 'no two
     adjacent transitions inside a run', and the runs decouple. Within a run
     the wires are sampled in order, a transition coming with Fibonacci-ratio
     probability unless the previous wire transitioned. The draws ``u`` are
-    consumed position by position across all runs: first wire of every
-    run, then second wire of every run long enough, and so on; for words
-    laid side by side (``word_of_run``), word by word.
+    consumed word by word, ``word_of_run`` naming the word of each run (all
+    zeros for one word), and within a word position by position across its
+    runs: first wire of every run, then second wire of every run long
+    enough, and so on.
     """
     n = a.size
     run_of_wire = np.repeat(np.arange(starts.size), lengths)
     pos = np.arange(n)
     offset = pos - starts[run_of_wire]
-    d_max = int(lengths.max())
-    key = offset if word_of_run is None else word_of_run[run_of_wire] * d_max + offset
+    longest = int(lengths.max())
+    key = word_of_run[run_of_wire] * longest + offset
     uw = np.empty(n)
     uw[np.argsort(key, kind="stable")] = u
-    c = uw < _ratio1(d_max + 1)[lengths[run_of_wire] - offset]
+    c = uw < _ratio1(longest + 1)[lengths[run_of_wire] - offset]
     # t_j = c_j and not t_{j-1}: inside each stretch where c holds, the
     # transitions fall on every other wire, starting at its first.
     first = np.maximum.accumulate(np.where(~c, pos + 1, np.where(offset == 0, pos, 0)))
@@ -415,12 +417,13 @@ def run_trials(config: SimConfig) -> TrialStats:
     count as errors, and it is tallied separately so alternative accounting
     can be recomputed. Payload-bit counts skip such trials (no layout
     exists). Trials run in batches of max(1, BATCH_WIRES // N), each
-    decoded at once; statistics are invariant to batching and ``jobs``.
+    decoded at once, over at most min(``jobs``, CPU count) worker
+    processes; statistics are invariant to batching and ``jobs``.
     """
     size = max(1, BATCH_WIRES // config.ensemble.n)
     batches = [range(lo, min(lo + size, config.trials)) for lo in range(0, config.trials, size)]
-    if config.jobs > 1 and len(batches) > 1:
-        workers = min(config.jobs, len(batches))
+    workers = min(config.jobs, len(batches), os.cpu_count() or 1)
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_run_batch, [config] * len(batches), batches,
                                   chunksize=-(-len(batches) // (workers * 4))))

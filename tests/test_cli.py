@@ -149,6 +149,32 @@ def test_simulate_csv_bytes_pinned(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, extra
 
 
+@pytest.mark.parametrize("code_flag", ["--regular", "--dist-file"])
+def test_de_bytes_pinned(capsys, tmp_path, code_flag):
+    # the trajectory CSV bytes below and above the threshold, and the
+    # threshold line, of the (3,12) code and of the README's irregular code
+    dist = tmp_path / "dist.json"
+    dist.write_text(json.dumps({"L": [[3, 1.0]], "R": [[11, 0.5], [13, 0.5]]}))
+    code_args = [code_flag, "3,12" if code_flag == "--regular" else str(dist)]
+    digests = {
+        "--regular": {
+            "0.2": "5c7bad6ee92c7df8fc131efef35bb9706bb719fc6871d8afc949167a72d45ccd",
+            "0.25": "d56533e6b0ec4e98b20019564e02880be6aca7aca1bc7fca370c2c1b7bc48800"},
+        "--dist-file": {
+            "0.2": "4ae76b423612428010228e5428c50505a5e4531a3e12b8114841aa976ba1349c",
+            "0.25": "2fcbee354071392b0f409a6fb27c69d65dfc26feb6de2423c55d2cdab8d34ee0"},
+    }[code_flag]
+    for eps, lines, verdict in [("0.2", 16, "success"), ("0.25", 58, "stall")]:
+        code, out, err = run_cli(capsys, "de", *code_args, "--trajectory", eps)
+        assert code == 0
+        assert f"verdict: {verdict}" in err
+        assert len(out.splitlines()) == lines
+        assert hashlib.sha256(out.encode()).hexdigest() == digests[eps], eps
+    code, out, _ = run_cli(capsys, "de", *code_args, "--threshold")
+    assert code == 0
+    assert out == "threshold: 0.2260742188 +- 0.001\n"
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_simulate_rejects_nonpositive_jobs(capsys, jobs):
     code, out, err = run_cli(capsys, "simulate", "--regular", "3,12", "--blocklen", "100",
@@ -339,6 +365,8 @@ PAST = "0010011000110100"
 MISSING = "/nonexistent/dist.json"
 MISSING_DIR_OUT = "/nonexistent/dir/x.csv"
 SIM = ["simulate", "--blocklen", "20", "--eps", "0.1", "--trials", "2", "--jobs", "1"]
+CODEC_ENCODE = ["codec", "encode", "--past", PAST, "--seed", "5"]
+CODEC_DECODE = ["codec", "decode", "--past", PAST, "--seed", "5"]
 CONFIG = {"regular": "3,12", "blocklen": "20", "eps": "0.1", "trials": 2, "jobs": 1}
 
 
@@ -375,6 +403,26 @@ CONFIG = {"regular": "3,12", "blocklen": "20", "eps": "0.1", "trials": 2, "jobs"
                   "--trials", "2"], 3, "--eps", id="simulate-eps-grid-too-fine"),
     pytest.param(["simulate", "--regular", "3,12", "--blocklen", "20", "--eps", "0:1:1e-320",
                   "--trials", "2"], 3, "--eps", id="simulate-eps-step-underflows"),
+    # the bisection tolerance is finite and reachable in doubles
+    *[pytest.param(["de", "--regular", "3,12", "--threshold", "--tol-eps", tol], 3,
+                   "--tol-eps", id=f"de-tol-eps-{tol}") for tol in ("nan", "inf", "1e-300", "0")],
+    pytest.param(["de", "--regular", "3,12", "--threshold", "--dmax", "64"], 2, "--dmax",
+                 id="de-dmax-gone"),
+    # codec strings and lengths
+    pytest.param(CODEC_ENCODE + ["--payload", "01a"], 3, "--payload", id="codec-payload-letter"),
+    pytest.param(CODEC_ENCODE + ["--payload", "012"], 3, "--payload", id="codec-payload-digit"),
+    pytest.param(CODEC_ENCODE + ["--payload", "0101"], 3, "--payload",
+                 id="codec-payload-length"),
+    pytest.param(["codec", "encode", "--past", "01x1", "--payload", "0"], 3, "--past",
+                 id="codec-encode-past-letter"),
+    pytest.param(["codec", "decode", "--past", "01x1", "--received", "0000"], 3, "--past",
+                 id="codec-decode-past-letter"),
+    pytest.param(CODEC_DECODE + ["--received", "0x"], 3, "--received",
+                 id="codec-received-letter"),
+    pytest.param(CODEC_DECODE + ["--received", "0101"], 3, "--received",
+                 id="codec-received-length"),
+    pytest.param(CODEC_DECODE + ["--received", "1" + "0" * 15], 3, "--received",
+                 id="codec-received-not-a-codeword"),
     # integer config keys take JSON integers only
     pytest.param(["simulate", "--config", {**CONFIG, "trials": 2.7}], 3, "--config",
                  id="config-trials-float"),
@@ -419,10 +467,13 @@ _ARGV = st.one_of(
     st.tuples(st.just(["de"]), _DIST,
               st.sampled_from([["--threshold", "--tol-eps", "0.25"],
                                ["--threshold", "--tol-eps", "0"],
+                               ["--threshold", "--tol-eps", "nan"],
+                               ["--threshold", "--tol-eps", "inf"],
+                               ["--threshold", "--tol-eps", "1e-300"],
                                ["--trajectory", "0.1"], ["--trajectory", "1.5"],
                                ["--trajectory", "nan"], ["--trajectory", "x"],
                                ["--threshold", "--trajectory", "0.1"], []]),
-              _opt("--dmax", ["2", "1"]), _OUT),
+              _OUT),
     st.tuples(st.just(["simulate"]), _DIST,
               _arg("--blocklen", ["20", "8,12", "0", "-4", "x", ""]),
               _arg("--eps", ["0", "0.1,1", "0:0.2:0.1", "0.3:0.1:0.1", "0:1:0", "0:inf:1",

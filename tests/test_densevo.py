@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from jointbus import (
-    CacDegreeDist,
     DegreeDistribution,
     DeModel,
     DeState,
@@ -14,7 +13,6 @@ from jointbus import (
     de_trajectory,
     p_coeffs,
 )
-from jointbus.densevo import _rho_tilde
 
 from helpers import valid_words
 
@@ -30,19 +28,37 @@ def p_poly(d, i, x):
     return float(p1) * (1.0 - x) + float(p2) * (1.0 - x * x)
 
 
-def test_rho_tilde_values():
-    assert _rho_tilde(1, 0.8) == pytest.approx(1 - 3 / 3.2)
-    assert _rho_tilde(2, 0.8) == pytest.approx(2 * 2.0 ** -3 / 0.8)
-    with pytest.raises(ValueError):
-        _rho_tilde(2, 0.7)
-    with pytest.raises(ValueError):
-        _rho_tilde(0, 0.8)
+def test_de_model_rate_range():
+    # free wires carry 1 - 3/(4 r_ecc) of the run-constraint edges, so the
+    # model exists for r_ecc in (3/4, 1] only
+    for r_ecc in (0.7, 0.75, 1.01):
+        with pytest.raises(ValueError, match="r_ecc must lie in"):
+            DeModel.for_code(DIST_312, r_ecc)
+    assert DeModel.for_code(DIST_312, 1).r_ecc == 1.0
 
 
-def test_rho_tilde_normalizes():
-    cac = CacDegreeDist(0.8, d_max=64)
-    assert cac.total_mass == pytest.approx(1.0, abs=1e-12)
-    assert cac.truncation_bound < 1e-15
+def test_run_degree_mass_normalizes():
+    # edge-perspective run-constraint degrees: free wires 1 - 3/(4 r), runs
+    # of d >= 2 wires d 2^-(d+1) / r each; the mass is exactly 1 but for
+    # the tail past the 64-wire cutoff, 66 * 2^-65 / r
+    r = Fraction(4, 5)
+    runs = sum(Fraction(d, 2 ** (d + 1)) for d in range(2, 65))
+    tail = Fraction(66, 2 ** 65) / r
+    assert 1 - Fraction(3, 4) / r + runs / r == 1 - tail
+    assert tail < 2.3e-18
+
+
+def test_forcing_constants_are_the_exact_sums():
+    # each run length d weighs 2^-(d+1); the sums are rounded once, then
+    # scaled by 1/r_ecc
+    lin = quad = Fraction(0)
+    for d in range(2, 65):
+        for i in range(1, d + 1):
+            p1, p2 = p_coeffs(d, i)
+            lin += p1 / 2 ** (d + 1)
+            quad += p2 / 2 ** (d + 1)
+    assert MODEL_312.forcing_lin == float(lin) / 0.8
+    assert MODEL_312.forcing_quad == float(quad) / 0.8
 
 
 def test_p_coeffs_reference_values():
@@ -135,14 +151,13 @@ def test_threshold_reduced_recursion_no_sparse_code():
     model = DeModel.for_code(dist, 0.8)
     got = de_threshold(model, tol_eps=1e-4)
 
-    cac = CacDegreeDist(0.8)
-
     def reduced_success(eps):
         y_ecc = 1.0
         prev = 2.0
         for _ in range(100_000):
             x_cac = eps * y_ecc
-            x_ecc = eps * cac.y_cac(x_cac)
+            x_ecc = eps * (1.0 - model.forcing_lin * (1.0 - x_cac)
+                           - model.forcing_quad * (1.0 - x_cac * x_cac))
             r_val = 1.0 - x_ecc
             denom = 1.0 - eps * r_val
             x_p = 1.0 if denom <= 0 else eps * (1.0 - r_val) / denom

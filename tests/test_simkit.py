@@ -26,6 +26,7 @@ from jointbus import (
     validate_checks,
     wilson_interval,
 )
+from jointbus import simkit
 from jointbus.simkit import BATCH_WIRES, _run_batch, _sample_run_length, _valid_word
 from jointbus.buscore import _run_bounds
 from jointbus.cac import _payload_bits
@@ -66,6 +67,11 @@ def test_gen_past_uniform_free_wire_count():
     assert abs(free - expect) < 3 * sigma + 3
 
 
+def one_word(starts):
+    """``word_of_run`` of a single word: every run belongs to word 0."""
+    return np.zeros(starts.size, dtype=np.int64)
+
+
 def test_sample_valid_word_uniform_per_run():
     # empirical distribution over one run of length 3 matches the uniform
     # law over its five valid continuations
@@ -75,7 +81,7 @@ def test_sample_valid_word_uniform_per_run():
     counts = {}
     trials = 20_000
     for _ in range(trials):
-        w = tuple(_valid_word(a, starts, lengths, rng.random(a.size)))
+        w = tuple(_valid_word(a, starts, lengths, rng.random(a.size), one_word(starts)))
         counts[w] = counts.get(w, 0) + 1
     expected = {tuple(w) for w in valid_words(a)}
     assert set(counts) == expected
@@ -88,7 +94,7 @@ def test_sample_valid_word_never_violates():
     for _ in range(200):
         a = rng.integers(0, 2, 512, dtype=np.uint8)
         starts, lengths = _run_bounds(a)
-        w = _valid_word(a, starts, lengths, rng.random(a.size))
+        w = _valid_word(a, starts, lengths, rng.random(a.size), one_word(starts))
         t = w ^ a
         assert not np.any((a[:-1] != a[1:]) & (t[:-1] == 1) & (t[1:] == 1))
 
@@ -99,7 +105,8 @@ def test_sample_valid_word_matches_sequential_sampler():
     for seed in range(300):
         a = rng.integers(0, 2, int(rng.integers(1, 120)), dtype=np.uint8)
         starts, lengths = _run_bounds(a)
-        fast = _valid_word(a, starts, lengths, trial_rng(seed, 1).random(a.size))
+        u = trial_rng(seed, 1).random(a.size)
+        fast = _valid_word(a, starts, lengths, u, one_word(starts))
         slow = sequential_valid_word(a, starts, lengths, trial_rng(seed, 1))
         assert np.array_equal(fast, slow)
 
@@ -214,6 +221,34 @@ def test_run_trials_invariant_to_batching_and_jobs(ensemble, mode):
         expect = reduce(TrialStats.add, singles[:trials], TrialStats(rng_seed=21))
         for jobs in (1, 2):
             assert run_trials(dataclasses.replace(base, trials=trials, jobs=jobs)) == expect
+
+
+@pytest.mark.parametrize("cpus, pools", [(3, [3]), (1, []), (None, [])])
+def test_run_trials_caps_workers_at_cpu_count(monkeypatch, cpus, pools):
+    # --jobs 5000 over 5 batches asks for no more workers than there are
+    # CPUs, and for no pool on one CPU; the stand-in pool maps in-process
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(simkit, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(simkit.os, "cpu_count", lambda: cpus)
+    config = SimConfig(ensemble=EnsembleSpec("uniform", BATCH_WIRES), dist=DIST, eps=0.2,
+                       trials=5, seed=3, jobs=5000)
+    stats = run_trials(config)
+    assert sizes == pools
+    assert stats == run_trials(dataclasses.replace(config, jobs=1))
 
 
 @pytest.mark.parametrize("field", ["jobs"])
