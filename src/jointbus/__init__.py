@@ -64,15 +64,12 @@ from .densevo import (
 from .simkit import (
     CodeInstances,
     EnsembleSpec,
-    ModifiedPastState,
     SimConfig,
     TrialStats,
     bec_transmit,
     build_instances,
     de_vs_simulation,
-    gen_past_modified,
     gen_past_uniform,
     run_trials,
     trial_rng,
-    wilson_interval,
 )

@@ -48,10 +48,9 @@ def as_bits(state: BitsLike) -> np.ndarray:
     if isinstance(state, BusState):
         return state.bits
     if isinstance(state, str):
-        try:
-            arr = np.array([int(c) for c in state], dtype=np.uint8)
-        except ValueError:
+        if state.strip("01"):
             raise ValueError(f"bit string may contain only 0 and 1, got {state!r}")
+        arr = np.frombuffer(state.encode(), dtype=np.uint8) - np.uint8(ord("0"))
     else:
         arr = np.asarray(state, dtype=np.uint8)
     if arr.ndim != 1 or arr.size == 0:

@@ -21,10 +21,10 @@ from typing import Optional, Sequence
 from . import __version__
 from .buscore import BusState, free_wires, parse_runs
 from .bpdecode import ErasureWord, bp_decode, build_factor_graph
-from .cac import cac_rate, count_codewords, _encode_segments, _payload_bits
+from .cac import cac_rate, count_codewords
 from .densevo import DeModel, de_threshold, de_trajectory
 from .ira import DegreeDistribution, rate_ldpc, recc_from_rldpc, sample_graph
-from .jointcode import build_layout, compare_rates, _complete_word
+from .jointcode import build_layout, compare_rates, embedded_encode
 from .simkit import EnsembleSpec, SimConfig, run_trials, trial_rng
 
 SIM_COLUMNS = ["N", "eps", "trials", "pb_code", "pb_info", "pe", "insufficient_rate", "seed"]
@@ -46,14 +46,18 @@ def _read_json(flag: str, path: str):
 
 
 def _load_dist(regular: Optional[str], dist_file: Optional[str],
-               default: Optional[str] = None) -> DegreeDistribution:
-    """The code of --regular or --dist-file (never both); ``default`` is
-    the --regular value used when neither is given."""
+               default: Optional[str] = None) -> tuple[DegreeDistribution, float]:
+    """The code of --regular or --dist-file (never both) and its rate
+    r_ecc; ``default`` is the --regular value used when neither is given.
+    A code that cannot be built, or whose rate is out of range, is an error
+    of the flag that supplied it."""
     if dist_file is None:
         regular = default if regular is None else regular
         if regular is None:
             raise ValueError("a degree distribution is required: pass --regular dv,dc or --dist-file")
-        return DegreeDistribution.parse(regular)
+        with _flag("--regular"):
+            dist = DegreeDistribution.parse(regular)
+            return dist, recc_from_rldpc(rate_ldpc(dist))
     spec = _read_json("--dist-file", dist_file)
     try:
         pairs = [tuple((int(d), float(w)) for d, w in spec[key]) for key in ("L", "R")]
@@ -61,7 +65,9 @@ def _load_dist(regular: Optional[str], dist_file: Optional[str],
         raise ValueError(
             "--dist-file must hold node-perspective pairs under keys 'L' and 'R'"
         ) from exc
-    return DegreeDistribution(*pairs)
+    with _flag("--dist-file"):
+        dist = DegreeDistribution(*pairs)
+        return dist, recc_from_rldpc(rate_ldpc(dist))
 
 
 @contextlib.contextmanager
@@ -166,9 +172,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_de(args: argparse.Namespace) -> int:
+    if args.trajectory is not None:
+        if args.tol_eps is not None:
+            raise ValueError("--tol-eps: applies to --threshold only")
+    elif args.tol_eps is None:
+        args.tol_eps = 1e-3
     _check_out(args.out)
-    dist = _load_dist(args.regular, args.dist_file)
-    r_ecc = recc_from_rldpc(rate_ldpc(dist))
+    dist, r_ecc = _load_dist(args.regular, args.dist_file)
     model = DeModel.for_code(dist, r_ecc)
     if args.threshold:
         with _flag("--tol-eps"):
@@ -243,7 +253,7 @@ def _resolve_sim_config(args: argparse.Namespace) -> dict:
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _resolve_sim_config(args)
     _check_out(cfg.get("out"))
-    dist = _load_dist(cfg.get("regular"), cfg.get("dist_file"))
+    dist, _ = _load_dist(cfg.get("regular"), cfg.get("dist_file"))
     eps_grid = _parse_eps_grid(str(cfg["eps"]))
     try:
         blocklens = [int(p) for p in str(cfg["blocklen"]).split(",")]
@@ -271,8 +281,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def _codec_instance(args: argparse.Namespace):
     """The instance encoder and decoder agree on: the layout follows from
     the past state, the graph from the first trial stream of --seed."""
-    dist = _load_dist(args.regular, args.dist_file, default="3,12")
-    r_ecc = recc_from_rldpc(rate_ldpc(dist))
+    dist, r_ecc = _load_dist(args.regular, args.dist_file, default="3,12")
     with _flag("--past"):
         state = BusState(args.past).bits
     layout = build_layout(state, round(state.size * (1.0 - r_ecc)))
@@ -281,15 +290,15 @@ def _codec_instance(args: argparse.Namespace):
 
 
 def cmd_codec_encode(args: argparse.Namespace) -> int:
-    state, layout, graph = _codec_instance(args)
+    state, _, graph = _codec_instance(args)
     with _flag("--payload"):
-        word = _encode_segments(args.payload, state, layout.segments)
-    _complete_word(word, layout, graph)
+        encoded = embedded_encode(args.payload, state, graph)
+    layout = encoded.layout
     # 1-based wire roles: a shield pair is its pinned wire and the parity
     # slot to its right, which is not listed again among the parity wires.
     shield_slots = {pin + 1 for pin, _ in layout.pinned}
-    print(f"word:         {BusState(word)}")
-    print(f"payload bits: {_payload_bits(layout.segments)}")
+    print(f"word:         {encoded.word}")
+    print(f"payload bits: {len(args.payload)}")
     print(f"parity wires: {[w + 1 for w in layout.parity_slots if w not in shield_slots]}")
     print(f"shield pairs: {[(pin + 1, pin + 2) for pin, _ in layout.pinned]}")
     return 0
@@ -342,7 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--threshold", action="store_true", help="bisect the decoding threshold")
     group.add_argument("--trajectory", type=float, metavar="EPS", help="emit the trajectory at EPS")
-    p.add_argument("--tol-eps", type=float, default=1e-3, help="bisection half-width")
+    p.add_argument("--tol-eps", type=float,
+                   help="bisection half-width, with --threshold only (default 1e-3)")
     p.add_argument("--out", help="CSV output path (stdout if omitted)")
     p.set_defaults(func=cmd_de)
 

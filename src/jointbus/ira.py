@@ -49,11 +49,6 @@ def _edge_from_node(node: _Pairs) -> _Pairs:
     return tuple((d, d * w / z) for d, w in node)
 
 
-def _node_from_edge(edge: _Pairs) -> _Pairs:
-    z = sum(w / d for d, w in edge)
-    return tuple((d, (w / d) / z) for d, w in edge)
-
-
 def _poly(pairs: _Pairs, x: float, shift: int) -> float:
     return sum(w * x ** (d - shift) for d, w in pairs)
 
@@ -82,13 +77,6 @@ class DegreeDistribution:
     @classmethod
     def regular(cls, dv: int, dc: int) -> "DegreeDistribution":
         return cls(((dv, 1.0),), ((dc, 1.0),))
-
-    @classmethod
-    def from_edge_perspective(cls, lambda_pairs, rho_pairs) -> "DegreeDistribution":
-        return cls(
-            _node_from_edge(_normalize_pairs(lambda_pairs)),
-            _node_from_edge(_normalize_pairs(rho_pairs)),
-        )
 
     @classmethod
     def parse(cls, spec: str) -> "DegreeDistribution":

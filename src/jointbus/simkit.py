@@ -14,7 +14,6 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import reduce
-from math import sqrt
 from typing import Iterable
 
 import numpy as np
@@ -30,16 +29,13 @@ __all__ = [
     "EnsembleSpec",
     "SimConfig",
     "TrialStats",
-    "ModifiedPastState",
     "CodeInstances",
     "build_instances",
     "bec_transmit",
     "gen_past_uniform",
-    "gen_past_modified",
     "run_trials",
     "trial_rng",
     "de_vs_simulation",
-    "wilson_interval",
 ]
 
 
@@ -124,27 +120,6 @@ class TrialStats:
         return self.insufficient_free_wire_events / self.trials if self.trials else 0.0
 
 
-@dataclass(frozen=True)
-class ModifiedPastState:
-    """A modified-ensemble draw: the state plus the 1-based wires of the
-    payload part and of the parity-designated part."""
-
-    state: BusState
-    part1_wires: tuple[int, ...]
-    part2_wires: tuple[int, ...]
-
-
-def wilson_interval(successes: int, total: int, z: float = 1.96) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
-    if total == 0:
-        return 0.0, 1.0
-    p = successes / total
-    denom = 1.0 + z * z / total
-    center = (p + z * z / (2 * total)) / denom
-    half = z * sqrt(p * (1 - p) / total + z * z / (4 * total * total)) / denom
-    return max(0.0, center - half), min(1.0, center + half)
-
-
 def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
     """Counter-based stream for one trial; streams never overlap across
     trial indices, so any execution order gives identical statistics."""
@@ -223,39 +198,27 @@ def _sample_run_length(n_runs: int, r_ecc: float, rng: np.random.Generator) -> n
     return lengths.astype(np.int64)
 
 
-def gen_past_modified(n: int, r_ecc: float, rng: np.random.Generator) -> ModifiedPastState:
-    """Draw a past state as randomly interleaved independent runs, for a
-    code of rate ``r_ecc`` in (3/4, 1].
+def _draw_modified(n: int, r_ecc: float,
+                   rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Draw a modified-ensemble past state, for a code of rate ``r_ecc`` in
+    (3/4, 1], as randomly interleaved independent runs.
 
-    The payload part contributes round(n (r_ecc - 1/2)) runs with the
-    heavy-tailed length law above; the parity part contributes
+    The payload part contributes max(1, round(n (r_ecc - 1/2))) runs with
+    the heavy-tailed length law above; the parity part contributes
     round(len1 (1 - r_ecc)/r_ecc) runs of length one, where len1 is the
     realized payload-part length. The first bit is uniform and the rest
-    follow from the run structure.
+    follow from the run structure. Returns the state's bits and, per run in
+    wire order, whether it is a parity run. ``_run_bounds`` parses the bits
+    into exactly these runs: each run starts by repeating the bit before it.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not 0.75 < r_ecc <= 1.0:
-        raise ValueError(f"modified ensemble needs r_ecc in (3/4, 1], got {r_ecc}")
-    r = float(r_ecc)
-    n1 = max(1, round(n * (r - 0.5)))
-    lengths1 = _sample_run_length(n1, r, rng)
-    ell1 = int(lengths1.sum())
-    n2 = round(ell1 * (1.0 - r) / r)
+    n1 = max(1, round(n * (r_ecc - 0.5)))
+    lengths1 = _sample_run_length(n1, r_ecc, rng)
+    n2 = round(int(lengths1.sum()) * (1.0 - r_ecc) / r_ecc)
     lengths = np.concatenate((lengths1, np.ones(n2, dtype=np.int64)))
-    labels = np.concatenate((np.ones(n1, dtype=bool), np.zeros(n2, dtype=bool)))
+    is_parity = np.concatenate((np.zeros(n1, dtype=bool), np.ones(n2, dtype=bool)))
     perm = rng.permutation(n1 + n2)
-    lengths, labels = lengths[perm], labels[perm]
     first_bit = int(rng.integers(0, 2))
-    state = _state_from_runs(first_bit, lengths)
-    wire_is_part1 = np.repeat(labels, lengths)
-    part1 = np.flatnonzero(wire_is_part1) + 1
-    part2 = np.flatnonzero(~wire_is_part1) + 1
-    return ModifiedPastState(
-        state=state,
-        part1_wires=tuple(int(w) for w in part1),
-        part2_wires=tuple(int(w) for w in part2),
-    )
+    return _state_from_runs(first_bit, lengths[perm]).bits, is_parity[perm]
 
 
 # Wires decoded together: run_trials batches max(1, BATCH_WIRES // N) trials,
@@ -330,8 +293,7 @@ def build_instances(
     if ensemble.kind == "uniform":
         pasts = [rng.integers(0, 2, ensemble.n, dtype=np.uint8) for rng in rngs]
     else:
-        draws = [gen_past_modified(ensemble.n, r_ecc, rng) for rng in rngs]
-        pasts = [d.state.bits for d in draws]
+        pasts, parity_runs = zip(*(_draw_modified(ensemble.n, r_ecc, rng) for rng in rngs))
     a, offsets, starts, lengths = _side_by_side(pasts)
 
     insufficient = 0
@@ -353,10 +315,7 @@ def build_instances(
             a, offsets, starts, lengths = _side_by_side(pasts)
         layout = _stride_layout(a.size, starts, lengths, offsets, p)
     else:
-        part2 = np.zeros(a.size, dtype=bool)
-        part2[np.concatenate([np.asarray(d.part2_wires, dtype=np.int64) + (o - 1)
-                              for d, o in zip(draws, offsets)])] = True
-        layout = _layout_from_runs(a.size, starts, lengths, (lengths == 1) & part2[starts])
+        layout = _layout_from_runs(a.size, starts, lengths, np.concatenate(parity_runs))
     num_info = np.diff(np.searchsorted(layout.info_wire_array, offsets)).tolist()
     num_parity = np.diff(np.searchsorted(layout.parity_slot_array, offsets)).tolist()
     graphs = [sample_graph(k, q, dist, rng) for k, q, rng in zip(num_info, num_parity, rngs)]

@@ -96,6 +96,7 @@ def test_de_trajectory_stall(capsys, tmp_path):
     sidecar = json.loads((tmp_path / "traj.csv.json").read_text())
     assert sidecar["verdict"] == "stall"
     assert "version" in sidecar
+    assert sidecar["config"]["tol_eps"] is None  # a --threshold setting
 
 
 @pytest.mark.parametrize("eps", ["1.5", "-0.2", "nan"])
@@ -406,6 +407,16 @@ CONFIG = {"regular": "3,12", "blocklen": "20", "eps": "0.1", "trials": 2, "jobs"
     # the bisection tolerance is finite and reachable in doubles
     *[pytest.param(["de", "--regular", "3,12", "--threshold", "--tol-eps", tol], 3,
                    "--tol-eps", id=f"de-tol-eps-{tol}") for tol in ("nan", "inf", "1e-300", "0")],
+    # and it sets nothing but the bisection
+    pytest.param(["de", "--regular", "3,12", "--trajectory", "0.1", "--tol-eps", "nan"], 3,
+                 "--tol-eps", id="de-trajectory-tol-eps"),
+    # the code's rate is checked where the code is read, under its flag
+    pytest.param(["de", "--regular", "2,3", "--threshold"], 3, "--regular", id="de-rate"),
+    pytest.param(SIM + ["--regular", "3,3"], 3, "--regular", id="simulate-rate"),
+    pytest.param(["simulate", "--config", {**CONFIG, "regular": "3,3"}], 3, "--regular",
+                 id="simulate-config-rate"),
+    pytest.param(CODEC_ENCODE + ["--payload", "0", "--regular", "2,3"], 3, "--regular",
+                 id="codec-rate"),
     pytest.param(["de", "--regular", "3,12", "--threshold", "--dmax", "64"], 2, "--dmax",
                  id="de-dmax-gone"),
     # codec strings and lengths
@@ -446,6 +457,35 @@ def test_cli_rejects_bad_input_by_flag(tmp_path, argv, exit_code, flag):
     assert out == ""
 
 
+@pytest.mark.parametrize("argv, bad", [
+    (CODEC_ENCODE + ["--payload", "0000000002"], "0000000002"),
+    (CODEC_ENCODE + ["--payload", "01a"], "01a"),
+    (["analyze", "0120"], "0120"),
+])
+def test_bit_string_has_one_message(argv, bad):
+    # any character but 0 and 1, a digit too, fails the parse with one message
+    code, out, err = run_console(argv)
+    assert code == 3 and out == ""
+    assert f"bit string may contain only 0 and 1, got {bad!r}" in err
+
+
+@pytest.mark.parametrize("source", ["de", "simulate", "simulate-config"])
+def test_dist_file_rate_is_named(tmp_path, source):
+    # a --dist-file code of front-end rate 0 is rejected before any work,
+    # under its flag, whether given on the command line or in --config
+    dist = tmp_path / "dist.json"
+    dist.write_text(json.dumps({"L": [[3, 1.0]], "R": [[3, 1.0]]}))
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"dist_file": str(dist), "blocklen": "20", "eps": "0.1",
+                                  "trials": 2, "jobs": 1}))
+    argv = {"de": ["de", "--threshold", "--dist-file", str(dist)],
+            "simulate": SIM + ["--dist-file", str(dist)],
+            "simulate-config": ["simulate", "--config", str(config)]}[source]
+    code, out, err = run_console(argv)
+    assert code == 3 and out == ""
+    assert "error: --dist-file: front-end rate must lie in (2/3, 1], got 0.0" in err
+
+
 def _arg(flag, values):
     """The flag with its first (valid) value or with any value."""
     return st.one_of(st.just([flag, values[0]]), st.sampled_from(values).map(lambda v: [flag, v]))
@@ -471,6 +511,7 @@ _ARGV = st.one_of(
                                ["--threshold", "--tol-eps", "inf"],
                                ["--threshold", "--tol-eps", "1e-300"],
                                ["--trajectory", "0.1"], ["--trajectory", "1.5"],
+                               ["--trajectory", "0.1", "--tol-eps", "nan"],
                                ["--trajectory", "nan"], ["--trajectory", "x"],
                                ["--threshold", "--trajectory", "0.1"], []]),
               _OUT),

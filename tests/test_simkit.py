@@ -17,17 +17,16 @@ from jointbus import (
     build_layout,
     check_transition,
     de_vs_simulation,
-    gen_past_modified,
     gen_past_uniform,
     parse_runs,
     run_trials,
     sample_graph,
     trial_rng,
     validate_checks,
-    wilson_interval,
 )
 from jointbus import simkit
-from jointbus.simkit import BATCH_WIRES, _run_batch, _sample_run_length, _valid_word
+from jointbus.simkit import (BATCH_WIRES, _draw_modified, _run_batch, _sample_run_length,
+                             _valid_word)
 from jointbus.buscore import _run_bounds
 from jointbus.cac import _payload_bits
 
@@ -122,25 +121,45 @@ def test_modified_run_length_law():
     assert abs(p3 - expect3) < 4 * np.sqrt(expect3 / lengths.size)
 
 
-def test_gen_past_modified_lengths():
-    draw = gen_past_modified(100_000, 0.8, trial_rng(19, 0))
-    n = len(draw.state)
+@pytest.mark.parametrize("r_ecc", [0.76, 0.8, 0.95, 1.0])
+@pytest.mark.parametrize("n", [1, 2, 3, 100, 10_000])
+def test_draw_modified_bits_parse_into_the_drawn_runs(n, r_ecc):
+    # the runs are replayed from a second stream of the same key: their
+    # lengths, in drawn order, must be exactly the runs the bits parse into
+    for seed in range(40 if n < 10_000 else 10):
+        bits, parity_runs = _draw_modified(n, r_ecc, trial_rng(seed, 5))
+        rng = trial_rng(seed, 5)
+        n1 = max(1, round(n * (r_ecc - 0.5)))
+        lengths1 = _sample_run_length(n1, r_ecc, rng)
+        n2 = round(int(lengths1.sum()) * (1.0 - r_ecc) / r_ecc)
+        perm = rng.permutation(n1 + n2)
+        drawn = np.concatenate((lengths1, np.ones(n2, dtype=np.int64)))[perm]
+        _, lengths = _run_bounds(bits)
+        assert np.array_equal(lengths, drawn)
+        assert np.array_equal(parity_runs, perm >= n1)
+        assert np.all(lengths[parity_runs] == 1)
+        assert bits[0] == rng.integers(0, 2)
+
+
+def test_draw_modified_lengths():
+    bits, parity_runs = _draw_modified(100_000, 0.8, trial_rng(19, 0))
+    n = bits.size
     assert abs(n - 100_000) < 5 * np.sqrt(100_000)
-    ell1 = len(draw.part1_wires)
+    _, lengths = _run_bounds(bits)
+    ell1 = int(lengths[~parity_runs].sum())
     assert abs(ell1 - 0.8 * n) < 5 * np.sqrt(n)
-    # parity-part wires are length-one runs of the realized state
-    free = set(parse_runs(draw.state).free_wires)
-    assert set(draw.part2_wires) <= free
+    # parity runs are length-one runs, free wires, of the realized state
+    assert np.all(lengths[parity_runs] == 1)
 
 
 def test_modified_matches_uniform_run_statistics():
     uniform = gen_past_uniform(100_000, trial_rng(23, 0))
-    modified = gen_past_modified(100_000, 0.8, trial_rng(23, 1))
+    modified, _ = _draw_modified(100_000, 0.8, trial_rng(23, 1))
     lu = np.array(parse_runs(uniform).run_lengths)
-    lm = np.array(parse_runs(modified.state).run_lengths)
+    lm = np.array(parse_runs(modified).run_lengths)
     for d in range(1, 9):
         cu = np.count_nonzero(lu == d) / len(uniform)
-        cm = np.count_nonzero(lm == d) / len(modified.state)
+        cm = np.count_nonzero(lm == d) / modified.size
         sigma = np.sqrt(2.0 ** (-d - 1) / 100_000)
         assert abs(cu - cm) < 4 * sigma + 1e-4
 
@@ -167,7 +186,7 @@ def _drawn_payload(seed, trial, inst, ensemble):
     if ensemble.kind == "uniform":
         gen_past_uniform(ensemble.n, rng)
     else:
-        gen_past_modified(ensemble.n, 0.8, rng)
+        _draw_modified(ensemble.n, 0.8, rng)
     sample_graph(inst.layout.num_info, inst.layout.num_parity, DIST, rng)
     return rng.integers(0, 2, _payload_bits(inst.layout.segments), dtype=np.uint8)
 
@@ -312,11 +331,3 @@ def test_de_vs_simulation_tracks_prediction():
     rows = de_vs_simulation(0.20, DIST, 50_000, iterations=12, seed=2)
     for _, emp, pred in rows:
         assert abs(emp - pred) < 0.015
-
-
-def test_wilson_interval():
-    lo, hi = wilson_interval(50, 100)
-    assert lo < 0.5 < hi
-    assert wilson_interval(0, 0) == (0.0, 1.0)
-    lo, hi = wilson_interval(0, 1000)
-    assert lo == 0.0 and hi < 0.01
