@@ -175,7 +175,7 @@ def build_factor_graph(a: BitsLike, graph: IraGraph, layout: WireLayout) -> Fact
     seg_id = np.full(arr.size, -1, dtype=np.int64)
     if info_wires.size:
         seg_id[info_wires] = np.repeat(
-            np.arange(len(layout.segments), dtype=np.int64), layout.seg_lengths
+            np.arange(len(layout.segments), dtype=np.int64), layout.segments[:, 1]
         )
     adj_prev = np.zeros(arr.size, dtype=bool)
     adj_prev[1:] = (seg_id[1:] >= 0) & (seg_id[1:] == seg_id[:-1])
@@ -193,7 +193,7 @@ def build_factor_graph(a: BitsLike, graph: IraGraph, layout: WireLayout) -> Fact
         pinned_vals=pinned_vals,
         adj_prev=adj_prev,
         edge_wire=edge_wire,
-        chain_start=graph.chain_start_mask(),
+        chain_start=graph.chain_start,
     )
 
 

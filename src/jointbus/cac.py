@@ -7,12 +7,12 @@ F(d+2) continuations, so the code is realized run by run with a global
 mixed-radix wrapper (an enumerative code in the sense of Cover, 1973).
 
 The payload codec lives here once: ``_encode_segments``/``_decode_segments``
-map payload bits to and from a word over any list of (start, length)
-segments, and ``_payload_bits`` gives the payload size. ``cac_encode`` and
-``cac_decode`` apply it to the runs of the past state; the embedded encoder,
-the instance builder's info-bits words, ``decode_payload`` and the
-decoder's payload extraction apply it to the segments a ``WireLayout``
-leaves after the parities.
+map payload bits to and from a word over any (k, 2) array of (start,
+length) segments, and ``_payload_bits`` gives the payload size.
+``cac_encode`` and ``cac_decode`` apply it to the runs of the past state;
+the embedded encoder, the instance builder's info-bits words,
+``decode_payload`` and the decoder's payload extraction apply it to the
+segments a ``WireLayout`` leaves after the parities.
 """
 
 from __future__ import annotations
@@ -119,51 +119,60 @@ def count_codewords(a: BitsLike) -> int:
     return out
 
 
-def _runs(a: np.ndarray) -> list[tuple[int, int]]:
-    """(start, length) of every run of ``a``, 0-based, wire order."""
-    return list(zip(*(x.tolist() for x in _run_bounds(a))))
+def _runs(a: np.ndarray) -> np.ndarray:
+    """(start, length) of every run of ``a``, 0-based, wire order: an int64
+    (k, 2) array."""
+    return np.column_stack(_run_bounds(a))
 
 
-def _payload_bits(segments) -> int:
-    """Payload size over (start, length) segments: floor(log2) of the
-    product of their run counts F(d + 2). The fractional remainder of the
-    index space is never used."""
-    return math.prod(fib(d + 2) for _, d in segments).bit_length() - 1
+def _payload_bits(segments: np.ndarray) -> int:
+    """Payload size over a (k, 2) array of (start, length) segments."""
+    return _index_bits(segments.tolist())
 
 
-def _encode_segments(info_bits: BitsLike, a: np.ndarray, segments) -> np.ndarray:
-    """Payload -> word over the (start, length) segments of past state ``a``.
+def _index_bits(rows: list[list[int]]) -> int:
+    """floor(log2) of the product of the run counts F(d + 2) of the
+    (start, length) rows: the fractional remainder of the index space is
+    never used."""
+    return math.prod(fib(d + 2) for _, d in rows).bit_length() - 1
+
+
+def _encode_segments(info_bits: BitsLike, a: np.ndarray, segments: np.ndarray) -> np.ndarray:
+    """Payload -> word over the (k, 2) (start, length) segments of past
+    state ``a``.
 
     The payload is read as a big-endian integer and decomposed by mixed
     radix over the per-segment codeword counts (first segment most
     significant); each digit is unranked within its segment. Wires outside
     the segments are ``UNSET``.
     """
-    k = _payload_bits(segments)
+    rows = segments.tolist()
+    k = _index_bits(rows)
     bits = as_bits(info_bits) if len(info_bits) else np.zeros(0, dtype=np.uint8)
     if bits.size != k:
         raise ValueError(f"payload must have exactly {k} bits, got {bits.size}")
     index = int.from_bytes(np.packbits(bits).tobytes(), "big") >> (-k % 8)
-    books = [RunCodebook(a[s : s + d]) for s, d in segments]
+    books = [RunCodebook(a[s : s + d]) for s, d in rows]
     digits: list[int] = []
     for book in reversed(books):
         index, dig = divmod(index, book.codeword_count)
         digits.append(dig)
     out = np.full(a.size, UNSET, dtype=np.uint8)
-    for (s, d), book, dig in zip(segments, books, reversed(digits)):
+    for (s, d), book, dig in zip(rows, books, reversed(digits)):
         out[s : s + d] = book.unrank(dig)
     return out
 
 
-def _decode_segments(word: np.ndarray, a: np.ndarray, segments) -> np.ndarray:
+def _decode_segments(word: np.ndarray, a: np.ndarray, segments: np.ndarray) -> np.ndarray:
     """Inverse of ``_encode_segments``; wires outside the segments are
     ignored. Raises if a segment violates a crosstalk constraint or if the
     recombined index falls outside the 2**K payload range."""
     if word.size != a.size:
         raise ValueError("word length does not match the past state")
-    k = _payload_bits(segments)
+    rows = segments.tolist()
+    k = _index_bits(rows)
     index = 0
-    for s, d in segments:
+    for s, d in rows:
         book = RunCodebook(a[s : s + d])
         try:
             index = index * book.codeword_count + book.rank(word[s : s + d])

@@ -299,7 +299,8 @@ def cmd_codec_encode(args: argparse.Namespace) -> int:
     shield_slots = {pin + 1 for pin, _ in layout.pinned}
     print(f"word:         {encoded.word}")
     print(f"payload bits: {len(args.payload)}")
-    print(f"parity wires: {[w + 1 for w in layout.parity_slots if w not in shield_slots]}")
+    slots = layout.parity_slot_array.tolist()
+    print(f"parity wires: {[w + 1 for w in slots if w not in shield_slots]}")
     print(f"shield pairs: {[(pin + 1, pin + 2) for pin, _ in layout.pinned]}")
     return 0
 

@@ -137,9 +137,10 @@ class IraGraph:
     ``edge_info[k]`` / ``edge_check[k]`` give endpoint indices of sparse
     edge k (info nodes 0..num_info-1, checks 0..num_parity-1). Check j also
     connects parity j and, unless j starts a chain, parity j-1; a chain's
-    first check sees an implicit zero instead. ``chain_starts`` lists the
-    first parity of each accumulator chain: one chain for a sampled
-    instance, one per instance for a disjoint union (``IraGraph.union``).
+    first check sees an implicit zero instead. ``chain_start`` holds one
+    bool per parity, true where an accumulator chain starts: built without
+    it, a graph has one chain, starting at parity 0 (a sampled instance);
+    a disjoint union (``IraGraph.union``) has one chain per instance.
     Multi-edges are kept; encoding and validation collapse them modulo 2.
     """
 
@@ -147,7 +148,13 @@ class IraGraph:
     num_parity: int
     edge_info: np.ndarray
     edge_check: np.ndarray
-    chain_starts: tuple[int, ...] = (0,)
+    chain_start: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.chain_start is None:
+            mask = np.zeros(self.num_parity, dtype=bool)
+            mask[:1] = True
+            object.__setattr__(self, "chain_start", mask)
 
     @classmethod
     def union(cls, graphs: Sequence["IraGraph"]) -> "IraGraph":
@@ -160,15 +167,8 @@ class IraGraph:
             num_parity=int(par_off[-1]),
             edge_info=np.concatenate([g.edge_info + o for g, o in zip(graphs, info_off)]),
             edge_check=np.concatenate([g.edge_check + o for g, o in zip(graphs, par_off)]),
-            chain_starts=tuple(int(o) + j for g, o in zip(graphs, par_off)
-                               for j in g.chain_starts if j < g.num_parity),
+            chain_start=np.concatenate([g.chain_start for g in graphs]),
         )
-
-    def chain_start_mask(self) -> np.ndarray:
-        """Per parity, whether it is the first of its chain."""
-        mask = np.zeros(self.num_parity, dtype=bool)
-        mask[[j for j in self.chain_starts if j < self.num_parity]] = True
-        return mask
 
     @property
     def num_edges(self) -> int:
@@ -258,10 +258,8 @@ def ira_encode(systematic_bits: BitsLike, graph: IraGraph) -> np.ndarray:
     if graph.num_edges:
         np.bitwise_xor.at(s, graph.edge_check, bits[graph.edge_info])
     cum = np.bitwise_xor.accumulate(s)
-    if len(graph.chain_starts) <= 1:
-        return cum
     # Each chain starts from zero: cancel what earlier chains accumulated.
-    start = np.maximum.accumulate(np.where(graph.chain_start_mask(), np.arange(s.size), 0))
+    start = np.maximum.accumulate(np.where(graph.chain_start, np.arange(s.size), 0))
     return cum ^ np.concatenate((np.zeros(1, dtype=np.uint8), cum))[start]
 
 

@@ -14,6 +14,7 @@ layout.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -42,54 +43,43 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WireLayout:
     """Wire placement for one code instance, in 0-based array positions.
 
-    ``parity_slots`` lists every parity-carrying wire in ascending order,
-    which is also the accumulator chain order. ``pinned`` wires repeat their
-    own past bit to shield an adjacent parity. ``segments`` are the
-    (start, length) alternating stretches left for CAC-coded payload bits;
-    their union, in wire order, is ``info_wires``.
+    ``parity_slot_array`` (int64, ascending) lists every parity-carrying
+    wire, which is also the accumulator chain order. ``pinned`` wires
+    repeat their own past bit to shield an adjacent parity. ``segments`` is
+    an int64 (k, 2) array with one (start, length) row per alternating
+    stretch left for CAC-coded payload bits, in wire order; their union, in
+    wire order, is ``info_wire_array``. Layouts compare equal by value.
     """
 
     n: int
-    parity_slots: tuple[int, ...]
+    parity_slot_array: np.ndarray
     pinned: tuple[tuple[int, int], ...]
-    segments: tuple[tuple[int, int], ...]
+    segments: np.ndarray
 
-    @cached_property
-    def seg_starts(self) -> np.ndarray:
-        return np.fromiter((s for s, _ in self.segments), dtype=np.int64, count=len(self.segments))
-
-    @cached_property
-    def seg_lengths(self) -> np.ndarray:
-        return np.fromiter((d for _, d in self.segments), dtype=np.int64, count=len(self.segments))
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, WireLayout):
+            return NotImplemented
+        return (self.n == other.n and self.pinned == other.pinned
+                and np.array_equal(self.parity_slot_array, other.parity_slot_array)
+                and np.array_equal(self.segments, other.segments))
 
     @cached_property
     def info_wire_array(self) -> np.ndarray:
-        lengths = self.seg_lengths
-        total = int(lengths.sum())
-        if total == 0:
-            return np.zeros(0, dtype=np.int64)
-        offsets = np.concatenate(([0], np.cumsum(lengths)[:-1]))
-        return np.arange(total) - np.repeat(offsets, lengths) + np.repeat(self.seg_starts, lengths)
-
-    @cached_property
-    def parity_slot_array(self) -> np.ndarray:
-        return np.fromiter(self.parity_slots, dtype=np.int64, count=len(self.parity_slots))
-
-    @property
-    def info_wires(self) -> tuple[int, ...]:
-        return tuple(int(w) for w in self.info_wire_array)
+        starts, lengths = self.segments.T
+        offsets = np.cumsum(lengths) - lengths
+        return np.arange(lengths.sum()) + np.repeat(starts - offsets, lengths)
 
     @property
     def num_info(self) -> int:
-        return int(self.seg_lengths.sum())
+        return int(self.segments[:, 1].sum())
 
     @property
     def num_parity(self) -> int:
-        return len(self.parity_slots)
+        return self.parity_slot_array.size
 
 
 @dataclass(frozen=True)
@@ -134,17 +124,8 @@ def _layout_from_runs(n: int, starts: np.ndarray, lengths: np.ndarray,
     """Layout whose parity slots are the chosen length-1 runs and whose
     segments are all other runs; nothing is pinned."""
     seg = ~slot_runs
-    layout = WireLayout(
-        n=n,
-        parity_slots=tuple(starts[slot_runs].tolist()),
-        pinned=(),
-        segments=tuple(zip(starts[seg].tolist(), lengths[seg].tolist())),
-    )
-    # Fill the cached arrays from the arrays at hand instead of rebuilding
-    # them from the tuples on first use.
-    vars(layout).update(seg_starts=starts[seg], seg_lengths=lengths[seg],
-                        parity_slot_array=starts[slot_runs])
-    return layout
+    return WireLayout(n=n, parity_slot_array=starts[slot_runs], pinned=(),
+                      segments=np.column_stack((starts[seg], lengths[seg])))
 
 
 def _stride_layout(n: int, starts: np.ndarray, lengths: np.ndarray, offsets: np.ndarray,
@@ -168,8 +149,9 @@ def build_layout(a: BitsLike, p_needed: int) -> WireLayout:
     With enough free wires, parity wires are taken from the free-wire list
     by uniform stride. Otherwise every free wire carries a parity and each
     remaining parity claims a shield pair: the two rightmost wires of the
-    longest remaining run, the left one pinned to its past bit so that the
-    parity on the right one can never oppose a neighbour.
+    longest remaining segment (the leftmost one on ties), the left one
+    pinned to its past bit so that the parity on the right one can never
+    oppose a neighbour.
     """
     arr = as_bits(a)
     if p_needed < 0:
@@ -177,30 +159,30 @@ def build_layout(a: BitsLike, p_needed: int) -> WireLayout:
     starts, lengths = _run_bounds(arr)
     if p_needed <= np.count_nonzero(lengths == 1):
         return _stride_layout(arr.size, starts, lengths, np.array([0, arr.size]), p_needed)
-    runs = list(zip(starts.tolist(), lengths.tolist()))
-    free = [s for s, d in runs if d == 1]
+    free = starts[lengths == 1].tolist()
+    long_runs = lengths > 1
+    # Shield order: the longest segment first, the leftmost on ties.
+    heap = [(-d, s) for s, d in zip(starts[long_runs].tolist(), lengths[long_runs].tolist())]
+    heapq.heapify(heap)
     pinned: list[tuple[int, int]] = []
-    slots = list(free)
-    segments = [(s, d) for s, d in runs if d > 1]
-    deficit = p_needed - len(free)
-    for _ in range(deficit):
-        segments.sort()
-        best = max(range(len(segments)), key=lambda i: (segments[i][1], -i), default=-1)
-        if best < 0 or segments[best][1] < 2:
+    shields: list[int] = []
+    for _ in range(p_needed - len(free)):
+        if not heap or heap[0][0] > -2:
             raise ValueError(
                 f"cannot place {p_needed} parities: {len(free)} free wires and "
                 f"shield capacity exhausted (at most {(arr.size - len(free)) // 2} pairs)"
             )
-        s, d = segments.pop(best)
+        neg_d, s = heapq.heappop(heap)
+        d = -neg_d
         pinned.append((s + d - 2, int(arr[s + d - 2])))
-        slots.append(s + d - 1)
+        shields.append(s + d - 1)
         if d - 2 >= 1:
-            segments.append((s, d - 2))
+            heapq.heappush(heap, (2 - d, s))
     return WireLayout(
         n=arr.size,
-        parity_slots=tuple(sorted(slots)),
+        parity_slot_array=np.array(sorted(free + shields), dtype=np.int64),
         pinned=tuple(sorted(pinned)),
-        segments=tuple(sorted(segments)),
+        segments=np.array(sorted((s, -d) for d, s in heap), dtype=np.int64).reshape(-1, 2),
     )
 
 

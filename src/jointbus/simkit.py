@@ -304,8 +304,8 @@ def build_instances(
         if insufficient == len(trials):
             empty = np.zeros(0, dtype=np.int64)
             return CodeInstances((), np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.uint8),
-                                 WireLayout(n=0, parity_slots=(), pinned=(), segments=()),
-                                 IraGraph(0, 0, empty, empty.copy(), chain_starts=()),
+                                 WireLayout(0, empty, (), np.zeros((0, 2), dtype=np.int64)),
+                                 IraGraph(0, 0, empty, empty.copy()),
                                  np.zeros(0, dtype=np.uint8), (), insufficient)
         if insufficient:
             kept = np.flatnonzero(keep).tolist()
@@ -326,10 +326,10 @@ def build_instances(
         word_of_run = np.searchsorted(offsets, starts, side="right") - 1
         word = _valid_word(a, starts, lengths, u, word_of_run)
     else:
-        bounds = np.searchsorted(layout.seg_starts, offsets).tolist()
+        bounds = np.searchsorted(layout.segments[:, 0], offsets).tolist()
         parts = []
         for x, o, lo, hi, rng in zip(pasts, offsets.tolist(), bounds, bounds[1:], rngs):
-            segments = [(s - o, d) for s, d in layout.segments[lo:hi]]
+            segments = layout.segments[lo:hi] - (o, 0)
             payload = rng.integers(0, 2, _payload_bits(segments), dtype=np.uint8)
             parts.append(_encode_segments(payload, x, segments))
         word = np.concatenate(parts)

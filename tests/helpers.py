@@ -19,7 +19,7 @@ from jointbus.bpdecode import (
     SymbolsLike,
     _first_violation,
 )
-from jointbus.buscore import as_bits
+from jointbus.buscore import _run_bounds, as_bits
 from jointbus.cac import _decode_segments
 from jointbus.ira import IraGraph
 from jointbus.jointcode import WireLayout, build_layout
@@ -110,6 +110,41 @@ def stride_select(free_count: int, p_needed: int) -> list[int]:
     return sorted(chosen)
 
 
+def shield_layout(a, p_needed: int) -> WireLayout:
+    """Literal shield placement for a past state with fewer free wires than
+    ``p_needed``: every free wire carries a parity, and each missing parity
+    re-sorts the segments and scans them for the longest (the leftmost on
+    ties), whose two rightmost wires become its pinned wire and parity
+    slot."""
+    arr = as_bits(a)
+    starts, lengths = _run_bounds(arr)
+    runs = list(zip(starts.tolist(), lengths.tolist()))
+    free = [s for s, d in runs if d == 1]
+    assert p_needed > len(free), "the stride branch needs no shields"
+    pinned: list[tuple[int, int]] = []
+    slots = list(free)
+    segments = [(s, d) for s, d in runs if d > 1]
+    for _ in range(p_needed - len(free)):
+        segments.sort()
+        best = max(range(len(segments)), key=lambda i: (segments[i][1], -i), default=-1)
+        if best < 0 or segments[best][1] < 2:
+            raise ValueError(
+                f"cannot place {p_needed} parities: {len(free)} free wires and "
+                f"shield capacity exhausted (at most {(arr.size - len(free)) // 2} pairs)"
+            )
+        s, d = segments.pop(best)
+        pinned.append((s + d - 2, int(arr[s + d - 2])))
+        slots.append(s + d - 1)
+        if d - 2 >= 1:
+            segments.append((s, d - 2))
+    return WireLayout(
+        n=arr.size,
+        parity_slot_array=np.array(sorted(slots), dtype=np.int64),
+        pinned=tuple(sorted(pinned)),
+        segments=np.array(sorted(segments), dtype=np.int64).reshape(-1, 2),
+    )
+
+
 def sequential_valid_word(a, starts, lengths, rng) -> np.ndarray:
     """Uniform valid continuation sampled wire by wire: pass j draws one
     uniform for position j of every run longer than j, in run order."""
@@ -135,12 +170,12 @@ def disjoint_union(instances):
     slots, pinned, segments = [], [], []
     off = 0
     for _, layout, _ in instances:
-        slots += [w + off for w in layout.parity_slots]
+        slots.append(layout.parity_slot_array + off)
         pinned += [(w + off, v) for w, v in layout.pinned]
-        segments += [(s + off, d) for s, d in layout.segments]
+        segments.append(layout.segments + (off, 0))
         off += layout.n
-    layout = WireLayout(n=off, parity_slots=tuple(slots), pinned=tuple(pinned),
-                        segments=tuple(segments))
+    layout = WireLayout(n=off, parity_slot_array=np.concatenate(slots), pinned=tuple(pinned),
+                        segments=np.concatenate(segments))
     a = np.concatenate([as_bits(x) for x, _, _ in instances])
     return a, layout, IraGraph.union([g for _, _, g in instances])
 
@@ -189,8 +224,8 @@ class ReferenceDecoder:
         self.n = arr.size
         self.graph = graph
         self.layout = layout
-        self.info_wires = list(layout.info_wires)
-        self.parity_slots = list(layout.parity_slots)
+        self.info_wires = layout.info_wire_array.tolist()
+        self.parity_slots = layout.parity_slot_array.tolist()
         self.pinned = dict(layout.pinned)
         # pairwise crosstalk checks inside segments: (left wire, right wire)
         self.cac_checks = []
@@ -330,8 +365,8 @@ def peel_decode(a, graph: IraGraph, layout: WireLayout, received) -> np.ndarray:
     pairs = []
     for s, d in layout.segments:
         pairs.extend((w, w + 1) for w in range(s, s + d - 1))
-    info_wires = list(layout.info_wires)
-    slots = list(layout.parity_slots)
+    info_wires = layout.info_wire_array.tolist()
+    slots = layout.parity_slot_array.tolist()
     # participants of check j as wire instances (parities via sentinel ids)
     participants = {j: [] for j in range(graph.num_parity)}
     for e in range(graph.num_edges):

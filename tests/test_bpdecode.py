@@ -164,7 +164,7 @@ def test_bp_decode_erased_parity_mid_chain():
     # neighbouring accumulator checks recover it
     a = np.array([0, 0, 0, 0, 0, 1, 0], dtype=np.uint8)
     layout = build_layout(a, 3)
-    assert layout.parity_slots == (0, 1, 3)
+    assert layout.parity_slot_array.tolist() == [0, 1, 3]
     graph = IraGraph(layout.num_info, 3, np.zeros(3, dtype=np.int64), np.arange(3))
     word = encode_instance(np.random.default_rng(0), a, layout, graph)
     fg = build_factor_graph(a, graph, layout)
@@ -289,9 +289,10 @@ def test_bp_decode_cac_checks_only_help():
         joint = bp_decode(rcv, build_factor_graph(a, graph, layout)).word.symbols
         stripped = WireLayout(
             n=layout.n,
-            parity_slots=layout.parity_slots,
+            parity_slot_array=layout.parity_slot_array,
             pinned=layout.pinned,
-            segments=tuple((w, 1) for w in layout.info_wires),
+            segments=np.column_stack((layout.info_wire_array,
+                                      np.ones_like(layout.info_wire_array))),
         )
         bare = bp_decode(rcv, build_factor_graph(a, graph, stripped)).word.symbols
         resolved_joint = joint != ERASED
@@ -363,7 +364,8 @@ def test_bp_decode_union_chain_starts_from_zero():
     # implicit zero at the start of its own chain
     first = ("000", build_layout("000", 1), IraGraph(2, 1, np.array([0, 1]), np.array([0, 0])))
     second = ("000", build_layout("000", 2), IraGraph(1, 2, np.array([0, 0]), np.array([0, 1])))
-    assert first[1].parity_slots == (0,) and second[1].parity_slots == (0, 2)
+    assert first[1].parity_slot_array.tolist() == [0]
+    assert second[1].parity_slot_array.tolist() == [0, 2]
     rcvs = [np.array([ERASED, ERASED, 1]), np.array([ERASED, 1, ERASED])]
     singles = [bp_decode(r, build_factor_graph(x, g, lay)).word.symbols
                for (x, lay, g), r in zip((first, second), rcvs)]
@@ -395,7 +397,7 @@ def test_bp_decode_rejects_inconsistent_words():
         word = encode_instance(rng, a, layout, graph)
         assert bp_decode(word, fg).violation == _range_fault(word, a, layout)
         j = int(rng.integers(layout.num_parity))
-        slot = layout.parity_slots[j]
+        slot = int(layout.parity_slot_array[j])
         flipped = word.copy()
         flipped[slot] ^= 1
         res = bp_decode(flipped, fg)
@@ -411,7 +413,7 @@ def test_bp_decode_rejects_inconsistent_words():
         # an information wire flip goes unseen only if it keeps every
         # crosstalk pair and each of its checks sees it an even number of times
         i = int(rng.integers(layout.num_info))
-        wire = layout.info_wires[i]
+        wire = layout.info_wire_array[i]
         odd = np.bincount(graph.edge_check[graph.edge_info == i], minlength=1) % 2
         flipped_info = word.copy()
         flipped_info[wire] ^= 1

@@ -166,11 +166,29 @@ def test_ira_encode_union_restarts_each_chain():
                                                         np.zeros(0, np.int64)),
               sample_graph(24, 6, dist, rng), sample_graph(8, 2, dist, rng)]
     union = IraGraph.union(graphs)
-    assert union.chain_starts == (0, 10, 16)
+    assert np.flatnonzero(union.chain_start).tolist() == [0, 10, 16]
     bits = [rng.integers(0, 2, g.num_info, dtype=np.uint8) for g in graphs]
     parities = np.concatenate([ira_encode(b, g) for b, g in zip(bits, graphs)])
     assert np.array_equal(ira_encode(np.concatenate(bits), union), parities)
     assert validate_checks(np.concatenate(bits), parities, union)
+
+
+def test_graph_without_mask_has_one_chain():
+    g = _chain_graph([(0, 0), (1, 2)], 2, 4)
+    assert g.chain_start.tolist() == [True, False, False, False]
+    assert _chain_graph([], 3, 0).chain_start.tolist() == []
+    sampled = sample_graph(24, 6, DegreeDistribution.regular(3, 12), np.random.default_rng(3))
+    assert np.flatnonzero(sampled.chain_start).tolist() == [0]
+
+
+def test_union_mask_is_the_concatenation_of_its_parts():
+    rng = np.random.default_rng(4)
+    dist = DegreeDistribution.regular(3, 12)
+    inner = IraGraph.union([sample_graph(8, 2, dist, rng), sample_graph(16, 4, dist, rng)])
+    parts = [sample_graph(12, 3, dist, rng), _chain_graph([], 5, 0), inner]
+    union = IraGraph.union(parts)
+    assert union.chain_start.tolist() == np.concatenate([g.chain_start for g in parts]).tolist()
+    assert np.flatnonzero(union.chain_start).tolist() == [0, 3, 5]
 
 
 def test_validate_checks_accepts_other_codeword():

@@ -19,10 +19,11 @@ from jointbus import (
     validate_checks,
     wires_needed,
 )
+from jointbus.buscore import _run_bounds, _state_from_runs, as_bits
 from jointbus.ira import IraGraph
-from jointbus.jointcode import _segment_words, _stride_select
+from jointbus.jointcode import WireLayout, _layout_from_runs, _segment_words, _stride_select
 
-from helpers import stride_select, valid_words
+from helpers import disjoint_union, shield_layout, stride_select, valid_words
 
 DIST = DegreeDistribution.regular(3, 12)
 
@@ -37,18 +38,18 @@ def _graph_for(a, p_needed, rng, dist=DIST):
 
 def test_select_parity_stride():
     layout = build_layout("0000", 2)
-    assert layout.parity_slots == (0, 2)
+    assert layout.parity_slot_array.tolist() == [0, 2]
     assert layout.pinned == ()
 
 
 def test_select_parity_none_needed():
     layout = build_layout("0110", 0)
-    assert layout.parity_slots == () and layout.pinned == ()
+    assert layout.parity_slot_array.tolist() == [] and layout.pinned == ()
 
 
 def test_select_parity_all_free():
     layout = build_layout("0000", 4)
-    assert layout.parity_slots == (0, 1, 2, 3)
+    assert layout.parity_slot_array.tolist() == [0, 1, 2, 3]
     assert layout.pinned == ()
 
 
@@ -59,7 +60,7 @@ def test_select_parity_shield_contract():
     layout = build_layout(a, 1)
     assert len(layout.pinned) == 1
     pin, val = layout.pinned[0]
-    assert layout.parity_slots == (pin + 1,)
+    assert layout.parity_slot_array.tolist() == [pin + 1]
     assert val == int(a[pin])
     # placement is a deterministic function of the past state
     assert build_layout(a, 1) == layout
@@ -68,6 +69,69 @@ def test_select_parity_shield_contract():
 def test_select_parity_exhausted():
     with pytest.raises(ValueError, match="cannot place"):
         build_layout("01", 2)
+
+
+def _placement(build, a, p):
+    """A layout, or the message of the ValueError that refuses it."""
+    try:
+        return build(a, p)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_shield_placement_matches_literal_oracle():
+    # random pasts, then pasts of random run lengths (many equally long
+    # segments) and 0011... pasts (two free wires), each for every parity
+    # count that needs a shield, up to one past the shield capacity
+    rng = np.random.default_rng(17)
+    pasts = [rng.integers(0, 2, int(rng.integers(1, 40)), dtype=np.uint8) for _ in range(150)]
+    pasts += [_state_from_runs(int(rng.integers(2)), rng.integers(1, 7, int(rng.integers(1, 12))))
+              for _ in range(150)]
+    pasts += [np.resize(np.array([0, 0, 1, 1], dtype=np.uint8), n) for n in (4, 7, 10, 41)]
+    for a in pasts:
+        _, lengths = _run_bounds(as_bits(a))
+        free = int(np.count_nonzero(lengths == 1))
+        for p in range(free + 1, free + (as_bits(a).size - free) // 2 + 2):
+            assert _placement(build_layout, a, p) == _placement(shield_layout, a, p), (a, p)
+    a = np.resize(np.array([0, 0, 1, 1], dtype=np.uint8), 2000)
+    assert build_layout(a, 400) == shield_layout(a, 400)
+
+
+def _assert_array_forms(layout, k):
+    assert layout.parity_slot_array.dtype == np.int64 and layout.parity_slot_array.ndim == 1
+    assert layout.segments.dtype == np.int64 and layout.segments.shape == (k, 2)
+
+
+def test_layout_array_forms():
+    # stride branch, shield branch, runs and disjoint union, with and
+    # without segments
+    for a, p, k in [("00100", 1, 2), ("0000", 4, 0), ("0101", 1, 1), ("0011", 3, 0)]:
+        _assert_array_forms(build_layout(a, p), k)
+    assert build_layout("0101", 1).segments.tolist() == [[0, 2]]
+    starts, lengths = _run_bounds(as_bits("00100"))
+    for slot_runs, k in [(np.array([True, False, True]), 1), (np.ones(3, dtype=bool), 0)]:
+        _assert_array_forms(_layout_from_runs(5, starts, lengths, slot_runs), k)
+    empty = np.zeros(0, dtype=np.int64)
+    parts = [("0000", build_layout("0000", 4), IraGraph(0, 4, empty, empty.copy())),
+             ("0011", build_layout("0011", 3), IraGraph(0, 3, empty, empty.copy()))]
+    for instances, k in [(parts, 0), (parts + [("00100", build_layout("00100", 1),
+                                                   IraGraph(4, 1, empty, empty.copy()))], 2)]:
+        _, layout, _ = disjoint_union(instances)
+        _assert_array_forms(layout, k)
+    assert layout.segments.tolist() == [[9, 3], [12, 1]]
+
+
+def test_layout_equality_by_value():
+    layout = build_layout("0101", 1)
+    same = WireLayout(4, np.array([3]), ((2, 0),), np.array([[0, 2]]))
+    assert layout == same and not layout != same
+    for other in [WireLayout(4, np.array([3]), ((2, 0),), np.array([[0, 1]])),
+                  WireLayout(4, np.array([3]), ((2, 0),), np.array([[0, 2], [2, 1]])),
+                  WireLayout(4, np.array([2]), ((2, 0),), np.array([[0, 2]])),
+                  WireLayout(4, np.array([3]), ((2, 1),), np.array([[0, 2]])),
+                  WireLayout(5, np.array([3]), ((2, 0),), np.array([[0, 2]]))]:
+        assert layout != other and not layout == other
+    assert layout != "0101" and layout != layout.segments.tolist()
 
 
 def test_stride_select_matches_literal_choice():
@@ -88,9 +152,9 @@ def test_layout_partitions_wires():
             layout = build_layout(a, p)
         except ValueError:
             continue
-        slots = set(layout.parity_slots)
+        slots = set(layout.parity_slot_array.tolist())
         pins = {w for w, _ in layout.pinned}
-        info = set(layout.info_wires)
+        info = set(layout.info_wire_array.tolist())
         assert len(slots) + len(pins) + len(info) == n
         assert not (slots & pins or slots & info or pins & info)
         assert layout.num_parity == p
@@ -101,8 +165,8 @@ def test_embedded_encode_no_parities_identity():
     layout, graph = _graph_for(a, 0, np.random.default_rng(1))
     code = embedded_encode([1, 0, 1, 1], a, graph)
     assert str(code.word) == "1011"
-    assert code.layout.parity_slots == ()
-    assert code.layout.info_wires == (0, 1, 2, 3)
+    assert code.layout.parity_slot_array.tolist() == []
+    assert code.layout.info_wire_array.tolist() == [0, 1, 2, 3]
 
 
 def test_embedded_encode_hand_accumulator():

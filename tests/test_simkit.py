@@ -207,7 +207,7 @@ def test_build_instances_batch_is_union_of_single_trials(ensemble, mode):
     assert batch.layout == layout
     assert np.array_equal(batch.graph.edge_info, graph.edge_info)
     assert np.array_equal(batch.graph.edge_check, graph.edge_check)
-    assert batch.graph.chain_starts == graph.chain_starts
+    assert np.array_equal(batch.graph.chain_start, graph.chain_start)
     assert np.array_equal(batch.word, np.concatenate([inst.word for inst in kept]))
     for t, inst in enumerate(singles):
         if not inst.trials:
