@@ -34,7 +34,7 @@ import numpy as np
 
 from .buscore import BitsLike, as_bits, check_transition
 from .cac import _decode_segments
-from .ira import IraGraph, ira_encode, validate_checks
+from .ira import IraGraph, ira_encode
 from .jointcode import WireLayout
 
 __all__ = [
@@ -50,6 +50,12 @@ ERASED = 2  # symbol value for '?'
 
 SymbolsLike = Union["ErasureWord", str, Iterable[int], np.ndarray]
 
+# Symbol of each byte of an erasure string, 255 for any other byte.
+# Every non-ASCII character encodes to bytes >= 0x80, so it is rejected too.
+_SYMBOL_OF_BYTE = np.full(256, 255, dtype=np.uint8)
+_SYMBOL_OF_BYTE[np.frombuffer(b"01e?", dtype=np.uint8)] = (0, 1, ERASED, ERASED)
+_CHAR_OF_SYMBOL = np.frombuffer(b"01e", dtype=np.uint8)
+
 
 class ErasureWord:
     """Length-N channel output over {0, 1, ?}.
@@ -64,10 +70,11 @@ class ErasureWord:
         if isinstance(symbols, ErasureWord):
             arr = symbols.symbols
         elif isinstance(symbols, str):
-            table = {"0": 0, "1": 1, "e": ERASED, "?": ERASED}
-            try:
-                arr = np.array([table[c] for c in symbols], dtype=np.uint8)
-            except KeyError:
+            # surrogatepass: an undecodable argv byte arrives as a lone
+            # surrogate, which must meet the message below, not a codec error
+            raw = np.frombuffer(symbols.encode("utf-8", "surrogatepass"), dtype=np.uint8)
+            arr = _SYMBOL_OF_BYTE[raw]
+            if np.any(arr > ERASED):
                 raise ValueError(f"erasure string may contain only 0, 1, e, got {symbols!r}")
         else:
             arr = np.asarray(symbols, dtype=np.uint8)
@@ -96,7 +103,7 @@ class ErasureWord:
         return NotImplemented
 
     def __str__(self) -> str:
-        return "".join("01e"[s] for s in self._symbols)
+        return _CHAR_OF_SYMBOL[self._symbols].tobytes().decode("ascii")
 
     def __repr__(self) -> str:
         return f"ErasureWord({str(self)!r})"
@@ -115,33 +122,14 @@ class FactorGraph:
     a_bits: np.ndarray
     layout: WireLayout
     graph: IraGraph
-    info_wires: np.ndarray     # wire index of info node i
-    parity_slots: np.ndarray   # wire index of parity j, chain order
     pinned_wires: np.ndarray
     pinned_vals: np.ndarray
     adj_prev: np.ndarray       # wire i shares a segment with wire i-1
     edge_wire: np.ndarray      # wire index of each sparse edge's variable end
-    chain_start: np.ndarray    # parity j starts an accumulator chain
 
     @property
     def n(self) -> int:
         return self.a_bits.size
-
-    @property
-    def num_info_vars(self) -> int:
-        return self.info_wires.size
-
-    @property
-    def num_parity_vars(self) -> int:
-        return self.parity_slots.size
-
-    @property
-    def num_cac_checks(self) -> int:
-        return int(np.count_nonzero(self.adj_prev))
-
-    @property
-    def num_ecc_checks(self) -> int:
-        return self.parity_slots.size
 
 
 @dataclass(frozen=True)
@@ -172,28 +160,20 @@ def build_factor_graph(a: BitsLike, graph: IraGraph, layout: WireLayout) -> Fact
             f"({layout.num_info}, {layout.num_parity})"
         )
     info_wires = layout.info_wire_array
-    seg_id = np.full(arr.size, -1, dtype=np.int64)
-    if info_wires.size:
-        seg_id[info_wires] = np.repeat(
-            np.arange(len(layout.segments), dtype=np.int64), layout.segments[:, 1]
-        )
+    # Every segment wire but the first follows a wire of its own segment.
     adj_prev = np.zeros(arr.size, dtype=bool)
-    adj_prev[1:] = (seg_id[1:] >= 0) & (seg_id[1:] == seg_id[:-1])
-    pinned_wires = np.fromiter((w for w, _ in layout.pinned), dtype=np.int64, count=len(layout.pinned))
-    pinned_vals = np.fromiter((v for _, v in layout.pinned), dtype=np.uint8, count=len(layout.pinned))
-    parity_slots = layout.parity_slot_array
+    adj_prev[info_wires] = True
+    adj_prev[layout.segments[:, 0]] = False
+    pins = np.array(layout.pinned, dtype=np.int64).reshape(-1, 2)
     edge_wire = info_wires[graph.edge_info] if graph.num_edges else np.zeros(0, dtype=np.int64)
     return FactorGraph(
         a_bits=arr,
         layout=layout,
         graph=graph,
-        info_wires=info_wires,
-        parity_slots=parity_slots,
-        pinned_wires=pinned_wires,
-        pinned_vals=pinned_vals,
+        pinned_wires=pins[:, 0],
+        pinned_vals=pins[:, 1].astype(np.uint8),
         adj_prev=adj_prev,
         edge_wire=edge_wire,
-        chain_start=graph.chain_start,
     )
 
 
@@ -237,7 +217,8 @@ def bp_decode(
         src_ch[fg.pinned_wires] = True
 
     num_e = fg.edge_wire.size
-    num_p = fg.num_parity_vars
+    num_p = fg.layout.num_parity
+    slots = fg.layout.parity_slot_array
     e_chk = fg.graph.edge_check
     e_wire = fg.edge_wire
     # Per-edge knowledge only grows: ext (variable-to-check known) and
@@ -256,10 +237,10 @@ def bp_decode(
     cnt_ci = np.zeros(n, dtype=np.int64)
     src_cac = np.zeros(n, dtype=bool)
 
-    ch_p = src_ch[fg.parity_slots]
-    val_p_ch = val[fg.parity_slots]
+    ch_p = src_ch[slots]
+    val_p_ch = val[slots]
     idx_p = np.arange(num_p, dtype=np.int64)
-    cs = fg.chain_start
+    cs = fg.graph.chain_start
     # Knowledge sources along the chains, fixed for the whole decode: the
     # last channel-known parity at or before j, the first one after j, and
     # the start of j's chain, whose implicit zero parity sits just before it.
@@ -332,9 +313,9 @@ def bp_decode(
             v_bwd = (val_r_star ^ cum[r_star] ^ cum).astype(np.uint8)
             val_p = np.where(ch_p, val_p_ch, np.where(res_fwd, v_fwd, v_bwd)).astype(np.uint8)
 
-            newly_p = parity_known & ~resolved[fg.parity_slots]
+            newly_p = parity_known & ~resolved[slots]
             if newly_p.any():
-                wires = fg.parity_slots[newly_p]
+                wires = slots[newly_p]
                 val[wires] = val_p[newly_p]
                 resolved[wires] = True
 
@@ -415,8 +396,9 @@ def _first_violation(received: np.ndarray, word: np.ndarray, fg: FactorGraph) ->
     pairs = check_transition(fg.a_bits, word).opposing_pairs
     if pairs:
         return f"wires {pairs[0][0]} and {pairs[0][1]} make opposing transitions"
-    info, par = word[fg.info_wires], word[fg.parity_slots]
-    if not validate_checks(info, par, fg.graph):
-        j = int(np.flatnonzero(par != ira_encode(info, fg.graph))[0])
-        return f"parity check {j + 1} fails (parity wire {int(fg.parity_slots[j]) + 1})"
+    slots = fg.layout.parity_slot_array
+    bad = np.flatnonzero(word[slots] != ira_encode(word[fg.layout.info_wire_array], fg.graph))
+    if bad.size:
+        j = int(bad[0])
+        return f"parity check {j + 1} fails (parity wire {int(slots[j]) + 1})"
     return None

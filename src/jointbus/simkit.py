@@ -19,7 +19,7 @@ from typing import Iterable
 import numpy as np
 
 from .buscore import BitsLike, BusState, as_bits, fib, _run_bounds, _state_from_runs
-from .bpdecode import ERASED, ErasureWord, bp_decode, build_factor_graph
+from .bpdecode import ERASED, ErasureWord, FactorGraph, bp_decode, build_factor_graph
 from .cac import _encode_segments, _payload_bits
 from .densevo import DeModel, de_trajectory
 from .ira import DegreeDistribution, IraGraph, rate_ldpc, recc_from_rldpc, sample_graph
@@ -232,10 +232,10 @@ class CodeInstances:
     """The code instances of some trials, laid side by side as one
     disjoint union.
 
-    Instance i is trial ``trials[i]`` on wires offsets[i]:offsets[i+1]:
-    no segment of ``layout`` crosses into the next instance, and ``graph``
-    (``IraGraph.union``) restarts its parity chain at each instance, so
-    ``build_factor_graph`` and ``bp_decode`` treat the instances as
+    Instance i is trial ``trials[i]`` on wires offsets[i]:offsets[i+1] of
+    the decoding graph ``fg``: no segment of ``fg.layout`` crosses into the
+    next instance, and ``fg.graph`` (``IraGraph.union``) restarts its
+    parity chain at each instance, so ``bp_decode`` treats the instances as
     independent. A single trial is the case of one instance. ``word`` is
     the transmitted codeword, and ``rngs`` holds each trial's stream,
     positioned after the draws of its instance.
@@ -243,9 +243,7 @@ class CodeInstances:
 
     trials: tuple[int, ...]
     offsets: np.ndarray
-    a: np.ndarray
-    layout: WireLayout
-    graph: IraGraph
+    fg: FactorGraph
     word: np.ndarray
     rngs: tuple[np.random.Generator, ...]
     insufficient: int = 0  # trials dropped: a uniform past state short of free wires
@@ -267,8 +265,8 @@ def build_instances(
     ensemble: EnsembleSpec,
     mode: str = "uniform-codeword",
 ) -> CodeInstances:
-    """Code instances of the given trials: past state, layout, graph and
-    the transmitted word.
+    """Code instances of the given trials: their decoding graph (past
+    state, layout and graph) and the transmitted word.
 
     Trial t draws from its own stream ``trial_rng(seed, t)``, in order: the
     past state from ``ensemble``, the graph, then the word. A code of
@@ -302,11 +300,11 @@ def build_instances(
         keep = np.bincount(starts[lengths == 1] // ensemble.n, minlength=len(pasts)) >= p
         insufficient = len(trials) - int(np.count_nonzero(keep))
         if insufficient == len(trials):
-            empty = np.zeros(0, dtype=np.int64)
-            return CodeInstances((), np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.uint8),
-                                 WireLayout(0, empty, (), np.zeros((0, 2), dtype=np.int64)),
-                                 IraGraph(0, 0, empty, empty.copy()),
-                                 np.zeros(0, dtype=np.uint8), (), insufficient)
+            empty, no_bits = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.uint8)
+            fg = FactorGraph(no_bits, WireLayout(0, empty, (), np.zeros((0, 2), dtype=np.int64)),
+                             IraGraph(0, 0, empty, empty), empty, no_bits,
+                             np.zeros(0, dtype=bool), empty)
+            return CodeInstances((), np.zeros(1, dtype=np.int64), fg, no_bits, (), insufficient)
         if insufficient:
             kept = np.flatnonzero(keep).tolist()
             trials = tuple(trials[i] for i in kept)
@@ -334,7 +332,7 @@ def build_instances(
             parts.append(_encode_segments(payload, x, segments))
         word = np.concatenate(parts)
     _complete_word(word, layout, graph)
-    return CodeInstances(trials=trials, offsets=offsets, a=a, layout=layout, graph=graph,
+    return CodeInstances(trials=trials, offsets=offsets, fg=build_factor_graph(a, graph, layout),
                          word=word, rngs=tuple(rngs), insufficient=insufficient)
 
 
@@ -350,7 +348,7 @@ def _run_batch(config: SimConfig, trials: range) -> TrialStats:
     sizes = np.diff(inst.offsets)
     u = np.concatenate([rng.random(size) for rng, size in zip(inst.rngs, sizes.tolist())])
     received = np.where(u < config.eps, ERASED, inst.word)
-    fg = build_factor_graph(inst.a, inst.graph, inst.layout)
+    fg = inst.fg
     out = bp_decode(received, fg, extract_payload=False).word.symbols
     erased = out == ERASED
     if not np.array_equal(out[~erased], inst.word[~erased]):
@@ -359,10 +357,10 @@ def _run_batch(config: SimConfig, trials: range) -> TrialStats:
     residual = np.bincount(instance_of_wire[erased], minlength=sizes.size)
     return stats.add(TrialStats(
         trials=sizes.size,
-        bits_code=inst.a.size,
+        bits_code=fg.n,
         bit_errors_code=int(residual.sum()),
-        bits_info=fg.num_info_vars,
-        bit_errors_info=int(np.count_nonzero(erased[fg.info_wires])),
+        bits_info=fg.layout.num_info,
+        bit_errors_info=int(np.count_nonzero(erased[fg.layout.info_wire_array])),
         block_errors=int(np.count_nonzero(residual)),
         rng_seed=config.seed,
     ))
@@ -411,8 +409,7 @@ def de_vs_simulation(
     if inst.insufficient:
         raise ValueError("drawn past state lacks free wires; use a larger n or another seed")
     received = bec_transmit(inst.word, eps, inst.rngs[0])
-    fg = build_factor_graph(inst.a, inst.graph, inst.layout)
-    result = bp_decode(received, fg, max_outer=iterations, record_trace=True,
+    result = bp_decode(received, inst.fg, max_outer=iterations, record_trace=True,
                        extract_payload=False)
     empirical = list(result.x_ecc_trace or ())
     model = DeModel.for_code(dist, r_ecc)

@@ -440,8 +440,9 @@ def sweep_decode(
         src_ch[fg.pinned_wires] = True
 
     num_e = fg.edge_wire.size
-    num_p = fg.num_parity_vars
-    num_i = fg.num_info_vars
+    num_p = fg.layout.num_parity
+    num_i = fg.layout.num_info
+    slots = fg.layout.parity_slot_array
     e_info = fg.graph.edge_info
     e_chk = fg.graph.edge_check
     known_ci = np.zeros(num_e, dtype=bool)
@@ -449,10 +450,10 @@ def sweep_decode(
     src_ecc_wire = np.zeros(n, dtype=bool)
     src_cac = np.zeros(n, dtype=bool)
 
-    ch_p = src_ch[fg.parity_slots]
-    val_p_ch = val[fg.parity_slots]
+    ch_p = src_ch[slots]
+    val_p_ch = val[slots]
     idx_p = np.arange(num_p, dtype=np.int64)
-    cs = fg.chain_start
+    cs = fg.graph.chain_start
     # Knowledge sources along the chains, fixed for the whole decode: the
     # last channel-known parity at or before j, the first one after j, and
     # the start of j's chain, whose implicit zero parity sits just before it.
@@ -528,9 +529,9 @@ def sweep_decode(
             v_bwd = (val_p_ch[r_star] ^ cum[r_star] ^ cum).astype(np.uint8)
             val_p = np.where(ch_p, val_p_ch, np.where(res_fwd, v_fwd, v_bwd)).astype(np.uint8)
 
-            newly_p = parity_known & ~resolved[fg.parity_slots]
+            newly_p = parity_known & ~resolved[slots]
             if newly_p.any():
-                wires = fg.parity_slots[newly_p]
+                wires = slots[newly_p]
                 val[wires] = val_p[newly_p]
                 resolved[wires] = True
         else:
@@ -553,7 +554,7 @@ def sweep_decode(
                 val[wires] = fill
                 resolved[wires] = True
             cnt_ci = np.bincount(e_info[known_ci], minlength=num_i)
-            src_ecc_wire[fg.info_wires] = cnt_ci > 0
+            src_ecc_wire[fg.layout.info_wire_array] = cnt_ci > 0
 
         if resolved.all():
             converged = True

@@ -40,8 +40,20 @@ def test_erasure_word_roundtrip():
     w = ErasureWord("01e1?")
     assert str(w) == "01e1e"
     assert w.num_erased == 2
-    with pytest.raises(ValueError):
-        ErasureWord("01x")
+    symbols = np.random.default_rng(3).integers(0, 3, 10**5, dtype=np.uint8)
+    text = "".join("01e"[s] for s in symbols)
+    long = ErasureWord(symbols)
+    assert str(long) == text
+    assert ErasureWord(text) == long
+
+
+@pytest.mark.parametrize("text", ["01x", "0\u00e91", "01 ", "\udcff"])
+def test_erasure_word_rejects_other_characters(text):
+    # non-ASCII characters and undecodable argv bytes (lone surrogates)
+    # give the same message as any other stray character
+    with pytest.raises(ValueError) as exc:
+        ErasureWord(text)
+    assert str(exc.value) == f"erasure string may contain only 0, 1, e, got {text!r}"
 
 
 def test_cac_node_update_rules():
@@ -101,18 +113,35 @@ def test_ecc_node_update():
 
 def test_factor_graph_counts():
     fg = build_factor_graph("0101", _empty_graph(4), build_layout("0101", 0))
-    assert fg.num_cac_checks == 3 and fg.num_ecc_checks == 0
+    assert np.count_nonzero(fg.adj_prev) == 3 and fg.layout.num_parity == 0
     fg = build_factor_graph("0000", _empty_graph(4), build_layout("0000", 0))
-    assert fg.num_cac_checks == 0
+    assert np.count_nonzero(fg.adj_prev) == 0
     # two runs [3, 2] with one free wire used as parity: checks stay inside runs
     a = "0100101"
     layout = build_layout(a, 1)
     graph = IraGraph(layout.num_info, 1, np.arange(layout.num_info), np.zeros(layout.num_info, dtype=np.int64))
     fg = build_factor_graph(a, graph, layout)
     lengths = sorted(d for _, d in layout.segments)
-    assert fg.num_cac_checks == sum(d - 1 for d in lengths)
-    assert fg.num_info_vars == layout.num_info
-    assert fg.num_parity_vars == 1
+    assert np.count_nonzero(fg.adj_prev) == sum(d - 1 for d in lengths)
+    assert fg.layout.num_info == fg.graph.num_info == 5
+    assert fg.layout.num_parity == fg.graph.num_parity == 1
+
+
+def test_factor_graph_crosstalk_pairs_match_reference_with_shields():
+    # adj_prev marks the right-hand wire of every crosstalk pair, also on
+    # layouts whose shield pairs cut runs
+    rng = np.random.default_rng(11)
+    shielded = 0
+    for _ in range(300):
+        a, layout, graph = random_instance(rng, allow_shields=True)
+        shielded += bool(layout.pinned)
+        fg = build_factor_graph(a, graph, layout)
+        right = [v for _, v in ReferenceDecoder(a, graph, layout).cac_checks]
+        assert np.flatnonzero(fg.adj_prev).tolist() == right
+        pins = [w for w, _ in layout.pinned]
+        assert fg.pinned_wires.tolist() == pins
+        assert fg.pinned_vals.tolist() == [int(a[w]) for w in pins]
+    assert shielded >= 30
 
 
 def test_factor_graph_check_incidence_matches_free_wires():
@@ -246,7 +275,7 @@ def test_bp_decode_matches_full_sweep_reference():
             _assert_same_result(fg, rcv, max_outer, (trial, max_outer))
     for ensemble in (EnsembleSpec("uniform", 300), EnsembleSpec("modified", 300)):
         inst = build_instances(7, range(12), DIST, ensemble=ensemble, mode="uniform-codeword")
-        fg = build_factor_graph(inst.a, inst.graph, inst.layout)
+        fg = inst.fg
         for eps in (0.0, 0.15, 0.22, 0.3, 0.5):
             rcv = inst.word.copy()
             if eps == 0.3:
@@ -337,7 +366,7 @@ def test_bp_decode_disjoint_union_matches_single_decodes():
         for k in range(int(rng.integers(1, 6))):
             if k % 3 == 2:
                 inst = build_instances(trial, [k], DIST, ensemble=modified, mode="uniform-codeword")
-                parts.append((inst.a, inst.layout, inst.graph))
+                parts.append((inst.fg.a_bits, inst.fg.layout, inst.fg.graph))
                 words.append(inst.word)
             else:
                 part = random_instance(rng, n_max=40, allow_shields=(k % 3 == 0))

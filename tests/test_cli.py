@@ -430,6 +430,8 @@ CONFIG = {"regular": "3,12", "blocklen": "20", "eps": "0.1", "trials": 2, "jobs"
                  id="codec-decode-past-letter"),
     pytest.param(CODEC_DECODE + ["--received", "0x"], 3, "--received",
                  id="codec-received-letter"),
+    pytest.param(CODEC_DECODE + ["--received", "0é" + "0" * 14], 3, "--received",
+                 id="codec-received-non-ascii"),
     pytest.param(CODEC_DECODE + ["--received", "0101"], 3, "--received",
                  id="codec-received-length"),
     pytest.param(CODEC_DECODE + ["--received", "1" + "0" * 15], 3, "--received",

@@ -187,8 +187,8 @@ def _drawn_payload(seed, trial, inst, ensemble):
         gen_past_uniform(ensemble.n, rng)
     else:
         _draw_modified(ensemble.n, 0.8, rng)
-    sample_graph(inst.layout.num_info, inst.layout.num_parity, DIST, rng)
-    return rng.integers(0, 2, _payload_bits(inst.layout.segments), dtype=np.uint8)
+    sample_graph(inst.fg.layout.num_info, inst.fg.layout.num_parity, DIST, rng)
+    return rng.integers(0, 2, _payload_bits(inst.fg.layout.segments), dtype=np.uint8)
 
 
 @pytest.mark.parametrize("ensemble", ENSEMBLES, ids=["uniform", "modified"])
@@ -202,23 +202,29 @@ def test_build_instances_batch_is_union_of_single_trials(ensemble, mode):
     assert batch.trials == tuple(t for inst in kept for t in inst.trials)
     assert batch.insufficient == sum(inst.insufficient for inst in singles[:12])
     assert batch.insufficient == (3 if ensemble.kind == "uniform" else 0)
-    a, layout, graph = disjoint_union([(inst.a, inst.layout, inst.graph) for inst in kept])
-    assert np.array_equal(batch.a, a)
-    assert batch.layout == layout
-    assert np.array_equal(batch.graph.edge_info, graph.edge_info)
-    assert np.array_equal(batch.graph.edge_check, graph.edge_check)
-    assert np.array_equal(batch.graph.chain_start, graph.chain_start)
+    a, layout, graph = disjoint_union([(inst.fg.a_bits, inst.fg.layout, inst.fg.graph)
+                                       for inst in kept])
+    assert np.array_equal(batch.fg.a_bits, a)
+    assert batch.fg.layout == layout
+    assert np.array_equal(batch.fg.graph.edge_info, graph.edge_info)
+    assert np.array_equal(batch.fg.graph.edge_check, graph.edge_check)
+    assert np.array_equal(batch.fg.graph.chain_start, graph.chain_start)
+    union_fg = build_factor_graph(a, graph, layout)
+    for name in ("adj_prev", "edge_wire", "pinned_wires", "pinned_vals"):
+        assert np.array_equal(getattr(batch.fg, name), getattr(union_fg, name)), name
     assert np.array_equal(batch.word, np.concatenate([inst.word for inst in kept]))
     for t, inst in enumerate(singles):
         if not inst.trials:
+            assert inst.fg.n == 0 and inst.word.size == 0
             continue
-        assert check_transition(inst.a, inst.word).ok
-        assert validate_checks(inst.word[inst.layout.info_wire_array],
-                               inst.word[inst.layout.parity_slot_array], inst.graph)
+        fg = inst.fg
+        assert check_transition(fg.a_bits, inst.word).ok
+        assert validate_checks(inst.word[fg.layout.info_wire_array],
+                               inst.word[fg.layout.parity_slot_array], fg.graph)
         if ensemble.kind == "uniform":
-            assert inst.layout == build_layout(inst.a, inst.layout.num_parity)
+            assert fg.layout == build_layout(fg.a_bits, fg.layout.num_parity)
         # the noiseless word decodes on the layout it was drawn on
-        result = bp_decode(inst.word, build_factor_graph(inst.a, inst.graph, inst.layout))
+        result = bp_decode(inst.word, fg)
         if mode == "info-bits":
             assert result.violation is None, (t, result.violation)
             assert np.array_equal(result.info_bits, _drawn_payload(2, t, inst, ensemble))
