@@ -122,8 +122,7 @@ class FactorGraph:
     a_bits: np.ndarray
     layout: WireLayout
     graph: IraGraph
-    pinned_wires: np.ndarray
-    pinned_vals: np.ndarray
+    pinned_wires: np.ndarray   # each repeats its bit of a_bits
     adj_prev: np.ndarray       # wire i shares a segment with wire i-1
     edge_wire: np.ndarray      # wire index of each sparse edge's variable end
 
@@ -164,14 +163,12 @@ def build_factor_graph(a: BitsLike, graph: IraGraph, layout: WireLayout) -> Fact
     adj_prev = np.zeros(arr.size, dtype=bool)
     adj_prev[info_wires] = True
     adj_prev[layout.segments[:, 0]] = False
-    pins = np.array(layout.pinned, dtype=np.int64).reshape(-1, 2)
     edge_wire = info_wires[graph.edge_info] if graph.num_edges else np.zeros(0, dtype=np.int64)
     return FactorGraph(
         a_bits=arr,
         layout=layout,
         graph=graph,
-        pinned_wires=pins[:, 0],
-        pinned_vals=pins[:, 1].astype(np.uint8),
+        pinned_wires=np.array(layout.pinned, dtype=np.int64),
         adj_prev=adj_prev,
         edge_wire=edge_wire,
     )
@@ -212,7 +209,7 @@ def bp_decode(
     src_ch = resolved.copy()
     if fg.pinned_wires.size:
         # The receiver knows pinned wires repeat their past bit.
-        val[fg.pinned_wires] = fg.pinned_vals
+        val[fg.pinned_wires] = a[fg.pinned_wires]
         resolved[fg.pinned_wires] = True
         src_ch[fg.pinned_wires] = True
 
@@ -388,10 +385,10 @@ def _first_violation(received: np.ndarray, word: np.ndarray, fg: FactorGraph) ->
     codeword."""
     pins = fg.pinned_wires
     got = received[pins]
-    bad = np.flatnonzero((got != ERASED) & (got != fg.pinned_vals))
+    bad = np.flatnonzero((got != ERASED) & (got != fg.a_bits[pins]))
     if bad.size:
         w = int(pins[bad[0]])
-        return (f"wire {w + 1} is pinned to its past bit {int(fg.pinned_vals[bad[0]])} "
+        return (f"wire {w + 1} is pinned to its past bit {int(fg.a_bits[w])} "
                 f"but {int(got[bad[0]])} was received")
     pairs = check_transition(fg.a_bits, word).opposing_pairs
     if pairs:

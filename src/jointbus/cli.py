@@ -16,19 +16,20 @@ import io
 import json
 import os
 import sys
+from dataclasses import astuple, fields
 from typing import Optional, Sequence
 
 from . import __version__
 from .buscore import BusState, free_wires, parse_runs
 from .bpdecode import ErasureWord, bp_decode, build_factor_graph
 from .cac import cac_rate, count_codewords
-from .densevo import DeModel, de_threshold, de_trajectory
+from .densevo import DeModel, DeState, de_threshold, de_trajectory
 from .ira import DegreeDistribution, rate_ldpc, recc_from_rldpc, sample_graph
 from .jointcode import build_layout, compare_rates, embedded_encode
 from .simkit import EnsembleSpec, SimConfig, run_trials, trial_rng
 
 SIM_COLUMNS = ["N", "eps", "trials", "pb_code", "pb_info", "pe", "insufficient_rate", "seed"]
-TRAJ_COLUMNS = ["iteration", "x_ecc", "y_ecc", "x_p", "y_p", "x_cac", "y_cac"]
+TRAJ_COLUMNS = ["iteration", *(f.name for f in fields(DeState))]
 
 
 def _fmt(x: float) -> str:
@@ -193,11 +194,7 @@ def cmd_de(args: argparse.Namespace) -> int:
             )
         return 0
     states, verdict = de_trajectory(args.trajectory, model)
-    rows = [
-        [str(i + 1), _fmt(s.x_ecc), _fmt(s.y_ecc), _fmt(s.x_p), _fmt(s.y_p),
-         _fmt(s.x_cac), _fmt(s.y_cac)]
-        for i, s in enumerate(states)
-    ]
+    rows = [[str(i + 1), *map(_fmt, astuple(s))] for i, s in enumerate(states)]
     _write_rows(args.out, TRAJ_COLUMNS, rows, _sidecar(args, {"verdict": verdict}))
     print(f"verdict: {verdict} after {len(states)} iterations", file=sys.stderr)
     return 0
@@ -296,12 +293,12 @@ def cmd_codec_encode(args: argparse.Namespace) -> int:
     layout = encoded.layout
     # 1-based wire roles: a shield pair is its pinned wire and the parity
     # slot to its right, which is not listed again among the parity wires.
-    shield_slots = {pin + 1 for pin, _ in layout.pinned}
+    shield_slots = {pin + 1 for pin in layout.pinned}
     print(f"word:         {encoded.word}")
     print(f"payload bits: {len(args.payload)}")
     slots = layout.parity_slot_array.tolist()
     print(f"parity wires: {[w + 1 for w in slots if w not in shield_slots]}")
-    print(f"shield pairs: {[(pin + 1, pin + 2) for pin, _ in layout.pinned]}")
+    print(f"shield pairs: {[(pin + 1, pin + 2) for pin in layout.pinned]}")
     return 0
 
 

@@ -254,9 +254,8 @@ def ira_encode(systematic_bits: BitsLike, graph: IraGraph) -> np.ndarray:
     bits = as_bits(systematic_bits) if len(systematic_bits) else np.zeros(0, dtype=np.uint8)
     if bits.size != graph.num_info:
         raise ValueError(f"expected {graph.num_info} systematic bits, got {bits.size}")
-    s = np.zeros(graph.num_parity, dtype=np.uint8)
-    if graph.num_edges:
-        np.bitwise_xor.at(s, graph.edge_check, bits[graph.edge_info])
+    ones = graph.edge_check[bits[graph.edge_info] == 1]
+    s = (np.bincount(ones, minlength=graph.num_parity) & 1).astype(np.uint8)
     cum = np.bitwise_xor.accumulate(s)
     # Each chain starts from zero: cancel what earlier chains accumulated.
     start = np.maximum.accumulate(np.where(graph.chain_start, np.arange(s.size), 0))

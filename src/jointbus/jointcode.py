@@ -48,16 +48,17 @@ class WireLayout:
     """Wire placement for one code instance, in 0-based array positions.
 
     ``parity_slot_array`` (int64, ascending) lists every parity-carrying
-    wire, which is also the accumulator chain order. ``pinned`` wires
-    repeat their own past bit to shield an adjacent parity. ``segments`` is
-    an int64 (k, 2) array with one (start, length) row per alternating
-    stretch left for CAC-coded payload bits, in wire order; their union, in
-    wire order, is ``info_wire_array``. Layouts compare equal by value.
+    wire, which is also the accumulator chain order. ``pinned`` (ascending)
+    lists the wires that repeat their own past bit to shield the parity to
+    their right. ``segments`` is an int64 (k, 2) array with one (start,
+    length) row per alternating stretch left for CAC-coded payload bits, in
+    wire order; their union, in wire order, is ``info_wire_array``. Layouts
+    compare equal by value.
     """
 
     n: int
     parity_slot_array: np.ndarray
-    pinned: tuple[tuple[int, int], ...]
+    pinned: tuple[int, ...]
     segments: np.ndarray
 
     def __eq__(self, other: object) -> bool:
@@ -164,7 +165,7 @@ def build_layout(a: BitsLike, p_needed: int) -> WireLayout:
     # Shield order: the longest segment first, the leftmost on ties.
     heap = [(-d, s) for s, d in zip(starts[long_runs].tolist(), lengths[long_runs].tolist())]
     heapq.heapify(heap)
-    pinned: list[tuple[int, int]] = []
+    pinned: list[int] = []
     shields: list[int] = []
     for _ in range(p_needed - len(free)):
         if not heap or heap[0][0] > -2:
@@ -174,7 +175,7 @@ def build_layout(a: BitsLike, p_needed: int) -> WireLayout:
             )
         neg_d, s = heapq.heappop(heap)
         d = -neg_d
-        pinned.append((s + d - 2, int(arr[s + d - 2])))
+        pinned.append(s + d - 2)
         shields.append(s + d - 1)
         if d - 2 >= 1:
             heapq.heappush(heap, (2 - d, s))
@@ -203,17 +204,19 @@ def embedded_encode(info_bits: BitsLike, a: BitsLike, graph: IraGraph) -> Embedd
         raise ValueError(
             f"graph has {graph.num_info} info nodes but the layout carries {layout.num_info}"
         )
-    word = _complete_word(_encode_segments(info_bits, arr, layout.segments), layout, graph)
+    word = _complete_word(_encode_segments(info_bits, arr, layout.segments), arr, layout, graph)
     return EmbeddedCodeword(word=BusState(word), layout=layout)
 
 
-def _complete_word(word: np.ndarray, layout: WireLayout, graph: IraGraph) -> np.ndarray:
+def _complete_word(word: np.ndarray, a: np.ndarray, layout: WireLayout,
+                   graph: IraGraph) -> np.ndarray:
     """Fill in the wires outside the segments of a word whose info wires are
     set: every such wire is a parity slot, which takes its parity of the info
-    wires, or a pinned wire, which takes its past bit. Works in place."""
+    wires, or a pinned wire, which takes its bit of past state ``a``. Works
+    in place."""
     word[layout.parity_slot_array] = ira_encode(word[layout.info_wire_array], graph)
-    for pin, val in layout.pinned:
-        word[pin] = val
+    pins = list(layout.pinned)
+    word[pins] = a[pins]
     return word
 
 

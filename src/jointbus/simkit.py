@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import reduce
 from typing import Iterable
 
@@ -55,6 +55,11 @@ class EnsembleSpec:
             raise ValueError("ensemble length must be >= 1")
 
 
+def _check_mode(mode: str) -> None:
+    if mode not in ("uniform-codeword", "info-bits"):
+        raise ValueError(f"mode must be 'uniform-codeword' or 'info-bits', got {mode!r}")
+
+
 @dataclass(frozen=True)
 class SimConfig:
     ensemble: EnsembleSpec
@@ -70,8 +75,7 @@ class SimConfig:
             raise ValueError(f"eps must lie in [0, 1], got {self.eps}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.mode not in ("uniform-codeword", "info-bits"):
-            raise ValueError(f"mode must be 'uniform-codeword' or 'info-bits', got {self.mode!r}")
+        _check_mode(self.mode)
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
 
@@ -90,18 +94,10 @@ class TrialStats:
     rng_seed: int = 0
 
     def add(self, other: "TrialStats") -> "TrialStats":
-        return TrialStats(
-            trials=self.trials + other.trials,
-            bits_code=self.bits_code + other.bits_code,
-            bit_errors_code=self.bit_errors_code + other.bit_errors_code,
-            bits_info=self.bits_info + other.bits_info,
-            bit_errors_info=self.bit_errors_info + other.bit_errors_info,
-            block_errors=self.block_errors + other.block_errors,
-            insufficient_free_wire_events=(
-                self.insufficient_free_wire_events + other.insufficient_free_wire_events
-            ),
-            rng_seed=self.rng_seed or other.rng_seed,
-        )
+        """Counts summed field by field; the first seed set is kept."""
+        sums = {f.name: getattr(self, f.name) + getattr(other, f.name)
+                for f in fields(self) if f.name != "rng_seed"}
+        return TrialStats(**sums, rng_seed=self.rng_seed or other.rng_seed)
 
     @property
     def pb_code(self) -> float:
@@ -284,8 +280,7 @@ def build_instances(
     trials = tuple(trials)
     if not trials:
         raise ValueError("at least one trial is required")
-    if mode not in ("uniform-codeword", "info-bits"):
-        raise ValueError(f"mode must be 'uniform-codeword' or 'info-bits', got {mode!r}")
+    _check_mode(mode)
     rngs = [trial_rng(seed, t) for t in trials]
     r_ecc = recc_from_rldpc(rate_ldpc(dist))
     if ensemble.kind == "uniform":
@@ -302,8 +297,8 @@ def build_instances(
         if insufficient == len(trials):
             empty, no_bits = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.uint8)
             fg = FactorGraph(no_bits, WireLayout(0, empty, (), np.zeros((0, 2), dtype=np.int64)),
-                             IraGraph(0, 0, empty, empty), empty, no_bits,
-                             np.zeros(0, dtype=bool), empty)
+                             IraGraph(0, 0, empty, empty), empty, np.zeros(0, dtype=bool),
+                             empty)
             return CodeInstances((), np.zeros(1, dtype=np.int64), fg, no_bits, (), insufficient)
         if insufficient:
             kept = np.flatnonzero(keep).tolist()
@@ -331,7 +326,7 @@ def build_instances(
             payload = rng.integers(0, 2, _payload_bits(segments), dtype=np.uint8)
             parts.append(_encode_segments(payload, x, segments))
         word = np.concatenate(parts)
-    _complete_word(word, layout, graph)
+    _complete_word(word, a, layout, graph)
     return CodeInstances(trials=trials, offsets=offsets, fg=build_factor_graph(a, graph, layout),
                          word=word, rngs=tuple(rngs), insufficient=insufficient)
 

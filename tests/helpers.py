@@ -121,7 +121,7 @@ def shield_layout(a, p_needed: int) -> WireLayout:
     runs = list(zip(starts.tolist(), lengths.tolist()))
     free = [s for s, d in runs if d == 1]
     assert p_needed > len(free), "the stride branch needs no shields"
-    pinned: list[tuple[int, int]] = []
+    pinned: list[int] = []
     slots = list(free)
     segments = [(s, d) for s, d in runs if d > 1]
     for _ in range(p_needed - len(free)):
@@ -133,7 +133,7 @@ def shield_layout(a, p_needed: int) -> WireLayout:
                 f"shield capacity exhausted (at most {(arr.size - len(free)) // 2} pairs)"
             )
         s, d = segments.pop(best)
-        pinned.append((s + d - 2, int(arr[s + d - 2])))
+        pinned.append(s + d - 2)
         slots.append(s + d - 1)
         if d - 2 >= 1:
             segments.append((s, d - 2))
@@ -171,7 +171,7 @@ def disjoint_union(instances):
     off = 0
     for _, layout, _ in instances:
         slots.append(layout.parity_slot_array + off)
-        pinned += [(w + off, v) for w, v in layout.pinned]
+        pinned += [w + off for w in layout.pinned]
         segments.append(layout.segments + (off, 0))
         off += layout.n
     layout = WireLayout(n=off, parity_slot_array=np.concatenate(slots), pinned=tuple(pinned),
@@ -210,8 +210,8 @@ def encode_instance(rng, a, layout, graph):
         book = RunCodebook(arr[s : s + d])
         word[s : s + d] = book.unrank(int(rng.integers(0, book.codeword_count)))
     word[layout.parity_slot_array] = ira_encode(word[layout.info_wire_array], graph)
-    for pin, v in layout.pinned:
-        word[pin] = v
+    for pin in layout.pinned:
+        word[pin] = arr[pin]
     return word
 
 
@@ -226,7 +226,7 @@ class ReferenceDecoder:
         self.layout = layout
         self.info_wires = layout.info_wire_array.tolist()
         self.parity_slots = layout.parity_slot_array.tolist()
-        self.pinned = dict(layout.pinned)
+        self.pinned = {w: int(arr[w]) for w in layout.pinned}
         # pairwise crosstalk checks inside segments: (left wire, right wire)
         self.cac_checks = []
         for s, d in layout.segments:
@@ -360,8 +360,8 @@ def peel_decode(a, graph: IraGraph, layout: WireLayout, received) -> np.ndarray:
     arr = as_bits(a)
     n = arr.size
     sym = np.asarray(received, dtype=np.uint8).copy()
-    for pin, v in layout.pinned:
-        sym[pin] = v
+    for pin in layout.pinned:
+        sym[pin] = arr[pin]
     pairs = []
     for s, d in layout.segments:
         pairs.extend((w, w + 1) for w in range(s, s + d - 1))
@@ -435,7 +435,7 @@ def sweep_decode(
     src_ch = resolved.copy()
     if fg.pinned_wires.size:
         # The receiver knows pinned wires repeat their past bit.
-        val[fg.pinned_wires] = fg.pinned_vals
+        val[fg.pinned_wires] = a[fg.pinned_wires]
         resolved[fg.pinned_wires] = True
         src_ch[fg.pinned_wires] = True
 

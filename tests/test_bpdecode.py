@@ -138,9 +138,7 @@ def test_factor_graph_crosstalk_pairs_match_reference_with_shields():
         fg = build_factor_graph(a, graph, layout)
         right = [v for _, v in ReferenceDecoder(a, graph, layout).cac_checks]
         assert np.flatnonzero(fg.adj_prev).tolist() == right
-        pins = [w for w, _ in layout.pinned]
-        assert fg.pinned_wires.tolist() == pins
-        assert fg.pinned_vals.tolist() == [int(a[w]) for w in pins]
+        assert fg.pinned_wires.tolist() == list(layout.pinned)
     assert shielded >= 30
 
 
@@ -433,7 +431,8 @@ def test_bp_decode_rejects_inconsistent_words():
         assert res.info_bits is None and res.residual_erasures == 0
         # parity wires touch no crosstalk pair, so the parity check is named
         assert res.violation == f"parity check {j + 1} fails (parity wire {slot + 1})"
-        for pin, v in layout.pinned:
+        for pin in layout.pinned:
+            v = int(a[pin])
             bad = word.copy()
             bad[pin] ^= 1
             res = bp_decode(bad, fg)

@@ -331,19 +331,30 @@ def test_codec_decode_all_erased(capsys):
     assert residual > 0
 
 
-@pytest.mark.parametrize("received, fault", [
-    ("1000000000000000", "parity check 1 fails (parity wire 1)"),
-    ("0000000010000000", "parity check 2 fails (parity wire 9)"),
-    ("0000000000000001", "parity check 3 fails (parity wire 16)"),
-    ("0100000000000000", "wires 2 and 3 make opposing transitions"),
-    ("0111111101111111", "word index 1079 falls outside the used range [0, 2**10)"),
-])
-def test_codec_decode_rejects_inconsistent_word(capsys, received, fault):
+INCONSISTENT_WORDS = [
+    ("0010011000110100", "5", "1000000000000000", "parity check 1 fails (parity wire 1)"),
+    ("0010011000110100", "5", "0000000010000000", "parity check 2 fails (parity wire 9)"),
+    ("0010011000110100", "5", "0000000000000001", "parity check 3 fails (parity wire 16)"),
+    ("0010011000110100", "5", "0100000000000000", "wires 2 and 3 make opposing transitions"),
+    ("0010011000110100", "5", "0111111101111111",
+     "word index 1079 falls outside the used range [0, 2**10)"),
+    ("0101010101010101", "1", "1100000000100100",
+     "wire 11 is pinned to its past bit 0 but 1 was received"),
+]
+
+
+# a case is named by its received word and fault alone, so that it keeps
+# its name when the table gains a column
+@pytest.mark.parametrize("past, seed, received, fault", INCONSISTENT_WORDS,
+                         ids=[f"{received}-{fault}" for _, _, received, fault in INCONSISTENT_WORDS])
+def test_codec_decode_rejects_inconsistent_word(capsys, past, seed, received, fault):
     # the all-zero codeword of payload 0000000000 with one wire flipped:
-    # parity wires 1, 9, 16 or information wire 2; last, a word that passes
-    # every crosstalk and parity check but indexes past the payload range
-    code, out, err = run_cli(capsys, "codec", "decode", "--past", "0010011000110100",
-                             "--received", received, "--seed", "5")
+    # parity wires 1, 9, 16 or information wire 2; then a word that passes
+    # every crosstalk and parity check but indexes past the payload range;
+    # last, on a past with no free wire, the codeword of payload 1011001
+    # with the pinned wire of a shield pair flipped
+    code, out, err = run_cli(capsys, "codec", "decode", "--past", past,
+                             "--received", received, "--seed", seed)
     assert code == 3
     assert out == ""
     assert fault in err

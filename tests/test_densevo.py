@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -142,6 +143,10 @@ def test_de_threshold_regular_3_12():
     threshold = de_threshold(MODEL_312, tol_eps=1e-3)
     assert 0.223 <= threshold <= 0.229
     assert threshold > 1 - 0.8  # beats the code-only limit
+    # with no forcing from the crosstalk checks, BP on the code alone stops
+    # near 0.170, short of that erasure limit 1 - R = 0.2
+    code_only = dataclasses.replace(MODEL_312, forcing_lin=0.0, forcing_quad=0.0)
+    assert 0.165 <= de_threshold(code_only, tol_eps=1e-4) <= 0.175
 
 
 def test_threshold_reduced_recursion_no_sparse_code():

@@ -58,10 +58,14 @@ def test_select_parity_shield_contract():
     # its own past bit
     a = "0101"
     layout = build_layout(a, 1)
-    assert len(layout.pinned) == 1
-    pin, val = layout.pinned[0]
+    (pin,) = layout.pinned
     assert layout.parity_slot_array.tolist() == [pin + 1]
-    assert val == int(a[pin])
+    empty = np.zeros(0, dtype=np.int64)
+    graph = IraGraph(layout.num_info, 1, empty, empty.copy())
+    # the pinned wire repeats its past bit in every encoded word
+    assert payload_size(a, 1) == 1
+    for payload in ("0", "1"):
+        assert embedded_encode(payload, a, graph).word.bits[pin] == int(a[pin])
     # placement is a deterministic function of the past state
     assert build_layout(a, 1) == layout
 
@@ -123,13 +127,13 @@ def test_layout_array_forms():
 
 def test_layout_equality_by_value():
     layout = build_layout("0101", 1)
-    same = WireLayout(4, np.array([3]), ((2, 0),), np.array([[0, 2]]))
+    same = WireLayout(4, np.array([3]), (2,), np.array([[0, 2]]))
     assert layout == same and not layout != same
-    for other in [WireLayout(4, np.array([3]), ((2, 0),), np.array([[0, 1]])),
-                  WireLayout(4, np.array([3]), ((2, 0),), np.array([[0, 2], [2, 1]])),
-                  WireLayout(4, np.array([2]), ((2, 0),), np.array([[0, 2]])),
-                  WireLayout(4, np.array([3]), ((2, 1),), np.array([[0, 2]])),
-                  WireLayout(5, np.array([3]), ((2, 0),), np.array([[0, 2]]))]:
+    for other in [WireLayout(4, np.array([3]), (2,), np.array([[0, 1]])),
+                  WireLayout(4, np.array([3]), (2,), np.array([[0, 2], [2, 1]])),
+                  WireLayout(4, np.array([2]), (2,), np.array([[0, 2]])),
+                  WireLayout(4, np.array([3]), (1,), np.array([[0, 2]])),
+                  WireLayout(5, np.array([3]), (2,), np.array([[0, 2]]))]:
         assert layout != other and not layout == other
     assert layout != "0101" and layout != layout.segments.tolist()
 
@@ -153,7 +157,7 @@ def test_layout_partitions_wires():
         except ValueError:
             continue
         slots = set(layout.parity_slot_array.tolist())
-        pins = {w for w, _ in layout.pinned}
+        pins = set(layout.pinned)
         info = set(layout.info_wire_array.tolist())
         assert len(slots) + len(pins) + len(info) == n
         assert not (slots & pins or slots & info or pins & info)

@@ -210,7 +210,7 @@ def test_build_instances_batch_is_union_of_single_trials(ensemble, mode):
     assert np.array_equal(batch.fg.graph.edge_check, graph.edge_check)
     assert np.array_equal(batch.fg.graph.chain_start, graph.chain_start)
     union_fg = build_factor_graph(a, graph, layout)
-    for name in ("adj_prev", "edge_wire", "pinned_wires", "pinned_vals"):
+    for name in ("adj_prev", "edge_wire", "pinned_wires"):
         assert np.array_equal(getattr(batch.fg, name), getattr(union_fg, name)), name
     assert np.array_equal(batch.word, np.concatenate([inst.word for inst in kept]))
     for t, inst in enumerate(singles):
@@ -337,3 +337,22 @@ def test_de_vs_simulation_tracks_prediction():
     rows = de_vs_simulation(0.20, DIST, 50_000, iterations=12, seed=2)
     for _, emp, pred in rows:
         assert abs(emp - pred) < 0.015
+
+
+def test_crosstalk_checks_decode_past_the_code_erasure_limit():
+    # eps = 0.205 lies past 1 - R = 0.2, the erasure limit of the (3,12)
+    # code alone: the joint decoder decodes every trial, and the same graph
+    # without its crosstalk checks (adj_prev all False) fails nearly all
+    n, eps, trials = 10**4, 0.205, 40
+    inst = build_instances(5, range(trials), DIST, EnsembleSpec("uniform", n))
+    assert inst.insufficient == 0
+    # the channel draws of run_trials: each trial's stream after its instance
+    u = np.concatenate([rng.random(n) for rng in inst.rngs])
+    received = np.where(u < eps, ERASED, inst.word)
+    code_only = dataclasses.replace(inst.fg, adj_prev=np.zeros(inst.fg.n, dtype=bool))
+    failures = []
+    for fg in (inst.fg, code_only):
+        out = bp_decode(received, fg, extract_payload=False).word.symbols
+        failures.append(int(np.count_nonzero((out == ERASED).reshape(trials, n).any(axis=1))))
+    assert failures[0] == 0
+    assert failures[1] >= 36
