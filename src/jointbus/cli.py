@@ -16,7 +16,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import astuple, fields
+from dataclasses import astuple, fields, replace
 from typing import Optional, Sequence
 
 from . import __version__
@@ -193,7 +193,8 @@ def cmd_de(args: argparse.Namespace) -> int:
                 _sidecar(args, {}),
             )
         return 0
-    states, verdict = de_trajectory(args.trajectory, model)
+    with _flag("--trajectory"):
+        states, verdict = de_trajectory(args.trajectory, model)
     rows = [[str(i + 1), *map(_fmt, astuple(s))] for i, s in enumerate(states)]
     _write_rows(args.out, TRAJ_COLUMNS, rows, _sidecar(args, {"verdict": verdict}))
     print(f"verdict: {verdict} after {len(states)} iterations", file=sys.stderr)
@@ -256,12 +257,18 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         blocklens = [int(p) for p in str(cfg["blocklen"]).split(",")]
     except ValueError:
         raise ValueError(f"--blocklen must list bus widths, got {cfg['blocklen']!r}") from None
-    # every point is checked before the first one runs
-    configs = [
-        SimConfig(ensemble=EnsembleSpec(kind=cfg["ensemble"], n=n), dist=dist, eps=eps,
-                  trials=cfg["trials"], seed=cfg["seed"], mode=cfg["mode"], jobs=cfg["jobs"])
-        for n in blocklens for eps in eps_grid
-    ]
+    # every point is checked before the first one runs: the library checks
+    # one setting at a time, under the flag that set it
+    with _flag("--blocklen"):
+        ensembles = [EnsembleSpec(kind="uniform", n=n) for n in blocklens]
+    with _flag("--ensemble"):
+        ensembles = [replace(e, kind=cfg["ensemble"]) for e in ensembles]
+    base = SimConfig(ensemble=ensembles[0], dist=dist, eps=eps_grid[0], trials=1,
+                     seed=cfg["seed"])
+    for key in ("trials", "mode", "jobs"):
+        with _flag(f"--{key}"):
+            base = replace(base, **{key: cfg[key]})
+    configs = [replace(base, ensemble=e, eps=eps) for e in ensembles for eps in eps_grid]
     rows = []
     for config in configs:
         stats = run_trials(config)

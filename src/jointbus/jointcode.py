@@ -278,51 +278,24 @@ def compare_rates(a: BitsLike, r_ecc: float) -> RateComparison:
     )
 
 
-def _pair_ok(t: np.ndarray, i: int) -> bool:
-    return not (t[i] == 1 and t[i + 1] == 1)
+def _companion(a_run: np.ndarray, c0_run: np.ndarray) -> np.ndarray:
+    """The half c1 of the split c0 = c1 xor (c1 xor c0) on one alternating
+    run ``a_run`` of the past, where every adjacent pair is constrained.
 
-
-def _fix_segment(a_seg: np.ndarray, c0_seg: np.ndarray) -> np.ndarray:
-    """Companion word for one run: zero where c0 already satisfies the
-    constraints, patched inside each violated stretch.
-
-    Violated stretches are the maximal blocks where c0 opposes the past run
-    on consecutive pairs (always length >= 2). Interior positions get 1;
-    the two boundary bits take the first value pair (trying 0 first) that
-    keeps both the companion and its XOR with c0 constraint-clean.
+    With t = c0 xor a (neighbours outside the run read as 0), c1 is 0
+    outside every stretch of two or more consecutive ones of t, 1 strictly
+    inside one, and the past bit at its two ends. Neither transition word
+    then has two adjacent ones, so both halves are valid:
+    - c1 xor a is a outside the stretches, its complement strictly inside,
+      and 0 at the stretch ends between them; a and its complement
+      alternate.
+    - c1 xor c0 xor a keeps only the lone ones of t and the complemented
+      past bits at the stretch ends; two ends are adjacent only in a
+      stretch of two, where the alternating past gives them opposite bits.
     """
-    d = a_seg.size
-    t0 = c0_seg ^ a_seg
-    c1 = np.zeros(d, dtype=np.uint8)
-    i = 0
-    while i < d:
-        if t0[i] == 0:
-            i += 1
-            continue
-        j = i
-        while j + 1 < d and t0[j + 1] == 1:
-            j += 1
-        if j > i:  # lone mismatches are not violations
-            c1[i + 1 : j] = 1
-            lo, hi = max(i - 1, 0), min(j + 1, d - 1)
-            for first in (0, 1):
-                for last in (0, 1):
-                    c1[i], c1[j] = first, last
-                    t1 = c1[lo : hi + 1] ^ a_seg[lo : hi + 1]
-                    t2 = t1 ^ c0_seg[lo : hi + 1]  # equals (c0 xor c1) xor a
-                    if all(_pair_ok(t1, p) and _pair_ok(t2, p) for p in range(hi - lo)):
-                        break
-                else:
-                    continue
-                break
-            else:
-                raise RuntimeError("no admissible boundary completion for a violated stretch")
-        i = j + 1
-    t1 = c1 ^ a_seg
-    t2 = t1 ^ c0_seg
-    if np.any((t1[:-1] == 1) & (t1[1:] == 1)) or np.any((t2[:-1] == 1) & (t2[1:] == 1)):
-        raise RuntimeError("companion construction left a violated pair")
-    return c1
+    t = np.pad(c0_run ^ a_run, 1)
+    left, mid, right = t[:-2], t[1:-1], t[2:]
+    return mid & (left | right) & (a_run | (left & right))
 
 
 def dmin_witness(c0_info: BitsLike, a: BitsLike, graph: IraGraph) -> tuple[BusState, BusState]:
@@ -332,6 +305,7 @@ def dmin_witness(c0_info: BitsLike, a: BitsLike, graph: IraGraph) -> tuple[BusSt
     words (c1, c2) that each satisfy every crosstalk constraint of ``a`` and
     every parity check, with c1 xor c2 = c0. Their Hamming distance is the
     weight of c0, so minimum distance pairs exist inside the joint code.
+    c1 is ``_companion`` on each segment.
     """
     arr = as_bits(a)
     layout = build_layout(arr, graph.num_parity)
@@ -344,18 +318,14 @@ def dmin_witness(c0_info: BitsLike, a: BitsLike, graph: IraGraph) -> tuple[BusSt
         raise ValueError(f"expected {layout.num_info} systematic bits, got {c0.size}")
     if not c0.any():
         raise ValueError("c0 must be a nonzero codeword")
-    c1 = np.zeros(c0.size, dtype=np.uint8)
-    off = 0
-    for s, d in layout.segments:
-        c1[off : off + d] = _fix_segment(arr[s : s + d], c0[off : off + d])
-        off += d
-    words = []
-    for sys_bits in (c1, c1 ^ c0):
-        w = np.zeros(arr.size, dtype=np.uint8)
-        w[layout.info_wire_array] = sys_bits
-        w[layout.parity_slot_array] = ira_encode(sys_bits, graph)
-        words.append(BusState(w))
-    return words[0], words[1]
+    c0_word = np.zeros(arr.size, dtype=np.uint8)
+    c0_word[layout.info_wire_array] = c0
+    c1_word = np.zeros_like(c0_word)
+    for s, d in layout.segments.tolist():
+        c1_word[s : s + d] = _companion(arr[s : s + d], c0_word[s : s + d])
+    c1, c2 = (BusState(_complete_word(w, arr, layout, graph))
+              for w in (c1_word, c1_word ^ c0_word))
+    return c1, c2
 
 
 def _segment_words(past_run: np.ndarray) -> np.ndarray:

@@ -456,6 +456,20 @@ CONFIG = {"regular": "3,12", "blocklen": "20", "eps": "0.1", "trials": 2, "jobs"
                  id="config-jobs-float"),
     pytest.param(["simulate", "--config", {**CONFIG, "jobs": True}], 3, "--config",
                  id="config-jobs-bool"),
+    # the library's own checks, each under the flag that set the value
+    pytest.param(["de", "--regular", "3,12", "--trajectory", "1.5"], 3, "--trajectory",
+                 id="de-trajectory-eps"),
+    pytest.param(["simulate", "--regular", "3,12", "--blocklen", "0", "--eps", "0.1",
+                  "--trials", "2"], 3, "--blocklen", id="simulate-blocklen-0"),
+    pytest.param(["simulate", "--regular", "3,12", "--blocklen", "20", "--eps", "0.1",
+                  "--trials", "0"], 3, "--trials", id="simulate-trials-0"),
+    pytest.param(SIM[:-1] + ["0", "--regular", "3,12"], 3, "--jobs", id="simulate-jobs-0"),
+    pytest.param(["simulate", "--config", {**CONFIG, "mode": "bits"}], 3, "--mode",
+                 id="config-mode-bits"),
+    pytest.param(["simulate", "--config", {**CONFIG, "ensemble": "flat"}], 3, "--ensemble",
+                 id="config-ensemble-flat"),
+    pytest.param(["simulate", "--config", {**CONFIG, "jobs": 0}], 3, "--jobs",
+                 id="config-jobs-0"),
 ])
 def test_cli_rejects_bad_input_by_flag(tmp_path, argv, exit_code, flag):
     # a dict in argv stands for a config file holding it

@@ -21,7 +21,14 @@ from jointbus import (
 )
 from jointbus.buscore import _run_bounds, _state_from_runs, as_bits
 from jointbus.ira import IraGraph
-from jointbus.jointcode import WireLayout, _layout_from_runs, _segment_words, _stride_select
+from jointbus.jointcode import (
+    WireLayout,
+    _companion,
+    _layout_from_runs,
+    _segment_words,
+    _stride_select,
+    _xor_closure,
+)
 
 from helpers import disjoint_union, shield_layout, stride_select, valid_words
 
@@ -345,12 +352,58 @@ def test_dmin_witness_random_property():
         done += 1
 
 
-def test_segment_words_are_the_valid_run_continuations():
-    for d in range(1, 11):
+def _alternating_runs(max_len):
+    for d in range(1, max_len + 1):
         for phase in (0, 1):
-            past = np.array([(phase + i) % 2 for i in range(d)], dtype=np.uint8)
-            packed = [int("".join(map(str, w.tolist())), 2) for w in valid_words(past)]
-            assert _segment_words(past).tolist() == sorted(packed)
+            yield np.array([(phase + i) % 2 for i in range(d)], dtype=np.uint8)
+
+
+def test_companion_splits_every_word_on_a_run():
+    # every c0, the zero word too, is c1 xor (c1 xor c0) with both halves
+    # valid continuations of the run
+    for past in _alternating_runs(12):
+        d = past.size
+        words = (np.arange(1 << d)[:, None] >> np.arange(d - 1, -1, -1)) & 1
+        for c0 in words.astype(np.uint8):
+            c1 = _companion(past, c0)
+            assert check_transition(past, c1).ok, (past, c0)
+            assert check_transition(past, c1 ^ c0).ok, (past, c0)
+
+
+def test_every_word_is_a_difference_of_run_continuations():
+    # the lemma behind the joint code keeping the distance of the code:
+    # on one run, the differences of valid continuations are all words
+    for past in _alternating_runs(12):
+        d = past.size
+        closure = _xor_closure(_segment_words(past), d)
+        assert np.array_equal(closure, np.arange(1 << d)), past
+
+
+def test_dmin_rejects_shielded_layout_and_foreign_graph():
+    # one alternating run has no free wire, so its parity takes a shield pair
+    shielded = np.array([0, 1] * 5, dtype=np.uint8)
+    layout = build_layout(shielded, 1)
+    assert layout.pinned
+    k = layout.num_info
+    graph = IraGraph(k, 1, np.arange(k), np.zeros(k, dtype=np.int64))
+    with pytest.raises(ValueError, match="witness construction requires all parities on free"):
+        dmin_witness(np.ones(k, dtype=np.uint8), shielded, graph)
+    with pytest.raises(ValueError, match="distance scan requires all parities on free wires"):
+        dmin_bruteforce(shielded, graph)
+    # all wires free: two parity slots leave two info wires, not three
+    free = np.zeros(4, dtype=np.uint8)
+    assert build_layout(free, 2).num_info == 2
+    foreign = IraGraph(3, 2, np.arange(3), np.array([0, 1, 1]))
+    for call in (lambda: dmin_witness(np.ones(3, dtype=np.uint8), free, foreign),
+                 lambda: dmin_bruteforce(free, foreign)):
+        with pytest.raises(ValueError, match="graph does not match the layout"):
+            call()
+
+
+def test_segment_words_are_the_valid_run_continuations():
+    for past in _alternating_runs(10):
+        packed = [int("".join(map(str, w.tolist())), 2) for w in valid_words(past)]
+        assert _segment_words(past).tolist() == sorted(packed)
 
 
 def test_dmin_bruteforce_single_payload_bit():

