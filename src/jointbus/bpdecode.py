@@ -17,12 +17,17 @@ unknown flags are tracked per edge, the chain fixed point is computed by
 prefix scans, and values are filled in as nodes resolve.
 
 Because message knowledge is monotone, the decoder works on a frontier:
-step 3 revisits only the edges whose variable-to-check message is still
-erased, step 5 only the edges of checks that gained knowledge, and the
-per-check and per-node counts move by the edges that became known. An
-outer iteration thus costs O(active edges + N + P) plus one gather over
-the edges, not a full recomputation of every message; iterations, trace
-and output are those of the full sweep (``tests/helpers.sweep_decode``).
+steps 1-2 force only around the wires that became known and transitioning
+since the last iteration, step 3 revisits only the edges whose
+variable-to-check message is still erased, and the per-check and per-node
+counts move by the edges that became known. Step 4's chain scans depend
+only on which checks have all their sparse inputs known, a set that only
+grows, so they run only in an iteration where it grew, and only the
+parities that became known get values. Step 5 visits, through the
+check-ordered view of the edges, only the edges of checks whose level
+rose. An outer iteration thus costs O(active edges + N + P), with no pass
+over all edges; iterations, trace and output are those of the full sweep
+(``tests/helpers.sweep_decode``).
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from typing import Iterable, Optional, Union
 
 import numpy as np
 
-from .buscore import BitsLike, as_bits, check_transition
+from .buscore import BitsLike, _stable_argsort, as_bits, check_transition
 from .cac import _decode_segments
 from .ira import IraGraph, ira_encode
 from .jointcode import WireLayout
@@ -125,6 +130,11 @@ class FactorGraph:
     pinned_wires: np.ndarray   # each repeats its bit of a_bits
     adj_prev: np.ndarray       # wire i shares a segment with wire i-1
     edge_wire: np.ndarray      # wire index of each sparse edge's variable end
+    # The sparse edges in check order, through which step 5 visits the
+    # edges of the checks whose level rose: those of check j, ascending,
+    # are check_edges[check_ptr[j]:check_ptr[j + 1]].
+    check_ptr: np.ndarray      # P + 1 offsets into check_edges
+    check_edges: np.ndarray    # edge indices, grouped by check
 
     @property
     def n(self) -> int:
@@ -164,6 +174,7 @@ def build_factor_graph(a: BitsLike, graph: IraGraph, layout: WireLayout) -> Fact
     adj_prev[info_wires] = True
     adj_prev[layout.segments[:, 0]] = False
     edge_wire = info_wires[graph.edge_info] if graph.num_edges else np.zeros(0, dtype=np.int64)
+    degrees = np.bincount(graph.edge_check, minlength=graph.num_parity)
     return FactorGraph(
         a_bits=arr,
         layout=layout,
@@ -171,6 +182,8 @@ def build_factor_graph(a: BitsLike, graph: IraGraph, layout: WireLayout) -> Fact
         pinned_wires=np.array(layout.pinned, dtype=np.int64),
         adj_prev=adj_prev,
         edge_wire=edge_wire,
+        check_ptr=np.concatenate(([0], np.cumsum(degrees))),
+        check_edges=_stable_argsort(graph.edge_check, graph.num_parity),
     )
 
 
@@ -198,12 +211,48 @@ def bp_decode(
     if max_outer < 1:
         raise ValueError(f"max_outer must be >= 1, got {max_outer}")
     rcv = received if isinstance(received, ErasureWord) else ErasureWord(received)
-    n = fg.n
-    if len(rcv) != n:
-        raise ValueError(f"received word has {len(rcv)} symbols, bus has {n} wires")
-    a = fg.a_bits
+    if len(rcv) != fg.n:
+        raise ValueError(f"received word has {len(rcv)} symbols, bus has {fg.n} wires")
     symbols = rcv.symbols
+    # The decode's per-edge and per-check arrays are freed before the
+    # payload is read, the step that needs the most memory on a wide bus.
+    val, resolved, iterations, converged, trace = _propagate(symbols, fg, max_outer,
+                                                             record_trace)
 
+    residual = int(np.count_nonzero(~resolved))
+    out = np.where(resolved, val, ERASED).astype(np.uint8)
+    info_bits = None
+    violation = None
+    if residual == 0 and extract_payload:
+        # A resolved word that breaks a constraint or indexes past the
+        # payload range carries no payload; the word itself is still
+        # returned for inspection.
+        violation = _first_violation(symbols, val, fg)
+        if violation is None:
+            # Every crosstalk pair holds, so only the index range can fail.
+            try:
+                info_bits = tuple(_decode_segments(val, fg.a_bits, fg.layout.segments).tolist())
+            except ValueError as exc:
+                violation = str(exc)
+    return DecodeResult(
+        word=ErasureWord(out),
+        info_bits=info_bits,
+        iterations=iterations,
+        converged=converged,
+        residual_erasures=residual,
+        x_ecc_trace=tuple(trace) if record_trace else None,
+        violation=violation,
+    )
+
+
+def _propagate(symbols: np.ndarray, fg: FactorGraph, max_outer: int,
+               record_trace: bool) -> tuple[np.ndarray, np.ndarray, int, bool, list[float]]:
+    """The outer iterations of ``bp_decode`` on the received ``symbols``:
+    each wire's value and whether it resolved, the iteration count, whether
+    the decode stopped at a fixed point, and the trace, which
+    ``bp_decode`` reads only when ``record_trace`` is set."""
+    n = fg.n
+    a = fg.a_bits
     resolved = symbols != ERASED
     val = np.where(resolved, symbols, 0).astype(np.uint8)
     src_ch = resolved.copy()
@@ -212,6 +261,10 @@ def bp_decode(
         val[fg.pinned_wires] = a[fg.pinned_wires]
         resolved[fg.pinned_wires] = True
         src_ch[fg.pinned_wires] = True
+    if resolved.all():
+        # Nothing erased: the first iteration changes no message, and its
+        # step 3 finds every variable-to-check message known.
+        return val, resolved, 1, True, [0.0]
 
     num_e = fg.edge_wire.size
     num_p = fg.layout.num_parity
@@ -235,7 +288,6 @@ def bp_decode(
     src_cac = np.zeros(n, dtype=bool)
 
     ch_p = src_ch[slots]
-    val_p_ch = val[slots]
     idx_p = np.arange(num_p, dtype=np.int64)
     cs = fg.graph.chain_start
     # Knowledge sources along the chains, fixed for the whole decode: the
@@ -249,7 +301,30 @@ def bp_decode(
     nxt_seed = np.concatenate((lsp_r[::-1], [-1]))[1:]
     r_star = np.where(nxt_seed >= 0, num_p - 1 - nxt_seed, 0)
     from_zero = lcs > src_idx
-    val_src, val_r_star = val_p_ch[src_idx], val_p_ch[r_star]
+    # A parity that the chain makes known takes src_val ^ s[src_pos] ^ ...
+    # ^ s[j], that is src_val ^ cum0[src_pos] ^ cum0[j + 1] with cum0 the
+    # prefix xor of s; the checks in between are satisfied, so their s is
+    # final. Entry j reads backward, from the first channel-known parity
+    # after j; entry num_p + j forward, from the last one before j or the
+    # implicit zero before j's chain.
+    val_p = val[slots]  # parity values, filled in as parities become known
+    src_pos = np.concatenate((r_star + 1, np.where(from_zero, lcs, src_idx + 1)))
+    src_val = np.concatenate((val_p[r_star], np.where(from_zero, 0, val_p[src_idx])))
+    par_known = ch_p.copy()
+    num_ok = -1  # checks with all sparse inputs known at the last scans
+    chain_ok = np.zeros(num_p, dtype=bool)  # both chain messages into check j known
+    degree = fg.check_ptr[1:] - fg.check_ptr[:-1]  # sparse edges per check
+    # Wires known from the channel or a check stay known and keep their
+    # value, so those that transition only accumulate: each iteration's
+    # crosstalk pass forces only around the ones that joined since the last,
+    # the wires that step 5 filled in. (A wire forced by the crosstalk
+    # checks keeps its past bit; one resolved otherwise got its value from
+    # the channel or its first check message.)
+    moved = np.flatnonzero(src_ch & (val != a))
+    adj_next = np.append(fg.adj_prev[1:], False)  # wire i shares a segment with wire i+1
+    # Check j reads parity j - 1 unless j starts a chain.
+    has_prev = ~cs
+    has_prev[:1] = False
 
     trace: list[float] = []
     iterations = 0
@@ -262,14 +337,12 @@ def bp_decode(
         # Steps 1-2: a known transitioning wire pins both in-run neighbours
         # to their past bits. A forced wire keeps its past bit and so never
         # transitions: one pass reaches the fixed point.
-        m = (src_ch | (cnt_ci > 0)) & (val != a) & resolved
-        force = np.zeros(n, dtype=bool)
-        force[1:] = m[:-1] & fg.adj_prev[1:]
-        force[:-1] |= m[1:] & fg.adj_prev[1:]
-        src_cac |= force
-        newly = force & ~resolved
-        val[newly] = a[newly]
-        resolved |= force
+        force = np.concatenate((moved[fg.adj_prev[moved]] - 1, moved[adj_next[moved]] + 1))
+        moved = np.zeros(0, dtype=np.int64)
+        src_cac[force] = True
+        force = force[~resolved[force]]
+        val[force] = a[force]
+        resolved[force] = True
 
         # Step 3: extrinsic variable-to-check messages of the open edges.
         if open_v2c.size:
@@ -290,57 +363,61 @@ def bp_decode(
         # Step 4: chain fixed point. ok marks checks whose sparse inputs are
         # all known; knowledge spreads along each chain from known parities
         # (and the implicit zero before its first parity) until a break.
+        # The scans depend on ok alone, which only grows, so they run only
+        # in an iteration where it grew.
         ok = unk == 0
-        if num_p:
+        num_ok, last_ok = np.count_nonzero(ok), num_ok
+        if num_ok > last_ok:
             okl = ok & ~cs  # check j is satisfied and links parity j-1 to j
             lbp = np.maximum.accumulate(np.where(~ok, idx_p, -1))
             kf = lsp >= lbp  # parity j -> check j+1 known
             pass_r = np.concatenate(([False], okl[::-1][:-1]))
             lbp_r = np.maximum.accumulate(np.where(~pass_r, idx_p, -1))
             kb = (lsp_r >= lbp_r)[::-1]  # parity j -> check j known
-            kf_prev = np.concatenate(([True], kf[:-1])) | cs
-            res_fwd = ok & kf_prev
-            res_bwd = np.concatenate((okl[1:] & kb[1:], [False]))
-            parity_known = ch_p | res_fwd | res_bwd
-
-            cum = np.bitwise_xor.accumulate(s)
-            base_fwd = np.where(from_zero, np.concatenate(([0], cum))[lcs],
-                                val_src ^ cum[src_idx])
-            v_fwd = (base_fwd ^ cum).astype(np.uint8)
-            v_bwd = (val_r_star ^ cum[r_star] ^ cum).astype(np.uint8)
-            val_p = np.where(ch_p, val_p_ch, np.where(res_fwd, v_fwd, v_bwd)).astype(np.uint8)
-
-            newly_p = parity_known & ~resolved[slots]
-            if newly_p.any():
-                wires = slots[newly_p]
-                val[wires] = val_p[newly_p]
+            chain_ok = (np.concatenate(([True], kf[:-1])) | cs) & kb
+            new_p = np.flatnonzero((kf | kb) & ~par_known)
+            if new_p.size:
+                par_known[new_p] = True
+                cum0 = np.concatenate(([0], np.bitwise_xor.accumulate(s)))
+                k = new_p + num_p * kf[new_p]
+                val_p[new_p] = src_val[k] ^ cum0[src_pos[k]] ^ cum0[new_p + 1]
+                wires = slots[new_p]
+                val[wires] = val_p[new_p]
                 resolved[wires] = True
 
         # Step 5: check-to-variable messages and value fill-in. A check
         # whose two chain messages are known sends a known message to its
         # one erased sparse input (level 1) or, with none erased, to all of
-        # them (level 2); only checks whose level rose send new ones.
-        if num_e:
+        # them (level 2); only checks whose level rose send new ones, and
+        # only their edges are visited, through the check-ordered view.
+        # With every wire resolved there is nothing left to fill.
+        if num_e and not resolved.all():
             prev_level = level
-            level = np.where(kf_prev & kb, 2 - np.minimum(unk, 2), 0)
-            rose = level > prev_level
-            if rose.any():
-                # g: per edge, the level its check rose to (0: no rise).
-                # closed is in ascending edge order, so a wire filled twice
-                # keeps its last fill, as in a sweep over every edge.
-                g = np.where(rose, level, 0).astype(np.int8)[e_chk]
-                closed = np.flatnonzero(((g == 2) | ((g == 1) & ~ext)) & ~known_ci)
+            level = np.where(chain_ok, 2 - np.minimum(unk, 2), 0)
+            rose = np.flatnonzero(level > prev_level)
+            if rose.size:
+                lo, cnt = fg.check_ptr[rose], degree[rose]
+                pos = np.repeat(lo - np.cumsum(cnt) + cnt, cnt)
+                pos += np.arange(pos.size)
+                e = fg.check_edges[pos]
+                del pos
+                closed = e[(np.repeat(level[rose] == 2, cnt) | ~ext[e]) & ~known_ci[e]]
+                del e
                 known_ci[closed] = True
                 num_known_ci += closed.size
                 w = e_wire[closed]
                 fresh = ~resolved[w]
                 if fresh.any():
-                    ej = e_chk[closed[fresh]]
-                    valp_prev = np.where(cs, 0, np.concatenate(([0], val_p[:-1]))).astype(np.uint8)
-                    wires = w[fresh]
-                    val[wires] = (s[ej] ^ valp_prev[ej] ^ val_p[ej]).astype(np.uint8)
+                    # Ascending edge order, so a wire filled twice keeps its
+                    # last fill, as in a sweep over every edge.
+                    fill = closed[fresh]
+                    fill = fill[_stable_argsort(fill, num_e)]
+                    ej = e_chk[fill]
+                    wires = e_wire[fill]
+                    val[wires] = s[ej] ^ val_p[ej] ^ (val_p[ej - 1] & has_prev[ej])
                     resolved[wires] = True
-                del g, closed, fresh
+                    moved = wires[val[wires] != a[wires]]
+                del closed, fresh
                 cnt_ci += np.bincount(w, minlength=n)
                 del w
 
@@ -352,31 +429,7 @@ def bp_decode(
             converged = True
             break
         prev_sig = sig
-
-    residual = int(np.count_nonzero(~resolved))
-    out = np.where(resolved, val, ERASED).astype(np.uint8)
-    info_bits = None
-    violation = None
-    if residual == 0 and extract_payload:
-        # A resolved word that breaks a constraint or indexes past the
-        # payload range carries no payload; the word itself is still
-        # returned for inspection.
-        violation = _first_violation(symbols, val, fg)
-        if violation is None:
-            # Every crosstalk pair holds, so only the index range can fail.
-            try:
-                info_bits = tuple(_decode_segments(val, a, fg.layout.segments).tolist())
-            except ValueError as exc:
-                violation = str(exc)
-    return DecodeResult(
-        word=ErasureWord(out),
-        info_bits=info_bits,
-        iterations=iterations,
-        converged=converged,
-        residual_erasures=residual,
-        x_ecc_trace=tuple(trace) if record_trace else None,
-        violation=violation,
-    )
+    return val, resolved, iterations, converged, trace
 
 
 def _first_violation(received: np.ndarray, word: np.ndarray, fg: FactorGraph) -> Optional[str]:

@@ -159,7 +159,10 @@ class IraGraph:
     @classmethod
     def union(cls, graphs: Sequence["IraGraph"]) -> "IraGraph":
         """Disjoint union: the nodes of each graph are numbered after those
-        of the graphs before it, and each keeps its own parity chains."""
+        of the graphs before it, and each keeps its own parity chains. The
+        union of one graph is that graph."""
+        if len(graphs) == 1:
+            return graphs[0]
         info_off = np.cumsum([0] + [g.num_info for g in graphs])
         par_off = np.cumsum([0] + [g.num_parity for g in graphs])
         return cls(

@@ -18,7 +18,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .buscore import BitsLike, BusState, as_bits, fib, _run_bounds, _state_from_runs
+from .buscore import (BitsLike, BusState, as_bits, fib, _run_bounds, _stable_argsort,
+                      _state_from_runs)
 from .bpdecode import ERASED, ErasureWord, FactorGraph, bp_decode, build_factor_graph
 from .cac import _encode_segments, _payload_bits
 from .densevo import DeModel, de_trajectory
@@ -173,7 +174,7 @@ def _valid_word(a: np.ndarray, starts: np.ndarray, lengths: np.ndarray, u: np.nd
     longest = int(lengths.max())
     key = word_of_run[run_of_wire] * longest + offset
     uw = np.empty(n)
-    uw[np.argsort(key, kind="stable")] = u
+    uw[_stable_argsort(key, (int(word_of_run[-1]) + 1) * longest)] = u
     c = uw < _ratio1(longest + 1)[lengths[run_of_wire] - offset]
     # t_j = c_j and not t_{j-1}: inside each stretch where c holds, the
     # transitions fall on every other wire, starting at its first.
@@ -298,7 +299,7 @@ def build_instances(
             empty, no_bits = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.uint8)
             fg = FactorGraph(no_bits, WireLayout(0, empty, (), np.zeros((0, 2), dtype=np.int64)),
                              IraGraph(0, 0, empty, empty), empty, np.zeros(0, dtype=bool),
-                             empty)
+                             empty, np.zeros(1, dtype=np.int64), empty)
             return CodeInstances((), np.zeros(1, dtype=np.int64), fg, no_bits, (), insufficient)
         if insufficient:
             kept = np.flatnonzero(keep).tolist()

@@ -7,7 +7,7 @@ with these on small instances.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -162,6 +162,35 @@ def sequential_valid_word(a, starts, lengths, rng) -> np.ndarray:
             t[starts[r] + j] = one
             forced[r] = one
     return (a ^ t).astype(np.uint8)
+
+
+def stopping_set_violation(fg: FactorGraph, out) -> Optional[str]:
+    """The first code check, then wire, that could still resolve in the
+    decoded symbols ``out``; None when the erased wires form a stopping set
+    of the joint graph, the only place where peeling stops.
+
+    A code check could resolve with exactly one erased participant: its
+    sparse edges, counted with multiplicity, its own parity j, and parity
+    j-1 unless j starts a chain. An erased wire could resolve with a known
+    in-segment neighbour whose value differs from its past bit. Checks and
+    wires are named 1-based.
+    """
+    erased = np.asarray(out) == ERASED
+    g = fg.graph
+    par = erased[fg.layout.parity_slot_array]
+    count = np.bincount(g.edge_check[erased[fg.edge_wire]], minlength=g.num_parity) + par
+    count[1:] += par[:-1] & ~g.chain_start[1:]
+    bad = np.flatnonzero(count == 1)
+    if bad.size:
+        return f"parity check {int(bad[0]) + 1} has one erased participant"
+    moved = ~erased & (np.asarray(out) != fg.a_bits)
+    # wire i+1 follows wire i in its segment: either may force the other
+    pair = fg.adj_prev[1:] & ((erased[1:] & moved[:-1]) | (erased[:-1] & moved[1:]))
+    bad = np.flatnonzero(pair)
+    if bad.size:
+        i = int(bad[0])
+        return f"wires {i + 1} and {i + 2}: one is erased, the other known and transitioning"
+    return None
 
 
 def disjoint_union(instances):

@@ -23,6 +23,7 @@ from helpers import (
     encode_instance,
     peel_decode,
     random_instance,
+    stopping_set_violation,
     sweep_decode,
     valid_words,
     variable_node_update,
@@ -125,6 +126,22 @@ def test_factor_graph_counts():
     assert np.count_nonzero(fg.adj_prev) == sum(d - 1 for d in lengths)
     assert fg.layout.num_info == fg.graph.num_info == 5
     assert fg.layout.num_parity == fg.graph.num_parity == 1
+
+
+def test_factor_graph_check_ordered_view():
+    # check j's edges, ascending, are check_edges[check_ptr[j]:check_ptr[j + 1]],
+    # whatever the order of the graph's edges
+    rng = np.random.default_rng(13)
+    for _ in range(20):
+        a, layout, graph = random_instance(rng)
+        perm = rng.permutation(graph.num_edges)
+        graph = IraGraph(graph.num_info, graph.num_parity, graph.edge_info[perm],
+                         graph.edge_check[perm])
+        fg = build_factor_graph(a, graph, layout)
+        assert fg.check_ptr[0] == 0 and fg.check_ptr[-1] == graph.num_edges
+        for j in range(graph.num_parity):
+            edges = fg.check_edges[fg.check_ptr[j]:fg.check_ptr[j + 1]]
+            assert edges.tolist() == np.flatnonzero(graph.edge_check == j).tolist()
 
 
 def test_factor_graph_crosstalk_pairs_match_reference_with_shields():
@@ -281,6 +298,52 @@ def test_bp_decode_matches_full_sweep_reference():
             rcv[rng.random(rcv.size) < eps] = ERASED
             for max_outer in (1, 2, 3, 200):
                 _assert_same_result(fg, rcv, max_outer, (ensemble.kind, eps, max_outer))
+    # sample_graph lists edges by info node; in any other order the
+    # check-ordered view and the fill order give the same result
+    for trial in range(60):
+        a, layout, graph = random_instance(rng, n_max=64, allow_shields=(trial % 2 == 0))
+        word = encode_instance(rng, a, layout, graph)
+        perm = rng.permutation(graph.num_edges)
+        graph = IraGraph(graph.num_info, graph.num_parity, graph.edge_info[perm],
+                         graph.edge_check[perm])
+        fg = build_factor_graph(a, graph, layout)
+        rcv = word.copy()
+        if trial % 3 == 0:
+            rcv[rng.random(a.size) < 0.05] ^= 1
+        rcv[rng.random(a.size) < rng.uniform(0.0, 0.6)] = ERASED
+        for max_outer in (1, 2, 3, 200):
+            _assert_same_result(fg, rcv, max_outer, ("permuted", trial, max_outer))
+
+
+def test_bp_decode_stops_on_a_stopping_set():
+    # the erasures left by a converged decode form a stopping set of the
+    # joint graph, on small random instances and on wide buses near the
+    # threshold; a decode cut off after one iteration leaves a check or
+    # crosstalk pair that could still resolve, and is flagged
+    rng = np.random.default_rng(5)
+    cut_short = 0
+    for _ in range(200):
+        a, layout, graph = random_instance(rng, n_max=64, allow_shields=True)
+        fg = build_factor_graph(a, graph, layout)
+        rcv = encode_instance(rng, a, layout, graph)
+        rcv[rng.random(a.size) < rng.uniform(0.1, 0.7)] = ERASED
+        res = bp_decode(rcv, fg, extract_payload=False)
+        assert res.converged
+        assert stopping_set_violation(fg, res.word.symbols) is None
+        first = bp_decode(rcv, fg, max_outer=1, extract_payload=False)
+        if first.word != res.word:
+            cut_short += 1
+            assert stopping_set_violation(fg, first.word.symbols) is not None
+    assert cut_short >= 20
+    for n, trials in ((10**4, 6), (10**5, 1)):
+        inst = build_instances(3, range(trials), DIST, EnsembleSpec("uniform", n))
+        u = np.concatenate([r.random(n) for r in inst.rngs])
+        rcv = np.where(u < 0.226, ERASED, inst.word)
+        res = bp_decode(rcv, inst.fg, extract_payload=False)
+        assert res.converged and res.residual_erasures > 0, n
+        assert stopping_set_violation(inst.fg, res.word.symbols) is None, n
+        first = bp_decode(rcv, inst.fg, max_outer=1, extract_payload=False)
+        assert stopping_set_violation(inst.fg, first.word.symbols) is not None, n
 
 
 def test_bp_decode_rejects_nonpositive_max_outer():

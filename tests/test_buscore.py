@@ -10,7 +10,15 @@ from jointbus import (
     free_wires,
     parse_runs,
 )
-from jointbus.buscore import _state_from_runs
+from jointbus.buscore import _stable_argsort, _state_from_runs
+
+
+@pytest.mark.parametrize("size, bound", [(0, 1), (1, 1), (300, 7), (24000, 2000),
+                                         (70000, 1 << 20)])
+def test_stable_argsort_matches_numpy(size, bound):
+    # sorted as uint16 keys up to (24000, 2000), as int64 keys for the last
+    keys = np.random.default_rng(size).integers(0, bound, size)
+    assert np.array_equal(_stable_argsort(keys, bound), np.argsort(keys, kind="stable"))
 
 
 def test_fib_base_and_values():

@@ -150,6 +150,17 @@ def test_simulate_csv_bytes_pinned(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, extra
 
 
+def test_simulate_csv_bytes_pinned_at_ten_thousand_wires(capsys):
+    # one trial per decoder call across the waterfall (pe 0 / 0.375 / 0.75
+    # / 1 / 1): the wide-bus decoder path and the one-trial builder
+    code, out, _ = run_cli(capsys, "simulate", "--regular", "3,12", "--blocklen", "10000",
+                           "--eps", "0.22:0.24:0.005", "--trials", "8", "--seed", "7",
+                           "--jobs", "1")
+    assert code == 0
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == "df481b0dcfa97e9cf5e74af605ef107b9a837f2869b8166c6cfa6f7e56e89a33")
+
+
 @pytest.mark.parametrize("code_flag", ["--regular", "--dist-file"])
 def test_de_bytes_pinned(capsys, tmp_path, code_flag):
     # the trajectory CSV bytes below and above the threshold, and the

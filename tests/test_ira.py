@@ -189,6 +189,7 @@ def test_union_mask_is_the_concatenation_of_its_parts():
     union = IraGraph.union(parts)
     assert union.chain_start.tolist() == np.concatenate([g.chain_start for g in parts]).tolist()
     assert np.flatnonzero(union.chain_start).tolist() == [0, 3, 5]
+    assert IraGraph.union([inner]) is inner  # the union of one graph is that graph
 
 
 def test_validate_checks_accepts_other_codeword():

@@ -110,6 +110,38 @@ def test_sample_valid_word_matches_sequential_sampler():
         assert np.array_equal(fast, slow)
 
 
+@pytest.mark.parametrize("words, run", [(3, 40), (257, 256)])
+def test_sample_valid_word_batch_matches_sequential_sampler(words, run):
+    # the draws of a batch are sorted by (word, position in run), keys
+    # below words * longest run: as uint16 keys when that fits 16 bits, as
+    # int64 keys past it (the second case); either way each word consumes
+    # its own draws as the sequential sampler does
+    rng = np.random.default_rng(31)
+    pasts = [np.concatenate((rng.integers(0, 2, 20), np.arange(run) % 2,
+                             rng.integers(0, 2, 20))).astype(np.uint8) for _ in range(words)]
+    offsets = np.cumsum([0] + [x.size for x in pasts])
+    a = np.concatenate(pasts)
+    starts, lengths = _run_bounds(a, offsets[:-1])
+    word_of_run = np.searchsorted(offsets, starts, side="right") - 1
+    assert (words * int(lengths.max()) > 1 << 16) == (words > 3)
+    u = np.concatenate([trial_rng(k, 1).random(x.size) for k, x in enumerate(pasts)])
+    fast = _valid_word(a, starts, lengths, u, word_of_run)
+    slow = [sequential_valid_word(x, *_run_bounds(x), trial_rng(k, 1))
+            for k, x in enumerate(pasts)]
+    assert np.array_equal(fast, np.concatenate(slow))
+
+
+def test_build_instances_one_trial_keeps_the_sampled_graph():
+    # a batch of one goes through no union copy: its graph holds the edges
+    # that sample_graph drew, the socket array itself on the info side
+    inst = build_instances(4, [9], DIST, EnsembleSpec("uniform", 1000))
+    rng = trial_rng(4, 9)
+    rng.integers(0, 2, 1000, dtype=np.uint8)
+    graph = sample_graph(inst.fg.layout.num_info, inst.fg.layout.num_parity, DIST, rng)
+    assert inst.fg.graph.edge_info is graph.edge_info
+    assert np.array_equal(inst.fg.graph.edge_check, graph.edge_check)
+
+
 def test_modified_run_length_law():
     rng = trial_rng(17, 0)
     lengths = _sample_run_length(200_000, 0.8, rng)
@@ -210,7 +242,7 @@ def test_build_instances_batch_is_union_of_single_trials(ensemble, mode):
     assert np.array_equal(batch.fg.graph.edge_check, graph.edge_check)
     assert np.array_equal(batch.fg.graph.chain_start, graph.chain_start)
     union_fg = build_factor_graph(a, graph, layout)
-    for name in ("adj_prev", "edge_wire", "pinned_wires"):
+    for name in ("adj_prev", "edge_wire", "pinned_wires", "check_ptr", "check_edges"):
         assert np.array_equal(getattr(batch.fg, name), getattr(union_fg, name)), name
     assert np.array_equal(batch.word, np.concatenate([inst.word for inst in kept]))
     for t, inst in enumerate(singles):
