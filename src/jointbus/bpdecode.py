@@ -23,11 +23,13 @@ variable-to-check message is still erased, and the per-check and per-node
 counts move by the edges that became known. Step 4's chain scans depend
 only on which checks have all their sparse inputs known, a set that only
 grows, so they run only in an iteration where it grew, and only the
-parities that became known get values. Step 5 visits, through the
-check-ordered view of the edges, only the edges of checks whose level
-rose. An outer iteration thus costs O(active edges + N + P), with no pass
-over all edges; iterations, trace and output are those of the full sweep
-(``tests/helpers.sweep_decode``).
+parities that became known get values. The graph lists its edges in
+check order, so step 5 visits each check whose level rose as one block of
+edges, and only those. An outer iteration thus costs O(active edges + N +
+P), with no pass over all edges; iterations, trace and output are those of
+the full sweep (``tests/helpers.sweep_decode``). The per-wire and per-edge
+maps the iterations use are derived once per decode, and only when
+something is erased.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from typing import Iterable, Optional, Union
 
 import numpy as np
 
-from .buscore import BitsLike, _stable_argsort, as_bits, check_transition
+from .buscore import BitsLike, as_bits, check_transition
 from .cac import _decode_segments
 from .ira import IraGraph, ira_encode
 from .jointcode import WireLayout
@@ -121,20 +123,13 @@ class FactorGraph:
     Built from a disjoint union of instances (past states side by side,
     ``IraGraph.union`` and segments that never cross from one instance
     into the next), it decodes every instance at once: no crosstalk check
-    and no chain link joins two instances.
+    and no chain link joins two instances. The graph's edges come in check
+    order.
     """
 
     a_bits: np.ndarray
     layout: WireLayout
     graph: IraGraph
-    pinned_wires: np.ndarray   # each repeats its bit of a_bits
-    adj_prev: np.ndarray       # wire i shares a segment with wire i-1
-    edge_wire: np.ndarray      # wire index of each sparse edge's variable end
-    # The sparse edges in check order, through which step 5 visits the
-    # edges of the checks whose level rose: those of check j, ascending,
-    # are check_edges[check_ptr[j]:check_ptr[j + 1]].
-    check_ptr: np.ndarray      # P + 1 offsets into check_edges
-    check_edges: np.ndarray    # edge indices, grouped by check
 
     @property
     def n(self) -> int:
@@ -159,7 +154,7 @@ class DecodeResult:
 
 def build_factor_graph(a: BitsLike, graph: IraGraph, layout: WireLayout) -> FactorGraph:
     """Assemble the decoding graph of past state ``a``, code ``graph`` and
-    wire ``layout``."""
+    wire ``layout``, whose edges must be listed in check order."""
     arr = as_bits(a)
     if layout.n != arr.size:
         raise ValueError("layout does not match the past-state length")
@@ -168,23 +163,9 @@ def build_factor_graph(a: BitsLike, graph: IraGraph, layout: WireLayout) -> Fact
             f"graph sized ({graph.num_info}, {graph.num_parity}) does not match the layout "
             f"({layout.num_info}, {layout.num_parity})"
         )
-    info_wires = layout.info_wire_array
-    # Every segment wire but the first follows a wire of its own segment.
-    adj_prev = np.zeros(arr.size, dtype=bool)
-    adj_prev[info_wires] = True
-    adj_prev[layout.segments[:, 0]] = False
-    edge_wire = info_wires[graph.edge_info] if graph.num_edges else np.zeros(0, dtype=np.int64)
-    degrees = np.bincount(graph.edge_check, minlength=graph.num_parity)
-    return FactorGraph(
-        a_bits=arr,
-        layout=layout,
-        graph=graph,
-        pinned_wires=np.array(layout.pinned, dtype=np.int64),
-        adj_prev=adj_prev,
-        edge_wire=edge_wire,
-        check_ptr=np.concatenate(([0], np.cumsum(degrees))),
-        check_edges=_stable_argsort(graph.edge_check, graph.num_parity),
-    )
+    if np.any(graph.edge_check[1:] < graph.edge_check[:-1]):
+        raise ValueError("graph edges must be listed in check order")
+    return FactorGraph(arr, layout, graph)
 
 
 def bp_decode(
@@ -253,24 +234,34 @@ def _propagate(symbols: np.ndarray, fg: FactorGraph, max_outer: int,
     ``bp_decode`` reads only when ``record_trace`` is set."""
     n = fg.n
     a = fg.a_bits
+    layout = fg.layout
     resolved = symbols != ERASED
     val = np.where(resolved, symbols, 0).astype(np.uint8)
     src_ch = resolved.copy()
-    if fg.pinned_wires.size:
+    if layout.pinned:
         # The receiver knows pinned wires repeat their past bit.
-        val[fg.pinned_wires] = a[fg.pinned_wires]
-        resolved[fg.pinned_wires] = True
-        src_ch[fg.pinned_wires] = True
+        pins = np.array(layout.pinned, dtype=np.int64)
+        val[pins] = a[pins]
+        resolved[pins] = True
+        src_ch[pins] = True
     if resolved.all():
         # Nothing erased: the first iteration changes no message, and its
         # step 3 finds every variable-to-check message known.
         return val, resolved, 1, True, [0.0]
 
-    num_e = fg.edge_wire.size
-    num_p = fg.layout.num_parity
-    slots = fg.layout.parity_slot_array
+    num_p = layout.num_parity
+    slots = layout.parity_slot_array
     e_chk = fg.graph.edge_check
-    e_wire = fg.edge_wire
+    e_wire = layout.info_wire_array[fg.graph.edge_info]  # wire of each sparse edge
+    num_e = e_wire.size
+    # The edges of check j are first_edge[j]:first_edge[j] + degree[j].
+    degree = np.bincount(e_chk, minlength=num_p)
+    first_edge = np.cumsum(degree) - degree
+    # Every segment wire but the first shares a segment with the wire
+    # before it, and the crosstalk checks join exactly those pairs.
+    adj_prev = np.zeros(n, dtype=bool)
+    adj_prev[layout.info_wire_array] = True
+    adj_prev[layout.segments[:, 0]] = False
     # Per-edge knowledge only grows: ext (variable-to-check known) and
     # known_ci (check-to-variable known) never revert, and a wire's value
     # never changes once resolved. So the per-check counts of erased inputs
@@ -313,7 +304,6 @@ def _propagate(symbols: np.ndarray, fg: FactorGraph, max_outer: int,
     par_known = ch_p.copy()
     num_ok = -1  # checks with all sparse inputs known at the last scans
     chain_ok = np.zeros(num_p, dtype=bool)  # both chain messages into check j known
-    degree = fg.check_ptr[1:] - fg.check_ptr[:-1]  # sparse edges per check
     # Wires known from the channel or a check stay known and keep their
     # value, so those that transition only accumulate: each iteration's
     # crosstalk pass forces only around the ones that joined since the last,
@@ -321,7 +311,7 @@ def _propagate(symbols: np.ndarray, fg: FactorGraph, max_outer: int,
     # checks keeps its past bit; one resolved otherwise got its value from
     # the channel or its first check message.)
     moved = np.flatnonzero(src_ch & (val != a))
-    adj_next = np.append(fg.adj_prev[1:], False)  # wire i shares a segment with wire i+1
+    adj_next = np.append(adj_prev[1:], False)  # wire i shares a segment with wire i+1
     # Check j reads parity j - 1 unless j starts a chain.
     has_prev = ~cs
     has_prev[:1] = False
@@ -337,7 +327,7 @@ def _propagate(symbols: np.ndarray, fg: FactorGraph, max_outer: int,
         # Steps 1-2: a known transitioning wire pins both in-run neighbours
         # to their past bits. A forced wire keeps its past bit and so never
         # transitions: one pass reaches the fixed point.
-        force = np.concatenate((moved[fg.adj_prev[moved]] - 1, moved[adj_next[moved]] + 1))
+        force = np.concatenate((moved[adj_prev[moved]] - 1, moved[adj_next[moved]] + 1))
         moved = np.zeros(0, dtype=np.int64)
         src_cac[force] = True
         force = force[~resolved[force]]
@@ -389,18 +379,16 @@ def _propagate(symbols: np.ndarray, fg: FactorGraph, max_outer: int,
         # whose two chain messages are known sends a known message to its
         # one erased sparse input (level 1) or, with none erased, to all of
         # them (level 2); only checks whose level rose send new ones, and
-        # only their edges are visited, through the check-ordered view.
-        # With every wire resolved there is nothing left to fill.
+        # only their blocks of edges are visited. With every wire resolved
+        # there is nothing left to fill.
         if num_e and not resolved.all():
             prev_level = level
             level = np.where(chain_ok, 2 - np.minimum(unk, 2), 0)
             rose = np.flatnonzero(level > prev_level)
             if rose.size:
-                lo, cnt = fg.check_ptr[rose], degree[rose]
-                pos = np.repeat(lo - np.cumsum(cnt) + cnt, cnt)
-                pos += np.arange(pos.size)
-                e = fg.check_edges[pos]
-                del pos
+                cnt = degree[rose]
+                e = np.repeat(first_edge[rose] - np.cumsum(cnt) + cnt, cnt)
+                e += np.arange(e.size)
                 closed = e[(np.repeat(level[rose] == 2, cnt) | ~ext[e]) & ~known_ci[e]]
                 del e
                 known_ci[closed] = True
@@ -408,10 +396,10 @@ def _propagate(symbols: np.ndarray, fg: FactorGraph, max_outer: int,
                 w = e_wire[closed]
                 fresh = ~resolved[w]
                 if fresh.any():
-                    # Ascending edge order, so a wire filled twice keeps its
-                    # last fill, as in a sweep over every edge.
+                    # The blocks of ascending checks are ascending edges, so
+                    # a wire filled twice keeps its last fill, as in a sweep
+                    # over every edge.
                     fill = closed[fresh]
-                    fill = fill[_stable_argsort(fill, num_e)]
                     ej = e_chk[fill]
                     wires = e_wire[fill]
                     val[wires] = s[ej] ^ val_p[ej] ^ (val_p[ej - 1] & has_prev[ej])
@@ -436,7 +424,7 @@ def _first_violation(received: np.ndarray, word: np.ndarray, fg: FactorGraph) ->
     """The first pinned wire, crosstalk pair or parity check, in that
     order, that a fully resolved word contradicts; None if it is a
     codeword."""
-    pins = fg.pinned_wires
+    pins = np.array(fg.layout.pinned, dtype=np.int64)
     got = received[pins]
     bad = np.flatnonzero((got != ERASED) & (got != fg.a_bits[pins]))
     if bad.size:

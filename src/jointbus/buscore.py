@@ -167,14 +167,7 @@ def free_wires(a: BitsLike) -> tuple[int, ...]:
     bit; an end wire is free iff it matches its single neighbour. These are
     exactly the length-1 runs of ``parse_runs``.
     """
-    arr = as_bits(a)
-    return tuple(int(w) + 1 for w in _free_wire_positions(arr))
-
-
-def _free_wire_positions(a: np.ndarray) -> np.ndarray:
-    """0-based free-wire positions."""
-    starts, lengths = _run_bounds(a)
-    return starts[lengths == 1]
+    return parse_runs(a).free_wires
 
 
 def check_transition(a: BitsLike, b: BitsLike) -> ViolationReport:

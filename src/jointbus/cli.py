@@ -20,7 +20,7 @@ from dataclasses import astuple, fields, replace
 from typing import Optional, Sequence
 
 from . import __version__
-from .buscore import BusState, free_wires, parse_runs
+from .buscore import BusState, parse_runs
 from .bpdecode import ErasureWord, bp_decode, build_factor_graph
 from .cac import cac_rate, count_codewords
 from .densevo import DeModel, DeState, de_threshold, de_trajectory
@@ -145,7 +145,6 @@ def _parse_eps_grid(spec: str) -> list[float]:
 def cmd_analyze(args: argparse.Namespace) -> int:
     state = BusState(args.state)
     runs = parse_runs(state)
-    free = free_wires(state)
     rates = None
     if args.recc is not None:
         with _flag(f"--recc {_fmt(args.recc)}"):
@@ -159,10 +158,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     print(f"wires:            {len(state)}")
     if len(state) <= 256:
         print(f"run lengths:      {list(runs.run_lengths)}")
-        print(f"free wires:       {list(free)}")
+        print(f"free wires:       {list(runs.free_wires)}")
     else:
         print(f"runs:             {len(runs.run_lengths)}")
-        print(f"free wires:       {len(free)}")
+        print(f"free wires:       {len(runs.free_wires)}")
     print(f"codeword count:   {count_str}")
     print(f"cac rate:         {_fmt(r_cac)}")
     if rates is not None:

@@ -135,7 +135,10 @@ class IraGraph:
     """Sampled code instance: sparse edges plus the implicit parity chain.
 
     ``edge_info[k]`` / ``edge_check[k]`` give endpoint indices of sparse
-    edge k (info nodes 0..num_info-1, checks 0..num_parity-1). Check j also
+    edge k (info nodes 0..num_info-1, checks 0..num_parity-1). The edges
+    are listed in check order (``edge_check`` non-decreasing), the order
+    ``sample_graph`` draws and ``union`` keeps, and the decoder requires:
+    it takes the edges of each check as one contiguous block. Check j also
     connects parity j and, unless j starts a chain, parity j-1; a chain's
     first check sees an implicit zero instead. ``chain_start`` holds one
     bool per parity, true where an accumulator chain starts: built without
@@ -159,8 +162,9 @@ class IraGraph:
     @classmethod
     def union(cls, graphs: Sequence["IraGraph"]) -> "IraGraph":
         """Disjoint union: the nodes of each graph are numbered after those
-        of the graphs before it, and each keeps its own parity chains. The
-        union of one graph is that graph."""
+        of the graphs before it, and each keeps its own parity chains and its
+        edge order, so graphs in check order give a union in check order.
+        The union of one graph is that graph."""
         if len(graphs) == 1:
             return graphs[0]
         info_off = np.cumsum([0] + [g.num_info for g in graphs])
@@ -207,8 +211,10 @@ def sample_graph(
     Node degrees are realized from the node-perspective distributions; a
     socket-count mismatch left by rounding is absorbed by one check node
     (the last), whose degree moves by the full residual. Sockets are then
-    matched through one uniform permutation. Without info nodes or
-    without parities the graph has no edges, and nothing is drawn.
+    matched through one uniform permutation, variable socket k meeting
+    check socket perm[k], and the edges are listed by check socket. Without
+    info nodes or without parities the graph has no edges, and nothing is
+    drawn.
     """
     if num_info < 0 or num_parity < 0:
         raise ValueError(f"node counts must be >= 0, got {num_info} info and {num_parity} parity")
@@ -217,7 +223,9 @@ def sample_graph(
         return IraGraph(num_info, num_parity, empty, empty.copy())
     v_sockets, c_sockets = _sockets(num_info, num_parity, dist)
     perm = rng.permutation(c_sockets.size)
-    return IraGraph(num_info, num_parity, v_sockets, c_sockets[perm])
+    edge_info = np.empty_like(v_sockets)
+    edge_info[perm] = v_sockets
+    return IraGraph(num_info, num_parity, edge_info, c_sockets)
 
 
 # One entry: the trials of a uniform-ensemble campaign all share one size,
@@ -257,8 +265,10 @@ def ira_encode(systematic_bits: BitsLike, graph: IraGraph) -> np.ndarray:
     bits = as_bits(systematic_bits) if len(systematic_bits) else np.zeros(0, dtype=np.uint8)
     if bits.size != graph.num_info:
         raise ValueError(f"expected {graph.num_info} systematic bits, got {bits.size}")
-    ones = graph.edge_check[bits[graph.edge_info] == 1]
-    s = (np.bincount(ones, minlength=graph.num_parity) & 1).astype(np.uint8)
+    # Summed as weights: a mask over edges in check order is irregular, and
+    # selecting through it costs as much again.
+    ones = np.bincount(graph.edge_check, bits[graph.edge_info], minlength=graph.num_parity)
+    s = (ones.astype(np.int64) & 1).astype(np.uint8)
     cum = np.bitwise_xor.accumulate(s)
     # Each chain starts from zero: cancel what earlier chains accumulated.
     start = np.maximum.accumulate(np.where(graph.chain_start, np.arange(s.size), 0))

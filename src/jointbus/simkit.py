@@ -298,8 +298,7 @@ def build_instances(
         if insufficient == len(trials):
             empty, no_bits = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.uint8)
             fg = FactorGraph(no_bits, WireLayout(0, empty, (), np.zeros((0, 2), dtype=np.int64)),
-                             IraGraph(0, 0, empty, empty), empty, np.zeros(0, dtype=bool),
-                             empty, np.zeros(1, dtype=np.int64), empty)
+                             IraGraph(0, 0, empty, empty))
             return CodeInstances((), np.zeros(1, dtype=np.int64), fg, no_bits, (), insufficient)
         if insufficient:
             kept = np.flatnonzero(keep).tolist()

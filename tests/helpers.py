@@ -164,6 +164,19 @@ def sequential_valid_word(a, starts, lengths, rng) -> np.ndarray:
     return (a ^ t).astype(np.uint8)
 
 
+def wire_maps(fg: FactorGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What the decoder reads off ``fg.layout`` and ``fg.graph``, built
+    literally: the pinned wires, ``adj_prev`` (wire i shares a segment with
+    wire i-1, so a crosstalk check joins them) and the wire of each sparse
+    edge."""
+    layout = fg.layout
+    adj_prev = np.zeros(fg.n, dtype=bool)
+    for start, length in layout.segments.tolist():
+        adj_prev[start + 1:start + length] = True
+    edge_wire = layout.info_wire_array[fg.graph.edge_info]
+    return np.array(layout.pinned, dtype=np.int64), adj_prev, edge_wire
+
+
 def stopping_set_violation(fg: FactorGraph, out) -> Optional[str]:
     """The first code check, then wire, that could still resolve in the
     decoded symbols ``out``; None when the erased wires form a stopping set
@@ -177,15 +190,16 @@ def stopping_set_violation(fg: FactorGraph, out) -> Optional[str]:
     """
     erased = np.asarray(out) == ERASED
     g = fg.graph
+    _, adj_prev, edge_wire = wire_maps(fg)
     par = erased[fg.layout.parity_slot_array]
-    count = np.bincount(g.edge_check[erased[fg.edge_wire]], minlength=g.num_parity) + par
+    count = np.bincount(g.edge_check[erased[edge_wire]], minlength=g.num_parity) + par
     count[1:] += par[:-1] & ~g.chain_start[1:]
     bad = np.flatnonzero(count == 1)
     if bad.size:
         return f"parity check {int(bad[0]) + 1} has one erased participant"
     moved = ~erased & (np.asarray(out) != fg.a_bits)
     # wire i+1 follows wire i in its segment: either may force the other
-    pair = fg.adj_prev[1:] & ((erased[1:] & moved[:-1]) | (erased[:-1] & moved[1:]))
+    pair = adj_prev[1:] & ((erased[1:] & moved[:-1]) | (erased[:-1] & moved[1:]))
     bad = np.flatnonzero(pair)
     if bad.size:
         i = int(bad[0])
@@ -459,16 +473,17 @@ def sweep_decode(
     a = fg.a_bits
     symbols = rcv.symbols
 
+    pins, adj_prev, edge_wire = wire_maps(fg)
     resolved = symbols != ERASED
     val = np.where(resolved, symbols, 0).astype(np.uint8)
     src_ch = resolved.copy()
-    if fg.pinned_wires.size:
+    if pins.size:
         # The receiver knows pinned wires repeat their past bit.
-        val[fg.pinned_wires] = a[fg.pinned_wires]
-        resolved[fg.pinned_wires] = True
-        src_ch[fg.pinned_wires] = True
+        val[pins] = a[pins]
+        resolved[pins] = True
+        src_ch[pins] = True
 
-    num_e = fg.edge_wire.size
+    num_e = edge_wire.size
     num_p = fg.layout.num_parity
     num_i = fg.layout.num_info
     slots = fg.layout.parity_slot_array
@@ -510,8 +525,8 @@ def sweep_decode(
             passes += 1
             m = (src_ch | src_ecc_wire) & (val != a) & resolved
             force = np.zeros(n, dtype=bool)
-            force[1:] = m[:-1] & fg.adj_prev[1:]
-            force[:-1] |= m[1:] & fg.adj_prev[1:]
+            force[1:] = m[:-1] & adj_prev[1:]
+            force[:-1] |= m[1:] & adj_prev[1:]
             grew = bool(np.any(force & ~src_cac))
             src_cac |= force
             newly = force & ~resolved
@@ -523,7 +538,7 @@ def sweep_decode(
         # Step 3: extrinsic variable-to-check messages.
         intrinsic = src_ch | src_cac
         if num_e:
-            ext = intrinsic[fg.edge_wire] | ((cnt_ci[e_info] - known_ci) > 0)
+            ext = intrinsic[edge_wire] | ((cnt_ci[e_info] - known_ci) > 0)
         else:
             ext = np.zeros(0, dtype=bool)
         if record_trace:
@@ -536,7 +551,7 @@ def sweep_decode(
         ok = unk == 0
         s = np.zeros(num_p, dtype=np.int64)
         if num_e:
-            ones = ext & (val[fg.edge_wire] == 1)
+            ones = ext & (val[edge_wire] == 1)
             s = np.bincount(e_chk[ones], minlength=num_p) & 1
         if num_p:
             okl = ok & ~cs  # check j is satisfied and links parity j-1 to j
@@ -574,12 +589,12 @@ def sweep_decode(
             chain_ok = kf_prev & kb
             other_ok = (unk[e_chk] == 0) | ((unk[e_chk] == 1) & ~ext)
             known_ci = other_ok & chain_ok[e_chk]
-            newly_edges = known_ci & ~resolved[fg.edge_wire]
+            newly_edges = known_ci & ~resolved[edge_wire]
             if newly_edges.any():
                 ej = e_chk[newly_edges]
                 valp_prev = np.where(cs, 0, np.concatenate(([0], val_p[:-1]))).astype(np.uint8)
                 fill = (s[ej] ^ valp_prev[ej] ^ val_p[ej]).astype(np.uint8)
-                wires = fg.edge_wire[newly_edges]
+                wires = edge_wire[newly_edges]
                 val[wires] = fill
                 resolved[wires] = True
             cnt_ci = np.bincount(e_info[known_ci], minlength=num_i)

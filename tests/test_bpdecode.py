@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,7 @@ from helpers import (
     sweep_decode,
     valid_words,
     variable_node_update,
+    wire_maps,
 )
 
 DIST = DegreeDistribution.regular(3, 12)
@@ -112,36 +115,55 @@ def test_ecc_node_update():
     assert full == [total ^ v for v in vals]
 
 
+def _adj_prev(fg):
+    return wire_maps(fg)[1]
+
+
 def test_factor_graph_counts():
     fg = build_factor_graph("0101", _empty_graph(4), build_layout("0101", 0))
-    assert np.count_nonzero(fg.adj_prev) == 3 and fg.layout.num_parity == 0
+    assert np.count_nonzero(_adj_prev(fg)) == 3 and fg.layout.num_parity == 0
     fg = build_factor_graph("0000", _empty_graph(4), build_layout("0000", 0))
-    assert np.count_nonzero(fg.adj_prev) == 0
+    assert np.count_nonzero(_adj_prev(fg)) == 0
     # two runs [3, 2] with one free wire used as parity: checks stay inside runs
     a = "0100101"
     layout = build_layout(a, 1)
     graph = IraGraph(layout.num_info, 1, np.arange(layout.num_info), np.zeros(layout.num_info, dtype=np.int64))
     fg = build_factor_graph(a, graph, layout)
     lengths = sorted(d for _, d in layout.segments)
-    assert np.count_nonzero(fg.adj_prev) == sum(d - 1 for d in lengths)
+    assert np.count_nonzero(_adj_prev(fg)) == sum(d - 1 for d in lengths)
     assert fg.layout.num_info == fg.graph.num_info == 5
     assert fg.layout.num_parity == fg.graph.num_parity == 1
 
 
-def test_factor_graph_check_ordered_view():
-    # check j's edges, ascending, are check_edges[check_ptr[j]:check_ptr[j + 1]],
-    # whatever the order of the graph's edges
+def test_factor_graph_holds_only_the_code_instance():
     rng = np.random.default_rng(13)
+    a, layout, graph = random_instance(rng)
+    fg = build_factor_graph(a, graph, layout)
+    assert [f.name for f in dataclasses.fields(fg)] == ["a_bits", "layout", "graph"]
+    assert fg.layout is layout and fg.graph is graph
+
+
+def test_factor_graph_rejects_edges_out_of_check_order():
+    # the decoder takes each check's edges as one block: a graph whose
+    # edges leave check order is refused, one shuffled within checks is not
+    rng = np.random.default_rng(13)
+    rejected = 0
     for _ in range(20):
         a, layout, graph = random_instance(rng)
-        perm = rng.permutation(graph.num_edges)
-        graph = IraGraph(graph.num_info, graph.num_parity, graph.edge_info[perm],
-                         graph.edge_check[perm])
-        fg = build_factor_graph(a, graph, layout)
-        assert fg.check_ptr[0] == 0 and fg.check_ptr[-1] == graph.num_edges
-        for j in range(graph.num_parity):
-            edges = fg.check_edges[fg.check_ptr[j]:fg.check_ptr[j + 1]]
-            assert edges.tolist() == np.flatnonzero(graph.edge_check == j).tolist()
+        within = np.lexsort((rng.random(graph.num_edges), graph.edge_check))
+        build_factor_graph(a, graph, layout)
+        build_factor_graph(a, _reordered(graph, within), layout)
+        shuffled = _reordered(graph, rng.permutation(graph.num_edges))
+        if np.any(np.diff(shuffled.edge_check) < 0):
+            rejected += 1
+            with pytest.raises(ValueError, match="graph edges must be listed in check order"):
+                build_factor_graph(a, shuffled, layout)
+    assert rejected >= 15
+
+
+def _reordered(graph, order):
+    return IraGraph(graph.num_info, graph.num_parity, graph.edge_info[order],
+                    graph.edge_check[order])
 
 
 def test_factor_graph_crosstalk_pairs_match_reference_with_shields():
@@ -154,8 +176,9 @@ def test_factor_graph_crosstalk_pairs_match_reference_with_shields():
         shielded += bool(layout.pinned)
         fg = build_factor_graph(a, graph, layout)
         right = [v for _, v in ReferenceDecoder(a, graph, layout).cac_checks]
-        assert np.flatnonzero(fg.adj_prev).tolist() == right
-        assert fg.pinned_wires.tolist() == list(layout.pinned)
+        pins, adj_prev, _ = wire_maps(fg)
+        assert np.flatnonzero(adj_prev).tolist() == right
+        assert pins.tolist() == list(layout.pinned)
     assert shielded >= 30
 
 
@@ -168,9 +191,10 @@ def test_factor_graph_check_incidence_matches_free_wires():
         n = int(rng.integers(2, 40))
         a = rng.integers(0, 2, n, dtype=np.uint8)
         fg = build_factor_graph(a, _empty_graph(n), build_layout(a, 0))
+        adj_prev = _adj_prev(fg)
         touched = np.zeros(n, dtype=bool)
-        touched[1:] |= fg.adj_prev[1:]
-        touched[:-1] |= fg.adj_prev[1:]
+        touched[1:] |= adj_prev[1:]
+        touched[:-1] |= adj_prev[1:]
         free = np.zeros(n, dtype=bool)
         free[[w - 1 for w in free_wires(a)]] = True
         assert np.array_equal(~touched, free)
@@ -298,14 +322,12 @@ def test_bp_decode_matches_full_sweep_reference():
             rcv[rng.random(rcv.size) < eps] = ERASED
             for max_outer in (1, 2, 3, 200):
                 _assert_same_result(fg, rcv, max_outer, (ensemble.kind, eps, max_outer))
-    # sample_graph lists edges by info node; in any other order the
-    # check-ordered view and the fill order give the same result
+    # in any order of the edges within each check, the block visits and
+    # the fill order give the sweep's result
     for trial in range(60):
         a, layout, graph = random_instance(rng, n_max=64, allow_shields=(trial % 2 == 0))
         word = encode_instance(rng, a, layout, graph)
-        perm = rng.permutation(graph.num_edges)
-        graph = IraGraph(graph.num_info, graph.num_parity, graph.edge_info[perm],
-                         graph.edge_check[perm])
+        graph = _reordered(graph, np.lexsort((rng.random(graph.num_edges), graph.edge_check)))
         fg = build_factor_graph(a, graph, layout)
         rcv = word.copy()
         if trial % 3 == 0:

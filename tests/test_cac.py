@@ -216,9 +216,11 @@ def test_payload_codec_matches_whole_word_oracle():
                     assert tuple(word[info].tolist()) == oracle[i]
                     assert np.all(word[rest] == UNSET)
                     assert _decode_segments(word, a, segs).tolist() == bits.tolist()
-                # info node i feeds check i mod p (no edges when p = 0)
+                # info node i feeds check i mod p (no edges when p = 0),
+                # listed in check order
                 edges = np.arange(layout.num_info if p else 0)
-                graph = IraGraph(layout.num_info, p, edges, edges % max(p, 1))
+                order = np.argsort(edges % max(p, 1), kind="stable")
+                graph = IraGraph(layout.num_info, p, edges[order], edges[order] % max(p, 1))
                 fg = build_factor_graph(a, graph, layout)
                 for i in range(1 << k, len(oracle)):
                     full = a.copy()

@@ -10,6 +10,7 @@ from jointbus import (
     sample_graph,
     validate_checks,
 )
+from jointbus.ira import _sockets
 
 
 def _chain_graph(edges, num_info, num_parity):
@@ -105,6 +106,37 @@ def test_sample_graph_deterministic_given_seed():
     g2 = sample_graph(40, 10, d, np.random.default_rng(77))
     assert np.array_equal(g1.edge_info, g2.edge_info)
     assert np.array_equal(g1.edge_check, g2.edge_check)
+
+
+def test_sample_graph_lists_the_matching_by_check():
+    # the edges are the pairs (v_sockets[k], c_sockets[perm[k]]) of the one
+    # permutation drawn, listed with edge_check non-decreasing; a graph
+    # without info nodes or parities has no edges
+    rng = np.random.default_rng(21)
+    dist = DegreeDistribution(((2, 0.3), (3, 0.7)), ((10, 0.5), (12, 0.5)))
+    sizes = [(0, 0), (0, 5), (7, 0)] + [tuple(int(x) for x in rng.integers(1, 80, 2))
+                                        for _ in range(40)]
+    for num_info, num_parity in sizes:
+        seed = int(rng.integers(1 << 32))
+        g = sample_graph(num_info, num_parity, dist, np.random.default_rng(seed))
+        assert np.all(np.diff(g.edge_check) >= 0)
+        if not (num_info and num_parity):
+            assert g.num_edges == 0
+            continue
+        v_sockets, c_sockets = _sockets(num_info, num_parity, dist)
+        perm = np.random.default_rng(seed).permutation(c_sockets.size)
+        drawn = sorted(zip(v_sockets.tolist(), c_sockets[perm].tolist()))
+        assert sorted(zip(g.edge_info.tolist(), g.edge_check.tolist())) == drawn
+
+
+def test_union_keeps_check_order():
+    rng = np.random.default_rng(9)
+    dist = DegreeDistribution.regular(3, 12)
+    parts = [sample_graph(40, 10, dist, rng), _chain_graph([], 5, 0),
+             sample_graph(24, 6, dist, rng), sample_graph(8, 2, dist, rng)]
+    union = IraGraph.union(parts)
+    assert np.all(np.diff(union.edge_check) >= 0)
+    assert union.num_edges == sum(g.num_edges for g in parts)
 
 
 def test_sample_graph_balances_rounding_residual():

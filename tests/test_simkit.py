@@ -13,7 +13,6 @@ from jointbus import (
     bec_transmit,
     build_instances,
     bp_decode,
-    build_factor_graph,
     build_layout,
     check_transition,
     de_vs_simulation,
@@ -133,13 +132,13 @@ def test_sample_valid_word_batch_matches_sequential_sampler(words, run):
 
 def test_build_instances_one_trial_keeps_the_sampled_graph():
     # a batch of one goes through no union copy: its graph holds the edges
-    # that sample_graph drew, the socket array itself on the info side
+    # that sample_graph drew, the socket array itself on the check side
     inst = build_instances(4, [9], DIST, EnsembleSpec("uniform", 1000))
     rng = trial_rng(4, 9)
     rng.integers(0, 2, 1000, dtype=np.uint8)
     graph = sample_graph(inst.fg.layout.num_info, inst.fg.layout.num_parity, DIST, rng)
-    assert inst.fg.graph.edge_info is graph.edge_info
-    assert np.array_equal(inst.fg.graph.edge_check, graph.edge_check)
+    assert inst.fg.graph.edge_check is graph.edge_check
+    assert np.array_equal(inst.fg.graph.edge_info, graph.edge_info)
 
 
 def test_modified_run_length_law():
@@ -241,9 +240,6 @@ def test_build_instances_batch_is_union_of_single_trials(ensemble, mode):
     assert np.array_equal(batch.fg.graph.edge_info, graph.edge_info)
     assert np.array_equal(batch.fg.graph.edge_check, graph.edge_check)
     assert np.array_equal(batch.fg.graph.chain_start, graph.chain_start)
-    union_fg = build_factor_graph(a, graph, layout)
-    for name in ("adj_prev", "edge_wire", "pinned_wires", "check_ptr", "check_edges"):
-        assert np.array_equal(getattr(batch.fg, name), getattr(union_fg, name)), name
     assert np.array_equal(batch.word, np.concatenate([inst.word for inst in kept]))
     for t, inst in enumerate(singles):
         if not inst.trials:
@@ -374,14 +370,18 @@ def test_de_vs_simulation_tracks_prediction():
 def test_crosstalk_checks_decode_past_the_code_erasure_limit():
     # eps = 0.205 lies past 1 - R = 0.2, the erasure limit of the (3,12)
     # code alone: the joint decoder decodes every trial, and the same graph
-    # without its crosstalk checks (adj_prev all False) fails nearly all
+    # without its crosstalk checks (one length-1 segment per info wire, so
+    # no two wires share a segment) fails nearly all
     n, eps, trials = 10**4, 0.205, 40
     inst = build_instances(5, range(trials), DIST, EnsembleSpec("uniform", n))
     assert inst.insufficient == 0
     # the channel draws of run_trials: each trial's stream after its instance
     u = np.concatenate([rng.random(n) for rng in inst.rngs])
     received = np.where(u < eps, ERASED, inst.word)
-    code_only = dataclasses.replace(inst.fg, adj_prev=np.zeros(inst.fg.n, dtype=bool))
+    info = inst.fg.layout.info_wire_array
+    layout = dataclasses.replace(inst.fg.layout,
+                                 segments=np.column_stack((info, np.ones_like(info))))
+    code_only = dataclasses.replace(inst.fg, layout=layout)
     failures = []
     for fg in (inst.fg, code_only):
         out = bp_decode(received, fg, extract_payload=False).word.symbols
