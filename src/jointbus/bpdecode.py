@@ -16,20 +16,20 @@ iteration that changes no message. The engine below is array-based: known/
 unknown flags are tracked per edge, the chain fixed point is computed by
 prefix scans, and values are filled in as nodes resolve.
 
-Because message knowledge is monotone, the decoder works on a frontier:
-steps 1-2 force only around the wires that became known and transitioning
-since the last iteration, step 3 revisits only the edges whose
-variable-to-check message is still erased, and the per-check and per-node
-counts move by the edges that became known. Step 4's chain scans depend
-only on which checks have all their sparse inputs known, a set that only
-grows, so they run only in an iteration where it grew, and only the
-parities that became known get values. The graph lists its edges in
-check order, so step 5 visits each check whose level rose as one block of
-edges, and only those. An outer iteration thus costs O(active edges + N +
-P), with no pass over all edges; iterations, trace and output are those of
-the full sweep (``tests/helpers.sweep_decode``). The per-wire and per-edge
-maps the iterations use are derived once per decode, and only when
-something is erased.
+Because message knowledge is monotone, the decoder keeps each fact once
+and works on a frontier: steps 1-2 force only around the wires that
+became known and transitioning since the last iteration, step 3 revisits
+only the edges whose variable-to-check message is still erased, and the
+per-check and per-node counts move by the edges that became known. Step
+4's chain scans run only in an iteration where step 3 completed a check
+(ok_grew), and only the parities that became known get values. The graph lists its
+edges in check order, so step 5 visits each check whose level rose as one
+block of edges, and only those. Each step notes whether it changed a
+message (grew), and the loop stops at an iteration where none did, with
+no recount of the bus. An outer iteration thus costs O(active edges + N +
+P); iterations, trace and output are those of the full sweep
+(``tests/helpers.sweep_decode``). The per-wire and per-edge maps are
+derived once per decode, and only when something is erased.
 """
 
 from __future__ import annotations
@@ -197,8 +197,7 @@ def bp_decode(
     symbols = rcv.symbols
     # The decode's per-edge and per-check arrays are freed before the
     # payload is read, the step that needs the most memory on a wide bus.
-    val, resolved, iterations, converged, trace = _propagate(symbols, fg, max_outer,
-                                                             record_trace)
+    val, resolved, iterations, converged, trace = _propagate(symbols, fg, max_outer)
 
     residual = int(np.count_nonzero(~resolved))
     out = np.where(resolved, val, ERASED).astype(np.uint8)
@@ -226,24 +225,21 @@ def bp_decode(
     )
 
 
-def _propagate(symbols: np.ndarray, fg: FactorGraph, max_outer: int,
-               record_trace: bool) -> tuple[np.ndarray, np.ndarray, int, bool, list[float]]:
+def _propagate(symbols: np.ndarray, fg: FactorGraph,
+               max_outer: int) -> tuple[np.ndarray, np.ndarray, int, bool, list[float]]:
     """The outer iterations of ``bp_decode`` on the received ``symbols``:
     each wire's value and whether it resolved, the iteration count, whether
-    the decode stopped at a fixed point, and the trace, which
-    ``bp_decode`` reads only when ``record_trace`` is set."""
+    the decode stopped at a fixed point, and the trace."""
     n = fg.n
     a = fg.a_bits
     layout = fg.layout
     resolved = symbols != ERASED
     val = np.where(resolved, symbols, 0).astype(np.uint8)
-    src_ch = resolved.copy()
     if layout.pinned:
         # The receiver knows pinned wires repeat their past bit.
         pins = np.array(layout.pinned, dtype=np.int64)
         val[pins] = a[pins]
         resolved[pins] = True
-        src_ch[pins] = True
     if resolved.all():
         # Nothing erased: the first iteration changes no message, and its
         # step 3 finds every variable-to-check message known.
@@ -262,55 +258,54 @@ def _propagate(symbols: np.ndarray, fg: FactorGraph, max_outer: int,
     adj_prev = np.zeros(n, dtype=bool)
     adj_prev[layout.info_wire_array] = True
     adj_prev[layout.segments[:, 0]] = False
+    # A wire's intrinsic message is known from the channel, a pin or a
+    # crosstalk check. The wires the crosstalk checks reached stay apart
+    # (src_cac): one into a channel-known wire is a message change too.
+    intrinsic = resolved.copy()
+    src_cac = np.zeros(n, dtype=bool)
     # Per-edge knowledge only grows: ext (variable-to-check known) and
     # known_ci (check-to-variable known) never revert, and a wire's value
     # never changes once resolved. So the per-check counts of erased inputs
     # (unk) and of known ones mod 2 (s), and the per-wire count of known
     # check messages (cnt_ci), move only by the edges that became known.
     # Edges out of channel-known wires carry known messages from the start.
-    ext = src_ch[e_wire]
+    ext = intrinsic[e_wire]
     open_v2c = np.flatnonzero(~ext)
     unk = np.bincount(e_chk[open_v2c], minlength=num_p)
-    s = np.bincount(e_chk[ext & (val[e_wire] == 1)], minlength=num_p) & 1
+    s = np.bincount(e_chk, ext & val[e_wire], minlength=num_p).astype(np.int64) & 1
     known_ci = np.zeros(num_e, dtype=bool)
-    num_known_ci = 0
     level = np.zeros(num_p, dtype=np.int64)
     cnt_ci = np.zeros(n, dtype=np.int64)
-    src_cac = np.zeros(n, dtype=bool)
 
-    ch_p = src_ch[slots]
+    ch_p = resolved[slots]  # only the channel and step 4 resolve parities
     idx_p = np.arange(num_p, dtype=np.int64)
     cs = fg.graph.chain_start
     # Knowledge sources along the chains, fixed for the whole decode: the
-    # last channel-known parity at or before j, the first one after j, and
-    # the start of j's chain, whose implicit zero parity sits just before it.
+    # last channel-known parity at or before j, the first one at or after
+    # j, and the start of j's chain, whose implicit zero parity precedes it.
     lch = np.maximum.accumulate(np.where(ch_p, idx_p, -1))
     lcs = np.maximum.accumulate(np.where(cs, idx_p, 0))
     lsp = np.maximum(lch, lcs - 1)
-    src_idx = np.concatenate(([-1], lch))[:-1]
     lsp_r = np.maximum.accumulate(np.where(ch_p[::-1], idx_p, -1))
-    nxt_seed = np.concatenate((lsp_r[::-1], [-1]))[1:]
-    r_star = np.where(nxt_seed >= 0, num_p - 1 - nxt_seed, 0)
-    from_zero = lcs > src_idx
+    r_star = np.where(lsp_r >= 0, num_p - 1 - lsp_r, 0)[::-1]
+    from_zero = lcs > lch
     # A parity that the chain makes known takes src_val ^ s[src_pos] ^ ...
     # ^ s[j], that is src_val ^ cum0[src_pos] ^ cum0[j + 1] with cum0 the
     # prefix xor of s; the checks in between are satisfied, so their s is
-    # final. Entry j reads backward, from the first channel-known parity
-    # after j; entry num_p + j forward, from the last one before j or the
-    # implicit zero before j's chain.
+    # final. Only parities not known from the channel read these: entry j
+    # backward, from the first channel-known parity after j; entry num_p + j
+    # forward, from the last one before j or the implicit zero before j's
+    # chain.
     val_p = val[slots]  # parity values, filled in as parities become known
-    src_pos = np.concatenate((r_star + 1, np.where(from_zero, lcs, src_idx + 1)))
-    src_val = np.concatenate((val_p[r_star], np.where(from_zero, 0, val_p[src_idx])))
-    par_known = ch_p.copy()
-    num_ok = -1  # checks with all sparse inputs known at the last scans
-    chain_ok = np.zeros(num_p, dtype=bool)  # both chain messages into check j known
+    src_pos = np.concatenate((r_star + 1, np.where(from_zero, lcs, lch + 1)))
+    src_val = np.concatenate((val_p[r_star], np.where(from_zero, 0, val_p[lch])))
     # Wires known from the channel or a check stay known and keep their
     # value, so those that transition only accumulate: each iteration's
     # crosstalk pass forces only around the ones that joined since the last,
     # the wires that step 5 filled in. (A wire forced by the crosstalk
     # checks keeps its past bit; one resolved otherwise got its value from
     # the channel or its first check message.)
-    moved = np.flatnonzero(src_ch & (val != a))
+    moved = np.flatnonzero(intrinsic & (val != a))
     adj_next = np.append(adj_prev[1:], False)  # wire i shares a segment with wire i+1
     # Check j reads parity j - 1 unless j starts a chain.
     has_prev = ~cs
@@ -319,7 +314,6 @@ def _propagate(symbols: np.ndarray, fg: FactorGraph, max_outer: int,
     trace: list[float] = []
     iterations = 0
     converged = False
-    prev_sig = (-1, -1, -1)
 
     for it in range(1, max_outer + 1):
         iterations = it
@@ -329,35 +323,36 @@ def _propagate(symbols: np.ndarray, fg: FactorGraph, max_outer: int,
         # transitions: one pass reaches the fixed point.
         force = np.concatenate((moved[adj_prev[moved]] - 1, moved[adj_next[moved]] + 1))
         moved = np.zeros(0, dtype=np.int64)
+        grew = not src_cac[force].all()
         src_cac[force] = True
+        intrinsic[force] = True
         force = force[~resolved[force]]
         val[force] = a[force]
         resolved[force] = True
 
         # Step 3: extrinsic variable-to-check messages of the open edges.
+        # ok (checks whose sparse inputs are all known) grows only here.
+        ok_grew = it == 1
         if open_v2c.size:
             w = e_wire[open_v2c]
-            now = (src_ch | src_cac)[w] | (cnt_ci[w] > known_ci[open_v2c])
-            one = (val[w] == 1)[now]
+            now = intrinsic[w] | (cnt_ci[w] > known_ci[open_v2c])
             closed, open_v2c = open_v2c[now], open_v2c[~now]
             ext[closed] = True
             c = e_chk[closed]
             unk -= np.bincount(c, minlength=num_p)
-            s ^= np.bincount(c[one], minlength=num_p) & 1
+            s ^= np.bincount(c, val[w[now]], minlength=num_p).astype(np.int64) & 1
+            ok_grew |= bool(np.any(unk[c] == 0))
             # Edge-sized arrays go before the next step: on a wide bus the
             # first iterations touch most edges.
-            del w, now, one, closed, c
-        if record_trace:
-            trace.append(float(1.0 - (num_e - open_v2c.size) / num_e) if num_e else 0.0)
+            del w, now, closed, c
+        trace.append(float(1.0 - (num_e - open_v2c.size) / num_e) if num_e else 0.0)
 
-        # Step 4: chain fixed point. ok marks checks whose sparse inputs are
-        # all known; knowledge spreads along each chain from known parities
-        # (and the implicit zero before its first parity) until a break.
-        # The scans depend on ok alone, which only grows, so they run only
-        # in an iteration where it grew.
-        ok = unk == 0
-        num_ok, last_ok = np.count_nonzero(ok), num_ok
-        if num_ok > last_ok:
+        # Step 4: chain fixed point. Knowledge spreads along each chain from
+        # known parities (and the implicit zero before its first parity)
+        # until a check not in ok. The scans depend on ok alone, so they
+        # run only in an iteration where it grew, the first among them.
+        if ok_grew:
+            ok = unk == 0
             okl = ok & ~cs  # check j is satisfied and links parity j-1 to j
             lbp = np.maximum.accumulate(np.where(~ok, idx_p, -1))
             kf = lsp >= lbp  # parity j -> check j+1 known
@@ -365,9 +360,9 @@ def _propagate(symbols: np.ndarray, fg: FactorGraph, max_outer: int,
             lbp_r = np.maximum.accumulate(np.where(~pass_r, idx_p, -1))
             kb = (lsp_r >= lbp_r)[::-1]  # parity j -> check j known
             chain_ok = (np.concatenate(([True], kf[:-1])) | cs) & kb
-            new_p = np.flatnonzero((kf | kb) & ~par_known)
+            new_p = np.flatnonzero((kf | kb) & ~resolved[slots])
             if new_p.size:
-                par_known[new_p] = True
+                grew = True
                 cum0 = np.concatenate(([0], np.bitwise_xor.accumulate(s)))
                 k = new_p + num_p * kf[new_p]
                 val_p[new_p] = src_val[k] ^ cum0[src_pos[k]] ^ cum0[new_p + 1]
@@ -391,8 +386,8 @@ def _propagate(symbols: np.ndarray, fg: FactorGraph, max_outer: int,
                 e += np.arange(e.size)
                 closed = e[(np.repeat(level[rose] == 2, cnt) | ~ext[e]) & ~known_ci[e]]
                 del e
+                grew |= closed.size > 0
                 known_ci[closed] = True
-                num_known_ci += closed.size
                 w = e_wire[closed]
                 fresh = ~resolved[w]
                 if fresh.any():
@@ -409,14 +404,11 @@ def _propagate(symbols: np.ndarray, fg: FactorGraph, max_outer: int,
                 cnt_ci += np.bincount(w, minlength=n)
                 del w
 
-        if resolved.all():
+        # Knowledge only grows: an iteration after the first that changed
+        # no message is the fixed point.
+        if resolved.all() or (not grew and it > 1):
             converged = True
             break
-        sig = (int(np.count_nonzero(resolved)), num_known_ci, int(np.count_nonzero(src_cac)))
-        if sig == prev_sig:
-            converged = True
-            break
-        prev_sig = sig
     return val, resolved, iterations, converged, trace
 
 

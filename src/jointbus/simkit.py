@@ -11,7 +11,6 @@ side as one disjoint union and decoded by a single decoder call.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from functools import reduce
 from typing import Iterable
@@ -376,6 +375,10 @@ def run_trials(config: SimConfig) -> TrialStats:
     batches = [range(lo, min(lo + size, config.trials)) for lo in range(0, config.trials, size)]
     workers = min(config.jobs, len(batches), os.cpu_count() or 1)
     if workers > 1:
+        # The pool's module costs about half of this module's import time,
+        # so only a campaign that uses it imports it.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_run_batch, [config] * len(batches), batches,
                                   chunksize=-(-len(batches) // (workers * 4))))

@@ -337,6 +337,27 @@ def test_bp_decode_matches_full_sweep_reference():
             _assert_same_result(fg, rcv, max_outer, ("permuted", trial, max_outer))
 
 
+def test_bp_decode_without_sparse_edges_matches_full_sweep_reference():
+    # a graph with no sparse edge, on a layout without parities or on one
+    # of parities and pins alone, decodes as the sweep does
+    rng = np.random.default_rng(83)
+    instances = []
+    for _ in range(30):
+        a = rng.integers(0, 2, int(rng.integers(1, 41)), dtype=np.uint8)
+        instances.append((a, build_layout(a, 0), _empty_graph(a.size)))
+    for past, p in (("0000", 4), ("0011", 3), ("000000", 6)):
+        a = np.frombuffer(past.encode(), dtype=np.uint8) - ord("0")
+        empty = np.zeros(0, dtype=np.int64)
+        instances.append((a, build_layout(a, p), IraGraph(0, p, empty, empty.copy())))
+    for trial, (a, layout, graph) in enumerate(instances):
+        fg = build_factor_graph(a, graph, layout)
+        for _ in range(4):
+            rcv = encode_instance(rng, a, layout, graph)
+            rcv[rng.random(a.size) < 0.5] = ERASED
+            for max_outer in (1, 2, 200):
+                _assert_same_result(fg, rcv, max_outer, (trial, max_outer))
+
+
 def test_bp_decode_stops_on_a_stopping_set():
     # the erasures left by a converged decode form a stopping set of the
     # joint graph, on small random instances and on wide buses near the

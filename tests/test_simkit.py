@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 from functools import reduce
 
@@ -295,7 +296,7 @@ def test_run_trials_caps_workers_at_cpu_count(monkeypatch, cpus, pools):
         def map(self, fn, *iterables, chunksize=1):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(simkit, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(simkit.os, "cpu_count", lambda: cpus)
     config = SimConfig(ensemble=EnsembleSpec("uniform", BATCH_WIRES), dist=DIST, eps=0.2,
                        trials=5, seed=3, jobs=5000)
@@ -367,27 +368,48 @@ def test_de_vs_simulation_tracks_prediction():
         assert abs(emp - pred) < 0.015
 
 
-def test_crosstalk_checks_decode_past_the_code_erasure_limit():
-    # eps = 0.205 lies past 1 - R = 0.2, the erasure limit of the (3,12)
-    # code alone: the joint decoder decodes every trial, and the same graph
-    # without its crosstalk checks (one length-1 segment per info wire, so
-    # no two wires share a segment) fails nearly all
-    n, eps, trials = 10**4, 0.205, 40
-    inst = build_instances(5, range(trials), DIST, EnsembleSpec("uniform", n))
+def _block_failures(seed, runs, n=10**4, trials=40):
+    """Block failures of each (eps, crosstalk) run on the instances and
+    channel draws of run_trials; without crosstalk, the same graph decodes
+    without its crosstalk checks (one length-1 segment per info wire, so no
+    two wires share a segment), the code alone."""
+    inst = build_instances(seed, range(trials), DIST, EnsembleSpec("uniform", n))
     assert inst.insufficient == 0
-    # the channel draws of run_trials: each trial's stream after its instance
+    # the channel draws of run_trials: each trial's stream after its
+    # instance, the same at every eps
     u = np.concatenate([rng.random(n) for rng in inst.rngs])
-    received = np.where(u < eps, ERASED, inst.word)
     info = inst.fg.layout.info_wire_array
     layout = dataclasses.replace(inst.fg.layout,
                                  segments=np.column_stack((info, np.ones_like(info))))
     code_only = dataclasses.replace(inst.fg, layout=layout)
     failures = []
-    for fg in (inst.fg, code_only):
-        out = bp_decode(received, fg, extract_payload=False).word.symbols
+    for eps, crosstalk in runs:
+        received = np.where(u < eps, ERASED, inst.word)
+        out = bp_decode(received, inst.fg if crosstalk else code_only,
+                        extract_payload=False).word.symbols
         failures.append(int(np.count_nonzero((out == ERASED).reshape(trials, n).any(axis=1))))
-    assert failures[0] == 0
-    assert failures[1] >= 36
+    return failures
+
+
+def test_crosstalk_checks_decode_past_the_code_erasure_limit():
+    # eps = 0.205 lies past 1 - R = 0.2, the erasure limit of the (3,12)
+    # code alone: the joint decoder decodes every trial, and the code alone
+    # fails nearly all
+    joint, code_only = _block_failures(5, [(0.205, True), (0.205, False)])
+    assert joint == 0
+    assert code_only >= 36
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_simulation_brackets_the_code_only_threshold(seed):
+    # the code alone decodes nearly every trial at eps = 0.16 and nearly
+    # none at 0.18, either side of its BP threshold 0.1697; the joint
+    # decoder, whose threshold is 0.2261, decodes every trial at 0.18
+    code_low, code_high, joint_high = _block_failures(
+        seed, [(0.16, False), (0.18, False), (0.18, True)])
+    assert code_low <= 2
+    assert code_high >= 38
+    assert joint_high == 0
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
