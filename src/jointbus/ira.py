@@ -216,16 +216,58 @@ def sample_graph(
     info nodes or without parities the graph has no edges, and nothing is
     drawn.
     """
-    if num_info < 0 or num_parity < 0:
-        raise ValueError(f"node counts must be >= 0, got {num_info} info and {num_parity} parity")
-    if num_info == 0 or num_parity == 0:
-        empty = np.zeros(0, dtype=np.int64)
-        return IraGraph(num_info, num_parity, empty, empty.copy())
-    v_sockets, c_sockets = _sockets(num_info, num_parity, dist)
-    perm = rng.permutation(c_sockets.size)
-    edge_info = np.empty_like(v_sockets)
-    edge_info[perm] = v_sockets
-    return IraGraph(num_info, num_parity, edge_info, c_sockets)
+    return _sample_graphs((num_info,), (num_parity,), dist, (rng,))
+
+
+def _sample_graphs(
+    num_info: Sequence[int],
+    num_parity: Sequence[int],
+    dist: DegreeDistribution,
+    rngs: Sequence[np.random.Generator],
+) -> IraGraph:
+    """Disjoint union of one sampled instance per stream: edge for edge
+    ``IraGraph.union`` of ``sample_graph(num_info[i], num_parity[i], dist,
+    rngs[i])``, built without a graph per instance.
+
+    One instance with edges is matched through ``rng.permutation``, with
+    the socket array itself as its check side. Otherwise the edges are
+    matched through one ``arange`` over all of them: each stream, in
+    instance order, shuffles its instance's slice, which draws what
+    ``rng.permutation`` draws, already offset, and the sockets of every
+    instance, offset, are scattered through it in one step.
+    """
+    sockets, drawn = [], []
+    for i, (k, q) in enumerate(zip(num_info, num_parity)):
+        if k < 0 or q < 0:
+            raise ValueError(f"node counts must be >= 0, got {k} info and {q} parity")
+        if k and q:
+            sockets.append(_sockets(k, q, dist))
+            drawn.append(i)
+    if len(rngs) == 1 and sockets:
+        v_sockets, c_sockets = sockets[0]
+        edge_info = np.empty_like(v_sockets)
+        edge_info[rngs[0].permutation(c_sockets.size)] = v_sockets
+        return IraGraph(num_info[0], num_parity[0], edge_info, c_sockets)
+    counts = [c.size for _, c in sockets]
+    perm = np.arange(sum(counts))
+    lo = 0
+    for i, size in zip(drawn, counts):
+        rngs[i].shuffle(perm[lo:lo + size])
+        lo += size
+    info_off = np.cumsum((0, *num_info))
+    par_off = np.cumsum((0, *num_parity))
+    # Each instance's chain starts at its first parity; an instance without
+    # parities shares its offset with the next, or sits past the end.
+    chain_start = np.zeros(par_off[-1], dtype=bool)
+    firsts = par_off[:-1]
+    chain_start[firsts[firsts < par_off[-1]]] = True
+    edge_info, edge_check = perm, perm.copy()  # no edges
+    if sockets:
+        v_parts, c_parts = zip(*sockets)
+        edge_info = np.empty_like(perm)
+        edge_info[perm] = np.concatenate(v_parts) + np.repeat(info_off[drawn], counts)
+        edge_check = np.concatenate(c_parts) + np.repeat(par_off[drawn], counts)
+    return IraGraph(int(info_off[-1]), int(par_off[-1]), edge_info, edge_check, chain_start)
 
 
 # One entry: the trials of a uniform-ensemble campaign all share one size,

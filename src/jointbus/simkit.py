@@ -22,7 +22,7 @@ from .buscore import (BitsLike, BusState, as_bits, fib, _run_bounds, _stable_arg
 from .bpdecode import ERASED, ErasureWord, FactorGraph, bp_decode, build_factor_graph
 from .cac import _encode_segments, _payload_bits
 from .densevo import DeModel, de_trajectory
-from .ira import DegreeDistribution, IraGraph, rate_ldpc, recc_from_rldpc, sample_graph
+from .ira import DegreeDistribution, IraGraph, _sample_graphs, rate_ldpc, recc_from_rldpc
 from .jointcode import WireLayout, _complete_word, _layout_from_runs, _stride_layout
 
 __all__ = [
@@ -167,19 +167,22 @@ def _valid_word(a: np.ndarray, starts: np.ndarray, lengths: np.ndarray, u: np.nd
     enough, and so on.
     """
     n = a.size
-    run_of_wire = np.repeat(np.arange(starts.size), lengths)
     pos = np.arange(n)
-    offset = pos - starts[run_of_wire]
     longest = int(lengths.max())
-    key = word_of_run[run_of_wire] * longest + offset
+    # Sort key (word, offset in run), built per run and spread over its wires.
+    key = np.repeat(word_of_run * longest - starts, lengths) + pos
     uw = np.empty(n)
     uw[_stable_argsort(key, (int(word_of_run[-1]) + 1) * longest)] = u
-    c = uw < _ratio1(longest + 1)[lengths[run_of_wire] - offset]
+    left = np.repeat(starts + lengths, lengths) - pos  # wires left in the run, this one included
+    c = uw < _ratio1(longest + 1)[left]
     # t_j = c_j and not t_{j-1}: inside each stretch where c holds, the
-    # transitions fall on every other wire, starting at its first.
-    first = np.maximum.accumulate(np.where(~c, pos + 1, np.where(offset == 0, pos, 0)))
-    t = c & ((pos - first) % 2 == 0)
-    return (a ^ t).astype(np.uint8)
+    # transitions fall on every other wire, starting at its first. A
+    # stretch starts at a run's first wire or after a wire where c fails.
+    may_start = np.empty(n, dtype=bool)
+    np.logical_not(c[:-1], out=may_start[1:])
+    may_start[starts] = True
+    first = np.maximum.accumulate(pos * may_start)
+    return a ^ (c & ((pos ^ first) & 1 == 0))
 
 
 def _sample_run_length(n_runs: int, r_ecc: float, rng: np.random.Generator) -> np.ndarray:
@@ -220,7 +223,12 @@ def _draw_modified(n: int, r_ecc: float,
 # Wires decoded together: run_trials batches max(1, BATCH_WIRES // N) trials,
 # so the fixed cost of each numpy call in the decoder is shared by many
 # short trials, while a bus this wide or wider runs one trial at a time.
-BATCH_WIRES = 4096
+# Measured on a 2-vCPU Xeon: at 10,000 a 100-trial point at N = 100 is one
+# union, 1.3x the trials per second of 4096 (three unions); N = 10^4 stays
+# alone, since unions of 4 or 8 such trials raised the benchmark's peak RSS
+# by 15% or 29%; and fewer, larger batches at small N leave ``jobs`` fewer
+# work units to share.
+BATCH_WIRES = 10_000
 
 
 @dataclass(frozen=True)
@@ -230,11 +238,11 @@ class CodeInstances:
 
     Instance i is trial ``trials[i]`` on wires offsets[i]:offsets[i+1] of
     the decoding graph ``fg``: no segment of ``fg.layout`` crosses into the
-    next instance, and ``fg.graph`` (``IraGraph.union``) restarts its
-    parity chain at each instance, so ``bp_decode`` treats the instances as
-    independent. A single trial is the case of one instance. ``word`` is
-    the transmitted codeword, and ``rngs`` holds each trial's stream,
-    positioned after the draws of its instance.
+    next instance, and ``fg.graph``, the disjoint union of the sampled
+    graphs, restarts its parity chain at each instance, so ``bp_decode``
+    treats the instances as independent. A single trial is the case of one
+    instance. ``word`` is the transmitted codeword, and ``rngs`` holds each
+    trial's stream, positioned after the draws of its instance.
     """
 
     trials: tuple[int, ...]
@@ -243,15 +251,6 @@ class CodeInstances:
     word: np.ndarray
     rngs: tuple[np.random.Generator, ...]
     insufficient: int = 0  # trials dropped: a uniform past state short of free wires
-
-
-def _side_by_side(pasts: list[np.ndarray]):
-    """Past states laid side by side: the bits, the word offsets, and the
-    runs, cut at every offset."""
-    offsets = np.cumsum([0] + [x.size for x in pasts])
-    a = np.concatenate(pasts)
-    starts, lengths = _run_bounds(a, offsets[:-1])
-    return a, offsets, starts, lengths
 
 
 def build_instances(
@@ -287,7 +286,10 @@ def build_instances(
         pasts = [rng.integers(0, 2, ensemble.n, dtype=np.uint8) for rng in rngs]
     else:
         pasts, parity_runs = zip(*(_draw_modified(ensemble.n, r_ecc, rng) for rng in rngs))
-    a, offsets, starts, lengths = _side_by_side(pasts)
+    # The past states side by side, their runs cut at every word offset.
+    offsets = np.cumsum([0] + [x.size for x in pasts])
+    a = np.concatenate(pasts)
+    starts, lengths = _run_bounds(a, offsets[:-1])
 
     insufficient = 0
     if ensemble.kind == "uniform":
@@ -300,18 +302,24 @@ def build_instances(
                              IraGraph(0, 0, empty, empty))
             return CodeInstances((), np.zeros(1, dtype=np.int64), fg, no_bits, (), insufficient)
         if insufficient:
+            # Every word is n wires and no run crosses a word: keep the
+            # kept words' wires and runs, each run moved down by the words
+            # dropped before it.
             kept = np.flatnonzero(keep).tolist()
             trials = tuple(trials[i] for i in kept)
             rngs = [rngs[i] for i in kept]
             pasts = [pasts[i] for i in kept]
-            a, offsets, starts, lengths = _side_by_side(pasts)
+            runs = keep[starts // ensemble.n]
+            starts, lengths = starts[runs], lengths[runs]
+            starts -= ensemble.n * np.cumsum(~keep)[starts // ensemble.n]
+            a = a.reshape(-1, ensemble.n)[keep].ravel()
+            offsets = offsets[:len(kept) + 1]
         layout = _stride_layout(a.size, starts, lengths, offsets, p)
     else:
         layout = _layout_from_runs(a.size, starts, lengths, np.concatenate(parity_runs))
     num_info = np.diff(np.searchsorted(layout.info_wire_array, offsets)).tolist()
     num_parity = np.diff(np.searchsorted(layout.parity_slot_array, offsets)).tolist()
-    graphs = [sample_graph(k, q, dist, rng) for k, q, rng in zip(num_info, num_parity, rngs)]
-    graph = IraGraph.union(graphs)
+    graph = _sample_graphs(num_info, num_parity, dist, rngs)
 
     if mode == "uniform-codeword":
         u = np.concatenate([rng.random(x.size) for rng, x in zip(rngs, pasts)])

@@ -10,7 +10,8 @@ from jointbus import (
     sample_graph,
     validate_checks,
 )
-from jointbus.ira import _sockets
+from jointbus.ira import _sample_graphs, _sockets
+from jointbus.simkit import trial_rng
 
 
 def _chain_graph(edges, num_info, num_parity):
@@ -137,6 +138,55 @@ def test_union_keeps_check_order():
     union = IraGraph.union(parts)
     assert np.all(np.diff(union.edge_check) >= 0)
     assert union.num_edges == sum(g.num_edges for g in parts)
+
+
+def _mixed_sizes(seed, count):
+    # per-trial node counts over the span a modified-ensemble campaign at
+    # N = 100 gives them: 54 to 112 info nodes, 13 to 28 parities
+    rng = np.random.default_rng(seed)
+    return [(int(k), int(q)) for k, q in zip(rng.integers(54, 113, count),
+                                             rng.integers(13, 29, count))]
+
+
+@pytest.mark.parametrize("sizes", [
+    [(80, 20)] * 6,
+    _mixed_sizes(5, 40),
+    [(0, 5), (40, 10), (7, 0), (0, 0), (24, 6), (51, 13), (3, 0)],
+    [(0, 4), (9, 0)],
+], ids=["uniform", "mixed", "with-empty", "no-edges"])
+def test_sample_graphs_is_the_union_of_single_samples(sizes):
+    # edge for edge and chain for chain the union of one sample_graph per
+    # trial stream, and every stream left where sample_graph leaves it: an
+    # instance without info nodes or parities draws nothing
+    dist = DegreeDistribution(((2, 0.3), (3, 0.7)), ((10, 0.5), (12, 0.5)))
+    num_info, num_parity = (list(x) for x in zip(*sizes))
+    batch_rngs = [trial_rng(8, t) for t in range(len(sizes))]
+    single_rngs = [trial_rng(8, t) for t in range(len(sizes))]
+    batch = _sample_graphs(num_info, num_parity, dist, batch_rngs)
+    union = IraGraph.union([sample_graph(k, q, dist, rng)
+                            for k, q, rng in zip(num_info, num_parity, single_rngs)])
+    assert (batch.num_info, batch.num_parity) == (sum(num_info), sum(num_parity))
+    assert (batch.num_info, batch.num_parity) == (union.num_info, union.num_parity)
+    assert np.array_equal(batch.edge_info, union.edge_info)
+    assert np.array_equal(batch.edge_check, union.edge_check)
+    assert np.array_equal(batch.chain_start, union.chain_start)
+    assert [r.random() for r in batch_rngs] == [r.random() for r in single_rngs]
+
+
+def test_sample_graphs_of_one_instance_draws_one_permutation():
+    # one instance: the socket array itself on the check side, and the info
+    # side scattered through the permutation rng.permutation draws
+    dist = DegreeDistribution.regular(3, 12)
+    rng = trial_rng(3, 0)
+    g = _sample_graphs([80], [20], dist, [rng])
+    v_sockets, c_sockets = _sockets(80, 20, dist)
+    assert g.edge_check is c_sockets
+    ref = trial_rng(3, 0)
+    expect = np.empty_like(v_sockets)
+    expect[ref.permutation(c_sockets.size)] = v_sockets
+    assert np.array_equal(g.edge_info, expect)
+    assert rng.random() == ref.random()
+    assert np.flatnonzero(g.chain_start).tolist() == [0]
 
 
 def test_sample_graph_balances_rounding_residual():
