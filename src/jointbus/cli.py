@@ -262,9 +262,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         ensembles = [EnsembleSpec(kind="uniform", n=n) for n in blocklens]
     with _flag("--ensemble"):
         ensembles = [replace(e, kind=cfg["ensemble"]) for e in ensembles]
-    base = SimConfig(ensemble=ensembles[0], dist=dist, eps=eps_grid[0], trials=1,
-                     seed=cfg["seed"])
-    for key in ("trials", "mode", "jobs"):
+    base = SimConfig(ensemble=ensembles[0], dist=dist, eps=eps_grid[0], trials=1, seed=0)
+    for key in ("trials", "seed", "mode", "jobs"):
         with _flag(f"--{key}"):
             base = replace(base, **{key: cfg[key]})
     configs = [replace(base, ensemble=e, eps=eps) for e in ensembles for eps in eps_grid]
@@ -285,10 +284,12 @@ def _codec_instance(args: argparse.Namespace):
     """The instance encoder and decoder agree on: the layout follows from
     the past state, the graph from the first trial stream of --seed."""
     dist, r_ecc = _load_dist(args.regular, args.dist_file, default="3,12")
+    with _flag("--seed"):
+        rng = trial_rng(args.seed, 0)
     with _flag("--past"):
         state = BusState(args.past).bits
     layout = build_layout(state, round(state.size * (1.0 - r_ecc)))
-    graph = sample_graph(layout.num_info, layout.num_parity, dist, trial_rng(args.seed, 0))
+    graph = sample_graph(layout.num_info, layout.num_parity, dist, rng)
     return state, layout, graph
 
 

@@ -16,6 +16,7 @@ from functools import reduce
 from typing import Iterable
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .buscore import (BitsLike, BusState, as_bits, fib, _run_bounds, _stable_argsort,
                       _state_from_runs)
@@ -78,6 +79,7 @@ class SimConfig:
         _check_mode(self.mode)
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
+        _check_seed(self.seed)
 
 
 @dataclass
@@ -116,11 +118,37 @@ class TrialStats:
         return self.insufficient_free_wire_events / self.trials if self.trials else 0.0
 
 
+def _check_seed(seed: int) -> None:
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+
+
+class _TrialKey(ISeedSequence):
+    """The seed sequence of one trial stream: it hands Philox the key
+    [seed, trial_index] as it is. ``Philox(seed=None)`` and ``Philox(key=)``
+    both first draw a SeedSequence from OS entropy, most of the cost of a
+    stream, and Philox asks its seed sequence for no other state."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, seed: int, trial_index: int):
+        self.words = (seed, trial_index)
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 2 or np.dtype(dtype) != np.uint64:
+            raise ValueError("a trial key is two uint64 words: the seed and the trial index")
+        return np.array(self.words, dtype=np.uint64)
+
+
 def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
-    """Counter-based stream for one trial; streams never overlap across
-    trial indices, so any execution order gives identical statistics."""
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, trial_index & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    """Counter-based stream for one trial: Philox with counter 0 and key
+    [seed, trial_index], built from that key alone (no OS entropy is read).
+    Streams never overlap across trial indices, so any execution order gives
+    identical statistics. Seed and trial index must lie in [0, 2**64)."""
+    _check_seed(seed)
+    if not 0 <= trial_index < 2**64:
+        raise ValueError(f"trial index must lie in [0, 2**64), got {trial_index}")
+    return np.random.Generator(np.random.Philox(_TrialKey(seed, trial_index)))
 
 
 def bec_transmit(b: BitsLike, eps: float, rng: np.random.Generator) -> ErasureWord:

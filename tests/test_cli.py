@@ -481,6 +481,15 @@ CONFIG = {"regular": "3,12", "blocklen": "20", "eps": "0.1", "trials": 2, "jobs"
                  id="config-ensemble-flat"),
     pytest.param(["simulate", "--config", {**CONFIG, "jobs": 0}], 3, "--jobs",
                  id="config-jobs-0"),
+    # a seed is one 64-bit key word: none wraps around onto another seed's streams
+    *[pytest.param(argv + ["--seed", str(seed)], 3, "--seed", id=f"{name}-seed-{seed}")
+      for name, argv in [
+          ("simulate", SIM + ["--regular", "3,12"]),
+          ("codec-encode", ["codec", "encode", "--past", PAST, "--payload", "0" * 10]),
+          ("codec-decode", ["codec", "decode", "--past", PAST, "--received", "0" * 16])]
+      for seed in (-1, 2**64)],
+    *[pytest.param(["simulate", "--config", {**CONFIG, "seed": seed}], 3, "--seed",
+                   id=f"config-seed-{seed}") for seed in (-1, 2**64)],
 ])
 def test_cli_rejects_bad_input_by_flag(tmp_path, argv, exit_code, flag):
     # a dict in argv stands for a config file holding it

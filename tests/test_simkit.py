@@ -35,6 +35,41 @@ from helpers import disjoint_union, sequential_valid_word, valid_words
 DIST = DegreeDistribution.regular(3, 12)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1])
+@pytest.mark.parametrize("trial", [0, 1, 2**32 + 5])
+def test_trial_rng_is_the_philox_stream_of_its_key(seed, trial):
+    # the stream is Philox keyed [seed, trial] with counter 0: every pinned
+    # CSV, codec word and fingerprint rests on it
+    ours = trial_rng(seed, trial)
+    ref = np.random.Generator(np.random.Philox(key=np.array([seed, trial], dtype=np.uint64)))
+    np.testing.assert_equal(ours.bit_generator.state, ref.bit_generator.state)
+    # the draws the engine makes, in one interleaved order
+    def draws(rng):
+        bits = rng.integers(0, 2, 37, dtype=np.uint8)
+        block = np.arange(50)
+        rng.shuffle(block[5:40])
+        return [bits, block, rng.random(23), rng.geometric(0.5, 11), rng.integers(0, 2)]
+
+    np.testing.assert_equal(draws(ours), draws(ref))
+    np.testing.assert_equal(ours.bit_generator.state, ref.bit_generator.state)
+
+
+@pytest.mark.parametrize("seed, trial", [(-1, 0), (2**64, 0), (0, -1), (0, 2**64)])
+def test_trial_rng_rejects_keys_outside_64_bits(seed, trial):
+    # no key word wraps around onto another stream
+    with pytest.raises(ValueError, match=r"must lie in \[0, 2\*\*64\)"):
+        trial_rng(seed, trial)
+
+
+def test_trial_key_gives_only_a_philox_key():
+    # any other request would read the two key words as some other state
+    key = simkit._TrialKey(1, 2)
+    with pytest.raises(ValueError, match="two uint64 words"):
+        np.random.PCG64(key)  # asks for four uint64 words
+    with pytest.raises(ValueError, match="two uint64 words"):
+        key.generate_state(2)  # two uint32 words
+
+
 def test_bec_transmit_extremes():
     rng = trial_rng(0, 0)
     bits = rng.integers(0, 2, 64, dtype=np.uint8)
@@ -305,12 +340,12 @@ def test_run_trials_caps_workers_at_cpu_count(monkeypatch, cpus, pools):
     assert stats == run_trials(dataclasses.replace(config, jobs=1))
 
 
-@pytest.mark.parametrize("field", ["jobs"])
-@pytest.mark.parametrize("value", [0, -3])
-def test_sim_config_rejects_nonpositive_jobs_and_max_outer(field, value):
+@pytest.mark.parametrize("value, field", [(0, "jobs"), (-3, "jobs"), (-1, "seed"),
+                                          (2**64, "seed")])
+def test_sim_config_rejects_out_of_range_jobs_and_seed(value, field):
     with pytest.raises(ValueError, match=field):
         SimConfig(ensemble=EnsembleSpec("uniform", 100), dist=DIST, eps=0.1, trials=5,
-                  seed=0, **{field: value})
+                  **{"seed": 0, field: value})
 
 
 def test_run_trials_insufficient_accounting():
