@@ -38,9 +38,15 @@ def fib(n: int) -> int:
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"Fibonacci index must be an integer >= 1, got {n!r}")
+    return _fib_table(int(n))[int(n)]
+
+
+def _fib_table(n: int) -> list[int]:
+    """The fib table grown to hold index ``n``, for callers that read many
+    entries at once; they must not write to it."""
     while len(_FIB) <= n:
         _FIB.append(_FIB[-1] + _FIB[-2])
-    return _FIB[int(n)]
+    return _FIB
 
 
 def as_bits(state: BitsLike) -> np.ndarray:

@@ -9,6 +9,15 @@ mixed-radix wrapper (an enumerative code in the sense of Cover, 1973).
 The payload codec lives here once: ``_encode_segments``/``_decode_segments``
 map payload bits to and from a word over any (k, 2) array of (start,
 length) segments, and ``_payload_bits`` gives the payload size.
+The mixed-radix conversion goes through one product tree over the
+segments' counts (Knuth, TAOCP vol. 2, sec. 4.4; Bernstein, "Fast
+multiplication and its applications", 2008): its root gives the payload
+size, a top-down remainder tree splits the payload index into digits and
+a bottom-up pass recombines them. Sequential divmod and Horner loops are
+quadratic in the index length: on a uniform 10^5-wire past (about 50,000
+runs, an 82,500-bit index; 2-vCPU Xeon, Python 3.11) the tree takes 6 ms
+to build, 13-16 ms to split and 5-8 ms to recombine, against 85 ms for
+``math.prod``, 590 ms for the divmod loop and 130-210 ms for Horner.
 ``cac_encode`` and ``cac_decode`` apply it to the runs of the past state;
 the embedded encoder, the instance builder's info-bits words,
 ``decode_payload`` and the decoder's payload extraction apply it to the
@@ -21,7 +30,7 @@ import math
 
 import numpy as np
 
-from .buscore import BitsLike, as_bits, fib, _run_bounds
+from .buscore import BitsLike, as_bits, fib, _fib_table, _run_bounds
 
 __all__ = [
     "RunCodebook",
@@ -112,11 +121,7 @@ class RunCodebook:
 def count_codewords(a: BitsLike) -> int:
     """Number of valid next states for past state ``a``: prod F(d_m + 2)."""
     arr = as_bits(a)
-    _, lengths = _run_bounds(arr)
-    out = 1
-    for d in lengths:
-        out *= fib(int(d) + 2)
-    return out
+    return _product_tree(_radices(_runs(arr)))[-1][0]
 
 
 def _runs(a: np.ndarray) -> np.ndarray:
@@ -125,61 +130,117 @@ def _runs(a: np.ndarray) -> np.ndarray:
     return np.column_stack(_run_bounds(a))
 
 
+def _radices(segments: np.ndarray) -> list[int]:
+    """The codeword counts F(d + 2) of the (k, 2) (start, length)
+    segments, in segment order, read off the Fibonacci table in one pass."""
+    if not segments.size:
+        return []
+    table = _fib_table(int(segments[:, 1].max()) + 2)
+    return [table[d] for d in (segments[:, 1] + 2).tolist()]
+
+
+def _product_tree(radices: list[int]) -> list[list[int]]:
+    """Product tree over ``radices``, leaves first: each level multiplies
+    the adjacent pairs of the level below, an odd last node moving up
+    unchanged, and the last level holds the product alone (no level past
+    the leaves when there are fewer than two radices)."""
+    levels = [radices]
+    while len(levels[-1]) > 1:
+        level = levels[-1]
+        up = [x * y for x, y in zip(level[0::2], level[1::2])]
+        if len(level) % 2:
+            up.append(level[-1])
+        levels.append(up)
+    return levels
+
+
+def _tree_bits(levels: list[list[int]]) -> int:
+    """floor(log2) of the product at the root of a product tree: the
+    payload size. The fractional remainder of the index space is never
+    used."""
+    return (levels[-1][0] if levels[-1] else 1).bit_length() - 1
+
+
 def _payload_bits(segments: np.ndarray) -> int:
     """Payload size over a (k, 2) array of (start, length) segments."""
-    return _index_bits(segments.tolist())
+    return _tree_bits(_product_tree(_radices(segments)))
 
 
-def _index_bits(rows: list[list[int]]) -> int:
-    """floor(log2) of the product of the run counts F(d + 2) of the
-    (start, length) rows: the fractional remainder of the index space is
-    never used."""
-    return math.prod(fib(d + 2) for _, d in rows).bit_length() - 1
+def _split(index: int, levels: list[list[int]]) -> list[int]:
+    """Mixed-radix digits of ``index`` below the root of a product tree,
+    first radix most significant: going down the tree, each node's value
+    is divided by the product under its right child, the quotient going
+    left and the remainder right."""
+    if not levels[0]:
+        return []
+    values = [index]
+    for level in reversed(levels[:-1]):
+        down: list[int] = []
+        for v, right in zip(values, level[1::2]):
+            down += divmod(v, right)
+        if len(level) % 2:
+            down.append(values[-1])
+        values = down
+    return values
+
+
+def _join(digits: list[int], levels: list[list[int]]) -> int:
+    """Inverse of ``_split``: going up the tree, each node's value is its
+    left child's value times the product under its right child, plus the
+    right child's value."""
+    values = digits
+    for level in levels[:-1]:
+        up = [x * right + y for x, y, right in zip(values[0::2], values[1::2], level[1::2])]
+        if len(level) % 2:
+            up.append(values[-1])
+        values = up
+    return values[0] if values else 0
 
 
 def _encode_segments(info_bits: BitsLike, a: np.ndarray, segments: np.ndarray) -> np.ndarray:
     """Payload -> word over the (k, 2) (start, length) segments of past
     state ``a``.
 
-    The payload is read as a big-endian integer and decomposed by mixed
-    radix over the per-segment codeword counts (first segment most
-    significant); each digit is unranked within its segment. Wires outside
-    the segments are ``UNSET``.
+    The payload is read as a big-endian integer and split by mixed radix
+    over the per-segment codeword counts (first segment most significant)
+    through their product tree; each digit is unranked within its segment.
+    Wires outside the segments are ``UNSET``.
     """
-    rows = segments.tolist()
-    k = _index_bits(rows)
+    levels = _product_tree(_radices(segments))
+    k = _tree_bits(levels)
     bits = as_bits(info_bits) if len(info_bits) else np.zeros(0, dtype=np.uint8)
     if bits.size != k:
         raise ValueError(f"payload must have exactly {k} bits, got {bits.size}")
     index = int.from_bytes(np.packbits(bits).tobytes(), "big") >> (-k % 8)
-    books = [RunCodebook(a[s : s + d]) for s, d in rows]
-    digits: list[int] = []
-    for book in reversed(books):
-        index, dig = divmod(index, book.codeword_count)
-        digits.append(dig)
     out = np.full(a.size, UNSET, dtype=np.uint8)
-    for (s, d), book, dig in zip(rows, books, reversed(digits)):
-        out[s : s + d] = book.unrank(dig)
+    for (s, d), dig in zip(segments.tolist(), _split(index, levels)):
+        out[s : s + d] = RunCodebook(a[s : s + d]).unrank(dig)
     return out
 
 
 def _decode_segments(word: np.ndarray, a: np.ndarray, segments: np.ndarray) -> np.ndarray:
     """Inverse of ``_encode_segments``; wires outside the segments are
-    ignored. Raises if a segment violates a crosstalk constraint or if the
-    recombined index falls outside the 2**K payload range."""
+    ignored. Raises if a segment violates a crosstalk constraint (the
+    first such segment in wire order) or if the recombined index falls
+    outside the 2**K payload range."""
     if word.size != a.size:
         raise ValueError("word length does not match the past state")
-    rows = segments.tolist()
-    k = _index_bits(rows)
-    index = 0
-    for s, d in rows:
+    digits = []
+    for s, d in segments.tolist():
         book = RunCodebook(a[s : s + d])
         try:
-            index = index * book.codeword_count + book.rank(word[s : s + d])
+            digits.append(book.rank(word[s : s + d]))
         except ValueError as exc:
             raise ValueError(f"wires {s + 1}..{s + d}: {exc}") from None
+    levels = _product_tree(_radices(segments))
+    k = _tree_bits(levels)
+    index = _join(digits, levels)
     if index >> k:
-        raise ValueError(f"word index {index} falls outside the used range [0, 2**{k})")
+        try:
+            shown = f"word index {index}"
+        except ValueError:  # more decimal digits than int-to-str conversion allows
+            shown = f"a {index.bit_length()}-bit word index"
+        raise ValueError(f"{shown} falls outside the used range [0, 2**{k})")
     packed = np.frombuffer(index.to_bytes((k + 7) // 8, "big"), dtype=np.uint8)
     return np.unpackbits(packed)[-k % 8 :]
 

@@ -20,9 +20,9 @@ from jointbus.bpdecode import (
     _first_violation,
 )
 from jointbus.buscore import _run_bounds, as_bits
-from jointbus.cac import _decode_segments
+from jointbus.cac import UNSET, RunCodebook, _decode_segments
 from jointbus.ira import IraGraph
-from jointbus.jointcode import WireLayout, build_layout
+from jointbus.jointcode import WireLayout, _complete_word, build_layout
 
 
 def cac_node_update(
@@ -95,6 +95,46 @@ def valid_words(a) -> list[np.ndarray]:
         if not np.any((arr[:-1] != arr[1:]) & (t[:-1] == 1) & (t[1:] == 1)):
             out.append(bits)
     return out
+
+
+def mixed_radix_digits(index: int, radices: list[int]) -> list[int]:
+    """Digits of ``index`` by literal sequential divmod, first radix most
+    significant."""
+    digits = []
+    for r in reversed(radices):
+        index, digit = divmod(index, r)
+        digits.append(digit)
+    assert index == 0, "index is not below the product of the radices"
+    return digits[::-1]
+
+
+def mixed_radix_index(digits: list[int], radices: list[int]) -> int:
+    """Inverse of ``mixed_radix_digits`` by literal Horner recombination."""
+    index = 0
+    for digit, r in zip(digits, radices, strict=True):
+        assert 0 <= digit < r
+        index = index * r + digit
+    return index
+
+
+def last_continuations(a: np.ndarray, segments: np.ndarray) -> np.ndarray:
+    """The word that puts every (start, length) segment of past state ``a``
+    on its last continuation, ``UNSET`` elsewhere: the largest index of the
+    segments' payload codec, outside the payload range unless every count
+    F(d + 2) is a power of two."""
+    word = np.full(a.size, UNSET, dtype=np.uint8)
+    for s, d in segments.tolist():
+        book = RunCodebook(a[s : s + d])
+        word[s : s + d] = book.unrank(book.codeword_count - 1)
+    return word
+
+
+def out_of_range_word(a: np.ndarray, layout: WireLayout, graph: IraGraph) -> np.ndarray:
+    """``last_continuations`` over the payload segments of ``layout``,
+    completed with its parities and pinned wires: a word that keeps every
+    crosstalk, pin and parity check and still indexes past the payload
+    range."""
+    return _complete_word(last_continuations(a, layout.segments), a, layout, graph)
 
 
 def stride_select(free_count: int, p_needed: int) -> list[int]:

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -14,6 +15,12 @@ from jointbus import (
     build_layout,
     check_transition,
     decode_payload,
+    fib,
+    gen_past_uniform,
+    payload_size,
+    rate_ldpc,
+    recc_from_rldpc,
+    sample_graph,
 )
 from jointbus.ira import IraGraph
 
@@ -23,6 +30,7 @@ from helpers import (
     disjoint_union,
     ecc_node_update,
     encode_instance,
+    out_of_range_word,
     peel_decode,
     random_instance,
     stopping_set_violation,
@@ -449,6 +457,22 @@ def test_bp_decode_uniform_codeword_out_of_payload_range():
     assert res.residual_erasures == 0
     assert res.info_bits is None
     assert res.violation == "word index 8 falls outside the used range [0, 2**3)"
+
+
+def test_bp_decode_out_of_range_on_a_wide_bus(int_digit_limit):
+    # at 2 * 10**4 wires and rate 10/11 the index of a word that keeps every
+    # check has about 4,400 decimal digits, past the limit: the violation
+    # names its bit length, not the interpreter's conversion error
+    a = gen_past_uniform(20_000, np.random.default_rng(4)).bits
+    dist = DegreeDistribution.regular(3, 30)
+    layout = build_layout(a, round(a.size * (1 - recc_from_rldpc(rate_ldpc(dist)))))
+    graph = sample_graph(layout.num_info, layout.num_parity, dist, np.random.default_rng(5))
+    res = bp_decode(out_of_range_word(a, layout, graph), build_factor_graph(a, graph, layout))
+    index = math.prod(fib(d + 2) for _, d in layout.segments.tolist()) - 1
+    k = payload_size(a, layout.num_parity)
+    assert res.residual_erasures == 0 and res.info_bits is None
+    assert res.violation == (f"a {index.bit_length()}-bit word index falls outside the used "
+                             f"range [0, 2**{k})")
 
 
 def test_bp_decode_reports_stall():

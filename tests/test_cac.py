@@ -1,8 +1,11 @@
+import math
+import random
 import re
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jointbus import (
@@ -17,12 +20,23 @@ from jointbus import (
     check_transition,
     count_codewords,
     fib,
+    gen_past_uniform,
     ira_encode,
     payload_size,
 )
-from jointbus.cac import UNSET, _decode_segments, _encode_segments, _payload_bits
+from jointbus.cac import (
+    UNSET,
+    _decode_segments,
+    _encode_segments,
+    _join,
+    _payload_bits,
+    _product_tree,
+    _radices,
+    _runs,
+    _split,
+)
 
-from helpers import valid_words
+from helpers import last_continuations, mixed_radix_digits, mixed_radix_index, valid_words
 
 
 def _alternating(d, phase=0):
@@ -234,3 +248,60 @@ def test_payload_codec_matches_whole_word_oracle():
     # 1524 of the 1530 (state, p) pairs place their parities, 244 of them
     # on shield pairs
     assert (layouts, shielded) == (1524, 244)
+
+
+@settings(max_examples=60, deadline=None)
+@given(count=st.one_of(st.integers(0, 3), st.integers(4, 3000)), seed=st.integers(0, 2**32 - 1),
+       which=st.sampled_from(["zero", "one", "top", "any"]))
+def test_product_tree_matches_sequential_oracle(count, seed, which):
+    # split then join is the identity on every index below the product, and
+    # both agree with the literal divmod / Horner loops; run lengths up to
+    # 200 make single radices F(202) > 2**64
+    rng = random.Random(seed)
+    lengths = [rng.choice((rng.randint(1, 8), rng.randint(1, 200))) for _ in range(count)]
+    segments = np.array([[0, d] for d in lengths], dtype=np.int64).reshape(-1, 2)
+    radices = _radices(segments)
+    assert radices == [fib(d + 2) for d in lengths]
+    levels = _product_tree(radices)
+    product = math.prod(radices)
+    assert (levels[-1][0] if levels[-1] else 1) == product
+    index = {"zero": 0, "one": min(1, product - 1), "top": product - 1,
+             "any": rng.randrange(product)}[which]
+    digits = _split(index, levels)
+    assert digits == mixed_radix_digits(index, radices)
+    assert _join(digits, levels) == index == mixed_radix_index(digits, radices)
+
+
+def test_product_tree_roundtrip_on_wide_uniform_past():
+    # codec_wide's width: the digits of a random payload equal the
+    # sequential oracle's, and the word decodes to the payload
+    rng = np.random.default_rng(351)
+    a = gen_past_uniform(100_000, rng).bits
+    segments = _runs(a)
+    radices = _radices(segments)
+    k = _payload_bits(segments)
+    payload = rng.integers(0, 2, k, dtype=np.uint8)
+    index = int("".join(map(str, payload.tolist())), 2)
+    digits = _split(index, _product_tree(radices))
+    assert digits == mixed_radix_digits(index, radices)
+    word = _encode_segments(payload, a, segments)
+    assert check_transition(a, word).ok
+    assert np.array_equal(_decode_segments(word, a, segments), payload)
+
+
+def test_out_of_range_message_on_a_wide_bus(int_digit_limit):
+    # at 2 * 10**4 wires the largest index has about 5,000 decimal digits,
+    # past the limit: the message names its bit length instead, and prints
+    # the decimal index again once the limit is lifted
+    a = gen_past_uniform(20_000, np.random.default_rng(2)).bits
+    segments = _runs(a)
+    word = last_continuations(a, segments)
+    index = math.prod(_radices(segments)) - 1
+    k = _payload_bits(segments)
+    msg = f"a {index.bit_length()}-bit word index falls outside the used range [0, 2**{k})"
+    with pytest.raises(ValueError, match=re.escape(msg)):
+        _decode_segments(word, a, segments)
+    sys.set_int_max_str_digits(0)
+    msg = f"word index {index} falls outside the used range [0, 2**{k})"
+    with pytest.raises(ValueError, match=re.escape(msg)):
+        cac_decode(word, a)

@@ -9,8 +9,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jointbus import gen_past_uniform, payload_size, trial_rng
+from jointbus import (
+    DegreeDistribution,
+    build_layout,
+    gen_past_uniform,
+    payload_size,
+    rate_ldpc,
+    recc_from_rldpc,
+    sample_graph,
+    trial_rng,
+)
 from jointbus.cli import main
+
+from helpers import out_of_range_word
 
 
 def run_cli(capsys, *argv):
@@ -369,6 +380,25 @@ def test_codec_decode_rejects_inconsistent_word(capsys, past, seed, received, fa
     assert code == 3
     assert out == ""
     assert fault in err
+
+
+def test_codec_decode_out_of_range_on_a_wide_bus(capsys, int_digit_limit):
+    # a 2 * 10**4-wire word that keeps every check but indexes past the
+    # payload range: the message names the index by its bit length, as
+    # its decimal form has more digits than the interpreter converts
+    past = gen_past_uniform(20_000, np.random.default_rng(6)).bits
+    dist = DegreeDistribution.regular(3, 30)
+    # the instance the CLI builds from --seed 1
+    layout = build_layout(past, round(past.size * (1 - recc_from_rldpc(rate_ldpc(dist)))))
+    graph = sample_graph(layout.num_info, layout.num_parity, dist, trial_rng(1, 0))
+    word = out_of_range_word(past, layout, graph)
+    k = payload_size(past, layout.num_parity)
+    code, out, err = run_cli(capsys, "codec", "decode", "--regular", "3,30",
+                             "--past", "".join(map(str, past.tolist())),
+                             "--received", "".join(map(str, word.tolist())), "--seed", "1")
+    assert code == 3 and out == ""
+    assert f"-bit word index falls outside the used range [0, 2**{k})" in err
+    assert "Exceeds the limit" not in err
 
 
 def test_codec_wrong_payload_length(capsys):
