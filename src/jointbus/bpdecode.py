@@ -12,9 +12,12 @@ the parity accumulator chain. One outer iteration follows the schedule:
   5. code checks -> information variables
 
 Erasures only ever disappear, so the outer loop stops at the first
-iteration that changes no message. The engine below is array-based: known/
-unknown flags are tracked per edge, the chain fixed point is computed by
-prefix scans, and values are filled in as nodes resolve.
+iteration that adds no knowledge: no wire resolves, no check-to-variable
+message becomes known, and no wire's intrinsic message (from the channel,
+a pin or a crosstalk check) becomes known. The engine below is
+array-based: known/unknown flags are tracked per edge, the chain fixed
+point is computed by prefix scans, and values are filled in as nodes
+resolve.
 
 Because message knowledge is monotone, the decoder keeps each fact once
 and works on a frontier: steps 1-2 force only around the wires that
@@ -24,12 +27,13 @@ per-check and per-node counts move by the edges that became known. Step
 4's chain scans run only in an iteration where step 3 completed a check
 (ok_grew), and only the parities that became known get values. The graph lists its
 edges in check order, so step 5 visits each check whose level rose as one
-block of edges, and only those. Each step notes whether it changed a
-message (grew), and the loop stops at an iteration where none did, with
-no recount of the bus. An outer iteration thus costs O(active edges + N +
-P); iterations, trace and output are those of the full sweep
-(``tests/helpers.sweep_decode``). The per-wire and per-edge maps are
-derived once per decode, and only when something is erased.
+block of edges, and only those. Each step notes whether it added one of
+those three facts (grew), and the loop stops at an iteration where none
+did, the first included, with no recount of the bus. An outer iteration
+thus costs O(active edges + N + P); iterations, trace and output are
+those of the full sweep (``tests/helpers.sweep_decode``). The per-wire
+and per-edge maps are derived once per decode, and only when something
+is erased.
 """
 
 from __future__ import annotations
@@ -84,12 +88,18 @@ class ErasureWord:
             if np.any(arr > ERASED):
                 raise ValueError(f"erasure string may contain only 0, 1, e, got {symbols!r}")
         else:
-            arr = np.asarray(symbols, dtype=np.uint8)
+            arr = np.asarray(symbols)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("an erasure word needs at least one symbol")
-        if not np.all(arr <= ERASED):
+        # Other types are checked as given: a cast first would wrap 258 onto
+        # 2 and 0.7 onto 0.
+        if arr.dtype == np.uint8:
+            ok = arr <= ERASED
+        else:
+            ok = (arr == 0) | (arr == 1) | (arr == ERASED)
+        if not np.all(ok):
             raise ValueError("erasure-word symbols must be 0, 1, or the erasure marker")
-        arr = arr.copy()
+        arr = arr.astype(np.uint8)
         arr.setflags(write=False)
         self._symbols = arr
 
@@ -120,8 +130,8 @@ class ErasureWord:
 class FactorGraph:
     """Decoding graph for one past state, code instance, and wire layout.
 
-    Built from a disjoint union of instances (past states side by side,
-    ``IraGraph.union`` and segments that never cross from one instance
+    Built from a disjoint union of instances (past states, graphs with one
+    chain per instance, and segments that never cross from one instance
     into the next), it decodes every instance at once: no crosstalk check
     and no chain link joins two instances. The graph's edges come in check
     order.
@@ -177,12 +187,13 @@ def bp_decode(
 ) -> DecodeResult:
     """Run the scheduled message-passing decoder on one received word.
 
-    Stops at the first outer iteration that changes no message (reported as
-    ``converged``) or after ``max_outer`` iterations. When every wire
-    resolves and ``extract_payload`` is set, the word is first checked
-    against the received pinned wires, the crosstalk constraints and the
-    parity checks; an inconsistent word yields ``info_bits=None`` and names
-    what it breaks in ``violation``. Otherwise the payload is re-extracted
+    Stops at the first outer iteration that adds no knowledge (reported as
+    ``converged``: no wire resolves, and no check-to-variable message and
+    no wire's intrinsic message becomes known) or after ``max_outer``
+    iterations. When every wire resolves and ``extract_payload`` is set,
+    the word is first checked against the received pinned wires, the
+    crosstalk constraints and the parity checks; an inconsistent word
+    yields ``info_bits=None`` and names what it breaks in ``violation``. Otherwise the payload is re-extracted
     from the code-carrying wires; a word whose index falls outside the
     payload range yields ``info_bits=None`` and the codec's out-of-range
     message in ``violation``. ``record_trace`` captures the
@@ -241,7 +252,7 @@ def _propagate(symbols: np.ndarray, fg: FactorGraph,
         val[pins] = a[pins]
         resolved[pins] = True
     if resolved.all():
-        # Nothing erased: the first iteration changes no message, and its
+        # Nothing erased: the first iteration adds no knowledge, and its
         # step 3 finds every variable-to-check message known.
         return val, resolved, 1, True, [0.0]
 
@@ -259,10 +270,8 @@ def _propagate(symbols: np.ndarray, fg: FactorGraph,
     adj_prev[layout.info_wire_array] = True
     adj_prev[layout.segments[:, 0]] = False
     # A wire's intrinsic message is known from the channel, a pin or a
-    # crosstalk check. The wires the crosstalk checks reached stay apart
-    # (src_cac): one into a channel-known wire is a message change too.
+    # crosstalk check.
     intrinsic = resolved.copy()
-    src_cac = np.zeros(n, dtype=bool)
     # Per-edge knowledge only grows: ext (variable-to-check known) and
     # known_ci (check-to-variable known) never revert, and a wire's value
     # never changes once resolved. So the per-check counts of erased inputs
@@ -296,9 +305,8 @@ def _propagate(symbols: np.ndarray, fg: FactorGraph,
     # backward, from the first channel-known parity after j; entry num_p + j
     # forward, from the last one before j or the implicit zero before j's
     # chain.
-    val_p = val[slots]  # parity values, filled in as parities become known
     src_pos = np.concatenate((r_star + 1, np.where(from_zero, lcs, lch + 1)))
-    src_val = np.concatenate((val_p[r_star], np.where(from_zero, 0, val_p[lch])))
+    src_val = np.concatenate((val[slots[r_star]], np.where(from_zero, 0, val[slots[lch]])))
     # Wires known from the channel or a check stay known and keep their
     # value, so those that transition only accumulate: each iteration's
     # crosstalk pass forces only around the ones that joined since the last,
@@ -323,8 +331,7 @@ def _propagate(symbols: np.ndarray, fg: FactorGraph,
         # transitions: one pass reaches the fixed point.
         force = np.concatenate((moved[adj_prev[moved]] - 1, moved[adj_next[moved]] + 1))
         moved = np.zeros(0, dtype=np.int64)
-        grew = not src_cac[force].all()
-        src_cac[force] = True
+        grew = not intrinsic[force].all()
         intrinsic[force] = True
         force = force[~resolved[force]]
         val[force] = a[force]
@@ -365,9 +372,8 @@ def _propagate(symbols: np.ndarray, fg: FactorGraph,
                 grew = True
                 cum0 = np.concatenate(([0], np.bitwise_xor.accumulate(s)))
                 k = new_p + num_p * kf[new_p]
-                val_p[new_p] = src_val[k] ^ cum0[src_pos[k]] ^ cum0[new_p + 1]
                 wires = slots[new_p]
-                val[wires] = val_p[new_p]
+                val[wires] = src_val[k] ^ cum0[src_pos[k]] ^ cum0[new_p + 1]
                 resolved[wires] = True
 
         # Step 5: check-to-variable messages and value fill-in. A check
@@ -397,16 +403,16 @@ def _propagate(symbols: np.ndarray, fg: FactorGraph,
                     fill = closed[fresh]
                     ej = e_chk[fill]
                     wires = e_wire[fill]
-                    val[wires] = s[ej] ^ val_p[ej] ^ (val_p[ej - 1] & has_prev[ej])
+                    val[wires] = s[ej] ^ val[slots[ej]] ^ (val[slots[ej - 1]] & has_prev[ej])
                     resolved[wires] = True
                     moved = wires[val[wires] != a[wires]]
                 del closed, fresh
                 cnt_ci += np.bincount(w, minlength=n)
                 del w
 
-        # Knowledge only grows: an iteration after the first that changed
-        # no message is the fixed point.
-        if resolved.all() or (not grew and it > 1):
+        # Knowledge only grows: an iteration that added none is the fixed
+        # point.
+        if resolved.all() or not grew:
             converged = True
             break
     return val, resolved, iterations, converged, trace

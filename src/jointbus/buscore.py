@@ -58,11 +58,14 @@ def as_bits(state: BitsLike) -> np.ndarray:
             raise ValueError(f"bit string may contain only 0 and 1, got {state!r}")
         arr = np.frombuffer(state.encode(), dtype=np.uint8) - np.uint8(ord("0"))
     else:
-        arr = np.asarray(state, dtype=np.uint8)
+        arr = np.asarray(state)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("a bus state needs at least one wire")
+    # Checked as given: a cast first would wrap 256 onto 0 and 0.7 onto 0.
     if not np.all((arr == 0) | (arr == 1)):
         raise ValueError("bus-state symbols must be 0 or 1")
+    if arr.dtype != np.uint8:
+        arr = arr.astype(np.uint8)
     arr.setflags(write=False)
     return arr
 

@@ -137,13 +137,13 @@ class IraGraph:
     ``edge_info[k]`` / ``edge_check[k]`` give endpoint indices of sparse
     edge k (info nodes 0..num_info-1, checks 0..num_parity-1). The edges
     are listed in check order (``edge_check`` non-decreasing), the order
-    ``sample_graph`` draws and ``union`` keeps, and the decoder requires:
+    ``sample_graph`` draws and the decoder requires:
     it takes the edges of each check as one contiguous block. Check j also
     connects parity j and, unless j starts a chain, parity j-1; a chain's
     first check sees an implicit zero instead. ``chain_start`` holds one
     bool per parity, true where an accumulator chain starts: built without
     it, a graph has one chain, starting at parity 0 (a sampled instance);
-    a disjoint union (``IraGraph.union``) has one chain per instance.
+    a disjoint union of instances has one chain per instance.
     Multi-edges are kept; encoding and validation collapse them modulo 2.
     """
 
@@ -159,33 +159,9 @@ class IraGraph:
             mask[:1] = True
             object.__setattr__(self, "chain_start", mask)
 
-    @classmethod
-    def union(cls, graphs: Sequence["IraGraph"]) -> "IraGraph":
-        """Disjoint union: the nodes of each graph are numbered after those
-        of the graphs before it, and each keeps its own parity chains and its
-        edge order, so graphs in check order give a union in check order.
-        The union of one graph is that graph."""
-        if len(graphs) == 1:
-            return graphs[0]
-        info_off = np.cumsum([0] + [g.num_info for g in graphs])
-        par_off = np.cumsum([0] + [g.num_parity for g in graphs])
-        return cls(
-            num_info=int(info_off[-1]),
-            num_parity=int(par_off[-1]),
-            edge_info=np.concatenate([g.edge_info + o for g, o in zip(graphs, info_off)]),
-            edge_check=np.concatenate([g.edge_check + o for g, o in zip(graphs, par_off)]),
-            chain_start=np.concatenate([g.chain_start for g in graphs]),
-        )
-
     @property
     def num_edges(self) -> int:
         return self.edge_info.size
-
-    def info_degrees(self) -> np.ndarray:
-        return np.bincount(self.edge_info, minlength=self.num_info)
-
-    def check_degrees(self) -> np.ndarray:
-        return np.bincount(self.edge_check, minlength=self.num_parity)
 
 
 def _realize_degrees(count: int, pairs: _Pairs) -> np.ndarray:
@@ -226,8 +202,9 @@ def _sample_graphs(
     rngs: Sequence[np.random.Generator],
 ) -> IraGraph:
     """Disjoint union of one sampled instance per stream: edge for edge
-    ``IraGraph.union`` of ``sample_graph(num_info[i], num_parity[i], dist,
-    rngs[i])``, built without a graph per instance.
+    the instances ``sample_graph(num_info[i], num_parity[i], dist, rngs[i])``
+    laid side by side (``tests/helpers.graph_union``), each instance's nodes
+    numbered after those before it, built without a graph per instance.
 
     One instance with edges is matched through ``rng.permutation``, with
     the socket array itself as its check side. Otherwise the edges are

@@ -330,18 +330,13 @@ def build_instances(
                              IraGraph(0, 0, empty, empty))
             return CodeInstances((), np.zeros(1, dtype=np.int64), fg, no_bits, (), insufficient)
         if insufficient:
-            # Every word is n wires and no run crosses a word: keep the
-            # kept words' wires and runs, each run moved down by the words
-            # dropped before it.
             kept = np.flatnonzero(keep).tolist()
             trials = tuple(trials[i] for i in kept)
             rngs = [rngs[i] for i in kept]
             pasts = [pasts[i] for i in kept]
-            runs = keep[starts // ensemble.n]
-            starts, lengths = starts[runs], lengths[runs]
-            starts -= ensemble.n * np.cumsum(~keep)[starts // ensemble.n]
             a = a.reshape(-1, ensemble.n)[keep].ravel()
             offsets = offsets[:len(kept) + 1]
+            starts, lengths = _run_bounds(a, offsets[:-1])
         layout = _stride_layout(a.size, starts, lengths, offsets, p)
     else:
         layout = _layout_from_runs(a.size, starts, lengths, np.concatenate(parity_runs))

@@ -247,6 +247,22 @@ def stopping_set_violation(fg: FactorGraph, out) -> Optional[str]:
     return None
 
 
+def graph_union(graphs) -> IraGraph:
+    """Disjoint union of code graphs: the nodes of each are numbered after
+    those of the graphs before it, and each keeps its own parity chains and
+    its edge order, so graphs in check order give a union in check order.
+    The reference that ``ira._sample_graphs`` is checked against."""
+    info_off = np.cumsum([0] + [g.num_info for g in graphs])
+    par_off = np.cumsum([0] + [g.num_parity for g in graphs])
+    return IraGraph(
+        num_info=int(info_off[-1]),
+        num_parity=int(par_off[-1]),
+        edge_info=np.concatenate([g.edge_info + o for g, o in zip(graphs, info_off)]),
+        edge_check=np.concatenate([g.edge_check + o for g, o in zip(graphs, par_off)]),
+        chain_start=np.concatenate([g.chain_start for g in graphs]),
+    )
+
+
 def disjoint_union(instances):
     """(a, layout, graph) triples laid side by side: the wires, info nodes
     and checks of each follow those of the ones before it."""
@@ -260,7 +276,7 @@ def disjoint_union(instances):
     layout = WireLayout(n=off, parity_slot_array=np.concatenate(slots), pinned=tuple(pinned),
                         segments=np.concatenate(segments))
     a = np.concatenate([as_bits(x) for x, _, _ in instances])
-    return a, layout, IraGraph.union([g for _, _, g in instances])
+    return a, layout, graph_union([g for _, _, g in instances])
 
 
 def random_instance(rng, n_max=64, dist=None, allow_shields=False):
@@ -494,12 +510,14 @@ def sweep_decode(
     crosstalk pass until it forces nothing new. Reference for ``bp_decode``,
     which must return an equal ``DecodeResult``.
 
-    Stops at the first outer iteration that changes no message (reported as
-    ``converged``) or after ``max_outer`` iterations. When every wire
-    resolves and ``extract_payload`` is set, the word is first checked
-    against the received pinned wires, the crosstalk constraints and the
-    parity checks; an inconsistent word yields ``info_bits=None`` and names
-    what it breaks in ``violation``. Otherwise the payload is re-extracted
+    Stops at the first outer iteration that adds no knowledge (reported as
+    ``converged``) or after ``max_outer`` iterations: its signature (wires
+    resolved, check-to-variable messages known, wires whose intrinsic
+    message is known) is that of the iteration before, or of the received
+    word for the first. When every wire resolves and ``extract_payload`` is
+    set, the word is first checked against the received pinned wires, the
+    crosstalk constraints and the parity checks; an inconsistent word yields
+    ``info_bits=None`` and names what it breaks in ``violation``. Otherwise the payload is re-extracted
     from the code-carrying wires; a word whose index falls outside the
     payload range yields ``info_bits=None`` and the codec's out-of-range
     message in ``violation``. ``record_trace`` captures the
@@ -516,12 +534,13 @@ def sweep_decode(
     pins, adj_prev, edge_wire = wire_maps(fg)
     resolved = symbols != ERASED
     val = np.where(resolved, symbols, 0).astype(np.uint8)
-    src_ch = resolved.copy()
     if pins.size:
         # The receiver knows pinned wires repeat their past bit.
         val[pins] = a[pins]
         resolved[pins] = True
-        src_ch[pins] = True
+    # A wire's intrinsic message is known from the channel, a pin or a
+    # crosstalk check.
+    intrinsic = resolved.copy()
 
     num_e = edge_wire.size
     num_p = fg.layout.num_parity
@@ -532,9 +551,8 @@ def sweep_decode(
     known_ci = np.zeros(num_e, dtype=bool)
     cnt_ci = np.zeros(num_i, dtype=np.int64)
     src_ecc_wire = np.zeros(n, dtype=bool)
-    src_cac = np.zeros(n, dtype=bool)
 
-    ch_p = src_ch[slots]
+    ch_p = resolved[slots]
     val_p_ch = val[slots]
     idx_p = np.arange(num_p, dtype=np.int64)
     cs = fg.graph.chain_start
@@ -552,7 +570,7 @@ def sweep_decode(
     trace: list[float] = []
     iterations = 0
     converged = False
-    prev_sig = (-1, -1, -1)
+    prev_sig = (int(resolved.sum()), 0, int(intrinsic.sum()))
 
     for it in range(1, max_outer + 1):
         iterations = it
@@ -563,12 +581,12 @@ def sweep_decode(
         passes = 0
         while True:
             passes += 1
-            m = (src_ch | src_ecc_wire) & (val != a) & resolved
+            m = (intrinsic | src_ecc_wire) & (val != a) & resolved
             force = np.zeros(n, dtype=bool)
             force[1:] = m[:-1] & adj_prev[1:]
             force[:-1] |= m[1:] & adj_prev[1:]
-            grew = bool(np.any(force & ~src_cac))
-            src_cac |= force
+            grew = bool(np.any(force & ~intrinsic))
+            intrinsic |= force
             newly = force & ~resolved
             val[newly] = a[newly]
             resolved |= force
@@ -576,7 +594,6 @@ def sweep_decode(
                 break
 
         # Step 3: extrinsic variable-to-check messages.
-        intrinsic = src_ch | src_cac
         if num_e:
             ext = intrinsic[edge_wire] | ((cnt_ci[e_info] - known_ci) > 0)
         else:
@@ -643,7 +660,7 @@ def sweep_decode(
         if resolved.all():
             converged = True
             break
-        sig = (int(resolved.sum()), int(known_ci.sum()), int(src_cac.sum()))
+        sig = (int(resolved.sum()), int(known_ci.sum()), int(intrinsic.sum()))
         if sig == prev_sig:
             converged = True
             break

@@ -27,6 +27,9 @@ def test_test_only_names_are_not_public():
                  "wilson_interval"):
         assert not hasattr(jointbus, name)
         assert all(name not in m.__all__ for m in MODULES)
+    # the disjoint union of graphs is a test oracle, and degrees a bincount
+    for name in ("union", "info_degrees", "check_degrees"):
+        assert not hasattr(jointbus.IraGraph, name)
 
 
 def test_cli_imports_only_public_names():

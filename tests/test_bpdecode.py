@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from jointbus import (
     DegreeDistribution,
     EnsembleSpec,
     ErasureWord,
+    bec_transmit,
     bp_decode,
     build_factor_graph,
     build_instances,
@@ -66,6 +68,24 @@ def test_erasure_word_rejects_other_characters(text):
     with pytest.raises(ValueError) as exc:
         ErasureWord(text)
     assert str(exc.value) == f"erasure string may contain only 0, 1, e, got {text!r}"
+
+
+@pytest.mark.parametrize("symbols", [np.array([258, 1]), [0.7, 1], [-1, 0], [np.nan, 1], [2.5],
+                                     [2**70]],
+                         ids=["258", "0.7", "-1", "nan", "2.5", "2**70"])
+def test_erasure_word_checks_symbols_before_the_cast(symbols):
+    # a cast to uint8 first would wrap 258 onto the erasure marker 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^erasure-word symbols must be 0, 1, or the "
+                                             "erasure marker$"):
+            ErasureWord(symbols)
+
+
+def test_erasure_word_accepts_bools_and_exact_floats():
+    assert str(ErasureWord([True, False])) == "10"
+    assert str(ErasureWord(np.array([0.0, 1.0, 2.0]))) == "01e"
+    assert str(ErasureWord(np.array([2, 1, 0], dtype=np.int64))) == "e10"
 
 
 def test_cac_node_update_rules():
@@ -482,6 +502,33 @@ def test_bp_decode_reports_stall():
     assert res.converged
     assert res.residual_erasures >= 1
     assert res.info_bits is None
+
+
+def test_bp_decode_stops_at_the_first_iteration_that_adds_no_knowledge():
+    # the last crosstalk message of this stalled 10^4-wire decode goes into
+    # a wire the channel gave, which adds no knowledge: counted as a change,
+    # it cost a 22nd iteration with the same residual
+    inst = build_instances(3, [0], DIST, EnsembleSpec("uniform", 10_000))
+    received = bec_transmit(inst.word, 0.24, inst.rngs[0])
+    res = bp_decode(received, inst.fg, record_trace=True)
+    assert (res.iterations, res.residual_erasures, res.converged) == (21, 1017, True)
+    assert res == sweep_decode(received, inst.fg, record_trace=True)
+
+
+def test_bp_decode_all_erased_stops_after_one_iteration():
+    # nothing is known but the pins, which never transition: the first
+    # iteration adds no knowledge, and a decode cut off there has converged
+    rng = np.random.default_rng(11)
+    shielded = 0
+    for _ in range(100):
+        a, layout, graph = random_instance(rng, allow_shields=True)
+        shielded += bool(layout.pinned)
+        fg = build_factor_graph(a, graph, layout)
+        received = np.full(fg.n, ERASED, dtype=np.uint8)
+        res = bp_decode(received, fg, max_outer=1)
+        assert res.iterations == 1 and res.converged
+        assert res == bp_decode(received, fg) == sweep_decode(received, fg)
+    assert shielded >= 5
 
 
 def test_bp_decode_disjoint_union_matches_single_decodes():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -10,7 +12,7 @@ from jointbus import (
     free_wires,
     parse_runs,
 )
-from jointbus.buscore import _stable_argsort, _state_from_runs
+from jointbus.buscore import _stable_argsort, _state_from_runs, as_bits
 
 
 @pytest.mark.parametrize("size, bound", [(0, 1), (1, 1), (300, 7), (24000, 2000),
@@ -82,6 +84,26 @@ def test_busstate_validation_and_roundtrip():
         BusState("")
     with pytest.raises(ValueError):
         BusState([0, 2, 1])
+
+
+@pytest.mark.parametrize("bits", [np.array([256, 1, 0]), [0.7, 1], [-1, 0], [np.nan, 1], [1.5],
+                                  [2**70, 1], np.array([257], dtype=np.int64)],
+                         ids=["256", "0.7", "-1", "nan", "1.5", "2**70", "257"])
+def test_bits_are_checked_before_the_cast(bits):
+    # a cast to uint8 first would wrap 256 onto 0 and 0.7 onto 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^bus-state symbols must be 0 or 1$"):
+            as_bits(bits)
+        with pytest.raises(ValueError, match="^bus-state symbols must be 0 or 1$"):
+            BusState(bits)
+
+
+def test_bits_accept_bools_and_exact_floats():
+    for bits in ([True, False, True], np.array([1.0, 0.0, 1.0]), np.array([1, 0, 1], np.int8)):
+        arr = as_bits(bits)
+        assert arr.dtype == np.uint8 and arr.tolist() == [1, 0, 1]
+        assert BusState(bits) == BusState("101")
 
 
 def test_busstate_bits_are_readonly():

@@ -351,6 +351,8 @@ def test_codec_decode_all_erased(capsys):
     residual = int([l.split()[-1] for l in out.splitlines()
                     if l.startswith("residual erasures:")][0])
     assert residual > 0
+    # nothing can be learned, so the decode stops after its first iteration
+    assert "iterations:         1" in out.splitlines()
 
 
 INCONSISTENT_WORDS = [

@@ -1,5 +1,6 @@
 import concurrent.futures
 import dataclasses
+import hashlib
 from functools import reduce
 
 import numpy as np
@@ -401,6 +402,15 @@ def test_de_vs_simulation_tracks_prediction():
     rows = de_vs_simulation(0.20, DIST, 50_000, iterations=12, seed=2)
     for _, emp, pred in rows:
         assert abs(emp - pred) < 0.015
+
+
+def test_de_vs_simulation_rows_are_pinned():
+    # a stalled decode's trace is padded with its last value, so a stop one
+    # iteration earlier leaves the rows as they were
+    rows = de_vs_simulation(0.22, DIST, 10_000, iterations=40, seed=3)
+    text = repr([(t, float(emp), float(pred)) for t, emp, pred in rows])
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "8b00f3f2b2a9b28f9e91b2e6e8478f16e68de58c0be14dd7846fb04d3357898c")
 
 
 def _block_failures(seed, runs, n=10**4, trials=40):
