@@ -91,13 +91,8 @@ class ErasureWord:
             arr = np.asarray(symbols)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("an erasure word needs at least one symbol")
-        # Other types are checked as given: a cast first would wrap 258 onto
-        # 2 and 0.7 onto 0.
-        if arr.dtype == np.uint8:
-            ok = arr <= ERASED
-        else:
-            ok = (arr == 0) | (arr == 1) | (arr == ERASED)
-        if not np.all(ok):
+        # Checked as given: a cast first would wrap 258 onto 2 and 0.7 onto 0.
+        if not np.all((arr == 0) | (arr == 1) | (arr == ERASED)):
             raise ValueError("erasure-word symbols must be 0, 1, or the erasure marker")
         arr = arr.astype(np.uint8)
         arr.setflags(write=False)

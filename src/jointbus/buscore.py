@@ -64,8 +64,7 @@ def as_bits(state: BitsLike) -> np.ndarray:
     # Checked as given: a cast first would wrap 256 onto 0 and 0.7 onto 0.
     if not np.all((arr == 0) | (arr == 1)):
         raise ValueError("bus-state symbols must be 0 or 1")
-    if arr.dtype != np.uint8:
-        arr = arr.astype(np.uint8)
+    arr = arr.astype(np.uint8, copy=False)
     arr.setflags(write=False)
     return arr
 
