@@ -43,7 +43,7 @@ from typing import Iterable, Optional, Union
 
 import numpy as np
 
-from .buscore import BitsLike, as_bits, check_transition
+from .buscore import BitsLike, _own_bits, check_transition
 from .cac import _decode_segments
 from .ira import IraGraph, ira_encode
 from .jointcode import WireLayout
@@ -129,7 +129,8 @@ class FactorGraph:
     chain per instance, and segments that never cross from one instance
     into the next), it decodes every instance at once: no crosstalk check
     and no chain link joins two instances. The graph's edges come in check
-    order.
+    order. The constructor keeps its parts as given; ``build_factor_graph``
+    checks them.
     """
 
     a_bits: np.ndarray
@@ -159,8 +160,9 @@ class DecodeResult:
 
 def build_factor_graph(a: BitsLike, graph: IraGraph, layout: WireLayout) -> FactorGraph:
     """Assemble the decoding graph of past state ``a``, code ``graph`` and
-    wire ``layout``, whose edges must be listed in check order."""
-    arr = as_bits(a)
+    wire ``layout``, whose edges must be listed in check order. A later
+    write to the caller's array ``a`` does not show through."""
+    arr = _own_bits(a)
     if layout.n != arr.size:
         raise ValueError("layout does not match the past-state length")
     if graph.num_parity != layout.num_parity or graph.num_info != layout.num_info:
@@ -240,7 +242,7 @@ def _propagate(symbols: np.ndarray, fg: FactorGraph,
     a = fg.a_bits
     layout = fg.layout
     resolved = symbols != ERASED
-    val = np.where(resolved, symbols, 0).astype(np.uint8)
+    val = symbols * resolved  # erased wires hold 0
     if layout.pinned:
         # The receiver knows pinned wires repeat their past bit.
         pins = np.array(layout.pinned, dtype=np.int64)
@@ -256,9 +258,9 @@ def _propagate(symbols: np.ndarray, fg: FactorGraph,
     e_chk = fg.graph.edge_check
     e_wire = layout.info_wire_array[fg.graph.edge_info]  # wire of each sparse edge
     num_e = e_wire.size
-    # The edges of check j are first_edge[j]:first_edge[j] + degree[j].
+    # The edges of check j are the degree[j] edges before end_edge[j].
     degree = np.bincount(e_chk, minlength=num_p)
-    first_edge = np.cumsum(degree) - degree
+    end_edge = degree.cumsum()
     # Every segment wire but the first shares a segment with the wire
     # before it, and the crosstalk checks join exactly those pairs.
     adj_prev = np.zeros(n, dtype=bool)
@@ -272,11 +274,12 @@ def _propagate(symbols: np.ndarray, fg: FactorGraph,
     # never changes once resolved. So the per-check counts of erased inputs
     # (unk) and of known ones mod 2 (s), and the per-wire count of known
     # check messages (cnt_ci), move only by the edges that became known.
-    # Edges out of channel-known wires carry known messages from the start.
+    # Edges out of channel-known wires carry known messages from the start,
+    # and erased wires hold 0, so the known ones are val[e_wire].
     ext = intrinsic[e_wire]
-    open_v2c = np.flatnonzero(~ext)
+    open_v2c = (~ext).nonzero()[0]
     unk = np.bincount(e_chk[open_v2c], minlength=num_p)
-    s = np.bincount(e_chk, ext & val[e_wire], minlength=num_p).astype(np.int64) & 1
+    s = np.bincount(e_chk, val[e_wire], minlength=num_p).astype(np.int64) & 1
     known_ci = np.zeros(num_e, dtype=bool)
     level = np.zeros(num_p, dtype=np.int64)
     cnt_ci = np.zeros(n, dtype=np.int64)
@@ -285,34 +288,41 @@ def _propagate(symbols: np.ndarray, fg: FactorGraph,
     idx_p = np.arange(num_p, dtype=np.int64)
     cs = fg.graph.chain_start
     # Knowledge sources along the chains, fixed for the whole decode: the
-    # last channel-known parity at or before j, the first one at or after
-    # j, and the start of j's chain, whose implicit zero parity precedes it.
+    # last channel-known parity at or before j (lch), the first one at or
+    # after j (nch), and the start of j's chain (lcs), whose implicit zero
+    # parity precedes it.
     lch = np.maximum.accumulate(np.where(ch_p, idx_p, -1))
     lcs = np.maximum.accumulate(np.where(cs, idx_p, 0))
-    lsp = np.maximum(lch, lcs - 1)
-    lsp_r = np.maximum.accumulate(np.where(ch_p[::-1], idx_p, -1))
-    r_star = np.where(lsp_r >= 0, num_p - 1 - lsp_r, 0)[::-1]
+    # lch_r: lch of the reversed chain, read back in parity order (-1 where
+    # no channel-known parity follows; nch is then 0)
+    lch_r = np.maximum.accumulate(np.where(ch_p[::-1], idx_p, -1))[::-1]
+    nch = np.where(lch_r >= 0, num_p - 1 - lch_r, 0)
     from_zero = lcs > lch
-    # A parity that the chain makes known takes src_val ^ s[src_pos] ^ ...
-    # ^ s[j], that is src_val ^ cum0[src_pos] ^ cum0[j + 1] with cum0 the
-    # prefix xor of s; the checks in between are satisfied, so their s is
-    # final. Only parities not known from the channel read these: entry j
-    # backward, from the first channel-known parity after j; entry num_p + j
-    # forward, from the last one before j or the implicit zero before j's
-    # chain.
-    src_pos = np.concatenate((r_star + 1, np.where(from_zero, lcs, lch + 1)))
-    src_val = np.concatenate((val[slots[r_star]], np.where(from_zero, 0, val[slots[lch]])))
+    # Parity j has two sources: entry j backward, nch[j], where one exists
+    # in j's chain (from_right); entry num_p + j forward, lch[j] or the
+    # implicit zero before j's chain, whichever is later. The checks
+    # between a source and j are those from src_pos to j (forward) or from
+    # j + 1 to src_pos - 1 (backward). Once all of them are satisfied, their
+    # s is final, and parity j takes src_val ^ s[src_pos] ^ ... ^ s[j] or
+    # src_val ^ s[j + 1] ^ ... ^ s[src_pos - 1], in both cases src_val ^
+    # cum0[src_pos] ^ cum0[j + 1] with cum0 the prefix xor of s.
+    from_right = (lch_r >= 0) & (lcs[nch] <= idx_p)
+    src_pos = np.concatenate((nch + 1, np.where(from_zero, lcs, lch + 1)))
+    src_val = np.concatenate((val[slots[nch]], np.where(from_zero, 0, val[slots[lch]])))
+    cum0 = np.zeros(num_p + 1, dtype=np.int64)
+    brk = np.zeros(num_p + 1, dtype=np.int64)
+    # Check j reads parity j - 1 unless j starts a chain.
+    has_prev = ~cs
+    has_prev[:1] = False
+    prev_known = np.ones(num_p, dtype=bool)  # parity j - 1 -> check j known
     # Wires known from the channel or a check stay known and keep their
     # value, so those that transition only accumulate: each iteration's
     # crosstalk pass forces only around the ones that joined since the last,
     # the wires that step 5 filled in. (A wire forced by the crosstalk
     # checks keeps its past bit; one resolved otherwise got its value from
     # the channel or its first check message.)
-    moved = np.flatnonzero(intrinsic & (val != a))
+    moved = (intrinsic & (val != a)).nonzero()[0]
     adj_next = np.append(adj_prev[1:], False)  # wire i shares a segment with wire i+1
-    # Check j reads parity j - 1 unless j starts a chain.
-    has_prev = ~cs
-    has_prev[:1] = False
 
     trace: list[float] = []
     iterations = 0
@@ -324,13 +334,15 @@ def _propagate(symbols: np.ndarray, fg: FactorGraph,
         # Steps 1-2: a known transitioning wire pins both in-run neighbours
         # to their past bits. A forced wire keeps its past bit and so never
         # transitions: one pass reaches the fixed point.
-        force = np.concatenate((moved[adj_prev[moved]] - 1, moved[adj_next[moved]] + 1))
-        moved = np.zeros(0, dtype=np.int64)
-        grew = not intrinsic[force].all()
-        intrinsic[force] = True
-        force = force[~resolved[force]]
-        val[force] = a[force]
-        resolved[force] = True
+        grew = False
+        if moved.size:
+            force = np.concatenate((moved[adj_prev[moved]] - 1, moved[adj_next[moved]] + 1))
+            moved = moved[:0]
+            grew = not intrinsic[force].all()
+            intrinsic[force] = True
+            force = force[~resolved[force]]
+            val[force] = a[force]
+            resolved[force] = True
 
         # Step 3: extrinsic variable-to-check messages of the open edges.
         # ok (checks whose sparse inputs are all known) grows only here.
@@ -343,7 +355,7 @@ def _propagate(symbols: np.ndarray, fg: FactorGraph,
             c = e_chk[closed]
             unk -= np.bincount(c, minlength=num_p)
             s ^= np.bincount(c, val[w[now]], minlength=num_p).astype(np.int64) & 1
-            ok_grew |= bool(np.any(unk[c] == 0))
+            ok_grew |= not unk[c].all()
             # Edge-sized arrays go before the next step: on a wide bus the
             # first iterations touch most edges.
             del w, now, closed, c
@@ -354,18 +366,18 @@ def _propagate(symbols: np.ndarray, fg: FactorGraph,
         # until a check not in ok. The scans depend on ok alone, so they
         # run only in an iteration where it grew, the first among them.
         if ok_grew:
-            ok = unk == 0
-            okl = ok & ~cs  # check j is satisfied and links parity j-1 to j
-            lbp = np.maximum.accumulate(np.where(~ok, idx_p, -1))
-            kf = lsp >= lbp  # parity j -> check j+1 known
-            pass_r = np.concatenate(([False], okl[::-1][:-1]))
-            lbp_r = np.maximum.accumulate(np.where(~pass_r, idx_p, -1))
-            kb = (lsp_r >= lbp_r)[::-1]  # parity j -> check j known
-            chain_ok = (np.concatenate(([True], kf[:-1])) | cs) & kb
-            new_p = np.flatnonzero((kf | kb) & ~resolved[slots])
+            # A source reaches parity j when no check between them breaks
+            # the chain: brk grows at each check not in ok.
+            unk.cumsum(out=brk[1:])
+            reach = brk[src_pos].reshape(2, num_p) == brk[1:]
+            kb = reach[0] & from_right  # parity j -> check j known
+            kf = reach[1]  # parity j -> check j+1 known
+            np.logical_or(kf[:-1], cs[1:], out=prev_known[1:])
+            chain_ok = prev_known & kb
+            new_p = ((kf | kb) > resolved[slots]).nonzero()[0]
             if new_p.size:
                 grew = True
-                cum0 = np.concatenate(([0], np.bitwise_xor.accumulate(s)))
+                np.bitwise_xor.accumulate(s, out=cum0[1:])
                 k = new_p + num_p * kf[new_p]
                 wires = slots[new_p]
                 val[wires] = src_val[k] ^ cum0[src_pos[k]] ^ cum0[new_p + 1]
@@ -380,12 +392,15 @@ def _propagate(symbols: np.ndarray, fg: FactorGraph,
         if num_e and not resolved.all():
             prev_level = level
             level = np.where(chain_ok, 2 - np.minimum(unk, 2), 0)
-            rose = np.flatnonzero(level > prev_level)
+            rose = (level > prev_level).nonzero()[0]
             if rose.size:
                 cnt = degree[rose]
-                e = np.repeat(first_edge[rose] - np.cumsum(cnt) + cnt, cnt)
+                e = (end_edge[rose] - cnt.cumsum()).repeat(cnt)
                 e += np.arange(e.size)
-                closed = e[(np.repeat(level[rose] == 2, cnt) | ~ext[e]) & ~known_ci[e]]
+                # An edge gets a new message unless it has one: every edge
+                # of a check at level 2, the erased one at level 1.
+                # (For bools, x >= y is x or not y, and x > y is x and not y.)
+                closed = e[((level[rose] == 2).repeat(cnt) >= ext[e]) > known_ci[e]]
                 del e
                 grew |= closed.size > 0
                 known_ci[closed] = True
@@ -395,14 +410,13 @@ def _propagate(symbols: np.ndarray, fg: FactorGraph,
                     # The blocks of ascending checks are ascending edges, so
                     # a wire filled twice keeps its last fill, as in a sweep
                     # over every edge.
-                    fill = closed[fresh]
-                    ej = e_chk[fill]
-                    wires = e_wire[fill]
+                    ej = e_chk[closed[fresh]]
+                    wires = w[fresh]
                     val[wires] = s[ej] ^ val[slots[ej]] ^ (val[slots[ej - 1]] & has_prev[ej])
                     resolved[wires] = True
                     moved = wires[val[wires] != a[wires]]
                 del closed, fresh
-                cnt_ci += np.bincount(w, minlength=n)
+                np.add.at(cnt_ci, w, 1)
                 del w
 
         # Knowledge only grows: an iteration that added none is the fixed

@@ -50,7 +50,12 @@ def _fib_table(n: int) -> list[int]:
 
 
 def as_bits(state: BitsLike) -> np.ndarray:
-    """Coerce a bus-state-like value to a read-only uint8 array of 0/1."""
+    """Coerce a bus-state-like value to a read-only uint8 array of 0/1.
+
+    A writable 1-D uint8 array comes back as a read-only view of itself:
+    the caller's array stays writable, and a later write to it shows
+    through. A read-only one comes back as it is.
+    """
     if isinstance(state, BusState):
         return state.bits
     if isinstance(state, str):
@@ -65,7 +70,21 @@ def as_bits(state: BitsLike) -> np.ndarray:
     if not np.all((arr == 0) | (arr == 1)):
         raise ValueError("bus-state symbols must be 0 or 1")
     arr = arr.astype(np.uint8, copy=False)
-    arr.setflags(write=False)
+    if arr.flags.writeable:
+        if arr is state:
+            arr = arr.view()
+        arr.setflags(write=False)
+    return arr
+
+
+def _own_bits(state: BitsLike) -> np.ndarray:
+    """``as_bits`` for bits that outlive the call: a view of an array that
+    the caller can still write is copied, so that no later write to it
+    shows through."""
+    arr = as_bits(state)
+    if arr.base is not None and isinstance(state, np.ndarray) and state.flags.writeable:
+        arr = arr.copy()
+        arr.setflags(write=False)
     return arr
 
 
@@ -78,8 +97,7 @@ class BusState:
     __slots__ = ("_bits",)
 
     def __init__(self, bits: BitsLike):
-        arr = as_bits(bits)
-        object.__setattr__(self, "_bits", arr)
+        object.__setattr__(self, "_bits", _own_bits(bits))
 
     @property
     def bits(self) -> np.ndarray:

@@ -30,7 +30,7 @@ import math
 
 import numpy as np
 
-from .buscore import BitsLike, as_bits, fib, _fib_table, _run_bounds
+from .buscore import BitsLike, as_bits, fib, _fib_table, _own_bits, _run_bounds
 
 __all__ = [
     "RunCodebook",
@@ -54,7 +54,7 @@ class RunCodebook:
     """
 
     def __init__(self, past_run_bits: BitsLike):
-        past = as_bits(past_run_bits)
+        past = _own_bits(past_run_bits)
         if past.size > 1 and np.any(past[1:] == past[:-1]):
             raise ValueError("past run bits must alternate")
         d = past.size

@@ -135,12 +135,12 @@ def _stride_layout(n: int, starts: np.ndarray, lengths: np.ndarray, offsets: np.
     offsets[i]:offsets[i+1], runs cut at the offsets), each of which has
     at least ``p_needed`` free wires: every word takes its parity slots
     from its own free-wire list by uniform stride."""
-    free_runs = np.flatnonzero(lengths == 1)
-    word_of_run = np.searchsorted(offsets, starts[free_runs], side="right") - 1
-    counts = np.bincount(word_of_run, minlength=offsets.size - 1)
-    first = np.cumsum(counts) - counts
+    free_runs = (lengths == 1).nonzero()[0]
+    # Every offset starts a run: word i's free runs are free_runs[first[i]:first[i+1]].
+    first = np.searchsorted(starts[free_runs], offsets)
+    counts = np.diff(first)
     slot_runs = np.zeros(starts.size, dtype=bool)
-    slot_runs[free_runs[(first[:, None] + _stride_select(counts, p_needed)).ravel()]] = True
+    slot_runs[free_runs[(first[:-1, None] + _stride_select(counts, p_needed)).ravel()]] = True
     return _layout_from_runs(n, starts, lengths, slot_runs)
 
 

@@ -52,8 +52,9 @@ class EnsembleSpec:
     def __post_init__(self):
         if self.kind not in ("uniform", "modified"):
             raise ValueError(f"ensemble kind must be 'uniform' or 'modified', got {self.kind!r}")
+        _check_int("ensemble length n", self.n)
         if self.n < 1:
-            raise ValueError("ensemble length must be >= 1")
+            raise ValueError("ensemble length n must be >= 1")
 
 
 def _check_mode(mode: str) -> None:
@@ -74,12 +75,14 @@ class SimConfig:
     def __post_init__(self):
         if not 0.0 <= self.eps <= 1.0:
             raise ValueError(f"eps must lie in [0, 1], got {self.eps}")
+        _check_int("trials", self.trials)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         _check_mode(self.mode)
+        _check_int("jobs", self.jobs)
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
-        _check_seed(self.seed)
+        _check_key_word("seed", self.seed)
 
 
 @dataclass
@@ -118,9 +121,18 @@ class TrialStats:
         return self.insufficient_free_wire_events / self.trials if self.trials else 0.0
 
 
-def _check_seed(seed: int) -> None:
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+def _check_int(name: str, value: object) -> None:
+    """Refuse anything but an integer (Python or numpy, not a bool): 1.5 or
+    True would otherwise run as the integer it truncates to."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_key_word(name: str, value: object) -> None:
+    """A seed or trial index: one uint64 word of a trial stream's key."""
+    _check_int(name, value)
+    if not 0 <= value < 2**64:
+        raise ValueError(f"{name} must lie in [0, 2**64), got {value}")
 
 
 class _TrialKey(ISeedSequence):
@@ -144,10 +156,10 @@ def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
     """Counter-based stream for one trial: Philox with counter 0 and key
     [seed, trial_index], built from that key alone (no OS entropy is read).
     Streams never overlap across trial indices, so any execution order gives
-    identical statistics. Seed and trial index must lie in [0, 2**64)."""
-    _check_seed(seed)
-    if not 0 <= trial_index < 2**64:
-        raise ValueError(f"trial index must lie in [0, 2**64), got {trial_index}")
+    identical statistics. Seed and trial index must be integers in
+    [0, 2**64)."""
+    _check_key_word("seed", seed)
+    _check_key_word("trial index", trial_index)
     return np.random.Generator(np.random.Philox(_TrialKey(seed, trial_index)))
 
 
@@ -322,7 +334,7 @@ def build_instances(
     insufficient = 0
     if ensemble.kind == "uniform":
         p = round(ensemble.n * (1.0 - r_ecc))
-        keep = np.bincount(starts[lengths == 1] // ensemble.n, minlength=len(pasts)) >= p
+        keep = np.diff(np.searchsorted(starts[lengths == 1], offsets)) >= p
         insufficient = len(trials) - int(np.count_nonzero(keep))
         if insufficient == len(trials):
             empty, no_bits = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.uint8)

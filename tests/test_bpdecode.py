@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import warnings
 
@@ -386,6 +387,44 @@ def test_bp_decode_without_sparse_edges_matches_full_sweep_reference():
                 _assert_same_result(fg, rcv, max_outer, (trial, max_outer))
 
 
+def _graph_with_empty_checks(rng, num_info, num_parity, empty):
+    """A graph in check order whose checks in ``empty`` have no sparse edge."""
+    degrees = rng.integers(1, 5, num_parity)
+    degrees[list(empty)] = 0
+    edge_check = np.repeat(np.arange(num_parity), degrees)
+    return IraGraph(num_info, num_parity, rng.integers(0, num_info, edge_check.size), edge_check)
+
+
+def test_bp_decode_checks_without_sparse_edges_anywhere_in_a_chain_match_the_sweep():
+    # a check with no sparse edge only ties its two parities; sampled
+    # graphs have such checks only at the end of a chain, so put them
+    # first, in the middle and last, in a lone instance and in unions with
+    # other instances, and compare with the sweep field by field
+    rng = np.random.default_rng(97)
+    for trial in range(48):
+        parts = []
+        for k in range(1 + trial % 3):
+            if k == 2:
+                parts.append(random_instance(rng, n_max=40, allow_shields=True))
+                continue
+            while True:
+                a = rng.integers(0, 2, int(rng.integers(16, 61)), dtype=np.uint8)
+                try:
+                    layout = build_layout(a, max(3, round(a.size * 0.2)))
+                    break
+                except ValueError:
+                    continue
+            p = layout.num_parity
+            empty = [(0,), (p // 2,), (p - 1,), (0, p // 2, p - 1)][(trial + k) % 4]
+            parts.append((a, layout, _graph_with_empty_checks(rng, layout.num_info, p, empty)))
+        rcv = np.concatenate([encode_instance(rng, *part) for part in parts])
+        rcv[rng.random(rcv.size) < rng.uniform(0.1, 0.6)] = ERASED
+        a, layout, graph = disjoint_union(parts) if len(parts) > 1 else parts[0]
+        fg = build_factor_graph(a, graph, layout)
+        for max_outer in (1, 2, 3, 200):
+            _assert_same_result(fg, rcv, max_outer, (trial, max_outer))
+
+
 def test_bp_decode_stops_on_a_stopping_set():
     # the erasures left by a converged decode form a stopping set of the
     # joint graph, on small random instances and on wide buses near the
@@ -513,6 +552,25 @@ def test_bp_decode_stops_at_the_first_iteration_that_adds_no_knowledge():
     res = bp_decode(received, inst.fg, record_trace=True)
     assert (res.iterations, res.residual_erasures, res.converged) == (21, 1017, True)
     assert res == sweep_decode(received, inst.fg, record_trace=True)
+
+
+def test_bp_decode_schedule_is_pinned_at_ten_thousand_wires():
+    # every DecodeResult field of 24 decodes around the threshold at
+    # N = 10^4 (word, payload, iteration count, stopping flag, residual,
+    # trace and violation), hashed: the schedule must not move
+    digest = hashlib.sha256()
+    iterations = []
+    for seed, eps in zip(range(3), (0.20, 0.22, 0.24)):
+        for trial in range(8):
+            inst = build_instances(seed, [trial], DIST, EnsembleSpec("uniform", 10_000))
+            res = bp_decode(bec_transmit(inst.word, eps, inst.rngs[0]), inst.fg, record_trace=True)
+            iterations.append(res.iterations)
+            digest.update(res.word.symbols.tobytes())
+            digest.update(repr((res.info_bits, res.iterations, res.converged,
+                                res.residual_erasures, res.x_ecc_trace, res.violation)).encode())
+    assert iterations == [10, 12, 14, 13, 12, 12, 10, 14, 22, 18, 21, 26, 26, 27, 26, 26,
+                          10, 12, 21, 9, 12, 20, 11, 14]
+    assert digest.hexdigest() == "2606ced709c9d9b5d60b0692ab268922cee2a02c0e22fa32b3f27da5b8f7da28"
 
 
 def test_bp_decode_all_erased_stops_after_one_iteration():

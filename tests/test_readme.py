@@ -42,7 +42,7 @@ def _waterfall():
 @pytest.mark.parametrize("column", [0, 1], ids=["N=10^3", "N=10^4"])
 def test_readme_waterfall_table_is_what_simulate_prints(column, capsys):
     # the N = 10^5 column is left to the reader: its sweep alone would add
-    # about 9 s to the tier-1 run
+    # about 4 s to the tier-1 run
     commands, header, rows = _waterfall()
     argv = shlex.split(commands[column])
     exp, trials = re.fullmatch(r"N = 10\^(\d) \((\d+) trials\)", header[column]).groups()

@@ -62,6 +62,40 @@ def test_trial_rng_rejects_keys_outside_64_bits(seed, trial):
         trial_rng(seed, trial)
 
 
+def _config(**fields):
+    base = dict(ensemble=EnsembleSpec("uniform", 100), dist=DIST, eps=0.1, trials=2, seed=1)
+    return SimConfig(**{**base, **fields})
+
+
+@pytest.mark.parametrize("make, field", [
+    (lambda: trial_rng(1.5, 0), "seed"),
+    (lambda: trial_rng(True, 0), "seed"),
+    (lambda: trial_rng(1, 2.0), "trial index"),
+    (lambda: trial_rng(1, np.True_), "trial index"),
+    (lambda: _config(seed=1.5), "seed"),
+    (lambda: _config(seed=np.float64(1)), "seed"),
+    (lambda: _config(trials=2.5), "trials"),
+    (lambda: _config(trials=True), "trials"),
+    (lambda: _config(jobs=2.0), "jobs"),
+    (lambda: EnsembleSpec("uniform", 100.0), "ensemble length n"),
+    (lambda: EnsembleSpec("uniform", True), "ensemble length n"),
+    (lambda: build_instances(0.5, [0], DIST, EnsembleSpec("uniform", 100)), "seed"),
+    (lambda: build_instances(0, [1.0], DIST, EnsembleSpec("uniform", 100)), "trial index"),
+])
+def test_integer_fields_refuse_other_numbers(make, field):
+    # a float or a bool would run as the integer it truncates to: seed 1.5
+    # drew seed 1's trials and reported rng_seed 1.5
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+        make()
+
+
+def test_integer_fields_take_numpy_integers():
+    assert trial_rng(np.uint64(3), np.int32(2)).random() == trial_rng(3, 2).random()
+    config = _config(trials=np.int64(3), seed=np.uint64(5), jobs=np.int8(1),
+                     ensemble=EnsembleSpec("uniform", np.int64(100)))
+    assert run_trials(config) == run_trials(_config(trials=3, seed=5))
+
+
 def test_trial_key_gives_only_a_philox_key():
     # any other request would read the two key words as some other state
     key = simkit._TrialKey(1, 2)
