@@ -43,7 +43,7 @@ from typing import Iterable, Optional, Union
 
 import numpy as np
 
-from .buscore import BitsLike, _own_bits, check_transition
+from .buscore import BitsLike, as_bits, check_transition
 from .cac import _decode_segments
 from .ira import IraGraph, ira_encode
 from .jointcode import WireLayout
@@ -162,7 +162,7 @@ def build_factor_graph(a: BitsLike, graph: IraGraph, layout: WireLayout) -> Fact
     """Assemble the decoding graph of past state ``a``, code ``graph`` and
     wire ``layout``, whose edges must be listed in check order. A later
     write to the caller's array ``a`` does not show through."""
-    arr = _own_bits(a)
+    arr = as_bits(a)
     if layout.n != arr.size:
         raise ValueError("layout does not match the past-state length")
     if graph.num_parity != layout.num_parity or graph.num_info != layout.num_info:

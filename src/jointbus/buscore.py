@@ -52,9 +52,10 @@ def _fib_table(n: int) -> list[int]:
 def as_bits(state: BitsLike) -> np.ndarray:
     """Coerce a bus-state-like value to a read-only uint8 array of 0/1.
 
-    A writable 1-D uint8 array comes back as a read-only view of itself:
-    the caller's array stays writable, and a later write to it shows
-    through. A read-only one comes back as it is.
+    One rule: a ``BusState`` hands back its own bits, and anything else is
+    checked as given, then returned as a frozen copy that the library owns,
+    so no later write to the caller's array (or to what a view of it looks
+    into) shows through.
     """
     if isinstance(state, BusState):
         return state.bits
@@ -67,37 +68,25 @@ def as_bits(state: BitsLike) -> np.ndarray:
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("a bus state needs at least one wire")
     # Checked as given: a cast first would wrap 256 onto 0 and 0.7 onto 0.
-    if not np.all((arr == 0) | (arr == 1)):
+    if not ((arr == 0) | (arr == 1)).all():
         raise ValueError("bus-state symbols must be 0 or 1")
-    arr = arr.astype(np.uint8, copy=False)
-    if arr.flags.writeable:
-        if arr is state:
-            arr = arr.view()
-        arr.setflags(write=False)
-    return arr
-
-
-def _own_bits(state: BitsLike) -> np.ndarray:
-    """``as_bits`` for bits that outlive the call: a view of an array that
-    the caller can still write is copied, so that no later write to it
-    shows through."""
-    arr = as_bits(state)
-    if arr.base is not None and isinstance(state, np.ndarray) and state.flags.writeable:
-        arr = arr.copy()
-        arr.setflags(write=False)
+    arr = arr.astype(np.uint8)
+    arr.setflags(write=False)
     return arr
 
 
 class BusState:
     """Immutable binary word holding the state of an N-wire bus at one clock.
 
-    Serializes as an ASCII bit string whose first character is wire 1.
+    Its bits are ``as_bits`` of what it is given: a frozen copy that it
+    owns, or the bits of a given ``BusState``. Serializes as an ASCII bit
+    string whose first character is wire 1.
     """
 
     __slots__ = ("_bits",)
 
     def __init__(self, bits: BitsLike):
-        object.__setattr__(self, "_bits", _own_bits(bits))
+        object.__setattr__(self, "_bits", as_bits(bits))
 
     @property
     def bits(self) -> np.ndarray:
@@ -223,4 +212,4 @@ def _state_from_runs(first_bit: int, run_lengths: Iterable[int]) -> BusState:
     starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
     flips[starts] = 0
     bits = (int(first_bit) & 1) ^ (np.cumsum(flips, dtype=np.int64) & 1)
-    return BusState(bits.astype(np.uint8))
+    return BusState(bits)

@@ -30,7 +30,7 @@ import math
 
 import numpy as np
 
-from .buscore import BitsLike, as_bits, fib, _fib_table, _own_bits, _run_bounds
+from .buscore import BitsLike, as_bits, fib, _fib_table, _run_bounds
 
 __all__ = [
     "RunCodebook",
@@ -47,32 +47,31 @@ UNSET = np.uint8(2)
 class RunCodebook:
     """Enumerative codec for the continuations of one alternating run.
 
-    Codewords are ordered lexicographically (0 < 1, wire order). Ranking uses
-    a suffix-count table: ``counts[i][v]`` is the number of valid completions
-    of positions i.. given bit v at position i; all entries are Fibonacci
-    numbers, kept as exact integers.
+    Codewords are ordered lexicographically (0 < 1, wire order). Ranking
+    reads suffix counts in closed form: with m = d - i wires left, the
+    valid completions of positions i.. number F(m + 1) given the past bit
+    at position i (no transition, so either next bit may follow) and F(m)
+    given the other (a transition, so the next wire must keep its past
+    bit). They are read off the shared Fibonacci table, so a codebook
+    keeps no table of its own.
     """
 
     def __init__(self, past_run_bits: BitsLike):
-        past = _own_bits(past_run_bits)
-        if past.size > 1 and np.any(past[1:] == past[:-1]):
+        past = as_bits(past_run_bits)
+        if (past[1:] == past[:-1]).any():
             raise ValueError("past run bits must alternate")
-        d = past.size
-        counts = [[0, 0] for _ in range(d)]
-        counts[d - 1] = [1, 1]
-        for i in range(d - 2, -1, -1):
-            nxt = counts[i + 1]
-            # Bit equal to the past bit makes no transition: both next bits
-            # are allowed. A transition forbids the neighbour transitioning.
-            counts[i][past[i]] = nxt[0] + nxt[1]
-            counts[i][1 - past[i]] = nxt[past[i + 1]]
         self.past = past
-        self._counts = counts
+        self._first = int(past[0])
+        self._fib = _fib_table(past.size + 2)
+
+    def _count(self, i: int, v: int) -> int:
+        """Valid completions of positions i.. given bit ``v`` at position i,
+        whose past bit is the first one flipped i times."""
+        return self._fib[self.past.size - i + (v == (self._first ^ (i & 1)))]
 
     @property
     def codeword_count(self) -> int:
-        c = self._counts[0]
-        return c[0] + c[1]
+        return self._fib[self.past.size + 2]
 
     def __len__(self) -> int:
         return self.past.size
@@ -94,7 +93,7 @@ class RunCodebook:
             for v in (0, 1):
                 if not self._allowed(i, out[i - 1] if i else 0, v):
                     continue
-                c = self._counts[i][v]
+                c = self._count(i, v)
                 if rem < c:
                     out[i] = v
                     break
@@ -114,7 +113,7 @@ class RunCodebook:
                     f"continuation opposes the past run at position {i + 1} within the run"
                 )
             if v == 1:
-                idx += self._counts[i][0] if self._allowed(i, int(word[i - 1]) if i else 0, 0) else 0
+                idx += self._count(i, 0) if self._allowed(i, int(word[i - 1]) if i else 0, 0) else 0
         return idx
 
 

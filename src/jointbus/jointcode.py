@@ -230,8 +230,14 @@ def decode_payload(word: BitsLike, a: BitsLike, p_needed: int) -> np.ndarray:
     return _decode_segments(as_bits(word), arr, build_layout(arr, p_needed).segments)
 
 
+def _check_recc(r_ecc: float) -> None:
+    if not 0.0 < r_ecc <= 1.0:
+        raise ValueError(f"r_ecc must lie in (0, 1], got {r_ecc}")
+
+
 def rate_shielded(r_cac: float, r_ecc: float) -> float:
     """Bus rate when every parity is duplicated onto a shield pair."""
+    _check_recc(r_ecc)
     return r_cac / (2.0 / r_ecc - 1.0)
 
 
@@ -240,13 +246,14 @@ def rate_embedded(r_cac: float, r_ecc: float) -> float:
 
     Assumes the past state offers enough free wires for all parities.
     """
+    _check_recc(r_ecc)
     return r_cac + r_ecc - 1.0
 
 
 def wires_needed(k_info: int, rate: float) -> int:
     """ceil(k_info / rate): bus width needed to move k_info payload bits."""
-    if rate <= 0:
-        raise ValueError("rate must be positive")
+    if not 0.0 < rate < math.inf:
+        raise ValueError(f"rate must be positive and finite, got {rate}")
     return math.ceil(k_info / rate)
 
 
@@ -257,8 +264,7 @@ def compare_rates(a: BitsLike, r_ecc: float) -> RateComparison:
     CAC rate is certifiably at least 1 - r_ecc/2 and the embedded margin is
     non-negative.
     """
-    if not 0.0 < r_ecc <= 1.0:
-        raise ValueError(f"r_ecc must lie in (0, 1], got {r_ecc}")
+    _check_recc(r_ecc)
     arr = as_bits(a)
     _, lengths = _run_bounds(arr)
     free_fraction = int(np.count_nonzero(lengths == 1)) / arr.size

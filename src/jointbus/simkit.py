@@ -168,9 +168,7 @@ def bec_transmit(b: BitsLike, eps: float, rng: np.random.Generator) -> ErasureWo
     if not 0.0 <= eps <= 1.0:
         raise ValueError(f"eps must lie in [0, 1], got {eps}")
     bits = as_bits(b)
-    out = bits.copy()
-    out[rng.random(bits.size) < eps] = ERASED
-    return ErasureWord(out)
+    return ErasureWord(np.where(rng.random(bits.size) < eps, ERASED, bits))
 
 
 def gen_past_uniform(n: int, rng: np.random.Generator) -> BusState:
@@ -445,6 +443,9 @@ def de_vs_simulation(
     (early convergence) are padded with their final value. Rows are
     (iteration, empirical fraction, predicted fraction).
     """
+    _check_int("iterations", iterations)
+    if iterations < 1:
+        raise ValueError(f"iterations must be >= 1, got {iterations}")
     r_ecc = recc_from_rldpc(rate_ldpc(dist))
     inst = build_instances(seed, [0], dist, EnsembleSpec("uniform", n))
     if inst.insufficient:

@@ -121,24 +121,34 @@ NO_BITS = {
 }
 
 
-@pytest.mark.parametrize("kind", ["uint8", "int64", "bool", "list"])
+@pytest.mark.parametrize("kind", ["uint8", "int64", "bool", "list", "view"])
 def test_public_names_leave_the_callers_bits_alone(kind):
     # every public name that takes bits leaves a writable input unchanged
     # and writable, and returns nothing that shares memory with it, so a
-    # later write to the input cannot show through; a new public name
-    # must be listed on one side or the other
+    # later write to the input cannot show through; "view" passes a
+    # read-only view of a writable uint8 array, through which the array
+    # must not leak either; a new public name must be listed on one side
+    # or the other
     calls = _bits_calls()
     declared = set().union(*(m.__all__ for m in MODULES))
     assert declared == set(calls) | NO_BITS
     assert not set(calls) & NO_BITS
     for name, (call, values) in calls.items():
-        inputs = [list(v) if kind == "list" else np.array(v, dtype=kind) for v in values]
+        if kind == "list":
+            inputs = [list(v) for v in values]
+            call(*inputs)
+            assert inputs == [list(v) for v in values], name
+            continue
+        dtype = "uint8" if kind == "view" else kind
+        owners = [np.array(v, dtype=dtype) for v in values]
+        inputs = owners
+        if kind == "view":
+            inputs = [x.view() for x in owners]
+            for view in inputs:
+                view.setflags(write=False)
         out = call(*inputs)
-        for value, given in zip(values, inputs):
-            if kind == "list":
-                assert given == value, name
-                continue
+        for value, given in zip(values, owners):
             assert given.flags.writeable, name
-            assert given.tolist() == np.array(value, dtype=kind).tolist(), name
+            assert given.tolist() == np.array(value, dtype=dtype).tolist(), name
             for arr in _arrays(out):
                 assert not np.shares_memory(arr, given), name

@@ -2,6 +2,7 @@ import math
 import random
 import re
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from jointbus import (
     ira_encode,
     payload_size,
 )
+from jointbus.buscore import _fib_table
 from jointbus.cac import (
     UNSET,
     _decode_segments,
@@ -114,6 +116,24 @@ def test_rank_unrank_roundtrip_property(d, data):
     book = RunCodebook(_alternating(d, phase))
     idx = data.draw(st.integers(0, book.codeword_count - 1))
     assert book.rank(book.unrank(idx)) == idx
+
+
+def test_long_run_codebook_keeps_no_count_table():
+    # the suffix counts are read off the shared Fibonacci table, so once it
+    # holds the run's entries a 2 * 10^4-wire codebook holds its bits and
+    # little more (a table of two counts per wire held about 20 MiB)
+    d = 2 * 10**4
+    _fib_table(d + 2)
+    past = "01" * (d // 2)
+    tracemalloc.start()
+    try:
+        book = RunCodebook(past)
+        last = book.codeword_count - 1
+        assert book.rank(book.unrank(last)) == last
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_codebook_rejects_non_alternating():

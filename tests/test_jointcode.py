@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -241,8 +244,16 @@ def test_wires_needed_ddr4():
     assert wires_needed(59, rate_shielded(0.824, 0.9)) == 88
     assert wires_needed(59, rate_embedded(0.824, 0.9)) == 82
     assert wires_needed(59, 0.824) == 72
-    with pytest.raises(ValueError):
-        wires_needed(10, 0.0)
+    for rate in (0.0, -0.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match=re.escape(f"rate must be positive and finite, got {rate}")):
+            wires_needed(59, rate)
+
+
+@pytest.mark.parametrize("r_ecc", [0.0, -0.1, 1.5, math.nan])
+@pytest.mark.parametrize("helper", [rate_shielded, rate_embedded])
+def test_rate_helpers_refuse_impossible_code_rates(helper, r_ecc):
+    with pytest.raises(ValueError, match=re.escape(f"r_ecc must lie in (0, 1], got {r_ecc}")):
+        helper(0.8, r_ecc)
 
 
 def test_compare_rates_uniform_sample():

@@ -1,6 +1,7 @@
 import concurrent.futures
 import dataclasses
 import hashlib
+import re
 from functools import reduce
 
 import numpy as np
@@ -436,6 +437,17 @@ def test_de_vs_simulation_tracks_prediction():
     rows = de_vs_simulation(0.20, DIST, 50_000, iterations=12, seed=2)
     for _, emp, pred in rows:
         assert abs(emp - pred) < 0.015
+
+
+@pytest.mark.parametrize("iterations, message", [
+    (0, "iterations must be >= 1, got 0"),
+    (-3, "iterations must be >= 1, got -3"),
+    (2.5, "iterations must be an integer, got 2.5"),
+    (True, "iterations must be an integer, got True"),
+])
+def test_de_vs_simulation_checks_iterations(iterations, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        de_vs_simulation(0.1, DIST, 100, iterations=iterations, seed=1)
 
 
 def test_de_vs_simulation_rows_are_pinned():
