@@ -43,7 +43,7 @@ from typing import Iterable, Optional, Union
 
 import numpy as np
 
-from .buscore import BitsLike, as_bits, check_transition
+from .buscore import BitsLike, as_bits, check_transition, _check_int
 from .cac import _decode_segments
 from .ira import IraGraph, ira_encode
 from .jointcode import WireLayout
@@ -197,8 +197,7 @@ def bp_decode(
     erased fraction of the variable-to-check messages of step 3 per
     iteration.
     """
-    if max_outer < 1:
-        raise ValueError(f"max_outer must be >= 1, got {max_outer}")
+    _check_int("max_outer", max_outer, 1)
     rcv = received if isinstance(received, ErasureWord) else ErasureWord(received)
     if len(rcv) != fg.n:
         raise ValueError(f"received word has {len(rcv)} symbols, bus has {fg.n} wires")
@@ -255,7 +254,8 @@ def _propagate(symbols: np.ndarray, fg: FactorGraph,
 
     num_p = layout.num_parity
     slots = layout.parity_slot_array
-    e_chk = fg.graph.edge_check
+    # The graph may hold int32 edges; the loop indexes faster with intp.
+    e_chk = fg.graph.edge_check.astype(np.intp, copy=False)
     e_wire = layout.info_wire_array[fg.graph.edge_info]  # wire of each sparse edge
     num_e = e_wire.size
     # The edges of check j are the degree[j] edges before end_edge[j].
@@ -279,7 +279,7 @@ def _propagate(symbols: np.ndarray, fg: FactorGraph,
     ext = intrinsic[e_wire]
     open_v2c = (~ext).nonzero()[0]
     unk = np.bincount(e_chk[open_v2c], minlength=num_p)
-    s = np.bincount(e_chk, val[e_wire], minlength=num_p).astype(np.int64) & 1
+    s = np.bincount(e_chk.compress(val[e_wire].view(bool)), minlength=num_p) & 1
     known_ci = np.zeros(num_e, dtype=bool)
     level = np.zeros(num_p, dtype=np.int64)
     cnt_ci = np.zeros(n, dtype=np.int64)

@@ -29,6 +29,16 @@ BitsLike = Union["BusState", str, Iterable[int], np.ndarray]
 _FIB: list[int] = [0, 1, 1]
 
 
+def _check_int(name: str, value: object, minimum: Optional[int] = None) -> None:
+    """Refuse anything but an integer (Python or numpy, not a bool), and
+    one below ``minimum`` when given: 1.5 or True would otherwise run as the
+    integer it truncates to."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+
+
 def fib(n: int) -> int:
     """n-th Fibonacci number with F(1) = F(2) = 1, as an exact integer.
 
@@ -36,8 +46,7 @@ def fib(n: int) -> int:
     N = 90, so the result is an arbitrary-precision Python int. n = 0 is
     rejected: no quantity in this library ever indexes it.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"Fibonacci index must be an integer >= 1, got {n!r}")
+    _check_int("Fibonacci index", n, 1)
     return _fib_table(int(n))[int(n)]
 
 

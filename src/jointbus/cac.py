@@ -30,7 +30,7 @@ import math
 
 import numpy as np
 
-from .buscore import BitsLike, as_bits, fib, _fib_table, _run_bounds
+from .buscore import BitsLike, as_bits, fib, _check_int, _fib_table, _run_bounds
 
 __all__ = [
     "RunCodebook",
@@ -84,6 +84,7 @@ class RunCodebook:
 
     def unrank(self, index: int) -> np.ndarray:
         """index-th valid continuation in lexicographic order."""
+        _check_int("index", index)
         total = self.codeword_count
         if not 0 <= index < total:
             raise ValueError(f"index {index} out of range [0, {total})")
@@ -212,7 +213,8 @@ def _encode_segments(info_bits: BitsLike, a: np.ndarray, segments: np.ndarray) -
         raise ValueError(f"payload must have exactly {k} bits, got {bits.size}")
     index = int.from_bytes(np.packbits(bits).tobytes(), "big") >> (-k % 8)
     out = np.full(a.size, UNSET, dtype=np.uint8)
-    for (s, d), dig in zip(segments.tolist(), _split(index, levels)):
+    starts, lengths = segments.T
+    for s, d, dig in zip(starts.tolist(), lengths.tolist(), _split(index, levels)):
         out[s : s + d] = RunCodebook(a[s : s + d]).unrank(dig)
     return out
 
@@ -225,7 +227,8 @@ def _decode_segments(word: np.ndarray, a: np.ndarray, segments: np.ndarray) -> n
     if word.size != a.size:
         raise ValueError("word length does not match the past state")
     digits = []
-    for s, d in segments.tolist():
+    starts, lengths = segments.T
+    for s, d in zip(starts.tolist(), lengths.tolist()):
         book = RunCodebook(a[s : s + d])
         try:
             digits.append(book.rank(word[s : s + d]))

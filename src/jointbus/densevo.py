@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import isfinite, log2
 from typing import NamedTuple
 
-from .buscore import fib
+from .buscore import fib, _check_int, _fib_table
 from .ira import DegreeDistribution
 
 __all__ = [
@@ -58,16 +58,23 @@ def p_coeffs(d: int, i: int) -> tuple[Fraction, Fraction]:
     independently with probability x, the position is pinned with
     probability p1 (1 - x) + p2 (1 - x^2).
     """
+    _check_int("run length d", d)
+    _check_int("position i", i)
     if d < 2:
         raise ValueError(f"forcing polynomials need run length >= 2, got {d}")
     if not 1 <= i <= d:
         raise ValueError(f"position must lie in 1..{d}, got {i}")
+    one_sided, two_sided = _forcing_numerators(d, i)
     denom = fib(d + 2)
+    return Fraction(one_sided, denom), Fraction(two_sided, denom)
+
+
+def _forcing_numerators(d: int, i: int) -> tuple[int, int]:
+    """The numerators of ``p_coeffs(d, i)`` over F(d+2), unchecked."""
+    f = _fib_table(d + 2)
     if i == 1 or i == d:
-        return Fraction(fib(d - 1), denom), Fraction(0)
-    one_sided = Fraction(fib(i - 1) * fib(d - i + 1) + fib(i) * fib(d - i), denom)
-    two_sided = Fraction(fib(i - 1) * fib(d - i), denom)
-    return one_sided, two_sided
+        return f[d - 1], 0
+    return f[i - 1] * f[d - i + 1] + f[i] * f[d - i], f[i - 1] * f[d - i]
 
 
 # Runs longer than this many wires are left out of the forcing sums. A run
@@ -82,14 +89,16 @@ _RUN_CUTOFF = 64
 def _forcing_sums() -> tuple[float, float]:
     """Aggregate one- and two-sided forcing coefficients over runs of
     2.._RUN_CUTOFF wires, each run length d weighted 2^-(d+1); built once,
-    on first use. Free wires send pure erasures and add nothing."""
-    lin = Fraction(0)
-    quad = Fraction(0)
+    on first use. Free wires send pure erasures and add nothing. Each run
+    length's numerators are summed as exact integers first, so only two
+    fractions are formed per run length."""
+    lin = quad = Fraction(0)
     for d in range(2, _RUN_CUTOFF + 1):
-        coeffs = [p_coeffs(d, i) for i in range(1, d + 1)]
-        weight = Fraction(1, 2 ** (d + 1))
-        lin += weight * sum(p1 for p1, _ in coeffs)
-        quad += weight * sum(p2 for _, p2 in coeffs)
+        one_sided, two_sided = map(sum, zip(*(_forcing_numerators(d, i)
+                                              for i in range(1, d + 1))))
+        denom = fib(d + 2) << (d + 1)
+        lin += Fraction(one_sided, denom)
+        quad += Fraction(two_sided, denom)
     return float(lin), float(quad)
 
 
@@ -155,6 +164,7 @@ def de_trajectory(
     """
     if not 0.0 <= eps <= 1.0:
         raise ValueError(f"eps must lie in [0, 1], got {eps}")
+    _check_int("max_iter", max_iter, 1)
     states: list[DeState] = []
     state = _START
     for _ in range(max_iter):
@@ -201,8 +211,7 @@ def asymptotic_cac_rate(d_max: int = 64) -> AsymptoticRate:
     Partial sum of 2^(-d-1) log2 F(d+2) up to d_max, with a bound on the
     dropped tail (log2 F(d+2) <= (d+1) log2 phi).
     """
-    if d_max < 1:
-        raise ValueError("d_max must be >= 1")
+    _check_int("d_max", d_max, 1)
     value = sum(2.0 ** (-d - 1) * log2(fib(d + 2)) for d in range(1, d_max + 1))
     tail = log2(GOLDEN) * (d_max + 3) * 2.0 ** (-d_max - 1)
     return AsymptoticRate(value=value, tail_bound=tail)

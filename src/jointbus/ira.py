@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .buscore import BitsLike, as_bits
+from .buscore import BitsLike, as_bits, _check_int
 
 __all__ = [
     "DegreeDistribution",
@@ -32,9 +32,8 @@ _Pairs = tuple[tuple[int, float], ...]
 def _normalize_pairs(pairs) -> _Pairs:
     merged: dict[int, float] = {}
     for d, w in pairs:
+        _check_int("degree", d, 1)
         d = int(d)
-        if d < 1:
-            raise ValueError(f"degrees must be >= 1, got {d}")
         if w < 0:
             raise ValueError(f"fractions must be >= 0, got {w}")
         merged[d] = merged.get(d, 0.0) + float(w)
@@ -145,6 +144,9 @@ class IraGraph:
     it, a graph has one chain, starting at parity 0 (a sampled instance);
     a disjoint union of instances has one chain per instance.
     Multi-edges are kept; encoding and validation collapse them modulo 2.
+    ``sample_graph`` stores both endpoint arrays as int32, half the memory
+    of intp on a wide bus, and so refuses a graph of 2**31 or more sockets,
+    info nodes or parities.
     """
 
     num_info: int
@@ -164,16 +166,19 @@ class IraGraph:
         return self.edge_info.size
 
 
-def _realize_degrees(count: int, pairs: _Pairs) -> np.ndarray:
-    """Per-node degrees for ``count`` nodes; remainder mass goes to the
-    largest degree class."""
-    if count == 0:
-        return np.zeros(0, dtype=np.int64)
+# Edge endpoints are stored as int32; every node count and socket total of
+# a sampled graph stays below this.
+_INDEX_LIMIT = 2**31
+
+
+def _degree_counts(count: int, pairs: _Pairs) -> tuple[list[int], list[int]]:
+    """Degrees, ascending, and how many of ``count`` nodes take each;
+    remainder mass goes to the largest degree class. ``np.repeat`` of the
+    two gives the per-node degrees."""
     degrees = [d for d, _ in pairs]
     target = [int(np.floor(w * count)) for _, w in pairs]
     target[-1] += count - sum(target)  # pairs are sorted, last = largest degree
-    out = np.repeat(degrees, target)
-    return out.astype(np.int64)
+    return degrees, target
 
 
 def sample_graph(
@@ -192,6 +197,8 @@ def sample_graph(
     info nodes or without parities the graph has no edges, and nothing is
     drawn.
     """
+    _check_int("num_info", num_info)
+    _check_int("num_parity", num_parity)
     return _sample_graphs((num_info,), (num_parity,), dist, (rng,))
 
 
@@ -213,56 +220,87 @@ def _sample_graphs(
     ``rng.permutation`` draws, already offset, and the sockets of every
     instance, offset, are scattered through it in one step.
     """
-    sockets, drawn = [], []
+    drawn = []
     for i, (k, q) in enumerate(zip(num_info, num_parity)):
         if k < 0 or q < 0:
             raise ValueError(f"node counts must be >= 0, got {k} info and {q} parity")
         if k and q:
-            sockets.append(_sockets(k, q, dist))
             drawn.append(i)
-    if len(rngs) == 1 and sockets:
-        v_sockets, c_sockets = sockets[0]
+    # Refused from the counts alone, before anything is allocated. No info
+    # node has more sockets than the largest degree, so the exact count is
+    # needed only near the limit.
+    info, parities = sum(num_info), sum(num_parity)
+    if max(info * dist.L_coeffs[-1][0], parities) >= _INDEX_LIMIT:
+        total = sum(_socket_total(num_info[i], dist) for i in drawn)
+        if max(total, info, parities) >= _INDEX_LIMIT:
+            raise ValueError(
+                f"a graph of {total} sockets, {info} info nodes and {parities} "
+                f"parities does not fit int32 indices: each must stay below 2**31"
+            )
+    if len(rngs) == 1 and drawn:
+        k, q = num_info[0], num_parity[0]
+        v_sockets = _var_sockets(k, dist)
         edge_info = np.empty_like(v_sockets)
-        edge_info[rngs[0].permutation(c_sockets.size)] = v_sockets
-        return IraGraph(num_info[0], num_parity[0], edge_info, c_sockets)
+        edge_info[rngs[0].permutation(v_sockets.size)] = v_sockets
+        # The check side comes after the permutation is freed: on a wide bus
+        # the two would otherwise add to the peak.
+        return IraGraph(k, q, edge_info, _check_sockets(k, q, dist))
+    sockets = [_sockets(num_info[i], num_parity[i], dist) for i in drawn]
     counts = [c.size for _, c in sockets]
+    # Shuffled as intp: an int32 shuffle draws the same permutation, slower.
     perm = np.arange(sum(counts))
     lo = 0
     for i, size in zip(drawn, counts):
         rngs[i].shuffle(perm[lo:lo + size])
         lo += size
-    info_off = np.cumsum((0, *num_info))
-    par_off = np.cumsum((0, *num_parity))
+    info_off = np.cumsum((0, *num_info), dtype=np.int32)
+    par_off = np.cumsum((0, *num_parity), dtype=np.int32)
     # Each instance's chain starts at its first parity; an instance without
     # parities shares its offset with the next, or sits past the end.
     chain_start = np.zeros(par_off[-1], dtype=bool)
     firsts = par_off[:-1]
     chain_start[firsts[firsts < par_off[-1]]] = True
-    edge_info, edge_check = perm, perm.copy()  # no edges
+    edge_info = edge_check = np.zeros(0, dtype=np.int32)  # no edges
     if sockets:
         v_parts, c_parts = zip(*sockets)
-        edge_info = np.empty_like(perm)
+        edge_info = np.empty(perm.size, dtype=np.int32)
         edge_info[perm] = np.concatenate(v_parts) + np.repeat(info_off[drawn], counts)
         edge_check = np.concatenate(c_parts) + np.repeat(par_off[drawn], counts)
     return IraGraph(int(info_off[-1]), int(par_off[-1]), edge_info, edge_check, chain_start)
 
 
-# One entry: the trials of a uniform-ensemble campaign all share one size,
-# and more entries would pin megabytes per size on wide buses.
+def _socket_total(num_info: int, dist: DegreeDistribution) -> int:
+    """Sockets on the variable side, which the check side is balanced to."""
+    return sum(d * t for d, t in zip(*_degree_counts(num_info, dist.L_coeffs)))
+
+
+# One entry each: the trials of a uniform-ensemble campaign all share one
+# size, and more entries would pin megabytes per size on wide buses.
 @functools.lru_cache(maxsize=1)
 def _sockets(num_info: int, num_parity: int,
              dist: DegreeDistribution) -> tuple[np.ndarray, np.ndarray]:
     """Variable-side and check-side sockets before matching (read-only:
     many trials of one size share them)."""
-    vdeg = _realize_degrees(num_info, dist.L_coeffs)
-    cdeg = _realize_degrees(num_parity, dist.R_coeffs)
-    residual = int(vdeg.sum() - cdeg.sum())
+    return _var_sockets(num_info, dist), _check_sockets(num_info, num_parity, dist)
+
+
+@functools.lru_cache(maxsize=1)
+def _var_sockets(num_info: int, dist: DegreeDistribution) -> np.ndarray:
+    v_sockets = np.repeat(np.arange(num_info, dtype=np.int32),
+                          np.repeat(*_degree_counts(num_info, dist.L_coeffs)))
+    v_sockets.setflags(write=False)
+    return v_sockets
+
+
+@functools.lru_cache(maxsize=1)
+def _check_sockets(num_info: int, num_parity: int, dist: DegreeDistribution) -> np.ndarray:
+    cdeg = np.repeat(*_degree_counts(num_parity, dist.R_coeffs))
+    residual = _socket_total(num_info, dist) - int(cdeg.sum())
     if residual != 0:
         # Absorb the rounding residual on the check side, starting from the
         # last node; a surplus lands entirely on it, a deficit walks back
         # through trailing nodes, clamping each at zero sparse sockets
         # (such a check still ties its two chain parities together).
-        cdeg = cdeg.copy()
         pos = num_parity - 1
         while residual != 0 and pos >= 0:
             new_deg = max(int(cdeg[pos]) + residual, 0)
@@ -271,11 +309,9 @@ def _sockets(num_info: int, num_parity: int,
             pos -= 1
         if residual != 0:
             raise ValueError("socket counts cannot be balanced against the variable side")
-    v_sockets = np.repeat(np.arange(num_info, dtype=np.int64), vdeg)
-    c_sockets = np.repeat(np.arange(num_parity, dtype=np.int64), cdeg)
-    v_sockets.setflags(write=False)
+    c_sockets = np.repeat(np.arange(num_parity, dtype=np.int32), cdeg)
     c_sockets.setflags(write=False)
-    return v_sockets, c_sockets
+    return c_sockets
 
 
 def ira_encode(systematic_bits: BitsLike, graph: IraGraph) -> np.ndarray:
@@ -284,10 +320,11 @@ def ira_encode(systematic_bits: BitsLike, graph: IraGraph) -> np.ndarray:
     bits = as_bits(systematic_bits) if len(systematic_bits) else np.zeros(0, dtype=np.uint8)
     if bits.size != graph.num_info:
         raise ValueError(f"expected {graph.num_info} systematic bits, got {bits.size}")
-    # Summed as weights: a mask over edges in check order is irregular, and
-    # selecting through it costs as much again.
-    ones = np.bincount(graph.edge_check, bits[graph.edge_info], minlength=graph.num_parity)
-    s = (ones.astype(np.int64) & 1).astype(np.uint8)
+    # An integer count of the edges whose bit is 1: float64 weights would
+    # take a copy of every edge. ``compress`` selects as fast as weights sum.
+    ones = np.bincount(graph.edge_check.compress(bits[graph.edge_info].view(bool)),
+                       minlength=graph.num_parity)
+    s = (ones & 1).astype(np.uint8)
     cum = np.bitwise_xor.accumulate(s)
     # Each chain starts from zero: cancel what earlier chains accumulated.
     start = np.maximum.accumulate(np.where(graph.chain_start, np.arange(s.size), 0))

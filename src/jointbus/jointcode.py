@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .buscore import BitsLike, BusState, as_bits, _run_bounds
+from .buscore import BitsLike, BusState, as_bits, _check_int, _run_bounds
 from .cac import cac_rate, _decode_segments, _encode_segments, _payload_bits
 from .ira import IraGraph, ira_encode
 
@@ -155,8 +155,7 @@ def build_layout(a: BitsLike, p_needed: int) -> WireLayout:
     oppose a neighbour.
     """
     arr = as_bits(a)
-    if p_needed < 0:
-        raise ValueError("p_needed must be >= 0")
+    _check_int("p_needed", p_needed, 0)
     starts, lengths = _run_bounds(arr)
     if p_needed <= np.count_nonzero(lengths == 1):
         return _stride_layout(arr.size, starts, lengths, np.array([0, arr.size]), p_needed)
@@ -252,6 +251,7 @@ def rate_embedded(r_cac: float, r_ecc: float) -> float:
 
 def wires_needed(k_info: int, rate: float) -> int:
     """ceil(k_info / rate): bus width needed to move k_info payload bits."""
+    _check_int("k_info", k_info, 0)
     if not 0.0 < rate < math.inf:
         raise ValueError(f"rate must be positive and finite, got {rate}")
     return math.ceil(k_info / rate)

@@ -18,8 +18,8 @@ from typing import Iterable
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .buscore import (BitsLike, BusState, as_bits, fib, _run_bounds, _stable_argsort,
-                      _state_from_runs)
+from .buscore import (BitsLike, BusState, as_bits, fib, _check_int, _run_bounds,
+                      _stable_argsort, _state_from_runs)
 from .bpdecode import ERASED, ErasureWord, FactorGraph, bp_decode, build_factor_graph
 from .cac import _encode_segments, _payload_bits
 from .densevo import DeModel, de_trajectory
@@ -52,9 +52,7 @@ class EnsembleSpec:
     def __post_init__(self):
         if self.kind not in ("uniform", "modified"):
             raise ValueError(f"ensemble kind must be 'uniform' or 'modified', got {self.kind!r}")
-        _check_int("ensemble length n", self.n)
-        if self.n < 1:
-            raise ValueError("ensemble length n must be >= 1")
+        _check_int("ensemble length n", self.n, 1)
 
 
 def _check_mode(mode: str) -> None:
@@ -75,13 +73,9 @@ class SimConfig:
     def __post_init__(self):
         if not 0.0 <= self.eps <= 1.0:
             raise ValueError(f"eps must lie in [0, 1], got {self.eps}")
-        _check_int("trials", self.trials)
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        _check_int("trials", self.trials, 1)
         _check_mode(self.mode)
-        _check_int("jobs", self.jobs)
-        if self.jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
+        _check_int("jobs", self.jobs, 1)
         _check_key_word("seed", self.seed)
 
 
@@ -119,13 +113,6 @@ class TrialStats:
     @property
     def insufficient_rate(self) -> float:
         return self.insufficient_free_wire_events / self.trials if self.trials else 0.0
-
-
-def _check_int(name: str, value: object) -> None:
-    """Refuse anything but an integer (Python or numpy, not a bool): 1.5 or
-    True would otherwise run as the integer it truncates to."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _check_key_word(name: str, value: object) -> None:
@@ -173,8 +160,7 @@ def bec_transmit(b: BitsLike, eps: float, rng: np.random.Generator) -> ErasureWo
 
 def gen_past_uniform(n: int, rng: np.random.Generator) -> BusState:
     """Past state with independent fair bits."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_int("n", n, 1)
     return BusState(rng.integers(0, 2, n, dtype=np.uint8))
 
 
@@ -443,9 +429,7 @@ def de_vs_simulation(
     (early convergence) are padded with their final value. Rows are
     (iteration, empirical fraction, predicted fraction).
     """
-    _check_int("iterations", iterations)
-    if iterations < 1:
-        raise ValueError(f"iterations must be >= 1, got {iterations}")
+    _check_int("iterations", iterations, 1)
     r_ecc = recc_from_rldpc(rate_ldpc(dist))
     inst = build_instances(seed, [0], dist, EnsembleSpec("uniform", n))
     if inst.insufficient:

@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import re
 import types
 from pathlib import Path
 
@@ -152,3 +153,58 @@ def test_public_names_leave_the_callers_bits_alone(kind):
             assert given.tolist() == np.array(value, dtype=dtype).tolist(), name
             for arr in _arrays(out):
                 assert not np.shares_memory(arr, given), name
+
+
+DIST = ira.DegreeDistribution.regular(3, 12)
+MODEL = densevo.DeModel.for_code(DIST, 0.8)
+
+
+def _decode_with(max_outer):
+    fg = bpdecode.build_factor_graph("0101", ira.sample_graph(4, 0, DIST, np.random.default_rng(0)),
+                                     jointcode.build_layout("0101", 0))
+    return bpdecode.bp_decode("0e01", fg, max_outer=max_outer)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: jointcode.build_layout("0000", 1.5), "p_needed must be an integer, got 1.5"),
+    (lambda: jointcode.build_layout("0000", -1), "p_needed must be >= 0, got -1"),
+    (lambda: jointcode.payload_size("0000", 2.5), "p_needed must be an integer, got 2.5"),
+    (lambda: jointcode.decode_payload("0000", "0000", True), "p_needed must be an integer"),
+    (lambda: jointcode.wires_needed(-5, 0.8), "k_info must be >= 0, got -5"),
+    (lambda: jointcode.wires_needed(5.5, 0.8), "k_info must be an integer, got 5.5"),
+    (lambda: densevo.de_trajectory(0.2, MODEL, max_iter=0), "max_iter must be >= 1, got 0"),
+    (lambda: densevo.de_trajectory(0.2, MODEL, max_iter=-3), "max_iter must be >= 1, got -3"),
+    (lambda: densevo.de_trajectory(0.2, MODEL, max_iter=2.0), "max_iter must be an integer"),
+    (lambda: densevo.asymptotic_cac_rate(1.5), "d_max must be an integer, got 1.5"),
+    (lambda: densevo.asymptotic_cac_rate(0), "d_max must be >= 1, got 0"),
+    (lambda: densevo.p_coeffs(3, 1.5), "position i must be an integer, got 1.5"),
+    (lambda: densevo.p_coeffs(3.0, 1), "run length d must be an integer, got 3.0"),
+    (lambda: ira.sample_graph(10, 2.5, DIST, np.random.default_rng(0)),
+     "num_parity must be an integer, got 2.5"),
+    (lambda: ira.sample_graph(10.0, 3, DIST, np.random.default_rng(0)),
+     "num_info must be an integer, got 10.0"),
+    (lambda: ira.DegreeDistribution.regular(2.5, 12), "degree must be an integer, got 2.5"),
+    (lambda: ira.DegreeDistribution.regular(0, 12), "degree must be >= 1, got 0"),
+    (lambda: _decode_with(2.5), "max_outer must be an integer, got 2.5"),
+    (lambda: _decode_with(True), "max_outer must be an integer, got True"),
+    (lambda: _decode_with(0), "max_outer must be >= 1, got 0"),
+    (lambda: simkit.gen_past_uniform(1.5, np.random.default_rng(0)), "n must be an integer"),
+    (lambda: simkit.gen_past_uniform(0, np.random.default_rng(0)), "n must be >= 1, got 0"),
+    (lambda: buscore.fib(True), "Fibonacci index must be an integer, got True"),
+    (lambda: buscore.fib(0), "Fibonacci index must be >= 1, got 0"),
+    (lambda: cac.RunCodebook("0101").unrank(1.5), "index must be an integer, got 1.5"),
+])
+def test_integer_arguments_refuse_other_numbers(call, message):
+    # one check in every layer: a float or a bool used to run as the
+    # integer it truncates to (build_layout('0000', 1.5) placed 2 parities),
+    # a negative count ran on (wires_needed(-5, 0.8) was -6), and max_iter=0
+    # stalled without iterating; each now names the argument
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        call()
+
+
+def test_integer_arguments_take_numpy_integers():
+    assert jointcode.build_layout("0000", np.int64(1)) == jointcode.build_layout("0000", 1)
+    assert jointcode.wires_needed(np.uint16(59), 0.8) == jointcode.wires_needed(59, 0.8)
+    assert buscore.fib(np.int32(30)) == 832040
+    assert densevo.asymptotic_cac_rate(np.int64(8)) == densevo.asymptotic_cac_rate(8)

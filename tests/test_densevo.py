@@ -14,6 +14,7 @@ from jointbus import (
     de_trajectory,
     p_coeffs,
 )
+from jointbus.densevo import _RUN_CUTOFF, _forcing_sums
 
 from helpers import valid_words
 
@@ -108,6 +109,20 @@ def _forcing_fractions(d, i):
 def test_forcing_oracle_small(d):
     for i in range(1, d + 1):
         assert p_coeffs(d, i) == _forcing_fractions(d, i)
+
+
+def test_forcing_sums_equal_the_per_position_sum():
+    # the oracle forms one fraction per position through p_coeffs (about
+    # 4,000 of them); the library sums each run length's numerators as
+    # integers first, and must give the same two doubles
+    lin = quad = Fraction(0)
+    for d in range(2, _RUN_CUTOFF + 1):
+        coeffs = [p_coeffs(d, i) for i in range(1, d + 1)]
+        weight = Fraction(1, 2 ** (d + 1))
+        lin += weight * sum(p1 for p1, _ in coeffs)
+        quad += weight * sum(p2 for _, p2 in coeffs)
+    assert _forcing_sums() == (float(lin), float(quad))
+    assert _forcing_sums() == (0.23146322960235813, 0.03545344626417941)
 
 
 def test_de_step_eps_zero():

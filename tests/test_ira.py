@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -165,8 +167,12 @@ def test_sample_graphs_is_the_union_of_single_samples(sizes):
     batch_rngs = [trial_rng(8, t) for t in range(len(sizes))]
     single_rngs = [trial_rng(8, t) for t in range(len(sizes))]
     batch = _sample_graphs(num_info, num_parity, dist, batch_rngs)
-    union = graph_union([sample_graph(k, q, dist, rng)
-                         for k, q, rng in zip(num_info, num_parity, single_rngs)])
+    singles = [sample_graph(k, q, dist, rng)
+               for k, q, rng in zip(num_info, num_parity, single_rngs)]
+    union = graph_union(singles)
+    # both paths store int32 edges
+    for g in (batch, *singles):
+        assert g.edge_info.dtype == g.edge_check.dtype == np.int32
     assert (batch.num_info, batch.num_parity) == (sum(num_info), sum(num_parity))
     assert (batch.num_info, batch.num_parity) == (union.num_info, union.num_parity)
     assert np.array_equal(batch.edge_info, union.edge_info)
@@ -189,6 +195,28 @@ def test_sample_graphs_of_one_instance_draws_one_permutation():
     assert np.array_equal(g.edge_info, expect)
     assert rng.random() == ref.random()
     assert np.flatnonzero(g.chain_start).tolist() == [0]
+
+
+@pytest.mark.parametrize("num_info, num_parity", [
+    ([2**31 // 3 + 1], [2**29]),  # 3 * 715,827,883 = 2**31 + 1 sockets
+    ([2**30, 2**30], [2**28, 2**28]),  # 3 * 2**31 sockets over two instances
+    ([1], [2**31]),  # 2**31 parities
+    ([2**31], [0]),  # 2**31 info nodes, no edges
+], ids=["one-instance", "union", "parities", "info-nodes"])
+def test_sample_graphs_refuse_what_int32_cannot_index(num_info, num_parity):
+    # refused from the counts alone: nothing is allocated (a socket array of
+    # 2**31 int32 entries is 8 GiB) and nothing is drawn
+    rngs = [np.random.default_rng(i) for i in range(len(num_info))]
+    before = [r.bit_generator.state for r in rngs]
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"does not fit int32 indices"):
+            _sample_graphs(num_info, num_parity, DegreeDistribution.regular(3, 12), rngs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
+    assert [r.bit_generator.state for r in rngs] == before
 
 
 def test_sample_graph_balances_rounding_residual():

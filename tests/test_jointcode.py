@@ -1,5 +1,7 @@
 import math
 import re
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from jointbus import (
     dmin_witness,
     embedded_encode,
     free_wires,
+    gen_past_uniform,
     ira_encode,
     payload_size,
     rate_embedded,
@@ -23,6 +26,8 @@ from jointbus import (
     wires_needed,
 )
 from jointbus.buscore import _run_bounds, _state_from_runs, as_bits
+from jointbus import ira
+from jointbus.cac import _decode_segments, _encode_segments, _payload_bits
 from jointbus.ira import IraGraph
 from jointbus.jointcode import (
     WireLayout,
@@ -460,3 +465,45 @@ def test_dmin_bruteforce_guards():
     layout, graph = _graph_for(a, round(64 * 0.2), rng)
     with pytest.raises(ValueError, match="20 systematic bits"):
         dmin_bruteforce(a, graph)
+
+
+@pytest.fixture(scope="module")
+def wide_word():
+    # codec_wide's shape: a 10^5-wire uniform past with 2 * 10^4 parities,
+    # all on free wires (80,000 info wires, 240,000 sparse edges)
+    rng = np.random.default_rng(2024)
+    a = gen_past_uniform(100_000, rng).bits
+    layout = build_layout(a, 20_000)
+    graph = sample_graph(layout.num_info, 20_000, DIST, rng)
+    payload = rng.integers(0, 2, _payload_bits(layout.segments), dtype=np.uint8)
+    return SimpleNamespace(a=a, segments=layout.segments, graph=graph, payload=payload,
+                           word=_encode_segments(payload, a, layout.segments),
+                           info=rng.integers(0, 2, layout.num_info, dtype=np.uint8))
+
+
+def _sample_cold(w):
+    # the socket caches are cleared, so their arrays count too
+    ira._var_sockets.cache_clear()
+    ira._check_sockets.cache_clear()
+    return sample_graph(w.graph.num_info, w.graph.num_parity, DIST, np.random.default_rng(5))
+
+
+@pytest.mark.parametrize("stage, call, bound_mib", [
+    ("sample_graph", _sample_cold, 4.5),
+    ("ira_encode", lambda w: ira_encode(w.info, w.graph), 2.2),
+    ("_encode_segments", lambda w: _encode_segments(w.payload, w.a, w.segments), 3.5),
+    ("_decode_segments", lambda w: _decode_segments(w.word, w.a, w.segments), 2.2),
+], ids=lambda x: x if isinstance(x, str) else "")
+def test_wide_word_scratch_memory(wide_word, stage, call, bound_mib):
+    # tracemalloc peaks of one wide word's stages (numpy reports its
+    # buffers to tracemalloc). int64 edges and sockets, float64 weights in
+    # ira_encode and a two-element list per segment in the codec loops took
+    # 7.3, 4.1, 4.7 and 3.4 MiB; int32 edges, an integer bincount and flat
+    # start/length lists take about 3.7, 1.7, 2.9 and 1.6 MiB
+    tracemalloc.start()
+    try:
+        call(wide_word)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound_mib * 2**20, f"{stage}: {peak / 2**20:.2f} MiB"
