@@ -58,6 +58,7 @@ __all__ = [
 ]
 
 ERASED = 2  # symbol value for '?'
+_MAX_OUTER = 200  # outer iterations a decode may take short of a fixed point
 
 SymbolsLike = Union["ErasureWord", str, Iterable[int], np.ndarray]
 
@@ -128,14 +129,25 @@ class FactorGraph:
     Built from a disjoint union of instances (past states, graphs with one
     chain per instance, and segments that never cross from one instance
     into the next), it decodes every instance at once: no crosstalk check
-    and no chain link joins two instances. The graph's edges come in check
-    order. The constructor keeps its parts as given; ``build_factor_graph``
-    checks them.
+    and no chain link joins two instances. The constructor checks that its
+    parts agree in size and that the edges come in check order; it keeps
+    ``as_bits`` of the past state, a copy no later write by the caller reaches.
     """
 
     a_bits: np.ndarray
     layout: WireLayout
     graph: IraGraph
+
+    def __post_init__(self):
+        arr, layout, graph = as_bits(self.a_bits), self.layout, self.graph
+        if layout.n != arr.size:
+            raise ValueError("layout does not match the past-state length")
+        if graph.num_parity != layout.num_parity or graph.num_info != layout.num_info:
+            raise ValueError(f"graph sized ({graph.num_info}, {graph.num_parity}) does not match "
+                             f"the layout ({layout.num_info}, {layout.num_parity})")
+        if np.any(graph.edge_check[1:] < graph.edge_check[:-1]):
+            raise ValueError("graph edges must be listed in check order")
+        object.__setattr__(self, "a_bits", arr)
 
     @property
     def n(self) -> int:
@@ -159,26 +171,14 @@ class DecodeResult:
 
 
 def build_factor_graph(a: BitsLike, graph: IraGraph, layout: WireLayout) -> FactorGraph:
-    """Assemble the decoding graph of past state ``a``, code ``graph`` and
-    wire ``layout``, whose edges must be listed in check order. A later
-    write to the caller's array ``a`` does not show through."""
-    arr = as_bits(a)
-    if layout.n != arr.size:
-        raise ValueError("layout does not match the past-state length")
-    if graph.num_parity != layout.num_parity or graph.num_info != layout.num_info:
-        raise ValueError(
-            f"graph sized ({graph.num_info}, {graph.num_parity}) does not match the layout "
-            f"({layout.num_info}, {layout.num_parity})"
-        )
-    if np.any(graph.edge_check[1:] < graph.edge_check[:-1]):
-        raise ValueError("graph edges must be listed in check order")
-    return FactorGraph(arr, layout, graph)
+    """The checked decoding graph ``FactorGraph(a, layout, graph)``."""
+    return FactorGraph(a, layout, graph)
 
 
 def bp_decode(
     received: SymbolsLike,
     fg: FactorGraph,
-    max_outer: int = 200,
+    max_outer: int = _MAX_OUTER,
     record_trace: bool = False,
     extract_payload: bool = True,
 ) -> DecodeResult:
@@ -234,9 +234,9 @@ def bp_decode(
 
 def _propagate(symbols: np.ndarray, fg: FactorGraph,
                max_outer: int) -> tuple[np.ndarray, np.ndarray, int, bool, list[float]]:
-    """The outer iterations of ``bp_decode`` on the received ``symbols``:
-    each wire's value and whether it resolved, the iteration count, whether
-    the decode stopped at a fixed point, and the trace."""
+    """The decode engine of ``bp_decode`` and the trials, on the received
+    ``symbols``: each wire's value and whether it resolved, the iteration
+    count, whether the decode stopped at a fixed point, and the trace."""
     n = fg.n
     a = fg.a_bits
     layout = fg.layout
@@ -336,11 +336,12 @@ def _propagate(symbols: np.ndarray, fg: FactorGraph,
         # transitions: one pass reaches the fixed point.
         grew = False
         if moved.size:
-            force = np.concatenate((moved[adj_prev[moved]] - 1, moved[adj_next[moved]] + 1))
+            force = np.concatenate((moved.compress(adj_prev[moved]) - 1,
+                                    moved.compress(adj_next[moved]) + 1))
             moved = moved[:0]
             grew = not intrinsic[force].all()
             intrinsic[force] = True
-            force = force[~resolved[force]]
+            force = force.compress(~resolved[force])
             val[force] = a[force]
             resolved[force] = True
 
@@ -350,11 +351,11 @@ def _propagate(symbols: np.ndarray, fg: FactorGraph,
         if open_v2c.size:
             w = e_wire[open_v2c]
             now = intrinsic[w] | (cnt_ci[w] > known_ci[open_v2c])
-            closed, open_v2c = open_v2c[now], open_v2c[~now]
+            closed, open_v2c = open_v2c.compress(now), open_v2c.compress(~now)
             ext[closed] = True
             c = e_chk[closed]
             unk -= np.bincount(c, minlength=num_p)
-            s ^= np.bincount(c, val[w[now]], minlength=num_p).astype(np.int64) & 1
+            s ^= np.bincount(c, val[w.compress(now)], minlength=num_p).astype(np.int64) & 1
             ok_grew |= not unk[c].all()
             # Edge-sized arrays go before the next step: on a wide bus the
             # first iterations touch most edges.
@@ -400,7 +401,7 @@ def _propagate(symbols: np.ndarray, fg: FactorGraph,
                 # An edge gets a new message unless it has one: every edge
                 # of a check at level 2, the erased one at level 1.
                 # (For bools, x >= y is x or not y, and x > y is x and not y.)
-                closed = e[((level[rose] == 2).repeat(cnt) >= ext[e]) > known_ci[e]]
+                closed = e.compress(((level[rose] == 2).repeat(cnt) >= ext[e]) > known_ci[e])
                 del e
                 grew |= closed.size > 0
                 known_ci[closed] = True
@@ -410,11 +411,11 @@ def _propagate(symbols: np.ndarray, fg: FactorGraph,
                     # The blocks of ascending checks are ascending edges, so
                     # a wire filled twice keeps its last fill, as in a sweep
                     # over every edge.
-                    ej = e_chk[closed[fresh]]
-                    wires = w[fresh]
+                    ej = e_chk[closed.compress(fresh)]
+                    wires = w.compress(fresh)
                     val[wires] = s[ej] ^ val[slots[ej]] ^ (val[slots[ej - 1]] & has_prev[ej])
                     resolved[wires] = True
-                    moved = wires[val[wires] != a[wires]]
+                    moved = wires.compress(val[wires] != a[wires])
                 del closed, fresh
                 np.add.at(cnt_ci, w, 1)
                 del w

@@ -24,9 +24,17 @@ __all__ = [
 
 BitsLike = Union["BusState", str, Iterable[int], np.ndarray]
 
-# fib(n) table, grown on demand; a single writer appending under the GIL is
-# safe for concurrent readers.
-_FIB: list[int] = [0, 1, 1]
+# F(0) .. F(_FIB_CAP - 1), built at import. The codec reads one count per
+# run, and the runs of a typical past are short (a uniform N-wire past's
+# longest run is about log2 N wires), so those counts come from here.
+# Beyond the cap, F(n) comes by fast doubling, whose O(log n) big-int
+# products cost little beside the O(n^2) bit work of coding a run that
+# long, while a table grown to F(n) would keep O(n^2) bits for the life of
+# the process (445 MiB at n = 10^5).
+_FIB_CAP = 512
+_FIB: list[int] = [0, 1]
+while len(_FIB) < _FIB_CAP:
+    _FIB.append(_FIB[-1] + _FIB[-2])
 
 
 def _check_int(name: str, value: object, minimum: Optional[int] = None) -> None:
@@ -47,15 +55,18 @@ def fib(n: int) -> int:
     rejected: no quantity in this library ever indexes it.
     """
     _check_int("Fibonacci index", n, 1)
-    return _fib_table(int(n))[int(n)]
+    return _fib_pair(int(n))[0]
 
 
-def _fib_table(n: int) -> list[int]:
-    """The fib table grown to hold index ``n``, for callers that read many
-    entries at once; they must not write to it."""
-    while len(_FIB) <= n:
-        _FIB.append(_FIB[-1] + _FIB[-2])
-    return _FIB
+def _fib_pair(n: int) -> tuple[int, int]:
+    """(F(n), F(n + 1)) for n >= 0, unchecked: off the table below the cap,
+    else by fast doubling, F(2k) = F(k) (2 F(k+1) - F(k)) and
+    F(2k+1) = F(k)^2 + F(k+1)^2."""
+    if n + 1 < _FIB_CAP:
+        return _FIB[n], _FIB[n + 1]
+    f, g = _fib_pair(n >> 1)
+    even, odd = f * (2 * g - f), f * f + g * g
+    return (odd, even + odd) if n & 1 else (even, odd)
 
 
 def as_bits(state: BitsLike) -> np.ndarray:

@@ -30,7 +30,7 @@ import math
 
 import numpy as np
 
-from .buscore import BitsLike, as_bits, fib, _check_int, _fib_table, _run_bounds
+from .buscore import BitsLike, as_bits, fib, _check_int, _fib_pair, _run_bounds
 
 __all__ = [
     "RunCodebook",
@@ -52,8 +52,8 @@ class RunCodebook:
     valid completions of positions i.. number F(m + 1) given the past bit
     at position i (no transition, so either next bit may follow) and F(m)
     given the other (a transition, so the next wire must keep its past
-    bit). They are read off the shared Fibonacci table, so a codebook
-    keeps no table of its own.
+    bit). Both walks carry the pair (F(m), F(m + 1)) down the run, using
+    F(m - 1) = F(m + 1) - F(m), so a codebook keeps two counts and no table.
     """
 
     def __init__(self, past_run_bits: BitsLike):
@@ -61,26 +61,14 @@ class RunCodebook:
         if (past[1:] == past[:-1]).any():
             raise ValueError("past run bits must alternate")
         self.past = past
-        self._first = int(past[0])
-        self._fib = _fib_table(past.size + 2)
-
-    def _count(self, i: int, v: int) -> int:
-        """Valid completions of positions i.. given bit ``v`` at position i,
-        whose past bit is the first one flipped i times."""
-        return self._fib[self.past.size - i + (v == (self._first ^ (i & 1)))]
+        self._pair = _fib_pair(past.size)  # (F(d), F(d + 1))
 
     @property
     def codeword_count(self) -> int:
-        return self._fib[self.past.size + 2]
+        return sum(self._pair)
 
     def __len__(self) -> int:
         return self.past.size
-
-    def _allowed(self, i: int, prev_bit: int, v: int) -> bool:
-        if i == 0:
-            return True
-        past = self.past
-        return not (prev_bit != past[i - 1] and v != past[i])
 
     def unrank(self, index: int) -> np.ndarray:
         """index-th valid continuation in lexicographic order."""
@@ -88,18 +76,22 @@ class RunCodebook:
         total = self.codeword_count
         if not 0 <= index < total:
             raise ValueError(f"index {index} out of range [0, {total})")
-        out = np.empty(self.past.size, dtype=np.uint8)
         rem = int(index)
-        for i in range(self.past.size):
-            for v in (0, 1):
-                if not self._allowed(i, out[i - 1] if i else 0, v):
-                    continue
-                c = self._count(i, v)
-                if rem < c:
-                    out[i] = v
-                    break
-                rem -= c
-        return out
+        bits = self.past.tolist()
+        lo, hi = self._pair
+        moved = False  # set after a transition: the next wire keeps its past bit
+        for i, p in enumerate(bits):
+            if moved:
+                moved = False
+            else:
+                zero = lo if p else hi  # completions with a 0 here
+                v = int(rem >= zero)
+                if v:
+                    rem -= zero
+                bits[i] = v
+                moved = v != p
+            lo, hi = hi - lo, lo
+        return np.array(bits, dtype=np.uint8)
 
     def rank(self, continuation: BitsLike) -> int:
         """Inverse of ``unrank`` for a valid continuation."""
@@ -107,14 +99,20 @@ class RunCodebook:
         if word.size != self.past.size:
             raise ValueError("continuation length does not match the run length")
         idx = 0
-        for i in range(word.size):
-            v = int(word[i])
-            if not self._allowed(i, int(word[i - 1]) if i else 0, v):
-                raise ValueError(
-                    f"continuation opposes the past run at position {i + 1} within the run"
-                )
-            if v == 1:
-                idx += self._count(i, 0) if self._allowed(i, int(word[i - 1]) if i else 0, 0) else 0
+        lo, hi = self._pair
+        moved = False
+        for i, (p, v) in enumerate(zip(self.past.tolist(), word.tolist())):
+            if moved:
+                if v != p:
+                    raise ValueError(
+                        f"continuation opposes the past run at position {i + 1} within the run"
+                    )
+                moved = False
+            else:
+                if v:
+                    idx += lo if p else hi
+                moved = v != p
+            lo, hi = hi - lo, lo
         return idx
 
 
@@ -132,11 +130,10 @@ def _runs(a: np.ndarray) -> np.ndarray:
 
 def _radices(segments: np.ndarray) -> list[int]:
     """The codeword counts F(d + 2) of the (k, 2) (start, length)
-    segments, in segment order, read off the Fibonacci table in one pass."""
-    if not segments.size:
-        return []
-    table = _fib_table(int(segments[:, 1].max()) + 2)
-    return [table[d] for d in (segments[:, 1] + 2).tolist()]
+    segments, in segment order, each distinct one computed once."""
+    ds = (segments[:, 1] + 2).tolist()
+    count = {d: _fib_pair(d)[0] for d in set(ds)}
+    return [count[d] for d in ds]
 
 
 def _product_tree(radices: list[int]) -> list[list[int]]:

@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import isfinite, log2
 from typing import NamedTuple
 
-from .buscore import fib, _check_int, _fib_table
+from .buscore import fib, _check_int, _fib_pair
 from .ira import DegreeDistribution
 
 __all__ = [
@@ -71,10 +71,11 @@ def p_coeffs(d: int, i: int) -> tuple[Fraction, Fraction]:
 
 def _forcing_numerators(d: int, i: int) -> tuple[int, int]:
     """The numerators of ``p_coeffs(d, i)`` over F(d+2), unchecked."""
-    f = _fib_table(d + 2)
     if i == 1 or i == d:
-        return f[d - 1], 0
-    return f[i - 1] * f[d - i + 1] + f[i] * f[d - i], f[i - 1] * f[d - i]
+        return _fib_pair(d - 1)[0], 0
+    f0, f1 = _fib_pair(i - 1)  # F(i - 1), F(i)
+    g0, g1 = _fib_pair(d - i)  # F(d - i), F(d - i + 1)
+    return f0 * g1 + f1 * g0, f0 * g0
 
 
 # Runs longer than this many wires are left out of the forcing sums. A run

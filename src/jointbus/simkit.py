@@ -13,18 +13,18 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, fields
 from functools import reduce
-from typing import Iterable
+from typing import Iterable, Optional
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .buscore import (BitsLike, BusState, as_bits, fib, _check_int, _run_bounds,
                       _stable_argsort, _state_from_runs)
-from .bpdecode import ERASED, ErasureWord, FactorGraph, bp_decode, build_factor_graph
+from .bpdecode import ERASED, ErasureWord, FactorGraph, build_factor_graph, _MAX_OUTER, _propagate
 from .cac import _encode_segments, _payload_bits
 from .densevo import DeModel, de_trajectory
-from .ira import DegreeDistribution, IraGraph, _sample_graphs, rate_ldpc, recc_from_rldpc
-from .jointcode import WireLayout, _complete_word, _layout_from_runs, _stride_layout
+from .ira import DegreeDistribution, _sample_graphs, rate_ldpc, recc_from_rldpc
+from .jointcode import _complete_word, _layout_from_runs, _stride_layout
 
 __all__ = [
     "EnsembleSpec",
@@ -263,15 +263,16 @@ class CodeInstances:
     Instance i is trial ``trials[i]`` on wires offsets[i]:offsets[i+1] of
     the decoding graph ``fg``: no segment of ``fg.layout`` crosses into the
     next instance, and ``fg.graph``, the disjoint union of the sampled
-    graphs, restarts its parity chain at each instance, so ``bp_decode``
+    graphs, restarts its parity chain at each instance, so the decoder
     treats the instances as independent. A single trial is the case of one
-    instance. ``word`` is the transmitted codeword, and ``rngs`` holds each
-    trial's stream, positioned after the draws of its instance.
+    instance, and with no trial kept ``fg`` is None and ``word`` empty.
+    ``word`` is the transmitted codeword, and ``rngs`` holds each trial's
+    stream, positioned after the draws of its instance.
     """
 
     trials: tuple[int, ...]
     offsets: np.ndarray
-    fg: FactorGraph
+    fg: Optional[FactorGraph]
     word: np.ndarray
     rngs: tuple[np.random.Generator, ...]
     insufficient: int = 0  # trials dropped: a uniform past state short of free wires
@@ -321,10 +322,8 @@ def build_instances(
         keep = np.diff(np.searchsorted(starts[lengths == 1], offsets)) >= p
         insufficient = len(trials) - int(np.count_nonzero(keep))
         if insufficient == len(trials):
-            empty, no_bits = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.uint8)
-            fg = FactorGraph(no_bits, WireLayout(0, empty, (), np.zeros((0, 2), dtype=np.int64)),
-                             IraGraph(0, 0, empty, empty))
-            return CodeInstances((), np.zeros(1, dtype=np.int64), fg, no_bits, (), insufficient)
+            return CodeInstances((), np.zeros(1, dtype=np.int64), None,
+                                 np.zeros(0, dtype=np.uint8), (), insufficient)
         if insufficient:
             kept = np.flatnonzero(keep).tolist()
             trials = tuple(trials[i] for i in kept)
@@ -370,10 +369,10 @@ def _run_batch(config: SimConfig, trials: range) -> TrialStats:
     u = np.concatenate([rng.random(size) for rng, size in zip(inst.rngs, sizes.tolist())])
     received = np.where(u < config.eps, ERASED, inst.word)
     fg = inst.fg
-    out = bp_decode(received, fg, extract_payload=False).word.symbols
-    erased = out == ERASED
-    if not np.array_equal(out[~erased], inst.word[~erased]):
+    val, resolved = _propagate(received, fg, _MAX_OUTER)[:2]
+    if not np.array_equal(val.compress(resolved), inst.word.compress(resolved)):
         raise RuntimeError("decoder emitted a bit that differs from the transmitted word")
+    erased = ~resolved
     instance_of_wire = np.repeat(np.arange(sizes.size), sizes)
     residual = np.bincount(instance_of_wire[erased], minlength=sizes.size)
     return stats.add(TrialStats(
@@ -435,12 +434,10 @@ def de_vs_simulation(
     if inst.insufficient:
         raise ValueError("drawn past state lacks free wires; use a larger n or another seed")
     received = bec_transmit(inst.word, eps, inst.rngs[0])
-    result = bp_decode(received, inst.fg, max_outer=iterations, record_trace=True,
-                       extract_payload=False)
-    empirical = list(result.x_ecc_trace or ())
+    empirical = _propagate(received.symbols, inst.fg, iterations)[4]
     model = DeModel.for_code(dist, r_ecc)
     states, _ = de_trajectory(eps, model, max_iter=iterations)
     predicted = [s.x_ecc for s in states]
-    empirical += [empirical[-1] if empirical else 0.0] * (iterations - len(empirical))
+    empirical += [empirical[-1]] * (iterations - len(empirical))
     predicted += [predicted[-1] if predicted else 0.0] * (iterations - len(predicted))
     return [(t + 1, empirical[t], predicted[t]) for t in range(iterations)]

@@ -103,6 +103,7 @@ def _bits_calls():
         "dmin_witness": (lambda x, a: jointcode.dmin_witness(x, a, graph), [info, past]),
         "dmin_bruteforce": (lambda a: jointcode.dmin_bruteforce(a, graph), [past]),
         "ErasureWord": (bpdecode.ErasureWord, [word]),
+        "FactorGraph": (lambda a: bpdecode.FactorGraph(a, layout, graph), [past]),
         "build_factor_graph": (lambda a: bpdecode.build_factor_graph(a, graph, layout), [past]),
         "bp_decode": (lambda w: bpdecode.bp_decode(w, fg), [word]),
         "bec_transmit": (lambda w: simkit.bec_transmit(w, 0.5, np.random.default_rng(2)), [word]),
@@ -114,8 +115,8 @@ def _bits_calls():
 NO_BITS = {
     "RunParse", "ViolationReport", "fib", "DegreeDistribution", "IraGraph", "rate_ldpc",
     "recc_from_rldpc", "sample_graph", "WireLayout", "EmbeddedCodeword", "RateComparison",
-    "DminResult", "rate_shielded", "rate_embedded", "wires_needed", "ERASED", "FactorGraph",
-    "DecodeResult", "DeState", "DeModel", "p_coeffs", "de_step", "de_trajectory", "de_threshold",
+    "DminResult", "rate_shielded", "rate_embedded", "wires_needed", "ERASED", "DecodeResult",
+    "DeState", "DeModel", "p_coeffs", "de_step", "de_trajectory", "de_threshold",
     "asymptotic_cac_rate", "AsymptoticRate", "EnsembleSpec", "SimConfig", "TrialStats",
     "CodeInstances", "build_instances", "gen_past_uniform", "run_trials", "trial_rng",
     "de_vs_simulation",

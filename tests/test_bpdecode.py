@@ -11,6 +11,7 @@ from jointbus import (
     DegreeDistribution,
     EnsembleSpec,
     ErasureWord,
+    FactorGraph,
     bec_transmit,
     bp_decode,
     build_factor_graph,
@@ -233,6 +234,29 @@ def test_factor_graph_size_mismatch():
     layout = build_layout("0101", 0)
     with pytest.raises(ValueError, match="does not match"):
         build_factor_graph("0101", _empty_graph(3), layout)
+
+
+def test_factor_graph_checks_itself():
+    # the constructor itself keeps an owned, read-only copy of the past
+    # state and refuses a mis-sized layout or graph and edges out of check
+    # order, also when reached through dataclasses.replace
+    a, layout, graph = random_instance(np.random.default_rng(5))
+    fg = FactorGraph(a, layout, graph)
+    assert fg.a_bits is not a and not fg.a_bits.flags.writeable
+    a[0] ^= 1
+    assert fg.a_bits[0] != a[0]
+    with pytest.raises(ValueError, match="layout does not match the past-state length"):
+        FactorGraph(a[:-1], layout, graph)
+    sized = r"graph sized \(3, 0\) does not match the layout \(4, 0\)"
+    with pytest.raises(ValueError, match=sized):
+        FactorGraph("0101", build_layout("0101", 0), _empty_graph(3))
+    backward = _reordered(graph, np.arange(graph.num_edges)[::-1])
+    with pytest.raises(ValueError, match="graph edges must be listed in check order"):
+        FactorGraph(fg.a_bits, layout, backward)
+    with pytest.raises(ValueError, match="graph edges must be listed in check order"):
+        dataclasses.replace(fg, graph=backward)
+    with pytest.raises(ValueError, match="a bus state needs at least one wire"):
+        FactorGraph(np.zeros(0, dtype=np.uint8), layout, graph)
 
 
 def test_bp_decode_no_erasures():

@@ -12,7 +12,8 @@ from jointbus import (
     free_wires,
     parse_runs,
 )
-from jointbus.buscore import _stable_argsort, _state_from_runs, as_bits
+from jointbus.buscore import (_FIB, _FIB_CAP, _fib_pair, _stable_argsort, _state_from_runs,
+                              as_bits)
 
 
 @pytest.mark.parametrize("size, bound", [(0, 1), (1, 1), (300, 7), (24000, 2000),
@@ -40,6 +41,18 @@ def test_fib_exact_beyond_machine_words():
     # phi**N overflows 64-bit integers near N = 90; results must stay exact
     assert fib(90) == 2880067194370816120
     assert fib(120) == fib(119) + fib(118)
+
+
+def test_fib_past_the_table_cap_by_fast_doubling():
+    # past the capped table, F(n) comes by fast doubling: it must match the
+    # additive recurrence on both sides of the cap and leave the table alone
+    f0, f1 = 0, 1
+    for n in range(1, 3 * _FIB_CAP):
+        f0, f1 = f1, f0 + f1
+        assert fib(n) == f0, n
+        assert _fib_pair(n) == (f0, f1), n
+    assert fib(10**4) == fib(10**4 - 1) + fib(10**4 - 2)
+    assert len(_FIB) == _FIB_CAP
 
 
 def test_parse_runs_two_runs():

@@ -25,7 +25,7 @@ from jointbus import (
     ira_encode,
     payload_size,
 )
-from jointbus.buscore import _fib_table
+from jointbus import buscore
 from jointbus.cac import (
     UNSET,
     _decode_segments,
@@ -119,11 +119,11 @@ def test_rank_unrank_roundtrip_property(d, data):
 
 
 def test_long_run_codebook_keeps_no_count_table():
-    # the suffix counts are read off the shared Fibonacci table, so once it
-    # holds the run's entries a 2 * 10^4-wire codebook holds its bits and
-    # little more (a table of two counts per wire held about 20 MiB)
+    # the suffix counts are walked down the run as a Fibonacci pair, so a
+    # 2 * 10^4-wire codebook holds its bits and little more, its counts
+    # included (a table of two counts per wire held about 20 MiB, and the
+    # shared table grown to F(d + 2) about 18 MiB)
     d = 2 * 10**4
-    _fib_table(d + 2)
     past = "01" * (d // 2)
     tracemalloc.start()
     try:
@@ -134,6 +134,23 @@ def test_long_run_codebook_keeps_no_count_table():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_long_run_round_trip_keeps_no_fibonacci_table():
+    # one 4 * 10^4-wire run: the counts past the capped table come by fast
+    # doubling, and none is kept (a table grown to F(40002) peaked at
+    # 72 MiB and stayed for the life of the process)
+    past = "01" * 20000
+    tracemalloc.start()
+    try:
+        k = count_codewords(past).bit_length() - 1
+        payload = np.random.default_rng(3).integers(0, 2, k, dtype=np.uint8)
+        assert np.array_equal(cac_decode(cac_encode(payload, past), past), payload)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert len(buscore._FIB) == buscore._FIB_CAP
 
 
 def test_codebook_rejects_non_alternating():

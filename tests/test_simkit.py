@@ -315,7 +315,7 @@ def test_build_instances_batch_is_union_of_single_trials(ensemble, mode):
     assert np.array_equal(batch.word, np.concatenate([inst.word for inst in kept]))
     for t, inst in enumerate(singles):
         if not inst.trials:
-            assert inst.fg.n == 0 and inst.word.size == 0
+            assert inst.fg is None and inst.word.size == 0
             continue
         fg = inst.fg
         assert check_transition(fg.a_bits, inst.word).ok
@@ -394,6 +394,34 @@ def test_run_trials_insufficient_accounting():
     assert stats.block_errors >= stats.insufficient_free_wire_events
     assert stats.bit_errors_code == stats.insufficient_free_wire_events * 10
     assert stats.pe == stats.insufficient_rate  # eps=0 decodes perfectly otherwise
+
+
+def test_batch_with_no_usable_trial_has_no_factor_graph():
+    # a 5-wire past short of free wires keeps no trial: no graph is built,
+    # and the trial counts as one insufficient block error
+    ensemble = EnsembleSpec("uniform", 5)
+    inst = build_instances(8, range(1), DIST, ensemble)
+    assert inst.trials == () and inst.insufficient == 1
+    assert inst.fg is None and inst.word.size == 0
+    stats = run_trials(SimConfig(ensemble=ensemble, dist=DIST, eps=0.1, trials=1, seed=8))
+    assert stats == TrialStats(trials=1, bits_code=5, bit_errors_code=5, block_errors=1,
+                               insufficient_free_wire_events=1, rng_seed=8)
+
+
+def test_run_batch_refuses_a_decoded_bit_that_differs(monkeypatch):
+    # the trial engine checks every resolved bit against the sent word
+    engine = simkit._propagate
+
+    def flip_one(symbols, fg, max_outer):
+        val, resolved, *rest = engine(symbols, fg, max_outer)
+        val[resolved.nonzero()[0][0]] ^= 1
+        return (val, resolved, *rest)
+
+    monkeypatch.setattr(simkit, "_propagate", flip_one)
+    config = SimConfig(ensemble=EnsembleSpec("uniform", 100), dist=DIST, eps=0.1, trials=4,
+                       seed=1)
+    with pytest.raises(RuntimeError, match="differs from the transmitted word"):
+        _run_batch(config, range(4))
 
 
 def test_run_trials_eps_zero_matches_free_wire_deficit():
