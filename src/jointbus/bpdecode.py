@@ -39,7 +39,7 @@ is erased.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -204,39 +204,47 @@ def bp_decode(
     symbols = rcv.symbols
     # The decode's per-edge and per-check arrays are freed before the
     # payload is read, the step that needs the most memory on a wide bus.
-    val, resolved, iterations, converged, trace = _propagate(symbols, fg, max_outer)
+    dec = _propagate(symbols, fg, max_outer)
 
-    residual = int(np.count_nonzero(~resolved))
-    out = np.where(resolved, val, ERASED).astype(np.uint8)
+    residual = int(np.count_nonzero(~dec.resolved))
+    out = np.where(dec.resolved, dec.val, ERASED).astype(np.uint8)
     info_bits = None
     violation = None
     if residual == 0 and extract_payload:
         # A resolved word that breaks a constraint or indexes past the
         # payload range carries no payload; the word itself is still
         # returned for inspection.
-        violation = _first_violation(symbols, val, fg)
+        violation = _first_violation(symbols, dec.val, fg)
         if violation is None:
             # Every crosstalk pair holds, so only the index range can fail.
             try:
-                info_bits = tuple(_decode_segments(val, fg.a_bits, fg.layout.segments).tolist())
+                info_bits = tuple(_decode_segments(dec.val, fg.a_bits, fg.layout.segments).tolist())
             except ValueError as exc:
                 violation = str(exc)
     return DecodeResult(
         word=ErasureWord(out),
         info_bits=info_bits,
-        iterations=iterations,
-        converged=converged,
+        iterations=dec.iterations,
+        converged=dec.converged,
         residual_erasures=residual,
-        x_ecc_trace=tuple(trace) if record_trace else None,
+        x_ecc_trace=tuple(dec.trace) if record_trace else None,
         violation=violation,
     )
 
 
-def _propagate(symbols: np.ndarray, fg: FactorGraph,
-               max_outer: int) -> tuple[np.ndarray, np.ndarray, int, bool, list[float]]:
+class _Decoded(NamedTuple):
+    """What one run of the decode engine found."""
+
+    val: np.ndarray  # each wire's value, 0 where it stayed erased
+    resolved: np.ndarray  # whether each wire resolved
+    iterations: int
+    converged: bool  # the decode stopped at a fixed point
+    trace: list[float]  # erased fraction of step 3's messages per iteration
+
+
+def _propagate(symbols: np.ndarray, fg: FactorGraph, max_outer: int) -> _Decoded:
     """The decode engine of ``bp_decode`` and the trials, on the received
-    ``symbols``: each wire's value and whether it resolved, the iteration
-    count, whether the decode stopped at a fixed point, and the trace."""
+    ``symbols``."""
     n = fg.n
     a = fg.a_bits
     layout = fg.layout
@@ -250,7 +258,7 @@ def _propagate(symbols: np.ndarray, fg: FactorGraph,
     if resolved.all():
         # Nothing erased: the first iteration adds no knowledge, and its
         # step 3 finds every variable-to-check message known.
-        return val, resolved, 1, True, [0.0]
+        return _Decoded(val, resolved, 1, True, [0.0])
 
     num_p = layout.num_parity
     slots = layout.parity_slot_array
@@ -425,7 +433,7 @@ def _propagate(symbols: np.ndarray, fg: FactorGraph,
         if resolved.all() or not grew:
             converged = True
             break
-    return val, resolved, iterations, converged, trace
+    return _Decoded(val, resolved, iterations, converged, trace)
 
 
 def _first_violation(received: np.ndarray, word: np.ndarray, fg: FactorGraph) -> Optional[str]:

@@ -356,6 +356,14 @@ def build_instances(
                          word=word, rngs=tuple(rngs), insufficient=insufficient)
 
 
+def _channel_draws(inst: CodeInstances) -> np.ndarray:
+    """One uniform draw per wire of each instance, from the trial's own
+    stream after its instance: the erasure channel at eps erases the wires
+    whose draw lies below eps."""
+    sizes = np.diff(inst.offsets).tolist()
+    return np.concatenate([rng.random(size) for rng, size in zip(inst.rngs, sizes)])
+
+
 def _run_batch(config: SimConfig, trials: range) -> TrialStats:
     """Counts of one batch of trials, decoded as one disjoint union."""
     n = config.ensemble.n
@@ -366,13 +374,12 @@ def _run_batch(config: SimConfig, trials: range) -> TrialStats:
     if not inst.trials:
         return stats
     sizes = np.diff(inst.offsets)
-    u = np.concatenate([rng.random(size) for rng, size in zip(inst.rngs, sizes.tolist())])
-    received = np.where(u < config.eps, ERASED, inst.word)
+    received = np.where(_channel_draws(inst) < config.eps, ERASED, inst.word)
     fg = inst.fg
-    val, resolved = _propagate(received, fg, _MAX_OUTER)[:2]
-    if not np.array_equal(val.compress(resolved), inst.word.compress(resolved)):
+    dec = _propagate(received, fg, _MAX_OUTER)
+    if not np.array_equal(dec.val.compress(dec.resolved), inst.word.compress(dec.resolved)):
         raise RuntimeError("decoder emitted a bit that differs from the transmitted word")
-    erased = ~resolved
+    erased = ~dec.resolved
     instance_of_wire = np.repeat(np.arange(sizes.size), sizes)
     residual = np.bincount(instance_of_wire[erased], minlength=sizes.size)
     return stats.add(TrialStats(
@@ -430,14 +437,14 @@ def de_vs_simulation(
     """
     _check_int("iterations", iterations, 1)
     r_ecc = recc_from_rldpc(rate_ldpc(dist))
+    # The recursion first: it refuses an eps outside [0, 1] before a decode.
+    states, _ = de_trajectory(eps, DeModel.for_code(dist, r_ecc), max_iter=iterations)
+    predicted = [s.x_ecc for s in states]
     inst = build_instances(seed, [0], dist, EnsembleSpec("uniform", n))
     if inst.insufficient:
         raise ValueError("drawn past state lacks free wires; use a larger n or another seed")
-    received = bec_transmit(inst.word, eps, inst.rngs[0])
-    empirical = _propagate(received.symbols, inst.fg, iterations)[4]
-    model = DeModel.for_code(dist, r_ecc)
-    states, _ = de_trajectory(eps, model, max_iter=iterations)
-    predicted = [s.x_ecc for s in states]
+    received = np.where(_channel_draws(inst) < eps, ERASED, inst.word)
+    empirical = _propagate(received, inst.fg, iterations).trace
     empirical += [empirical[-1]] * (iterations - len(empirical))
     predicted += [predicted[-1] if predicted else 0.0] * (iterations - len(predicted))
     return [(t + 1, empirical[t], predicted[t]) for t in range(iterations)]

@@ -2,7 +2,11 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import traceback
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,6 +48,14 @@ def run_console(argv):
             traceback.print_exc()
             code = 1
     return code, out.getvalue(), err.getvalue()
+
+
+def test_python_m_jointbus_runs_the_cli():
+    # the smoke script runs every command as ``python -m jointbus``
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-m", "jointbus", "--version"], capture_output=True,
+                          text=True, timeout=60, env={**os.environ, "PYTHONPATH": str(src)})
+    assert (done.returncode, done.stdout) == (0, "jointbus 0.1.0\n")
 
 
 def test_analyze_constant(capsys):

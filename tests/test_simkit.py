@@ -413,9 +413,10 @@ def test_run_batch_refuses_a_decoded_bit_that_differs(monkeypatch):
     engine = simkit._propagate
 
     def flip_one(symbols, fg, max_outer):
-        val, resolved, *rest = engine(symbols, fg, max_outer)
-        val[resolved.nonzero()[0][0]] ^= 1
-        return (val, resolved, *rest)
+        dec = engine(symbols, fg, max_outer)
+        val = dec.val.copy()
+        val[dec.resolved.nonzero()[0][0]] ^= 1
+        return dec._replace(val=val)
 
     monkeypatch.setattr(simkit, "_propagate", flip_one)
     config = SimConfig(ensemble=EnsembleSpec("uniform", 100), dist=DIST, eps=0.1, trials=4,
@@ -478,6 +479,12 @@ def test_de_vs_simulation_checks_iterations(iterations, message):
         de_vs_simulation(0.1, DIST, 100, iterations=iterations, seed=1)
 
 
+@pytest.mark.parametrize("eps", [-0.1, 1.5, float("nan")])
+def test_de_vs_simulation_checks_eps(eps):
+    with pytest.raises(ValueError, match=re.escape(f"eps must lie in [0, 1], got {eps}")):
+        de_vs_simulation(eps, DIST, 100, iterations=5, seed=1)
+
+
 def test_de_vs_simulation_rows_are_pinned():
     # a stalled decode's trace is padded with its last value, so a stop one
     # iteration earlier leaves the rows as they were
@@ -494,9 +501,8 @@ def _block_failures(seed, runs, n=10**4, trials=40):
     two wires share a segment), the code alone."""
     inst = build_instances(seed, range(trials), DIST, EnsembleSpec("uniform", n))
     assert inst.insufficient == 0
-    # the channel draws of run_trials: each trial's stream after its
-    # instance, the same at every eps
-    u = np.concatenate([rng.random(n) for rng in inst.rngs])
+    # the channel draws of run_trials, the same at every eps
+    u = simkit._channel_draws(inst)
     info = inst.fg.layout.info_wire_array
     layout = dataclasses.replace(inst.fg.layout,
                                  segments=np.column_stack((info, np.ones_like(info))))
