@@ -26,7 +26,7 @@ from .cac import cac_rate, count_codewords
 from .densevo import DeModel, DeState, de_threshold, de_trajectory
 from .ira import DegreeDistribution, rate_ldpc, recc_from_rldpc, sample_graph
 from .jointcode import build_layout, compare_rates, embedded_encode
-from .simkit import EnsembleSpec, SimConfig, run_trials, trial_rng
+from .simkit import EnsembleSpec, SimConfig, run_sweep, trial_rng
 
 SIM_COLUMNS = ["N", "eps", "trials", "pb_code", "pb_info", "pe", "insufficient_rate", "seed"]
 TRAJ_COLUMNS = ["iteration", *(f.name for f in fields(DeState))]
@@ -266,15 +266,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     for key in ("trials", "seed", "mode", "jobs"):
         with _flag(f"--{key}"):
             base = replace(base, **{key: cfg[key]})
-    configs = [replace(base, ensemble=e, eps=eps) for e in ensembles for eps in eps_grid]
     rows = []
-    for config in configs:
-        stats = run_trials(config)
-        rows.append([
-            str(config.ensemble.n), _fmt(config.eps), str(stats.trials), _fmt(stats.pb_code),
-            _fmt(stats.pb_info), _fmt(stats.pe), _fmt(stats.insufficient_rate),
-            str(stats.rng_seed),
-        ])
+    for ensemble in ensembles:
+        # each batch of trials is built once for the whole grid
+        for eps, stats in zip(eps_grid, run_sweep(replace(base, ensemble=ensemble), eps_grid)):
+            rows.append([
+                str(ensemble.n), _fmt(eps), str(stats.trials), _fmt(stats.pb_code),
+                _fmt(stats.pb_info), _fmt(stats.pe), _fmt(stats.insufficient_rate),
+                str(stats.rng_seed),
+            ])
     sidecar = {"version": __version__, "config": {k: cfg.get(k) for k in sorted(_SIM_KEYS)}}
     _write_rows(cfg.get("out"), SIM_COLUMNS, rows, sidecar)
     return 0

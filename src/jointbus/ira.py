@@ -199,60 +199,75 @@ def sample_graph(
     """
     _check_int("num_info", num_info)
     _check_int("num_parity", num_parity)
-    return _sample_graphs((num_info,), (num_parity,), dist, (rng,))
+    _check_graph_size((num_info,), (num_parity,), dist)
+    if not (num_info and num_parity):
+        return _sample_graphs((num_info,), (num_parity,), dist, np.zeros(0, dtype=np.intp))
+    # The check side comes after the permutation is freed: on a wide bus the
+    # two would otherwise add to the peak.
+    edge_info = _info_side(num_info, dist, rng.permutation(_var_sockets(num_info, dist).size))
+    return IraGraph(num_info, num_parity, edge_info, _check_sockets(num_info, num_parity, dist))
+
+
+def _info_side(num_info: int, dist: DegreeDistribution, perm: np.ndarray) -> np.ndarray:
+    """Info endpoints of one instance's edges in check order: its variable
+    sockets scattered through the socket permutation it drew."""
+    v_sockets = _var_sockets(num_info, dist)
+    edge_info = np.empty_like(v_sockets)
+    edge_info[perm] = v_sockets
+    return edge_info
+
+
+def _permutation_size(num_info: int, num_parity: int, dist: DegreeDistribution) -> int:
+    """Length of the socket permutation an instance draws: its socket total,
+    or 0 without info nodes or without parities (no edge, nothing drawn)."""
+    return _socket_total(num_info, dist) if num_info and num_parity else 0
+
+
+def _check_graph_size(num_info: Sequence[int], num_parity: Sequence[int],
+                      dist: DegreeDistribution) -> None:
+    """Refuse, from the counts alone, a union that int32 cannot index or
+    negative counts. No info node has more sockets than the largest degree,
+    so the exact socket total is needed only near the limit."""
+    for k, q in zip(num_info, num_parity):
+        if k < 0 or q < 0:
+            raise ValueError(f"node counts must be >= 0, got {k} info and {q} parity")
+    info, parities = sum(num_info), sum(num_parity)
+    if max(info * dist.L_coeffs[-1][0], parities) >= _INDEX_LIMIT:
+        total = sum(_permutation_size(k, q, dist) for k, q in zip(num_info, num_parity))
+        if max(total, info, parities) >= _INDEX_LIMIT:
+            raise ValueError(
+                f"a graph of {total} sockets, {info} info nodes and {parities} "
+                f"parities does not fit int32 indices: each must stay below 2**31"
+            )
 
 
 def _sample_graphs(
     num_info: Sequence[int],
     num_parity: Sequence[int],
     dist: DegreeDistribution,
-    rngs: Sequence[np.random.Generator],
+    perm: np.ndarray,
 ) -> IraGraph:
-    """Disjoint union of one sampled instance per stream: edge for edge
-    the instances ``sample_graph(num_info[i], num_parity[i], dist, rngs[i])``
-    laid side by side (``tests/helpers.graph_union``), each instance's nodes
-    numbered after those before it, built without a graph per instance.
+    """Disjoint union of sampled instances: edge for edge the instances
+    ``sample_graph(num_info[i], num_parity[i], dist, rng_i)`` laid side by
+    side (``tests/helpers.graph_union``), each instance's nodes numbered
+    after those before it, built without a graph per instance.
 
-    One instance with edges is matched through ``rng.permutation``, with
-    the socket array itself as its check side. Otherwise the edges are
-    matched through one ``arange`` over all of them: each stream, in
-    instance order, shuffles its instance's slice, which draws what
-    ``rng.permutation`` draws, already offset, and the sockets of every
-    instance, offset, are scattered through it in one step.
+    ``perm`` holds what each ``rng_i.permutation`` draws, of length
+    ``_permutation_size(num_info[i], num_parity[i], dist)``, laid end to end
+    in instance order, each offset by the lengths before it: instance i
+    shuffles its own slice of ``arange(perm.size)``. The sockets of every
+    instance, offset, are scattered through it in one step. One instance
+    uses its socket array itself as its check side.
     """
-    drawn = []
-    for i, (k, q) in enumerate(zip(num_info, num_parity)):
-        if k < 0 or q < 0:
-            raise ValueError(f"node counts must be >= 0, got {k} info and {q} parity")
-        if k and q:
-            drawn.append(i)
-    # Refused from the counts alone, before anything is allocated. No info
-    # node has more sockets than the largest degree, so the exact count is
-    # needed only near the limit.
-    info, parities = sum(num_info), sum(num_parity)
-    if max(info * dist.L_coeffs[-1][0], parities) >= _INDEX_LIMIT:
-        total = sum(_socket_total(num_info[i], dist) for i in drawn)
-        if max(total, info, parities) >= _INDEX_LIMIT:
-            raise ValueError(
-                f"a graph of {total} sockets, {info} info nodes and {parities} "
-                f"parities does not fit int32 indices: each must stay below 2**31"
-            )
-    if len(rngs) == 1 and drawn:
+    _check_graph_size(num_info, num_parity, dist)
+    drawn = [i for i, (k, q) in enumerate(zip(num_info, num_parity)) if k and q]
+    if len(num_info) == 1 and drawn:
         k, q = num_info[0], num_parity[0]
-        v_sockets = _var_sockets(k, dist)
-        edge_info = np.empty_like(v_sockets)
-        edge_info[rngs[0].permutation(v_sockets.size)] = v_sockets
-        # The check side comes after the permutation is freed: on a wide bus
-        # the two would otherwise add to the peak.
-        return IraGraph(k, q, edge_info, _check_sockets(k, q, dist))
-    sockets = [_sockets(num_info[i], num_parity[i], dist) for i in drawn]
+        return IraGraph(k, q, _info_side(k, dist, perm), _check_sockets(k, q, dist))
+    # One lookup per instance size: trials of a uniform ensemble share theirs.
+    table = {kq: _sockets(*kq, dist) for kq in {(num_info[i], num_parity[i]) for i in drawn}}
+    sockets = [table[num_info[i], num_parity[i]] for i in drawn]
     counts = [c.size for _, c in sockets]
-    # Shuffled as intp: an int32 shuffle draws the same permutation, slower.
-    perm = np.arange(sum(counts))
-    lo = 0
-    for i, size in zip(drawn, counts):
-        rngs[i].shuffle(perm[lo:lo + size])
-        lo += size
     info_off = np.cumsum((0, *num_info), dtype=np.int32)
     par_off = np.cumsum((0, *num_parity), dtype=np.int32)
     # Each instance's chain starts at its first parity; an instance without

@@ -5,7 +5,9 @@ sends one bus word through the erasure channel, and decodes. Trials are
 keyed by (seed, trial index) through a counter-based generator, so results
 are reproducible and independent of execution order, batching or
 parallelism. Short trials run in batches: their instances are laid side by
-side as one disjoint union and decoded by a single decoder call.
+side as one disjoint union and decoded by a single decoder call. A sweep
+builds each batch once, channel draws included, and decodes it at every
+erasure probability of its grid.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, fields
 from functools import reduce
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -23,7 +25,8 @@ from .buscore import (BitsLike, BusState, as_bits, fib, _check_int, _run_bounds,
 from .bpdecode import ERASED, ErasureWord, FactorGraph, build_factor_graph, _MAX_OUTER, _propagate
 from .cac import _encode_segments, _payload_bits
 from .densevo import DeModel, de_trajectory
-from .ira import DegreeDistribution, _sample_graphs, rate_ldpc, recc_from_rldpc
+from .ira import (DegreeDistribution, _permutation_size, _sample_graphs, rate_ldpc,
+                  recc_from_rldpc)
 from .jointcode import _complete_word, _layout_from_runs, _stride_layout
 
 __all__ = [
@@ -34,6 +37,7 @@ __all__ = [
     "build_instances",
     "bec_transmit",
     "gen_past_uniform",
+    "run_sweep",
     "run_trials",
     "trial_rng",
     "de_vs_simulation",
@@ -55,6 +59,11 @@ class EnsembleSpec:
         _check_int("ensemble length n", self.n, 1)
 
 
+def _check_eps(eps: float) -> None:
+    if not 0.0 <= eps <= 1.0:
+        raise ValueError(f"eps must lie in [0, 1], got {eps}")
+
+
 def _check_mode(mode: str) -> None:
     if mode not in ("uniform-codeword", "info-bits"):
         raise ValueError(f"mode must be 'uniform-codeword' or 'info-bits', got {mode!r}")
@@ -71,8 +80,7 @@ class SimConfig:
     jobs: int = 1
 
     def __post_init__(self):
-        if not 0.0 <= self.eps <= 1.0:
-            raise ValueError(f"eps must lie in [0, 1], got {self.eps}")
+        _check_eps(self.eps)
         _check_int("trials", self.trials, 1)
         _check_mode(self.mode)
         _check_int("jobs", self.jobs, 1)
@@ -152,8 +160,7 @@ def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
 
 def bec_transmit(b: BitsLike, eps: float, rng: np.random.Generator) -> ErasureWord:
     """Erase each symbol independently with probability eps; never flips."""
-    if not 0.0 <= eps <= 1.0:
-        raise ValueError(f"eps must lie in [0, 1], got {eps}")
+    _check_eps(eps)
     bits = as_bits(b)
     return ErasureWord(np.where(rng.random(bits.size) < eps, ERASED, bits))
 
@@ -244,14 +251,16 @@ def _draw_modified(n: int, r_ecc: float,
     return _state_from_runs(first_bit, lengths[perm]).bits, is_parity[perm]
 
 
-# Wires decoded together: run_trials batches max(1, BATCH_WIRES // N) trials,
+# Wires decoded together: run_sweep batches max(1, BATCH_WIRES // N) trials,
 # so the fixed cost of each numpy call in the decoder is shared by many
-# short trials, while a bus this wide or wider runs one trial at a time.
-# Measured on a 2-vCPU Xeon: at 10,000 a 100-trial point at N = 100 is one
-# union, 1.3x the trials per second of 4096 (three unions); N = 10^4 stays
-# alone, since unions of 4 or 8 such trials raised the benchmark's peak RSS
-# by 15% or 29%; and fewer, larger batches at small N leave ``jobs`` fewer
-# work units to share.
+# short trials, while a bus this wide or wider runs one trial at a time. A
+# batch is built once and decoded at every eps of a sweep, so one batch,
+# with its channel draws, is what a worker holds. Measured on a 2-vCPU
+# Xeon: at 10,000 a 100-trial point at N = 100 is one union, 1.3x the
+# trials per second of 4096 (three unions); N = 10^4 stays alone, since
+# unions of 4 or 8 such trials raised the benchmark's peak RSS by 15% or
+# 29%; and fewer, larger batches at small N leave ``jobs`` fewer work units
+# to share.
 BATCH_WIRES = 10_000
 
 
@@ -265,16 +274,19 @@ class CodeInstances:
     next instance, and ``fg.graph``, the disjoint union of the sampled
     graphs, restarts its parity chain at each instance, so the decoder
     treats the instances as independent. A single trial is the case of one
-    instance, and with no trial kept ``fg`` is None and ``word`` empty.
-    ``word`` is the transmitted codeword, and ``rngs`` holds each trial's
-    stream, positioned after the draws of its instance.
+    instance, and with no trial kept ``fg`` is None and ``word`` and ``u``
+    empty. ``word`` is the transmitted codeword, and ``u`` holds the
+    channel draws: one uniform per wire (float64, in instance order), the
+    last draws of each trial's stream. The erasure channel at eps erases
+    the wires whose draw lies below eps, so one set of draws serves every
+    eps of a sweep.
     """
 
     trials: tuple[int, ...]
     offsets: np.ndarray
     fg: Optional[FactorGraph]
     word: np.ndarray
-    rngs: tuple[np.random.Generator, ...]
+    u: np.ndarray
     insufficient: int = 0  # trials dropped: a uniform past state short of free wires
 
 
@@ -286,111 +298,231 @@ def build_instances(
     mode: str = "uniform-codeword",
 ) -> CodeInstances:
     """Code instances of the given trials: their decoding graph (past
-    state, layout and graph) and the transmitted word.
+    state, layout and graph), the transmitted word and the channel draws.
 
     Trial t draws from its own stream ``trial_rng(seed, t)``, in order: the
-    past state from ``ensemble``, the graph, then the word. A code of
-    ``dist`` needs round(N (1 - r_ecc)) parities: a uniform-ensemble state
-    with fewer free wires drops its trial (counted in ``insufficient``),
-    and a modified-ensemble state, drawn for the rate r_ecc of ``dist``,
-    brings its own parity wires.
+    past state from ``ensemble``, the graph, the word, then one channel
+    uniform per wire. A code of ``dist`` needs round(N (1 - r_ecc))
+    parities: a uniform-ensemble state with fewer free wires drops its
+    trial (counted in ``insufficient``), and a modified-ensemble state,
+    drawn for the rate r_ecc of ``dist``, brings its own parity wires.
 
     The word is drawn on the trial's own layout, the one it is decoded on.
     'uniform-codeword' draws it uniformly over the valid words of the
     layout's runs; 'info-bits' CAC-encodes a uniform payload of as many
     bits as the trial's own segments carry. Either way the parity slots
     then take their parities.
+
+    One generator serves the whole batch: it is re-keyed for each trial to
+    the state ``trial_rng(seed, t)`` starts from, and the trial draws all
+    it needs before the next one is keyed. A uniform-ensemble trial is kept
+    or dropped by the free wires of the whole batch, counted at once after
+    the draws: a dropped trial has drawn in full in 'uniform-codeword'
+    mode, and only its past state in 'info-bits' mode, which lays out each
+    trial's segments as it goes.
     """
     trials = tuple(trials)
     if not trials:
         raise ValueError("at least one trial is required")
     _check_mode(mode)
-    rngs = [trial_rng(seed, t) for t in trials]
+    _check_key_word("seed", seed)
     r_ecc = recc_from_rldpc(rate_ldpc(dist))
-    if ensemble.kind == "uniform":
-        pasts = [rng.integers(0, 2, ensemble.n, dtype=np.uint8) for rng in rngs]
-    else:
-        pasts, parity_runs = zip(*(_draw_modified(ensemble.n, r_ecc, rng) for rng in rngs))
+    n = ensemble.n
+    uniform = ensemble.kind == "uniform"
+    p = round(n * (1.0 - r_ecc))  # parities of a uniform-ensemble trial
+    # A fresh Philox keyed [seed, t]: counter 0 and an empty buffer, which
+    # also drops the half uint32 a past draw may leave behind. Setting this
+    # state costs about a tenth of building the stream anew.
+    fresh = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": [seed, 0]},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    key = fresh["state"]["key"]
+    bitgen = np.random.Philox(_TrialKey(seed, 0))
+    rng = np.random.Generator(bitgen)
+    codeword = mode == "uniform-codeword"
+    # Each trial ends with uniforms: its word's in 'uniform-codeword' mode,
+    # then its channel's. Uniform-ensemble trials all draw the same sizes:
+    # each draws these uniforms into a row of one buffer, and its socket
+    # permutation by shuffling its own slice of one range, which leaves the
+    # permutations offset as the graph union numbers its sockets (shuffled
+    # as intp: an int32 shuffle draws the same permutation, slower).
+    # Modified-ensemble sizes vary per trial.
+    sockets = _permutation_size(n - p, p, dist) if uniform else 0
+    perm = np.arange(len(trials) * sockets)
+    rows = np.empty((len(trials) if uniform else 0, (1 + codeword) * n))
+    pasts, parity_runs, num_parity, perms, words, tails = [], [], [], [], [], []
+    for i, t in enumerate(trials):
+        _check_key_word("trial index", t)
+        key[1] = t
+        bitgen.state = fresh
+        if uniform:
+            x = rng.integers(0, 2, n, dtype=np.uint8)
+            trial_perm = perm[i * sockets:(i + 1) * sockets]
+        else:
+            x, runs = _draw_modified(n, r_ecc, rng)
+            q = int(np.count_nonzero(runs))
+            trial_perm = np.arange(_permutation_size(x.size - q, q, dist))
+            parity_runs.append(runs)
+            num_parity.append(q)
+            perms.append(trial_perm)
+        pasts.append(x)
+        if not codeword:
+            starts, lengths = _run_bounds(x)
+            if not uniform:
+                segments = _layout_from_runs(x.size, starts, lengths, runs).segments
+            elif np.count_nonzero(lengths == 1) >= p:
+                segments = _stride_layout(n, starts, lengths, np.array([0, n]), p).segments
+            else:
+                words.append(None)  # dropped with the batch's other short states below
+                continue
+        rng.shuffle(trial_perm)
+        if not codeword:
+            payload = rng.integers(0, 2, _payload_bits(segments), dtype=np.uint8)
+            words.append(_encode_segments(payload, x, segments))
+        if uniform:
+            rng.random(out=rows[i])
+        else:
+            tails.append(rng.random((1 + codeword) * x.size))
+
     # The past states side by side, their runs cut at every word offset.
     offsets = np.cumsum([0] + [x.size for x in pasts])
     a = np.concatenate(pasts)
     starts, lengths = _run_bounds(a, offsets[:-1])
-
+    runs = np.diff(np.searchsorted(starts, offsets))  # per word
     insufficient = 0
-    if ensemble.kind == "uniform":
-        p = round(ensemble.n * (1.0 - r_ecc))
+    if uniform:
         keep = np.diff(np.searchsorted(starts[lengths == 1], offsets)) >= p
-        insufficient = len(trials) - int(np.count_nonzero(keep))
-        if insufficient == len(trials):
-            return CodeInstances((), np.zeros(1, dtype=np.int64), None,
-                                 np.zeros(0, dtype=np.uint8), (), insufficient)
+        kept = int(np.count_nonzero(keep))
+        insufficient = len(trials) - kept
+        if not kept:
+            return _no_instances(insufficient)
         if insufficient:
-            kept = np.flatnonzero(keep).tolist()
-            trials = tuple(trials[i] for i in kept)
-            rngs = [rngs[i] for i in kept]
-            pasts = [pasts[i] for i in kept]
-            a = a.reshape(-1, ensemble.n)[keep].ravel()
-            offsets = offsets[:len(kept) + 1]
-            starts, lengths = _run_bounds(a, offsets[:-1])
+            # Whatever the dropped trials drew goes; every kept trial moves
+            # left past the wires and sockets of the dropped ones before it.
+            moved = (np.arange(keep.size) + 1 - np.cumsum(keep))[keep]
+            run_kept = np.repeat(keep, runs)
+            runs = runs[keep]
+            starts = starts[run_kept] - np.repeat(moved * n, runs)
+            lengths = lengths[run_kept]
+            perm = perm.reshape(keep.size, sockets)[keep]
+            perm -= (moved * sockets)[:, None]
+            perm = perm.ravel()
+            a = a.reshape(-1, n)[keep].ravel()
+            offsets = offsets[:kept + 1]
+            rows = rows[keep]
+            # (in 'uniform-codeword' mode no word is drawn yet)
+            trials, words = ([x for x, k in zip(xs, keep.tolist()) if k]
+                             for xs in (trials, words))
+        num_parity = [p] * kept
         layout = _stride_layout(a.size, starts, lengths, offsets, p)
+        # u is a copy: a view would keep the word's draws alive with it
+        heads, u = rows[:, :n].ravel(), rows[:, -n:].flatten()
     else:
         layout = _layout_from_runs(a.size, starts, lengths, np.concatenate(parity_runs))
-    num_info = np.diff(np.searchsorted(layout.info_wire_array, offsets)).tolist()
-    num_parity = np.diff(np.searchsorted(layout.parity_slot_array, offsets)).tolist()
-    graph = _sample_graphs(num_info, num_parity, dist, rngs)
-
-    if mode == "uniform-codeword":
-        u = np.concatenate([rng.random(x.size) for rng, x in zip(rngs, pasts)])
-        word_of_run = np.searchsorted(offsets, starts, side="right") - 1
-        word = _valid_word(a, starts, lengths, u, word_of_run)
+        sizes = [x.size for x in perms]
+        perm = np.concatenate(perms) + np.repeat(np.cumsum([0] + sizes[:-1]), sizes)
+        del perms
+        heads = np.concatenate([tail[:x.size] for tail, x in zip(tails, pasts)])
+        u = np.concatenate([tail[-x.size:] for tail, x in zip(tails, pasts)])
+    num_info = (np.diff(offsets) - num_parity).tolist()
+    graph = _sample_graphs(num_info, num_parity, dist, perm)
+    del perm
+    if codeword:
+        word_of_run = np.repeat(np.arange(runs.size), runs)
+        word = _valid_word(a, starts, lengths, heads, word_of_run)
     else:
-        bounds = np.searchsorted(layout.segments[:, 0], offsets).tolist()
-        parts = []
-        for x, o, lo, hi, rng in zip(pasts, offsets.tolist(), bounds, bounds[1:], rngs):
-            segments = layout.segments[lo:hi] - (o, 0)
-            payload = rng.integers(0, 2, _payload_bits(segments), dtype=np.uint8)
-            parts.append(_encode_segments(payload, x, segments))
-        word = np.concatenate(parts)
+        word = np.concatenate(words)
     _complete_word(word, a, layout, graph)
-    return CodeInstances(trials=trials, offsets=offsets, fg=build_factor_graph(a, graph, layout),
-                         word=word, rngs=tuple(rngs), insufficient=insufficient)
+    return CodeInstances(trials=tuple(trials), offsets=offsets,
+                         fg=build_factor_graph(a, graph, layout), word=word, u=u,
+                         insufficient=insufficient)
 
 
-def _channel_draws(inst: CodeInstances) -> np.ndarray:
-    """One uniform draw per wire of each instance, from the trial's own
-    stream after its instance: the erasure channel at eps erases the wires
-    whose draw lies below eps."""
-    sizes = np.diff(inst.offsets).tolist()
-    return np.concatenate([rng.random(size) for rng, size in zip(inst.rngs, sizes)])
+def _no_instances(insufficient: int) -> CodeInstances:
+    """The instances of a batch that kept no trial."""
+    empty = np.zeros(0)
+    return CodeInstances((), np.zeros(1, dtype=np.int64), None, empty.astype(np.uint8), empty,
+                         insufficient)
 
 
-def _run_batch(config: SimConfig, trials: range) -> TrialStats:
-    """Counts of one batch of trials, decoded as one disjoint union."""
+def _run_batch(config: SimConfig, eps: list[float], trials: range) -> list[TrialStats]:
+    """Counts of one batch of trials at each point of ``eps``: the batch is
+    built once and decoded, as one disjoint union, at every point.
+
+    With the channel draws shared, the erased wires at a lower eps are a
+    subset of those at a higher one, and BP on the erasure channel is
+    monotone under that degradation (Richardson and Urbanke, Modern Coding
+    Theory, 2008, ch. 3): the wires a converged decode leaves unresolved
+    contain those of every converged decode at a lower eps. The points are
+    decoded in ascending eps, and a break of that nesting raises, as a
+    decoded bit that differs from the transmitted word does. A decode cut
+    at ``_MAX_OUTER`` may break it and is left out of the comparison.
+    """
     n = config.ensemble.n
     inst = build_instances(config.seed, trials, config.dist, config.ensemble, config.mode)
     k = inst.insufficient
-    stats = TrialStats(trials=k, bits_code=k * n, bit_errors_code=k * n, block_errors=k,
-                       insufficient_free_wire_events=k, rng_seed=config.seed)
+    dropped = TrialStats(trials=k, bits_code=k * n, bit_errors_code=k * n, block_errors=k,
+                         insufficient_free_wire_events=k, rng_seed=config.seed)
     if not inst.trials:
-        return stats
-    sizes = np.diff(inst.offsets)
-    received = np.where(_channel_draws(inst) < config.eps, ERASED, inst.word)
+        return [dropped] * len(eps)
     fg = inst.fg
-    dec = _propagate(received, fg, _MAX_OUTER)
-    if not np.array_equal(dec.val.compress(dec.resolved), inst.word.compress(dec.resolved)):
-        raise RuntimeError("decoder emitted a bit that differs from the transmitted word")
-    erased = ~dec.resolved
-    instance_of_wire = np.repeat(np.arange(sizes.size), sizes)
-    residual = np.bincount(instance_of_wire[erased], minlength=sizes.size)
-    return stats.add(TrialStats(
-        trials=sizes.size,
-        bits_code=fg.n,
-        bit_errors_code=int(residual.sum()),
-        bits_info=fg.layout.num_info,
-        bit_errors_info=int(np.count_nonzero(erased[fg.layout.info_wire_array])),
-        block_errors=int(np.count_nonzero(residual)),
-        rng_seed=config.seed,
-    ))
+    out: list[TrialStats] = [dropped] * len(eps)
+    below = None  # the wires left unresolved by the last converged decode
+    for i in sorted(range(len(eps)), key=eps.__getitem__):
+        dec = _propagate(np.where(inst.u < eps[i], ERASED, inst.word), fg, _MAX_OUTER)
+        if not np.array_equal(dec.val.compress(dec.resolved), inst.word.compress(dec.resolved)):
+            raise RuntimeError("decoder emitted a bit that differs from the transmitted word")
+        erased = ~dec.resolved
+        if dec.converged:
+            if below is not None and np.any(below & dec.resolved):
+                wire = int(np.flatnonzero(below & dec.resolved)[0])
+                raise RuntimeError(
+                    f"decoder resolved wire {wire} at eps {eps[i]} but not at a lower eps "
+                    "on the same channel draws: unresolved wires must nest")
+            below = erased
+        residual = np.add.reduceat(erased, inst.offsets[:-1], dtype=np.int64)  # per instance
+        out[i] = dropped.add(TrialStats(
+            trials=residual.size,
+            bits_code=fg.n,
+            bit_errors_code=int(residual.sum()),
+            bits_info=fg.layout.num_info,
+            bit_errors_info=int(np.count_nonzero(erased[fg.layout.info_wire_array])),
+            block_errors=int(np.count_nonzero(residual)),
+            rng_seed=config.seed,
+        ))
+    return out
+
+
+def run_sweep(config: SimConfig, eps: Sequence[float]) -> list[TrialStats]:
+    """``run_trials`` at every point of ``eps``, in the order given: each
+    point's counts are those of ``replace(config, eps=point)``, and
+    ``config.eps`` itself is not read.
+
+    Every batch of trials is built once and decoded at every point: a
+    trial's instance and channel draws do not depend on eps. The batches
+    are the work units of the ``jobs`` worker processes. Within a batch the
+    residual erasures of converged decodes must nest across eps, or
+    ``RuntimeError`` is raised.
+    """
+    eps = [float(x) for x in eps]
+    if not eps:
+        raise ValueError("at least one eps point is required")
+    for x in eps:
+        _check_eps(x)
+    size = max(1, BATCH_WIRES // config.ensemble.n)
+    batches = [range(lo, min(lo + size, config.trials)) for lo in range(0, config.trials, size)]
+    workers = min(config.jobs, len(batches), os.cpu_count() or 1)
+    if workers > 1:
+        # The pool's module costs about half of this module's import time,
+        # so only a campaign that uses it imports it.
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(_run_batch, [config] * len(batches), [eps] * len(batches),
+                                  batches, chunksize=-(-len(batches) // (workers * 4))))
+    else:
+        parts = [_run_batch(config, eps, batch) for batch in batches]
+    return [reduce(TrialStats.add, point, TrialStats(rng_seed=config.seed))
+            for point in zip(*parts)]
 
 
 def run_trials(config: SimConfig) -> TrialStats:
@@ -402,22 +534,10 @@ def run_trials(config: SimConfig) -> TrialStats:
     can be recomputed. Payload-bit counts skip such trials (no layout
     exists). Trials run in batches of max(1, BATCH_WIRES // N), each
     decoded at once, over at most min(``jobs``, CPU count) worker
-    processes; statistics are invariant to batching and ``jobs``.
+    processes; statistics are invariant to batching and ``jobs``. This is
+    ``run_sweep`` at the one point ``config.eps``.
     """
-    size = max(1, BATCH_WIRES // config.ensemble.n)
-    batches = [range(lo, min(lo + size, config.trials)) for lo in range(0, config.trials, size)]
-    workers = min(config.jobs, len(batches), os.cpu_count() or 1)
-    if workers > 1:
-        # The pool's module costs about half of this module's import time,
-        # so only a campaign that uses it imports it.
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_run_batch, [config] * len(batches), batches,
-                                  chunksize=-(-len(batches) // (workers * 4))))
-    else:
-        parts = [_run_batch(config, batch) for batch in batches]
-    return reduce(TrialStats.add, parts, TrialStats(rng_seed=config.seed))
+    return run_sweep(config, [config.eps])[0]
 
 
 def de_vs_simulation(
@@ -443,7 +563,7 @@ def de_vs_simulation(
     inst = build_instances(seed, [0], dist, EnsembleSpec("uniform", n))
     if inst.insufficient:
         raise ValueError("drawn past state lacks free wires; use a larger n or another seed")
-    received = np.where(_channel_draws(inst) < eps, ERASED, inst.word)
+    received = np.where(inst.u < eps, ERASED, inst.word)
     empirical = _propagate(received, inst.fg, iterations).trace
     empirical += [empirical[-1]] * (iterations - len(empirical))
     predicted += [predicted[-1] if predicted else 0.0] * (iterations - len(predicted))

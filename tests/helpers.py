@@ -7,6 +7,7 @@ with these on small instances.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Optional
 
 import numpy as np
@@ -202,6 +203,46 @@ def sequential_valid_word(a, starts, lengths, rng) -> np.ndarray:
             t[starts[r] + j] = one
             forced[r] = one
     return (a ^ t).astype(np.uint8)
+
+
+def trial_instance(seed, trial, dist, ensemble, mode):
+    """One trial of ``simkit.build_instances``, built alone from its own
+    stream ``trial_rng(seed, trial)``: its past state, its graph, its word
+    and its channel uniforms, drawn in that order, each by the slow path.
+    Returns (a, layout, graph, word, u), or None for a uniform-ensemble
+    past state with fewer free wires than the code has parities."""
+    from jointbus.ira import ira_encode, rate_ldpc, recc_from_rldpc, sample_graph
+    from jointbus.simkit import _draw_modified, gen_past_uniform, trial_rng
+
+    rng = trial_rng(seed, trial)
+    r_ecc = recc_from_rldpc(rate_ldpc(dist))
+    if ensemble.kind == "uniform":
+        a = gen_past_uniform(ensemble.n, rng).bits
+        p = round(ensemble.n * (1.0 - r_ecc))
+        if np.count_nonzero(_run_bounds(a)[1] == 1) < p:
+            return None
+        layout = build_layout(a, p)
+    else:
+        a, parity_runs = _draw_modified(ensemble.n, r_ecc, rng)
+        starts, lengths = _run_bounds(a)
+        layout = WireLayout(n=a.size, parity_slot_array=starts[parity_runs], pinned=(),
+                            segments=np.column_stack((starts[~parity_runs],
+                                                      lengths[~parity_runs])))
+    graph = sample_graph(layout.num_info, layout.num_parity, dist, rng)
+    if mode == "uniform-codeword":
+        word = sequential_valid_word(a, *_run_bounds(a), rng)
+    else:
+        books = [RunCodebook(a[s : s + d]) for s, d in layout.segments.tolist()]
+        radices = [book.codeword_count for book in books]
+        k = math.prod(radices).bit_length() - 1
+        payload = rng.integers(0, 2, k, dtype=np.uint8)
+        index = int("".join(map(str, payload.tolist())) or "0", 2)
+        word = a.copy()
+        for (s, d), book, digit in zip(layout.segments.tolist(), books,
+                                       mixed_radix_digits(index, radices)):
+            word[s : s + d] = book.unrank(digit)
+    word[layout.parity_slot_array] = ira_encode(word[layout.info_wire_array], graph)
+    return a, layout, graph, word, rng.random(a.size)
 
 
 def wire_maps(fg: FactorGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -83,12 +83,14 @@ def main():
     run("de", "--dist-file", "/dev/stdin", "--threshold", stdin=dist)
     expect(run("de", "--regular", "3,12", "--threshold")[0], "threshold: 0.2260742188 +- 0.001")
 
-    # a process pool gives the CSV of a single process; 250 trials at N = 100
-    # are batches of 100, 100 and 50, so the pool also runs a partial last batch
-    # (info-bits mode also draws payload integers from each stream)
+    # a process pool gives the CSV of a single process; its work unit is one
+    # batch at every eps of the sweep. 250 trials are batches of 100, 100 and
+    # 50 at N = 100, so the pool also runs a partial last batch, and 25 batches
+    # of 10 at N = 1000 (info-bits mode also draws payload integers from each
+    # stream)
     for mode in ("uniform-codeword", "info-bits"):
-        same_csv("--regular", "3,12", "--blocklen", "100", "--eps", "0.1", "--trials", "250",
-                 "--seed", "1", "--mode", mode)
+        same_csv("--regular", "3,12", "--blocklen", "100,1000", "--eps", "0:0.3:0.05",
+                 "--trials", "250", "--seed", "1", "--mode", mode)
     # the same on a wide bus: 8 trials at N = 10^4 are 8 one-trial batches, which
     # the pool shares between its two workers
     same_csv("--regular", "3,12", "--blocklen", "10000", "--eps", "0.22:0.24:0.01", "--trials", "8",

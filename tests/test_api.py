@@ -118,7 +118,7 @@ NO_BITS = {
     "DminResult", "rate_shielded", "rate_embedded", "wires_needed", "ERASED", "DecodeResult",
     "DeState", "DeModel", "p_coeffs", "de_step", "de_trajectory", "de_threshold",
     "asymptotic_cac_rate", "AsymptoticRate", "EnsembleSpec", "SimConfig", "TrialStats",
-    "CodeInstances", "build_instances", "gen_past_uniform", "run_trials", "trial_rng",
+    "CodeInstances", "build_instances", "gen_past_uniform", "run_sweep", "run_trials", "trial_rng",
     "de_vs_simulation",
 }
 

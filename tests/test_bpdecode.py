@@ -12,7 +12,6 @@ from jointbus import (
     EnsembleSpec,
     ErasureWord,
     FactorGraph,
-    bec_transmit,
     bp_decode,
     build_factor_graph,
     build_instances,
@@ -471,8 +470,7 @@ def test_bp_decode_stops_on_a_stopping_set():
     assert cut_short >= 20
     for n, trials in ((10**4, 6), (10**5, 1)):
         inst = build_instances(3, range(trials), DIST, EnsembleSpec("uniform", n))
-        u = np.concatenate([r.random(n) for r in inst.rngs])
-        rcv = np.where(u < 0.226, ERASED, inst.word)
+        rcv = np.where(inst.u < 0.226, ERASED, inst.word)
         res = bp_decode(rcv, inst.fg, extract_payload=False)
         assert res.converged and res.residual_erasures > 0, n
         assert stopping_set_violation(inst.fg, res.word.symbols) is None, n
@@ -572,7 +570,7 @@ def test_bp_decode_stops_at_the_first_iteration_that_adds_no_knowledge():
     # a wire the channel gave, which adds no knowledge: counted as a change,
     # it cost a 22nd iteration with the same residual
     inst = build_instances(3, [0], DIST, EnsembleSpec("uniform", 10_000))
-    received = bec_transmit(inst.word, 0.24, inst.rngs[0])
+    received = ErasureWord(np.where(inst.u < 0.24, ERASED, inst.word))
     res = bp_decode(received, inst.fg, record_trace=True)
     assert (res.iterations, res.residual_erasures, res.converged) == (21, 1017, True)
     assert res == sweep_decode(received, inst.fg, record_trace=True)
@@ -587,7 +585,8 @@ def test_bp_decode_schedule_is_pinned_at_ten_thousand_wires():
     for seed, eps in zip(range(3), (0.20, 0.22, 0.24)):
         for trial in range(8):
             inst = build_instances(seed, [trial], DIST, EnsembleSpec("uniform", 10_000))
-            res = bp_decode(bec_transmit(inst.word, eps, inst.rngs[0]), inst.fg, record_trace=True)
+            received = np.where(inst.u < eps, ERASED, inst.word)
+            res = bp_decode(received, inst.fg, record_trace=True)
             iterations.append(res.iterations)
             digest.update(res.word.symbols.tobytes())
             digest.update(repr((res.info_bits, res.iterations, res.converged,

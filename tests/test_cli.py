@@ -184,6 +184,28 @@ def test_simulate_csv_bytes_pinned_at_ten_thousand_wires(capsys):
             == "df481b0dcfa97e9cf5e74af605ef107b9a837f2869b8166c6cfa6f7e56e89a33")
 
 
+@pytest.mark.parametrize("ensemble", ["uniform", "modified"])
+@pytest.mark.parametrize("mode", ["uniform-codeword", "info-bits"])
+def test_simulate_sweep_is_one_run_per_eps(capsys, ensemble, mode):
+    # a sweep builds each batch once and decodes it at every eps; its rows
+    # are those of one run per (N, eps), with one process or a pool of two
+    args = ["--regular", "3,12", "--trials", "120", "--seed", "5", "--ensemble", ensemble,
+            "--mode", mode]
+    rows = []
+    for n in ("100", "1000"):
+        for eps in ("0", "0.05", "0.1", "0.15", "0.2", "0.25", "0.3"):
+            code, out, _ = run_cli(capsys, "simulate", *args, "--blocklen", n, "--eps", eps,
+                                   "--jobs", "1")
+            assert code == 0
+            header, row = out.splitlines(keepends=True)
+            rows.append(row)
+    for jobs in ("1", "2"):
+        code, out, _ = run_cli(capsys, "simulate", *args, "--blocklen", "100,1000",
+                               "--eps", "0:0.3:0.05", "--jobs", jobs)
+        assert code == 0
+        assert out == header + "".join(rows), jobs
+
+
 @pytest.mark.parametrize("code_flag", ["--regular", "--dist-file"])
 def test_de_bytes_pinned(capsys, tmp_path, code_flag):
     # the trajectory CSV bytes below and above the threshold, and the

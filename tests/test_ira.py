@@ -12,7 +12,7 @@ from jointbus import (
     sample_graph,
     validate_checks,
 )
-from jointbus.ira import _sample_graphs, _sockets
+from jointbus.ira import _permutation_size, _sample_graphs, _sockets
 from jointbus.simkit import trial_rng
 
 from helpers import graph_union
@@ -160,13 +160,19 @@ def _mixed_sizes(seed, count):
 ], ids=["uniform", "mixed", "with-empty", "no-edges"])
 def test_sample_graphs_is_the_union_of_single_samples(sizes):
     # edge for edge and chain for chain the union of one sample_graph per
-    # trial stream, and every stream left where sample_graph leaves it: an
-    # instance without info nodes or parities draws nothing
+    # trial stream, when each stream shuffles its own slice of one range:
+    # that draws what sample_graph's rng.permutation draws, so each stream
+    # is left where sample_graph leaves it, and an instance without info
+    # nodes or parities draws nothing
     dist = DegreeDistribution(((2, 0.3), (3, 0.7)), ((10, 0.5), (12, 0.5)))
     num_info, num_parity = (list(x) for x in zip(*sizes))
     batch_rngs = [trial_rng(8, t) for t in range(len(sizes))]
     single_rngs = [trial_rng(8, t) for t in range(len(sizes))]
-    batch = _sample_graphs(num_info, num_parity, dist, batch_rngs)
+    bounds = np.cumsum([0] + [_permutation_size(k, q, dist) for k, q in sizes])
+    perm = np.arange(bounds[-1])
+    for rng, lo, hi in zip(batch_rngs, bounds, bounds[1:]):
+        rng.shuffle(perm[lo:hi])
+    batch = _sample_graphs(num_info, num_parity, dist, perm)
     singles = [sample_graph(k, q, dist, rng)
                for k, q, rng in zip(num_info, num_parity, single_rngs)]
     union = graph_union(singles)
@@ -183,18 +189,20 @@ def test_sample_graphs_is_the_union_of_single_samples(sizes):
 
 def test_sample_graphs_of_one_instance_draws_one_permutation():
     # one instance: the socket array itself on the check side, and the info
-    # side scattered through the permutation rng.permutation draws
+    # side scattered through the one permutation rng.permutation draws
     dist = DegreeDistribution.regular(3, 12)
     rng = trial_rng(3, 0)
-    g = _sample_graphs([80], [20], dist, [rng])
+    g = sample_graph(80, 20, dist, rng)
     v_sockets, c_sockets = _sockets(80, 20, dist)
     assert g.edge_check is c_sockets
     ref = trial_rng(3, 0)
+    perm = ref.permutation(c_sockets.size)
     expect = np.empty_like(v_sockets)
-    expect[ref.permutation(c_sockets.size)] = v_sockets
+    expect[perm] = v_sockets
     assert np.array_equal(g.edge_info, expect)
     assert rng.random() == ref.random()
     assert np.flatnonzero(g.chain_start).tolist() == [0]
+    assert np.array_equal(_sample_graphs([80], [20], dist, perm).edge_info, expect)
 
 
 @pytest.mark.parametrize("num_info, num_parity", [
@@ -205,18 +213,22 @@ def test_sample_graphs_of_one_instance_draws_one_permutation():
 ], ids=["one-instance", "union", "parities", "info-nodes"])
 def test_sample_graphs_refuse_what_int32_cannot_index(num_info, num_parity):
     # refused from the counts alone: nothing is allocated (a socket array of
-    # 2**31 int32 entries is 8 GiB) and nothing is drawn
-    rngs = [np.random.default_rng(i) for i in range(len(num_info))]
-    before = [r.bit_generator.state for r in rngs]
+    # 2**31 int32 entries is 8 GiB), and sample_graph draws no permutation
+    dist = DegreeDistribution.regular(3, 12)
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match=r"does not fit int32 indices"):
-            _sample_graphs(num_info, num_parity, DegreeDistribution.regular(3, 12), rngs)
+            _sample_graphs(num_info, num_parity, dist, np.zeros(0, dtype=np.intp))
+        if len(num_info) == 1:
+            with pytest.raises(ValueError, match=r"does not fit int32 indices"):
+                sample_graph(num_info[0], num_parity[0], dist, rng)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 2**16
-    assert [r.bit_generator.state for r in rngs] == before
+    assert rng.bit_generator.state == before
 
 
 def test_sample_graph_balances_rounding_residual():

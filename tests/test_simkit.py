@@ -32,7 +32,7 @@ from jointbus.simkit import (BATCH_WIRES, _draw_modified, _run_batch, _sample_ru
 from jointbus.buscore import _run_bounds
 from jointbus.cac import _payload_bits
 
-from helpers import disjoint_union, sequential_valid_word, valid_words
+from helpers import disjoint_union, sequential_valid_word, trial_instance, valid_words
 
 DIST = DegreeDistribution.regular(3, 12)
 
@@ -335,13 +335,50 @@ def test_build_instances_batch_is_union_of_single_trials(ensemble, mode):
                     or "falls outside the used range" in result.violation), t
 
 
+@pytest.mark.parametrize("n", [5, 100])
+@pytest.mark.parametrize("kind", ["uniform", "modified"])
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("seed, trials", [(2, range(12)), (2**64 - 1, range(2**64 - 6, 2**64))],
+                         ids=["low", "top"])
+def test_build_instances_is_each_trial_built_alone(n, kind, mode, seed, trials):
+    # the batch builder keys one generator per trial; its instances, words
+    # and channel draws are those of each trial built alone from a fresh
+    # trial_rng(seed, t) by the slow path, dropped trials included (uniform
+    # N = 5 and 100 drop some) and at trial indices up to 2**64 - 1; at N =
+    # 100 every uniform past draw leaves half a uint32 buffered, which the
+    # next trial must not see
+    ensemble = EnsembleSpec(kind, n)
+    inst = build_instances(seed, trials, DIST, ensemble, mode)
+    alone = {t: trial_instance(seed, t, DIST, ensemble, mode) for t in trials}
+    kept = [t for t in trials if alone[t] is not None]
+    assert inst.trials == tuple(kept)
+    assert inst.insufficient == len(trials) - len(kept)
+    if not kept:
+        assert inst.fg is None and inst.word.size == 0 and inst.u.size == 0
+        return
+    a, layout, graph = disjoint_union([alone[t][:3] for t in kept])
+    assert np.array_equal(inst.offsets, np.cumsum([0] + [alone[t][0].size for t in kept]))
+    assert np.array_equal(inst.fg.a_bits, a)
+    assert inst.fg.layout == layout
+    assert np.array_equal(inst.fg.graph.edge_info, graph.edge_info)
+    assert np.array_equal(inst.fg.graph.edge_check, graph.edge_check)
+    assert np.array_equal(inst.fg.graph.chain_start, graph.chain_start)
+    assert np.array_equal(inst.word, np.concatenate([alone[t][3] for t in kept]))
+    assert inst.u.dtype == np.float64
+    assert np.array_equal(inst.u, np.concatenate([alone[t][4] for t in kept]))
+    if (kind, n) == ("uniform", 100):
+        rng = trial_rng(seed, trials[0])
+        gen_past_uniform(n, rng)
+        assert rng.bit_generator.state["has_uint32"] == 1
+
+
 @pytest.mark.parametrize("ensemble", ENSEMBLES, ids=["uniform", "modified"])
 @pytest.mark.parametrize("mode", MODES)
 def test_run_trials_invariant_to_batching_and_jobs(ensemble, mode):
     size = max(1, BATCH_WIRES // ensemble.n)
     base = SimConfig(ensemble=ensemble, dist=DIST, eps=0.2, trials=size + 1, seed=21,
                      mode=mode)
-    singles = [_run_batch(base, range(t, t + 1)) for t in range(size + 1)]
+    singles = [_run_batch(base, [0.2], range(t, t + 1))[0] for t in range(size + 1)]
     for trials in (size - 1, size, size + 1):
         expect = reduce(TrialStats.add, singles[:trials], TrialStats(rng_seed=21))
         for jobs in (1, 2):
@@ -422,7 +459,54 @@ def test_run_batch_refuses_a_decoded_bit_that_differs(monkeypatch):
     config = SimConfig(ensemble=EnsembleSpec("uniform", 100), dist=DIST, eps=0.1, trials=4,
                        seed=1)
     with pytest.raises(RuntimeError, match="differs from the transmitted word"):
-        _run_batch(config, range(4))
+        _run_batch(config, [0.1], range(4))
+
+
+@pytest.mark.parametrize("claim", [True, False], ids=["claims-converged", "reports-cut"])
+def test_run_batch_checks_that_residual_erasures_nest(monkeypatch, claim):
+    # the points of a batch are decoded in ascending eps on shared channel
+    # draws: a decode at eps 0.1 stopped after one iteration leaves wires
+    # unresolved that the full decode at 0.2 resolves. Claimed as a fixed
+    # point it breaks the nesting and is refused; reported as cut, it is
+    # left out of the comparison
+    engine = simkit._propagate
+    cut = []
+
+    def stop_the_first(symbols, fg, max_outer):
+        if cut:
+            return engine(symbols, fg, max_outer)
+        cut.append(engine(symbols, fg, 1))
+        assert not cut[0].converged
+        return cut[0]._replace(converged=claim)
+
+    monkeypatch.setattr(simkit, "_propagate", stop_the_first)
+    config = SimConfig(ensemble=EnsembleSpec("uniform", 100), dist=DIST, eps=0.1, trials=100,
+                       seed=1)
+    if claim:
+        with pytest.raises(RuntimeError, match="unresolved wires must nest"):
+            _run_batch(config, [0.2, 0.1], range(100))
+    else:
+        stats = _run_batch(config, [0.2, 0.1], range(100))
+        assert stats[0] == run_trials(dataclasses.replace(config, eps=0.2))
+
+
+def test_run_sweep_is_run_trials_at_each_point():
+    # an unsorted grid with a repeated point: rows in the order given
+    config = SimConfig(ensemble=EnsembleSpec("uniform", 60), dist=DIST, eps=1.0, trials=300,
+                       seed=4)
+    grid = [0.25, 0.0, 0.15, 0.25, 1.0]
+    expect = [run_trials(dataclasses.replace(config, eps=eps)) for eps in grid]
+    assert simkit.run_sweep(config, grid) == expect
+    assert simkit.run_sweep(dataclasses.replace(config, jobs=2), grid) == expect
+
+
+@pytest.mark.parametrize("grid, message", [([], "at least one eps point"),
+                                           ([0.1, 1.5], r"eps must lie in \[0, 1\], got 1.5"),
+                                           ([float("nan")], r"eps must lie in \[0, 1\]")])
+def test_run_sweep_checks_its_grid(grid, message):
+    config = SimConfig(ensemble=EnsembleSpec("uniform", 60), dist=DIST, eps=0.1, trials=3, seed=4)
+    with pytest.raises(ValueError, match=message):
+        simkit.run_sweep(config, grid)
 
 
 def test_run_trials_eps_zero_matches_free_wire_deficit():
@@ -502,7 +586,7 @@ def _block_failures(seed, runs, n=10**4, trials=40):
     inst = build_instances(seed, range(trials), DIST, EnsembleSpec("uniform", n))
     assert inst.insufficient == 0
     # the channel draws of run_trials, the same at every eps
-    u = simkit._channel_draws(inst)
+    u = inst.u
     info = inst.fg.layout.info_wire_array
     layout = dataclasses.replace(inst.fg.layout,
                                  segments=np.column_stack((info, np.ones_like(info))))
