@@ -143,7 +143,6 @@ class RunParse:
     run_lengths: tuple[int, ...]
     run_starts: tuple[int, ...]
     free_wires: tuple[int, ...]
-    source_length: int
 
 
 @dataclass(frozen=True)
@@ -191,7 +190,6 @@ def parse_runs(a: BitsLike) -> RunParse:
         run_lengths=tuple(int(d) for d in lengths),
         run_starts=tuple(int(s) + 1 for s in starts),
         free_wires=tuple(int(w) for w in free),
-        source_length=arr.size,
     )
 
 

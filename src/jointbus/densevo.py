@@ -147,6 +147,12 @@ def de_step(state: DeState, eps: float, model: DeModel) -> DeState:
     return DeState(x_ecc=x_ecc, y_ecc=y_ecc, x_p=x_p, y_p=y_p, x_cac=x_cac, y_cac=y_cac)
 
 
+def _check_eps(eps: float) -> None:
+    """An erasure probability, of the recursion or of the channel."""
+    if not 0.0 <= eps <= 1.0:
+        raise ValueError(f"eps must lie in [0, 1], got {eps}")
+
+
 _START = DeState(1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
 # x_ecc below this counts as decoding success.
 _SUCCESS_TOL = 1e-10
@@ -163,8 +169,7 @@ def de_trajectory(
     it (detected when successive x_ecc values stop moving at double
     precision).
     """
-    if not 0.0 <= eps <= 1.0:
-        raise ValueError(f"eps must lie in [0, 1], got {eps}")
+    _check_eps(eps)
     _check_int("max_iter", max_iter, 1)
     states: list[DeState] = []
     state = _START

@@ -122,9 +122,12 @@ def recc_from_rldpc(r_ldpc: float) -> float:
     """Overall code rate 1/(2 - r_ldpc) once parities are accumulated.
 
     Only front-end rates in (2/3, 1] are accepted: below that, parities
-    outnumber the free wires available to carry them as the bus grows.
+    outnumber the free wires available to carry them as the bus grows. The
+    bound is checked on the rate returned, which must lie in (3/4, 1] as
+    ``DeModel.for_code`` requires, so a front-end rate that rounds onto 2/3
+    from above, 0.6666666666666667 of a 2,6 code, is refused too.
     """
-    if not 2.0 / 3.0 < r_ldpc <= 1.0:
+    if not (r_ldpc <= 1.0 and 1.0 / (2.0 - r_ldpc) > 0.75):
         raise ValueError(f"front-end rate must lie in (2/3, 1], got {r_ldpc}")
     return 1.0 / (2.0 - r_ldpc)
 
@@ -265,7 +268,8 @@ def _sample_graphs(
         k, q = num_info[0], num_parity[0]
         return IraGraph(k, q, _info_side(k, dist, perm), _check_sockets(k, q, dist))
     # One lookup per instance size: trials of a uniform ensemble share theirs.
-    table = {kq: _sockets(*kq, dist) for kq in {(num_info[i], num_parity[i]) for i in drawn}}
+    table = {(k, q): (_var_sockets(k, dist), _check_sockets(k, q, dist))
+             for k, q in {(num_info[i], num_parity[i]) for i in drawn}}
     sockets = [table[num_info[i], num_parity[i]] for i in drawn]
     counts = [c.size for _, c in sockets]
     info_off = np.cumsum((0, *num_info), dtype=np.int32)
@@ -289,16 +293,9 @@ def _socket_total(num_info: int, dist: DegreeDistribution) -> int:
     return sum(d * t for d, t in zip(*_degree_counts(num_info, dist.L_coeffs)))
 
 
-# One entry each: the trials of a uniform-ensemble campaign all share one
-# size, and more entries would pin megabytes per size on wide buses.
-@functools.lru_cache(maxsize=1)
-def _sockets(num_info: int, num_parity: int,
-             dist: DegreeDistribution) -> tuple[np.ndarray, np.ndarray]:
-    """Variable-side and check-side sockets before matching (read-only:
-    many trials of one size share them)."""
-    return _var_sockets(num_info, dist), _check_sockets(num_info, num_parity, dist)
-
-
+# Socket arrays before matching, one entry each (read-only: many trials of
+# one size share them). The trials of a uniform-ensemble campaign all share
+# one size, and more entries would pin megabytes per size on wide buses.
 @functools.lru_cache(maxsize=1)
 def _var_sockets(num_info: int, dist: DegreeDistribution) -> np.ndarray:
     v_sockets = np.repeat(np.arange(num_info, dtype=np.int32),

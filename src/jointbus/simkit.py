@@ -14,17 +14,16 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, fields
-from functools import reduce
+from functools import cache, reduce
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from .buscore import (BitsLike, BusState, as_bits, fib, _check_int, _run_bounds,
                       _stable_argsort, _state_from_runs)
 from .bpdecode import ERASED, ErasureWord, FactorGraph, build_factor_graph, _MAX_OUTER, _propagate
 from .cac import _encode_segments, _payload_bits
-from .densevo import DeModel, de_trajectory
+from .densevo import DeModel, de_trajectory, _check_eps
 from .ira import (DegreeDistribution, _permutation_size, _sample_graphs, rate_ldpc,
                   recc_from_rldpc)
 from .jointcode import _complete_word, _layout_from_runs, _stride_layout
@@ -57,11 +56,6 @@ class EnsembleSpec:
         if self.kind not in ("uniform", "modified"):
             raise ValueError(f"ensemble kind must be 'uniform' or 'modified', got {self.kind!r}")
         _check_int("ensemble length n", self.n, 1)
-
-
-def _check_eps(eps: float) -> None:
-    if not 0.0 <= eps <= 1.0:
-        raise ValueError(f"eps must lie in [0, 1], got {eps}")
 
 
 def _check_mode(mode: str) -> None:
@@ -130,32 +124,27 @@ def _check_key_word(name: str, value: object) -> None:
         raise ValueError(f"{name} must lie in [0, 2**64), got {value}")
 
 
-class _TrialKey(ISeedSequence):
-    """The seed sequence of one trial stream: it hands Philox the key
-    [seed, trial_index] as it is. ``Philox(seed=None)`` and ``Philox(key=)``
-    both first draw a SeedSequence from OS entropy, most of the cost of a
-    stream, and Philox asks its seed sequence for no other state."""
-
-    __slots__ = ("words",)
-
-    def __init__(self, seed: int, trial_index: int):
-        self.words = (seed, trial_index)
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 2 or np.dtype(dtype) != np.uint64:
-            raise ValueError("a trial key is two uint64 words: the seed and the trial index")
-        return np.array(self.words, dtype=np.uint64)
+def _trial_state(seed: int, trial_index: int) -> dict:
+    """The state a trial stream starts from: Philox with counter 0, key
+    [seed, trial_index] and an empty buffer, which also drops the half
+    uint32 a draw before it may have left behind."""
+    return {"bit_generator": "Philox",
+            "state": {"counter": (0, 0, 0, 0), "key": (seed, trial_index)},
+            "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
 
 def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
     """Counter-based stream for one trial: Philox with counter 0 and key
-    [seed, trial_index], built from that key alone (no OS entropy is read).
-    Streams never overlap across trial indices, so any execution order gives
-    identical statistics. Seed and trial index must be integers in
-    [0, 2**64)."""
+    [seed, trial_index], set as the state of a Philox built from a fixed
+    seed (no OS entropy is read); ``build_instances`` sets its one
+    generator to this state for each trial. Streams never overlap across
+    trial indices, so any execution order gives identical statistics. Seed
+    and trial index must be integers in [0, 2**64)."""
     _check_key_word("seed", seed)
     _check_key_word("trial index", trial_index)
-    return np.random.Generator(np.random.Philox(_TrialKey(seed, trial_index)))
+    bitgen = np.random.Philox(0)
+    bitgen.state = _trial_state(seed, trial_index)
+    return np.random.Generator(bitgen)
 
 
 def bec_transmit(b: BitsLike, eps: float, rng: np.random.Generator) -> ErasureWord:
@@ -171,17 +160,15 @@ def gen_past_uniform(n: int, rng: np.random.Generator) -> BusState:
     return BusState(rng.integers(0, 2, n, dtype=np.uint8))
 
 
-# Fibonacci ratio table for uniform sampling of valid run continuations in
-# transition space (strings with no two adjacent transitions): with r
-# positions left, P(transition here) = F(r) / F(r+2).
-_RATIO1: list[float] = []
-
-
-def _ratio1(up_to: int) -> np.ndarray:
-    while len(_RATIO1) <= up_to:
-        r = len(_RATIO1)
-        _RATIO1.append(fib(r) / fib(r + 2) if r >= 1 else 0.0)
-    return np.asarray(_RATIO1)
+@cache
+def _transition_odds(longest: int) -> np.ndarray:
+    """For uniform sampling of valid run continuations in transition space
+    (strings with no two adjacent transitions): with r positions left,
+    r = 1..``longest``, P(transition here) = F(r) / F(r+2). Read-only: every
+    batch whose longest run has this length shares it."""
+    odds = np.array([0.0] + [fib(r) / fib(r + 2) for r in range(1, longest + 1)])
+    odds.setflags(write=False)
+    return odds
 
 
 def _valid_word(a: np.ndarray, starts: np.ndarray, lengths: np.ndarray, u: np.ndarray,
@@ -205,7 +192,7 @@ def _valid_word(a: np.ndarray, starts: np.ndarray, lengths: np.ndarray, u: np.nd
     uw = np.empty(n)
     uw[_stable_argsort(key, (int(word_of_run[-1]) + 1) * longest)] = u
     left = np.repeat(starts + lengths, lengths) - pos  # wires left in the run, this one included
-    c = uw < _ratio1(longest + 1)[left]
+    c = uw < _transition_odds(longest)[left]
     # t_j = c_j and not t_{j-1}: inside each stretch where c holds, the
     # transitions fall on every other wire, starting at its first. A
     # stretch starts at a run's first wire or after a wire where c fails.
@@ -330,13 +317,7 @@ def build_instances(
     n = ensemble.n
     uniform = ensemble.kind == "uniform"
     p = round(n * (1.0 - r_ecc))  # parities of a uniform-ensemble trial
-    # A fresh Philox keyed [seed, t]: counter 0 and an empty buffer, which
-    # also drops the half uint32 a past draw may leave behind. Setting this
-    # state costs about a tenth of building the stream anew.
-    fresh = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": [seed, 0]},
-             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    key = fresh["state"]["key"]
-    bitgen = np.random.Philox(_TrialKey(seed, 0))
+    bitgen = np.random.Philox(0)
     rng = np.random.Generator(bitgen)
     codeword = mode == "uniform-codeword"
     # Each trial ends with uniforms: its word's in 'uniform-codeword' mode,
@@ -352,8 +333,7 @@ def build_instances(
     pasts, parity_runs, num_parity, perms, words, tails = [], [], [], [], [], []
     for i, t in enumerate(trials):
         _check_key_word("trial index", t)
-        key[1] = t
-        bitgen.state = fresh
+        bitgen.state = _trial_state(seed, t)
         if uniform:
             x = rng.integers(0, 2, n, dtype=np.uint8)
             trial_perm = perm[i * sockets:(i + 1) * sockets]

@@ -14,12 +14,17 @@ import numpy as np
 import jointbus as jb
 
 
+# the warning filter pyproject.toml sets for the tier-1 tests: a numpy
+# overflow or deprecation on a wide CLI run fails the smoke
+WARNINGS_AS_ERRORS = ("-W", "error::RuntimeWarning", "-W", "error::DeprecationWarning")
+
+
 def run(*args, timeout=None, status=0, stdin=""):
     """Stdout of ``python -m jointbus *args`` and its max RSS in MiB. Stops the
     smoke on an exit status other than ``status``, such as 124 from coreutils
     ``timeout`` past ``timeout`` seconds. ``os.wait4`` reads this child's own
     max RSS, where ``RUSAGE_CHILDREN`` would keep the largest child's so far."""
-    cmd = [sys.executable, "-m", "jointbus", *args]
+    cmd = [sys.executable, *WARNINGS_AS_ERRORS, "-m", "jointbus", *args]
     proc = subprocess.Popen(["timeout", str(timeout), *cmd] if timeout else cmd, text=True,
                             stdin=subprocess.PIPE, stdout=subprocess.PIPE)
     with proc.stdin:

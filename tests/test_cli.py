@@ -582,21 +582,31 @@ def test_bit_string_has_one_message(argv, bad):
     assert f"bit string may contain only 0 and 1, got {bad!r}" in err
 
 
-@pytest.mark.parametrize("source", ["de", "simulate", "simulate-config"])
+@pytest.mark.parametrize("source", ["de", "simulate", "simulate-config", "de-regular",
+                                    "simulate-regular", "codec-regular"])
 def test_dist_file_rate_is_named(tmp_path, source):
     # a --dist-file code of front-end rate 0 is rejected before any work,
-    # under its flag, whether given on the command line or in --config
+    # under its flag, whether given on the command line or in --config; so
+    # is the 2,6 code, whose front-end rate rounds to 0.6666666666666667,
+    # above 2/3, and whose overall rate rounds to 3/4, which the threshold
+    # refuses: every command refuses it alike, under --regular
     dist = tmp_path / "dist.json"
     dist.write_text(json.dumps({"L": [[3, 1.0]], "R": [[3, 1.0]]}))
     config = tmp_path / "run.json"
     config.write_text(json.dumps({"dist_file": str(dist), "blocklen": "20", "eps": "0.1",
                                   "trials": 2, "jobs": 1}))
+    regular = ["--regular", "2,6"]
     argv = {"de": ["de", "--threshold", "--dist-file", str(dist)],
             "simulate": SIM + ["--dist-file", str(dist)],
-            "simulate-config": ["simulate", "--config", str(config)]}[source]
+            "simulate-config": ["simulate", "--config", str(config)],
+            "de-regular": ["de", "--threshold"] + regular,
+            "simulate-regular": SIM + regular,
+            "codec-regular": CODEC_ENCODE + ["--payload", "0000000000"] + regular}[source]
+    flag, rate = ("--regular", "0.6666666666666667") if source.endswith("regular") else (
+        "--dist-file", "0.0")
     code, out, err = run_console(argv)
     assert code == 3 and out == ""
-    assert "error: --dist-file: front-end rate must lie in (2/3, 1], got 0.0" in err
+    assert f"error: {flag}: front-end rate must lie in (2/3, 1], got {rate}" in err
 
 
 def _arg(flag, values):

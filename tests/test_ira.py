@@ -12,7 +12,7 @@ from jointbus import (
     sample_graph,
     validate_checks,
 )
-from jointbus.ira import _permutation_size, _sample_graphs, _sockets
+from jointbus.ira import _check_sockets, _permutation_size, _sample_graphs, _var_sockets
 from jointbus.simkit import trial_rng
 
 from helpers import graph_union
@@ -128,7 +128,8 @@ def test_sample_graph_lists_the_matching_by_check():
         if not (num_info and num_parity):
             assert g.num_edges == 0
             continue
-        v_sockets, c_sockets = _sockets(num_info, num_parity, dist)
+        v_sockets = _var_sockets(num_info, dist)
+        c_sockets = _check_sockets(num_info, num_parity, dist)
         perm = np.random.default_rng(seed).permutation(c_sockets.size)
         drawn = sorted(zip(v_sockets.tolist(), c_sockets[perm].tolist()))
         assert sorted(zip(g.edge_info.tolist(), g.edge_check.tolist())) == drawn
@@ -193,7 +194,7 @@ def test_sample_graphs_of_one_instance_draws_one_permutation():
     dist = DegreeDistribution.regular(3, 12)
     rng = trial_rng(3, 0)
     g = sample_graph(80, 20, dist, rng)
-    v_sockets, c_sockets = _sockets(80, 20, dist)
+    v_sockets, c_sockets = _var_sockets(80, dist), _check_sockets(80, 20, dist)
     assert g.edge_check is c_sockets
     ref = trial_rng(3, 0)
     perm = ref.permutation(c_sockets.size)

@@ -2,6 +2,7 @@ import concurrent.futures
 import dataclasses
 import hashlib
 import re
+import time
 from functools import reduce
 
 import numpy as np
@@ -29,7 +30,7 @@ from jointbus import (
 from jointbus import simkit
 from jointbus.simkit import (BATCH_WIRES, _draw_modified, _run_batch, _sample_run_length,
                              _valid_word)
-from jointbus.buscore import _run_bounds
+from jointbus.buscore import _run_bounds, fib
 from jointbus.cac import _payload_bits
 
 from helpers import disjoint_union, sequential_valid_word, trial_instance, valid_words
@@ -95,15 +96,6 @@ def test_integer_fields_take_numpy_integers():
     config = _config(trials=np.int64(3), seed=np.uint64(5), jobs=np.int8(1),
                      ensemble=EnsembleSpec("uniform", np.int64(100)))
     assert run_trials(config) == run_trials(_config(trials=3, seed=5))
-
-
-def test_trial_key_gives_only_a_philox_key():
-    # any other request would read the two key words as some other state
-    key = simkit._TrialKey(1, 2)
-    with pytest.raises(ValueError, match="two uint64 words"):
-        np.random.PCG64(key)  # asks for four uint64 words
-    with pytest.raises(ValueError, match="two uint64 words"):
-        key.generate_state(2)  # two uint32 words
 
 
 def test_bec_transmit_extremes():
@@ -200,6 +192,34 @@ def test_sample_valid_word_batch_matches_sequential_sampler(words, run):
     slow = [sequential_valid_word(x, *_run_bounds(x), trial_rng(k, 1))
             for k, x in enumerate(pasts)]
     assert np.array_equal(fast, np.concatenate(slow))
+
+
+def test_transition_odds_are_whole_under_two_threads(monkeypatch):
+    # two threads build the odds of one new run length at once, each
+    # sleeping in every Fibonacci number, so each yields the GIL to the
+    # other mid-build; a table grown in place took F(1)/F(3) twice this way,
+    # and every longer run then read the odds of a run one wire shorter:
+    # valid words, no longer uniform, and no error
+    ensemble = EnsembleSpec("uniform", 100)
+    alone = [trial_instance(2, t, DIST, ensemble, "uniform-codeword") for t in range(12)]
+    alone = [x for x in alone if x is not None]
+    longest = max(int(_run_bounds(x[0])[1].max()) for x in alone)
+    expect = np.array([0.0] + [fib(r) / fib(r + 2) for r in range(1, longest + 1)])
+
+    def yielding_fib(r):
+        time.sleep(1e-3)
+        return fib(r)
+
+    simkit._transition_odds.cache_clear()
+    monkeypatch.setattr(simkit, "fib", yielding_fib)
+    with concurrent.futures.ThreadPoolExecutor(2) as pool:
+        tables = list(pool.map(simkit._transition_odds, [longest] * 2))
+    monkeypatch.undo()
+    for table in tables:
+        assert np.array_equal(table, expect)
+    # the batch's longest run reads the table the threads built
+    inst = build_instances(2, range(12), DIST, ensemble)
+    assert np.array_equal(inst.word, np.concatenate([x[3] for x in alone]))
 
 
 def test_build_instances_one_trial_keeps_the_sampled_graph():
@@ -338,15 +358,16 @@ def test_build_instances_batch_is_union_of_single_trials(ensemble, mode):
 @pytest.mark.parametrize("n", [5, 100])
 @pytest.mark.parametrize("kind", ["uniform", "modified"])
 @pytest.mark.parametrize("mode", MODES)
-@pytest.mark.parametrize("seed, trials", [(2, range(12)), (2**64 - 1, range(2**64 - 6, 2**64))],
-                         ids=["low", "top"])
+@pytest.mark.parametrize("seed, trials", [(2, range(12)), (2**64 - 1, range(2**64 - 6, 2**64)),
+                                           (2, (11, 3, 40, 3, 0, 2**64 - 1, 7))],
+                         ids=["low", "top", "unsorted"])
 def test_build_instances_is_each_trial_built_alone(n, kind, mode, seed, trials):
     # the batch builder keys one generator per trial; its instances, words
     # and channel draws are those of each trial built alone from a fresh
     # trial_rng(seed, t) by the slow path, dropped trials included (uniform
-    # N = 5 and 100 drop some) and at trial indices up to 2**64 - 1; at N =
-    # 100 every uniform past draw leaves half a uint32 buffered, which the
-    # next trial must not see
+    # N = 5 and 100 drop some) and at trial indices up to 2**64 - 1, in any
+    # order, with gaps and repeats; at N = 100 every uniform past draw
+    # leaves half a uint32 buffered, which the next trial must not see
     ensemble = EnsembleSpec(kind, n)
     inst = build_instances(seed, trials, DIST, ensemble, mode)
     alone = {t: trial_instance(seed, t, DIST, ensemble, mode) for t in trials}
