@@ -46,7 +46,7 @@ import numpy as np
 from .buscore import BitsLike, as_bits, check_transition, _check_int
 from .cac import _decode_segments
 from .ira import IraGraph, ira_encode
-from .jointcode import WireLayout
+from .jointcode import WireLayout, _check_fit
 
 __all__ = [
     "ERASED",
@@ -142,9 +142,7 @@ class FactorGraph:
         arr, layout, graph = as_bits(self.a_bits), self.layout, self.graph
         if layout.n != arr.size:
             raise ValueError("layout does not match the past-state length")
-        if graph.num_parity != layout.num_parity or graph.num_info != layout.num_info:
-            raise ValueError(f"graph sized ({graph.num_info}, {graph.num_parity}) does not match "
-                             f"the layout ({layout.num_info}, {layout.num_parity})")
+        _check_fit(graph, layout)
         if np.any(graph.edge_check[1:] < graph.edge_check[:-1]):
             raise ValueError("graph edges must be listed in check order")
         object.__setattr__(self, "a_bits", arr)

@@ -61,7 +61,7 @@ def _load_dist(regular: Optional[str], dist_file: Optional[str],
             return dist, recc_from_rldpc(rate_ldpc(dist))
     spec = _read_json("--dist-file", dist_file)
     try:
-        pairs = [tuple((int(d), float(w)) for d, w in spec[key]) for key in ("L", "R")]
+        pairs = [tuple((d, w) for d, w in spec[key]) for key in ("L", "R")]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(
             "--dist-file must hold node-perspective pairs under keys 'L' and 'R'"

@@ -9,6 +9,9 @@ predecessor implicitly zero.
 from __future__ import annotations
 
 import functools
+import math
+import numbers
+import sys
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -33,13 +36,13 @@ def _normalize_pairs(pairs) -> _Pairs:
     merged: dict[int, float] = {}
     for d, w in pairs:
         _check_int("degree", d, 1)
-        d = int(d)
-        if w < 0:
-            raise ValueError(f"fractions must be >= 0, got {w}")
-        merged[d] = merged.get(d, 0.0) + float(w)
+        real = isinstance(w, numbers.Real) and not isinstance(w, bool)
+        if not (real and 0 <= w <= sys.float_info.max):
+            raise ValueError(f"fractions must be finite reals >= 0, got {w!r}")
+        merged[int(d)] = merged.get(int(d), 0.0) + float(w)
     total = sum(merged.values())
-    if total <= 0:
-        raise ValueError("degree distribution has no mass")
+    if not 0 < total < math.inf:
+        raise ValueError(f"degree distribution mass must be finite and > 0, got {total}")
     return tuple(sorted((d, w / total) for d, w in merged.items() if w > 0))
 
 
@@ -112,10 +115,7 @@ class DegreeDistribution:
 
 def rate_ldpc(dist: DegreeDistribution) -> float:
     """Design rate 1 - L'(1)/R'(1) of the sparse front end."""
-    rp = dist.avg_chk_degree
-    if rp == 0:
-        raise ValueError("check degree distribution has zero mean degree")
-    return 1.0 - dist.avg_var_degree / rp
+    return 1.0 - dist.avg_var_degree / dist.avg_chk_degree
 
 
 def recc_from_rldpc(r_ldpc: float) -> float:
@@ -200,8 +200,8 @@ def sample_graph(
     info nodes or without parities the graph has no edges, and nothing is
     drawn.
     """
-    _check_int("num_info", num_info)
-    _check_int("num_parity", num_parity)
+    _check_int("num_info", num_info, 0)
+    _check_int("num_parity", num_parity, 0)
     _check_graph_size((num_info,), (num_parity,), dist)
     if not (num_info and num_parity):
         return _sample_graphs((num_info,), (num_parity,), dist, np.zeros(0, dtype=np.intp))
@@ -228,12 +228,9 @@ def _permutation_size(num_info: int, num_parity: int, dist: DegreeDistribution) 
 
 def _check_graph_size(num_info: Sequence[int], num_parity: Sequence[int],
                       dist: DegreeDistribution) -> None:
-    """Refuse, from the counts alone, a union that int32 cannot index or
-    negative counts. No info node has more sockets than the largest degree,
-    so the exact socket total is needed only near the limit."""
-    for k, q in zip(num_info, num_parity):
-        if k < 0 or q < 0:
-            raise ValueError(f"node counts must be >= 0, got {k} info and {q} parity")
+    """Refuse, from the counts alone, a union that int32 cannot index. No
+    info node has more sockets than the largest degree, so the exact socket
+    total is needed only near the limit."""
     info, parities = sum(num_info), sum(num_parity)
     if max(info * dist.L_coeffs[-1][0], parities) >= _INDEX_LIMIT:
         total = sum(_permutation_size(k, q, dist) for k, q in zip(num_info, num_parity))

@@ -199,12 +199,16 @@ def embedded_encode(info_bits: BitsLike, a: BitsLike, graph: IraGraph) -> Embedd
     """
     arr = as_bits(a)
     layout = build_layout(arr, graph.num_parity)
-    if graph.num_info != layout.num_info:
-        raise ValueError(
-            f"graph has {graph.num_info} info nodes but the layout carries {layout.num_info}"
-        )
+    _check_fit(graph, layout)
     word = _complete_word(_encode_segments(info_bits, arr, layout.segments), arr, layout, graph)
     return EmbeddedCodeword(word=BusState(word), layout=layout)
+
+
+def _check_fit(graph: IraGraph, layout: WireLayout) -> None:
+    """Refuse a graph without one info node per payload wire and one parity per slot."""
+    if (graph.num_info, graph.num_parity) != (layout.num_info, layout.num_parity):
+        raise ValueError(f"graph sized ({graph.num_info}, {graph.num_parity}) does not match "
+                         f"the layout ({layout.num_info}, {layout.num_parity})")
 
 
 def _complete_word(word: np.ndarray, a: np.ndarray, layout: WireLayout,
@@ -317,8 +321,7 @@ def dmin_witness(c0_info: BitsLike, a: BitsLike, graph: IraGraph) -> tuple[BusSt
     layout = build_layout(arr, graph.num_parity)
     if layout.pinned:
         raise ValueError("witness construction requires all parities on free wires")
-    if graph.num_info != layout.num_info:
-        raise ValueError("graph does not match the layout for this past state")
+    _check_fit(graph, layout)
     c0 = as_bits(c0_info)
     if c0.size != layout.num_info:
         raise ValueError(f"expected {layout.num_info} systematic bits, got {c0.size}")
@@ -382,8 +385,7 @@ def dmin_bruteforce(a: BitsLike, graph: IraGraph) -> DminResult:
     layout = build_layout(arr, graph.num_parity)
     if layout.pinned:
         raise ValueError("distance scan requires all parities on free wires")
-    if graph.num_info != layout.num_info:
-        raise ValueError("graph does not match the layout for this past state")
+    _check_fit(graph, layout)
     width = layout.num_info
     if width > 20:
         raise ValueError(f"exhaustive scan limited to 20 systematic bits, got {width}")

@@ -24,8 +24,8 @@ from .buscore import (BitsLike, BusState, as_bits, fib, _check_int, _run_bounds,
 from .bpdecode import ERASED, ErasureWord, FactorGraph, build_factor_graph, _MAX_OUTER, _propagate
 from .cac import _encode_segments, _payload_bits
 from .densevo import DeModel, de_trajectory, _check_eps
-from .ira import (DegreeDistribution, _permutation_size, _sample_graphs, rate_ldpc,
-                  recc_from_rldpc)
+from .ira import (DegreeDistribution, _check_graph_size, _permutation_size, _sample_graphs,
+                  rate_ldpc, recc_from_rldpc)
 from .jointcode import _complete_word, _layout_from_runs, _stride_layout
 
 __all__ = [
@@ -326,7 +326,9 @@ def build_instances(
     # permutation by shuffling its own slice of one range, which leaves the
     # permutations offset as the graph union numbers its sockets (shuffled
     # as intp: an int32 shuffle draws the same permutation, slower).
-    # Modified-ensemble sizes vary per trial.
+    # Modified-ensemble sizes vary per trial, and are checked once drawn.
+    if uniform:
+        _check_graph_size([n - p] * len(trials), [p] * len(trials), dist)
     sockets = _permutation_size(n - p, p, dist) if uniform else 0
     perm = np.arange(len(trials) * sockets)
     rows = np.empty((len(trials) if uniform else 0, (1 + codeword) * n))

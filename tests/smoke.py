@@ -122,6 +122,9 @@ def main():
     # a seed outside [0, 2**64) is refused, not wrapped onto another seed
     run("simulate", "--regular", "3,12", "--blocklen", "100", "--eps", "0.1", "--trials", "20",
         "--seed", "-1", status=3)
+    # so is a code file whose weight is NaN, which once emptied L and crashed
+    run("simulate", "--dist-file", "/dev/stdin", "--blocklen", "100", "--eps", "0.1",
+        "--trials", "20", stdin='{"L": [[3, NaN]], "R": [[12, 1.0]]}', status=3)
     print("smoke passed")
 
 

@@ -186,6 +186,16 @@ def _decode_with(max_outer):
      "num_info must be an integer, got 10.0"),
     (lambda: ira.DegreeDistribution.regular(2.5, 12), "degree must be an integer, got 2.5"),
     (lambda: ira.DegreeDistribution.regular(0, 12), "degree must be >= 1, got 0"),
+    (lambda: ira.DegreeDistribution(((3.7, 1.0),), ((12, 1.0),)),
+     "degree must be an integer, got 3.7"),
+    (lambda: ira.DegreeDistribution(((3, 1.0),), ((True, 1.0),)),
+     "degree must be an integer, got True"),
+    (lambda: ira.DegreeDistribution((("3", 1.0),), ((12, 1.0),)),
+     "degree must be an integer, got '3'"),
+    (lambda: ira.DegreeDistribution(((3.0, 1.0),), ((12, 1.0),)),
+     "degree must be an integer, got 3.0"),
+    (lambda: ira.sample_graph(-1, 3, DIST, np.random.default_rng(0)),
+     "num_info must be >= 0, got -1"),
     (lambda: _decode_with(2.5), "max_outer must be an integer, got 2.5"),
     (lambda: _decode_with(True), "max_outer must be an integer, got True"),
     (lambda: _decode_with(0), "max_outer must be >= 1, got 0"),

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 import traceback
@@ -285,6 +286,23 @@ def test_simulate_missing_required(capsys):
     code, _, err = run_cli(capsys, "simulate", "--regular", "3,12", "--eps", "0.1")
     assert code == 3
     assert "'blocklen'" in err or "'trials'" in err
+
+
+def test_simulate_refuses_a_graph_too_wide_for_int32_before_allocating():
+    # 10^9 wires need 2.4 * 10^9 sockets: refused from the counts, before a
+    # socket range of 17.9 GiB is allocated, so a 2 GiB address space is enough
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "jointbus", "simulate", "--regular", "3,12", "--blocklen",
+         "1000000000", "--eps", "0.1", "--trials", "1", "--jobs", "1"],
+        capture_output=True, text=True, timeout=60, preexec_fn=limit,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert done.returncode == 3, done.stderr
+    assert "does not fit int32 indices" in done.stderr
+    assert "Traceback" not in done.stderr
 
 
 def test_simulate_modified_ensemble(capsys):
@@ -609,6 +627,25 @@ def test_dist_file_rate_is_named(tmp_path, source):
     assert f"error: {flag}: front-end rate must lie in (2/3, 1], got {rate}" in err
 
 
+@pytest.mark.parametrize("command", ["de", "simulate", "codec"])
+@pytest.mark.parametrize("L", ["[[3, NaN]]", "[[3, Infinity]]", "[[3, 1e308], [4, 1e308]]",
+                               "[[3.7, 1.0]]", "[[true, 1.0]]", '[["3", 1.0]]'],
+                         ids=["nan", "inf", "overflow", "float-degree", "bool-degree",
+                              "string-degree"])
+def test_dist_file_values_are_checked_as_given(tmp_path, command, L):
+    # pairs reach the code as the file gives them: a degree of 3.7 or true
+    # once ran as 3 or 1, a NaN weight emptied L (a threshold of 0.9995 or an
+    # IndexError), and an overflowing mass divided by zero
+    dist = tmp_path / "dist.json"
+    dist.write_text(f'{{"L": {L}, "R": [[12, 1.0]]}}')
+    argv = {"de": ["de", "--threshold"], "simulate": SIM,
+            "codec": CODEC_ENCODE + ["--payload", "0000000000"]}[command]
+    code, out, err = run_console(argv + ["--dist-file", str(dist)])
+    assert (code, out) == (3, ""), err
+    assert "Traceback" not in err
+    assert "error: --dist-file: " in err
+
+
 def _arg(flag, values):
     """The flag with its first (valid) value or with any value."""
     return st.one_of(st.just([flag, values[0]]), st.sampled_from(values).map(lambda v: [flag, v]))
@@ -619,8 +656,10 @@ def _opt(flag, values):
     return st.one_of(st.just([]), _arg(flag, values))
 
 
+# stands for a code file whose L weight is NaN, written once per module
+NAN_DIST = "<nan-weight dist file>"
 _DIST = st.one_of(_opt("--regular", ["3,12", "4,40", "2,4", "0,0", "3,0", "x", ""]),
-                  _opt("--dist-file", [MISSING]),
+                  _opt("--dist-file", [MISSING, NAN_DIST]),
                   st.just(["--regular", "3,12", "--dist-file", MISSING]))
 _OUT = _opt("--out", [MISSING_DIR_OUT])
 _ARGV = st.one_of(
@@ -653,11 +692,19 @@ _ARGV = st.one_of(
 )
 
 
+@pytest.fixture(scope="module")
+def nan_dist(tmp_path_factory):
+    path = tmp_path_factory.mktemp("dist") / "nan.json"
+    path.write_text('{"L": [[3, NaN]], "R": [[12, 1.0]]}')
+    return str(path)
+
+
 @settings(max_examples=150, deadline=None)
 @given(_ARGV.map(lambda parts: [arg for part in parts for arg in part]))
-def test_cli_exit_code_is_0_2_or_3_without_traceback(argv):
+def test_cli_exit_code_is_0_2_or_3_without_traceback(nan_dist, argv):
     # every argv of a small grammar, bad values included, ends in success,
     # a usage error or a named validation failure, never an escaped exception
+    argv = [nan_dist if arg == NAN_DIST else arg for arg in argv]
     code, _, err = run_console(argv)
     assert code in (0, 2, 3), (argv, err)
     assert "Traceback" not in err, (argv, err)

@@ -1,3 +1,5 @@
+import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -56,6 +58,24 @@ def test_distribution_validation():
         DegreeDistribution(((0, 1.0),), ((6, 1.0),))
     with pytest.raises(ValueError):
         DegreeDistribution(((2, -0.5),), ((6, 1.0),))
+
+
+@pytest.mark.parametrize("L, message", [
+    (((3, -0.5),), "fractions must be finite reals >= 0, got -0.5"),
+    (((3, math.nan),), "fractions must be finite reals >= 0, got nan"),
+    (((3, math.inf),), "fractions must be finite reals >= 0, got inf"),
+    (((3, True),), "fractions must be finite reals >= 0, got True"),
+    (((3, "0.5"),), "fractions must be finite reals >= 0, got '0.5'"),
+    (((3, 10**400),), "fractions must be finite reals >= 0, got 1000"),
+    (((3, 1e308), (4, 1e308)), "degree distribution mass must be finite and > 0, got inf"),
+    (((3, 0.0), (4, 0)), "degree distribution mass must be finite and > 0, got 0.0"),
+], ids=["negative", "nan", "inf", "bool", "string", "huge-int", "overflow", "no-mass"])
+def test_distribution_weights_are_finite_reals_of_positive_mass(L, message):
+    # a NaN weight once emptied L, and an overflowing mass divided by zero
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        DegreeDistribution(L, ((12, 1.0),))
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        DegreeDistribution(((3, 1.0),), L)
 
 
 def test_rate_ldpc():

@@ -8,6 +8,7 @@ import pytest
 
 from jointbus import (
     DegreeDistribution,
+    FactorGraph,
     check_transition,
     build_layout,
     compare_rates,
@@ -410,9 +411,13 @@ def test_dmin_rejects_shielded_layout_and_foreign_graph():
     free = np.zeros(4, dtype=np.uint8)
     assert build_layout(free, 2).num_info == 2
     foreign = IraGraph(3, 2, np.arange(3), np.array([0, 1, 1]))
+    # every entry point that takes a graph for a layout refuses it alike
     for call in (lambda: dmin_witness(np.ones(3, dtype=np.uint8), free, foreign),
-                 lambda: dmin_bruteforce(free, foreign)):
-        with pytest.raises(ValueError, match="graph does not match the layout"):
+                 lambda: dmin_bruteforce(free, foreign),
+                 lambda: embedded_encode("0", free, foreign),
+                 lambda: FactorGraph(free, build_layout(free, 2), foreign)):
+        with pytest.raises(ValueError, match=r"^graph sized \(3, 2\) does not match the "
+                                             r"layout \(2, 2\)$"):
             call()
 
 
