@@ -36,6 +36,13 @@ def _normalize_pairs(pairs) -> _Pairs:
     merged: dict[int, float] = {}
     for d, w in pairs:
         _check_int("degree", d, 1)
+        if d > sys.float_info.max:
+            # a degree meets the weights as a float, so it has their bound
+            try:
+                shown = str(d)
+            except ValueError:  # too long for Python to print as a decimal
+                shown = f"a {d.bit_length()}-bit integer"
+            raise ValueError(f"degree must be at most {sys.float_info.max}, got {shown}")
         real = isinstance(w, numbers.Real) and not isinstance(w, bool)
         if not (real and 0 <= w <= sys.float_info.max):
             raise ValueError(f"fractions must be finite reals >= 0, got {w!r}")

@@ -19,8 +19,8 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .buscore import (BitsLike, BusState, as_bits, fib, _check_int, _run_bounds,
-                      _stable_argsort, _state_from_runs)
+from .buscore import (BitsLike, BusState, as_bits, fib, _check_int, _free_wire_count,
+                      _run_bounds, _stable_argsort, _state_from_runs)
 from .bpdecode import ERASED, ErasureWord, FactorGraph, build_factor_graph, _MAX_OUTER, _propagate
 from .cac import _encode_segments, _payload_bits
 from .densevo import DeModel, de_trajectory, _check_eps
@@ -301,12 +301,10 @@ def build_instances(
     then take their parities.
 
     One generator serves the whole batch: it is re-keyed for each trial to
-    the state ``trial_rng(seed, t)`` starts from, and the trial draws all
-    it needs before the next one is keyed. A uniform-ensemble trial is kept
-    or dropped by the free wires of the whole batch, counted at once after
-    the draws: a dropped trial has drawn in full in 'uniform-codeword'
-    mode, and only its past state in 'info-bits' mode, which lays out each
-    trial's segments as it goes.
+    the state ``trial_rng(seed, t)`` starts from. One rule keeps a trial, in
+    both modes: a uniform-ensemble trial short of free wires stops after
+    its past state and takes no place in the union, and every other trial
+    draws in full before the next is keyed.
     """
     trials = tuple(trials)
     if not trials:
@@ -320,101 +318,72 @@ def build_instances(
     bitgen = np.random.Philox(0)
     rng = np.random.Generator(bitgen)
     codeword = mode == "uniform-codeword"
-    # Each trial ends with uniforms: its word's in 'uniform-codeword' mode,
-    # then its channel's. Uniform-ensemble trials all draw the same sizes:
-    # each draws these uniforms into a row of one buffer, and its socket
-    # permutation by shuffling its own slice of one range, which leaves the
-    # permutations offset as the graph union numbers its sockets (shuffled
-    # as intp: an int32 shuffle draws the same permutation, slower).
-    # Modified-ensemble sizes vary per trial, and are checked once drawn.
+    # A kept uniform-ensemble trial shuffles its socket permutation as the
+    # next slice of one range, which leaves the permutations offset as the
+    # graph union numbers its sockets (shuffled as intp: an int32 shuffle
+    # draws the same permutation, slower). Modified-ensemble sizes vary per
+    # trial, and are checked once drawn.
     if uniform:
         _check_graph_size([n - p] * len(trials), [p] * len(trials), dist)
     sockets = _permutation_size(n - p, p, dist) if uniform else 0
     perm = np.arange(len(trials) * sockets)
-    rows = np.empty((len(trials) if uniform else 0, (1 + codeword) * n))
-    pasts, parity_runs, num_parity, perms, words, tails = [], [], [], [], [], []
-    for i, t in enumerate(trials):
+    kept, pasts, parity_runs, num_parity, perms, words, tails = [], [], [], [], [], [], []
+    for t in trials:
         _check_key_word("trial index", t)
         bitgen.state = _trial_state(seed, t)
         if uniform:
             x = rng.integers(0, 2, n, dtype=np.uint8)
-            trial_perm = perm[i * sockets:(i + 1) * sockets]
+            if _free_wire_count(x) < p:
+                continue
+            q = p
+            trial_perm = perm[len(kept) * sockets:(len(kept) + 1) * sockets]
         else:
             x, runs = _draw_modified(n, r_ecc, rng)
             q = int(np.count_nonzero(runs))
             trial_perm = np.arange(_permutation_size(x.size - q, q, dist))
             parity_runs.append(runs)
-            num_parity.append(q)
             perms.append(trial_perm)
+        kept.append(t)
         pasts.append(x)
-        if not codeword:
-            starts, lengths = _run_bounds(x)
-            if not uniform:
-                segments = _layout_from_runs(x.size, starts, lengths, runs).segments
-            elif np.count_nonzero(lengths == 1) >= p:
-                segments = _stride_layout(n, starts, lengths, np.array([0, n]), p).segments
-            else:
-                words.append(None)  # dropped with the batch's other short states below
-                continue
+        num_parity.append(q)
         rng.shuffle(trial_perm)
         if not codeword:
+            starts, lengths = _run_bounds(x)
+            segments = (_stride_layout(n, starts, lengths, np.array([0, n]), p) if uniform
+                        else _layout_from_runs(x.size, starts, lengths, runs)).segments
             payload = rng.integers(0, 2, _payload_bits(segments), dtype=np.uint8)
             words.append(_encode_segments(payload, x, segments))
-        if uniform:
-            rng.random(out=rows[i])
-        else:
-            tails.append(rng.random((1 + codeword) * x.size))
+        # its word's uniforms in 'uniform-codeword' mode, then its channel's
+        tails.append(rng.random((1 + codeword) * x.size))
 
+    insufficient = len(trials) - len(kept)
+    if not kept:
+        return _no_instances(insufficient)
     # The past states side by side, their runs cut at every word offset.
     offsets = np.cumsum([0] + [x.size for x in pasts])
     a = np.concatenate(pasts)
     starts, lengths = _run_bounds(a, offsets[:-1])
-    runs = np.diff(np.searchsorted(starts, offsets))  # per word
-    insufficient = 0
     if uniform:
-        keep = np.diff(np.searchsorted(starts[lengths == 1], offsets)) >= p
-        kept = int(np.count_nonzero(keep))
-        insufficient = len(trials) - kept
-        if not kept:
-            return _no_instances(insufficient)
-        if insufficient:
-            # Whatever the dropped trials drew goes; every kept trial moves
-            # left past the wires and sockets of the dropped ones before it.
-            moved = (np.arange(keep.size) + 1 - np.cumsum(keep))[keep]
-            run_kept = np.repeat(keep, runs)
-            runs = runs[keep]
-            starts = starts[run_kept] - np.repeat(moved * n, runs)
-            lengths = lengths[run_kept]
-            perm = perm.reshape(keep.size, sockets)[keep]
-            perm -= (moved * sockets)[:, None]
-            perm = perm.ravel()
-            a = a.reshape(-1, n)[keep].ravel()
-            offsets = offsets[:kept + 1]
-            rows = rows[keep]
-            # (in 'uniform-codeword' mode no word is drawn yet)
-            trials, words = ([x for x, k in zip(xs, keep.tolist()) if k]
-                             for xs in (trials, words))
-        num_parity = [p] * kept
         layout = _stride_layout(a.size, starts, lengths, offsets, p)
-        # u is a copy: a view would keep the word's draws alive with it
-        heads, u = rows[:, :n].ravel(), rows[:, -n:].flatten()
+        perm = perm[:len(kept) * sockets]
     else:
         layout = _layout_from_runs(a.size, starts, lengths, np.concatenate(parity_runs))
         sizes = [x.size for x in perms]
         perm = np.concatenate(perms) + np.repeat(np.cumsum([0] + sizes[:-1]), sizes)
         del perms
-        heads = np.concatenate([tail[:x.size] for tail, x in zip(tails, pasts)])
-        u = np.concatenate([tail[-x.size:] for tail, x in zip(tails, pasts)])
     num_info = (np.diff(offsets) - num_parity).tolist()
     graph = _sample_graphs(num_info, num_parity, dist, perm)
     del perm
     if codeword:
-        word_of_run = np.repeat(np.arange(runs.size), runs)
-        word = _valid_word(a, starts, lengths, heads, word_of_run)
+        heads = np.concatenate([tail[:x.size] for tail, x in zip(tails, pasts)])
+        word_runs = np.diff(np.searchsorted(starts, offsets))
+        word = _valid_word(a, starts, lengths, heads,
+                           np.repeat(np.arange(word_runs.size), word_runs))
     else:
         word = np.concatenate(words)
+    u = np.concatenate([tail[-x.size:] for tail, x in zip(tails, pasts)])
     _complete_word(word, a, layout, graph)
-    return CodeInstances(trials=tuple(trials), offsets=offsets,
+    return CodeInstances(trials=tuple(kept), offsets=offsets,
                          fg=build_factor_graph(a, graph, layout), word=word, u=u,
                          insufficient=insufficient)
 

@@ -12,8 +12,8 @@ from jointbus import (
     free_wires,
     parse_runs,
 )
-from jointbus.buscore import (_FIB, _FIB_CAP, _fib_pair, _stable_argsort, _state_from_runs,
-                              as_bits)
+from jointbus.buscore import (_FIB, _FIB_CAP, _fib_pair, _free_wire_count, _stable_argsort,
+                              _state_from_runs, as_bits)
 
 
 @pytest.mark.parametrize("size, bound", [(0, 1), (1, 1), (300, 7), (24000, 2000),
@@ -130,6 +130,14 @@ def test_free_wires_are_length_one_runs(bits):
     rp = parse_runs(bits)
     assert free_wires(bits) == rp.free_wires
     assert sum(rp.run_lengths) == len(bits)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_free_wire_count_counts_free_wires(n):
+    # every word of n wires: the count without a run parse, one-wire bus included
+    words = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+    for x in words.astype(np.uint8):
+        assert _free_wire_count(x) == len(free_wires(x))
 
 
 @given(st.lists(st.integers(0, 1), min_size=1, max_size=200))

@@ -646,6 +646,19 @@ def test_dist_file_values_are_checked_as_given(tmp_path, command, L):
     assert "error: --dist-file: " in err
 
 
+@pytest.mark.parametrize("flag", ["--regular", "--dist-file"])
+def test_degree_too_large_for_a_float_is_named(tmp_path, flag):
+    # a degree past the largest float once escaped as an OverflowError
+    # traceback with exit 1, where it meets its weight
+    degree = 10**400
+    dist = tmp_path / "dist.json"
+    dist.write_text(f'{{"L": [[3, 1.0]], "R": [[{degree}, 1.0]]}}')
+    value = f"3,{degree}" if flag == "--regular" else str(dist)
+    code, out, err = run_console(["de", "--threshold", flag, value])
+    assert (code, out) == (3, ""), err
+    assert f"error: {flag}: degree must be at most {sys.float_info.max}, got {degree}" in err
+
+
 def _arg(flag, values):
     """The flag with its first (valid) value or with any value."""
     return st.one_of(st.just([flag, values[0]]), st.sampled_from(values).map(lambda v: [flag, v]))

@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -76,6 +77,19 @@ def test_distribution_weights_are_finite_reals_of_positive_mass(L, message):
         DegreeDistribution(L, ((12, 1.0),))
     with pytest.raises(ValueError, match="^" + re.escape(message)):
         DegreeDistribution(((3, 1.0),), L)
+
+
+@pytest.mark.parametrize("degree, shown", [(10**400, str(10**400)),
+                                           (10**5000, "a 16610-bit integer")],
+                         ids=["decimal", "too-long-to-print"])
+def test_degree_above_the_float_range_is_refused(degree, shown):
+    # a degree meets its weight as a float: past the largest float it once
+    # raised OverflowError, and one too long to print is named by its bits
+    message = f"degree must be at most {sys.float_info.max}, got {shown}"
+    for L, R in ((((degree, 1.0),), ((12, 1.0),)), (((3, 1.0),), ((degree, 1.0),))):
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            DegreeDistribution(L, R)
+    DegreeDistribution(((3, 1.0),), ((int(sys.float_info.max), 1.0),))
 
 
 def test_rate_ldpc():

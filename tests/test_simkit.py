@@ -355,7 +355,7 @@ def test_build_instances_batch_is_union_of_single_trials(ensemble, mode):
                     or "falls outside the used range" in result.violation), t
 
 
-@pytest.mark.parametrize("n", [5, 100])
+@pytest.mark.parametrize("n", [1, 2, 5, 100])
 @pytest.mark.parametrize("kind", ["uniform", "modified"])
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("seed, trials", [(2, range(12)), (2**64 - 1, range(2**64 - 6, 2**64)),
@@ -367,7 +367,8 @@ def test_build_instances_is_each_trial_built_alone(n, kind, mode, seed, trials):
     # trial_rng(seed, t) by the slow path, dropped trials included (uniform
     # N = 5 and 100 drop some) and at trial indices up to 2**64 - 1, in any
     # order, with gaps and repeats; at N = 100 every uniform past draw
-    # leaves half a uint32 buffered, which the next trial must not see
+    # leaves half a uint32 buffered, which the next trial must not see; at
+    # N = 1 and 2 a uniform trial has no parity, and N = 1 is one free wire
     ensemble = EnsembleSpec(kind, n)
     inst = build_instances(seed, trials, DIST, ensemble, mode)
     alone = {t: trial_instance(seed, t, DIST, ensemble, mode) for t in trials}
