@@ -58,7 +58,7 @@ __all__ = [
 ]
 
 ERASED = 2  # symbol value for '?'
-_MAX_OUTER = 200  # outer iterations a decode may take short of a fixed point
+_MAX_OUTER = 200  # bp_decode's default limit on outer iterations
 
 SymbolsLike = Union["ErasureWord", str, Iterable[int], np.ndarray]
 
@@ -240,9 +240,12 @@ class _Decoded(NamedTuple):
     trace: list[float]  # erased fraction of step 3's messages per iteration
 
 
-def _propagate(symbols: np.ndarray, fg: FactorGraph, max_outer: int) -> _Decoded:
+def _propagate(symbols: np.ndarray, fg: FactorGraph, max_outer: Optional[int] = None) -> _Decoded:
     """The decode engine of ``bp_decode`` and the trials, on the received
-    ``symbols``."""
+    ``symbols``. With no ``max_outer`` it runs to its fixed point: every
+    iteration before the last makes one more wire's intrinsic message, wire
+    value or check-to-variable message known, so on E sparse edges a limit
+    of 2N + E + 1 iterations cannot bind."""
     n = fg.n
     a = fg.a_bits
     layout = fg.layout
@@ -334,7 +337,7 @@ def _propagate(symbols: np.ndarray, fg: FactorGraph, max_outer: int) -> _Decoded
     iterations = 0
     converged = False
 
-    for it in range(1, max_outer + 1):
+    for it in range(1, (2 * n + num_e + 1 if max_outer is None else max_outer) + 1):
         iterations = it
 
         # Steps 1-2: a known transitioning wire pins both in-run neighbours

@@ -168,7 +168,11 @@ def _run_bounds(a: np.ndarray, cuts: Optional[np.ndarray] = None) -> tuple[np.nd
     if cuts is not None:
         is_start[cuts] = True
     starts = np.flatnonzero(is_start)
-    return starts, np.diff(starts, append=a.size)
+    # np.diff(starts, append=a.size) concatenates first: about 2x the time
+    lengths = np.empty_like(starts)
+    np.subtract(starts[1:], starts[:-1], out=lengths[:-1])
+    lengths[-1] = a.size - starts[-1]
+    return starts, lengths
 
 
 def _free_wire_count(a: np.ndarray) -> int:

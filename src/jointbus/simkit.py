@@ -21,7 +21,7 @@ import numpy as np
 
 from .buscore import (BitsLike, BusState, as_bits, fib, _check_int, _free_wire_count,
                       _run_bounds, _stable_argsort, _state_from_runs)
-from .bpdecode import ERASED, ErasureWord, FactorGraph, build_factor_graph, _MAX_OUTER, _propagate
+from .bpdecode import ERASED, ErasureWord, FactorGraph, build_factor_graph, _propagate
 from .cac import _encode_segments, _payload_bits
 from .densevo import DeModel, de_trajectory, _check_eps
 from .ira import (DegreeDistribution, _check_graph_size, _permutation_size, _sample_graphs,
@@ -373,7 +373,7 @@ def build_instances(
         del perms
     num_info = (np.diff(offsets) - num_parity).tolist()
     graph = _sample_graphs(num_info, num_parity, dist, perm)
-    del perm
+    del perm, trial_perm  # the last trial's view keeps a uniform batch's permutation alive
     if codeword:
         heads = np.concatenate([tail[:x.size] for tail, x in zip(tails, pasts)])
         word_runs = np.diff(np.searchsorted(starts, offsets))
@@ -402,11 +402,10 @@ def _run_batch(config: SimConfig, eps: list[float], trials: range) -> list[Trial
     With the channel draws shared, the erased wires at a lower eps are a
     subset of those at a higher one, and BP on the erasure channel is
     monotone under that degradation (Richardson and Urbanke, Modern Coding
-    Theory, 2008, ch. 3): the wires a converged decode leaves unresolved
-    contain those of every converged decode at a lower eps. The points are
+    Theory, 2008, ch. 3): the wires a decode leaves unresolved at its fixed
+    point contain those of every decode at a lower eps. The points are
     decoded in ascending eps, and a break of that nesting raises, as a
-    decoded bit that differs from the transmitted word does. A decode cut
-    at ``_MAX_OUTER`` may break it and is left out of the comparison.
+    decoded bit that differs from the transmitted word does.
     """
     n = config.ensemble.n
     inst = build_instances(config.seed, trials, config.dist, config.ensemble, config.mode)
@@ -417,19 +416,17 @@ def _run_batch(config: SimConfig, eps: list[float], trials: range) -> list[Trial
         return [dropped] * len(eps)
     fg = inst.fg
     out: list[TrialStats] = [dropped] * len(eps)
-    below = None  # the wires left unresolved by the last converged decode
+    below = None  # the wires left unresolved by the last decode
     for i in sorted(range(len(eps)), key=eps.__getitem__):
-        dec = _propagate(np.where(inst.u < eps[i], ERASED, inst.word), fg, _MAX_OUTER)
+        dec = _propagate(np.where(inst.u < eps[i], ERASED, inst.word), fg)
         if not np.array_equal(dec.val.compress(dec.resolved), inst.word.compress(dec.resolved)):
             raise RuntimeError("decoder emitted a bit that differs from the transmitted word")
-        erased = ~dec.resolved
-        if dec.converged:
-            if below is not None and np.any(below & dec.resolved):
-                wire = int(np.flatnonzero(below & dec.resolved)[0])
-                raise RuntimeError(
-                    f"decoder resolved wire {wire} at eps {eps[i]} but not at a lower eps "
-                    "on the same channel draws: unresolved wires must nest")
-            below = erased
+        if below is not None and np.any(below & dec.resolved):
+            wire = int(np.flatnonzero(below & dec.resolved)[0])
+            raise RuntimeError(
+                f"decoder resolved wire {wire} at eps {eps[i]} but not at a lower eps "
+                "on the same channel draws: unresolved wires must nest")
+        erased = below = ~dec.resolved
         residual = np.add.reduceat(erased, inst.offsets[:-1], dtype=np.int64)  # per instance
         out[i] = dropped.add(TrialStats(
             trials=residual.size,
@@ -451,8 +448,7 @@ def run_sweep(config: SimConfig, eps: Sequence[float]) -> list[TrialStats]:
     Every batch of trials is built once and decoded at every point: a
     trial's instance and channel draws do not depend on eps. The batches
     are the work units of the ``jobs`` worker processes. Within a batch the
-    residual erasures of converged decodes must nest across eps, or
-    ``RuntimeError`` is raised.
+    residual erasures must nest across eps, or ``RuntimeError`` is raised.
     """
     eps = [float(x) for x in eps]
     if not eps:

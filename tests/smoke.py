@@ -109,6 +109,12 @@ def main():
     print(f"one 10^6-wire trial: {peak:.0f} MiB max RSS")
     if peak > 256:
         sys.exit("over the 256 MiB ceiling")
+    # every trial decode runs to its fixed point: trial 5 resolves every wire
+    # after 248 iterations, and a decode cut at 200 counted it a block error
+    # (pe 0.8333333333, pb_code 0.0554085); about 10 s on a 2-vCPU Xeon
+    expect(run("simulate", "--regular", "3,12", "--blocklen", "1000000", "--eps", "0.226",
+               "--trials", "6", "--seed", "1", "--jobs", "1", timeout=120)[0],
+           "1000000,0.226,6,0.04615483333,0.03941416667,0.6666666667,0,1")
     # on a 10^5-wire alternating past, 20,000 shield pairs leave one 60,000-wire
     # segment, which the codec unranks and ranks whole, and analyze counts the
     # whole run's codewords: 50 MiB when this guard was set (same machine), 212

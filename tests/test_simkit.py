@@ -10,11 +10,15 @@ import pytest
 
 from jointbus import (
     ERASED,
+    CodeInstances,
     DegreeDistribution,
     EnsembleSpec,
+    IraGraph,
     SimConfig,
     TrialStats,
+    WireLayout,
     bec_transmit,
+    build_factor_graph,
     build_instances,
     bp_decode,
     build_layout,
@@ -32,6 +36,7 @@ from jointbus.simkit import (BATCH_WIRES, _draw_modified, _run_batch, _sample_ru
                              _valid_word)
 from jointbus.buscore import _run_bounds, fib
 from jointbus.cac import _payload_bits
+from jointbus.jointcode import _complete_word
 
 from helpers import disjoint_union, sequential_valid_word, trial_instance, valid_words
 
@@ -471,7 +476,7 @@ def test_run_batch_refuses_a_decoded_bit_that_differs(monkeypatch):
     # the trial engine checks every resolved bit against the sent word
     engine = simkit._propagate
 
-    def flip_one(symbols, fg, max_outer):
+    def flip_one(symbols, fg, max_outer=None):
         dec = engine(symbols, fg, max_outer)
         val = dec.val.copy()
         val[dec.resolved.nonzero()[0][0]] ^= 1
@@ -488,13 +493,13 @@ def test_run_batch_refuses_a_decoded_bit_that_differs(monkeypatch):
 def test_run_batch_checks_that_residual_erasures_nest(monkeypatch, claim):
     # the points of a batch are decoded in ascending eps on shared channel
     # draws: a decode at eps 0.1 stopped after one iteration leaves wires
-    # unresolved that the full decode at 0.2 resolves. Claimed as a fixed
-    # point it breaks the nesting and is refused; reported as cut, it is
-    # left out of the comparison
+    # unresolved that the full decode at 0.2 resolves. Every trial decode
+    # runs to its fixed point, so the batch compares every decode, whether
+    # it claims to have converged or reports itself cut, and refuses this one
     engine = simkit._propagate
     cut = []
 
-    def stop_the_first(symbols, fg, max_outer):
+    def stop_the_first(symbols, fg, max_outer=None):
         if cut:
             return engine(symbols, fg, max_outer)
         cut.append(engine(symbols, fg, 1))
@@ -504,12 +509,49 @@ def test_run_batch_checks_that_residual_erasures_nest(monkeypatch, claim):
     monkeypatch.setattr(simkit, "_propagate", stop_the_first)
     config = SimConfig(ensemble=EnsembleSpec("uniform", 100), dist=DIST, eps=0.1, trials=100,
                        seed=1)
-    if claim:
-        with pytest.raises(RuntimeError, match="unresolved wires must nest"):
-            _run_batch(config, [0.2, 0.1], range(100))
-    else:
-        stats = _run_batch(config, [0.2, 0.1], range(100))
-        assert stats[0] == run_trials(dataclasses.replace(config, eps=0.2))
+    with pytest.raises(RuntimeError, match="unresolved wires must nest"):
+        _run_batch(config, [0.2, 0.1], range(100))
+
+
+def _path_instance() -> CodeInstances:
+    """One 600-wire instance whose decode takes 299 iterations: on an
+    all-zero past, info wire i sits at wire 2i as its own segment, with a
+    parity slot after it. Every parity starts its own chain, and check j
+    joins info nodes j and j + 1 (check 299 none). Every wire but info
+    nodes 1..299 draws 1, so at any eps in (0, 1] only info node 0 and the
+    parities arrive, and each iteration resolves one more info node."""
+    n = 600
+    info = np.arange(0, n, 2)
+    layout = WireLayout(n=n, parity_slot_array=np.arange(1, n, 2), pinned=(),
+                        segments=np.column_stack((info, np.ones(300, dtype=np.int64))))
+    check = np.arange(299).repeat(2)
+    graph = IraGraph(300, 300, check + np.tile([0, 1], 299), check, np.ones(300, dtype=bool))
+    a = np.zeros(n, dtype=np.uint8)
+    word = np.zeros(n, dtype=np.uint8)
+    word[info] = np.random.default_rng(0).integers(0, 2, 300)
+    _complete_word(word, a, layout, graph)
+    u = np.ones(n)
+    u[info[1:]] = 0.0
+    return CodeInstances(trials=(0,), offsets=np.array([0, n]),
+                         fg=build_factor_graph(a, graph, layout), word=word, u=u)
+
+
+def test_run_batch_decodes_past_bp_decodes_limit(monkeypatch):
+    # bp_decode's default of 200 iterations cuts this decode with 99 wires
+    # left; the trial engine runs it to the sent word, so the trial counts
+    # no error
+    inst = _path_instance()
+    received = np.where(inst.u < 0.5, ERASED, inst.word)
+    cut = bp_decode(received, inst.fg, extract_payload=False)
+    assert (cut.iterations, cut.converged, cut.residual_erasures) == (200, False, 99)
+    monkeypatch.setattr(simkit, "build_instances", lambda *args: inst)
+    config = SimConfig(ensemble=EnsembleSpec("uniform", 600), dist=DIST, eps=0.5, trials=1,
+                       seed=1)
+    assert _run_batch(config, [0.5], range(1)) == [
+        TrialStats(trials=1, bits_code=600, bits_info=300, rng_seed=1)]
+    dec = simkit._propagate(received, inst.fg)
+    assert (dec.iterations, dec.converged) == (299, True)
+    assert np.array_equal(dec.val, inst.word)
 
 
 def test_run_sweep_is_run_trials_at_each_point():
