@@ -90,7 +90,10 @@ class ErasureWord:
                 raise ValueError(f"erasure string may contain only 0, 1, e, got {symbols!r}")
         else:
             arr = np.asarray(symbols)
-        if arr.ndim != 1 or arr.size == 0:
+        if arr.ndim != 1:
+            raise ValueError("an erasure word must be one row of symbols, got an array of "
+                             f"shape {arr.shape}")
+        if arr.size == 0:
             raise ValueError("an erasure word needs at least one symbol")
         # Checked as given: a cast first would wrap 258 onto 2 and 0.7 onto 0.
         if not np.all((arr == 0) | (arr == 1) | (arr == ERASED)):

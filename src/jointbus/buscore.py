@@ -85,7 +85,9 @@ def as_bits(state: BitsLike) -> np.ndarray:
         arr = np.frombuffer(state.encode(), dtype=np.uint8) - np.uint8(ord("0"))
     else:
         arr = np.asarray(state)
-    if arr.ndim != 1 or arr.size == 0:
+    if arr.ndim != 1:
+        raise ValueError(f"a bus state must be one row of bits, got an array of shape {arr.shape}")
+    if arr.size == 0:
         raise ValueError("a bus state needs at least one wire")
     # Checked as given: a cast first would wrap 256 onto 0 and 0.7 onto 0.
     if not ((arr == 0) | (arr == 1)).all():

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import re
 import warnings
 
 import numpy as np
@@ -81,6 +82,18 @@ def test_erasure_word_checks_symbols_before_the_cast(symbols):
         with pytest.raises(ValueError, match="^erasure-word symbols must be 0, 1, or the "
                                              "erasure marker$"):
             ErasureWord(symbols)
+
+
+@pytest.mark.parametrize("symbols, shape", [(np.zeros((2, 2)), (2, 2)), (np.int64(2), ()),
+                                            (np.zeros((0, 3)), (0, 3))],
+                         ids=["2x2", "0-d", "0x3"])
+def test_erasure_word_names_a_wrong_shape(symbols, shape):
+    # a 0-d or 2-D array is not read as an empty word
+    message = f"an erasure word must be one row of symbols, got an array of shape {shape}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ErasureWord(symbols)
+    with pytest.raises(ValueError, match="^an erasure word needs at least one symbol$"):
+        ErasureWord([])
 
 
 def test_erasure_word_accepts_bools_and_exact_floats():

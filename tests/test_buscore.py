@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -110,6 +111,20 @@ def test_bits_are_checked_before_the_cast(bits):
             as_bits(bits)
         with pytest.raises(ValueError, match="^bus-state symbols must be 0 or 1$"):
             BusState(bits)
+
+
+@pytest.mark.parametrize("bits, shape", [(np.zeros((2, 2)), (2, 2)), (np.int64(1), ()),
+                                         ([[0, 1], [1, 0]], (2, 2)), (np.zeros((0, 3)), (0, 3))],
+                         ids=["2x2", "0-d", "nested", "0x3"])
+def test_bits_name_a_wrong_shape(bits, shape):
+    # a 0-d or 2-D array is not read as an empty state
+    message = f"^{re.escape(f'a bus state must be one row of bits, got an array of shape {shape}')}$"
+    with pytest.raises(ValueError, match=message):
+        as_bits(bits)
+    with pytest.raises(ValueError, match=message):
+        BusState(bits)
+    with pytest.raises(ValueError, match="^a bus state needs at least one wire$"):
+        BusState(np.zeros(0))
 
 
 def test_bits_accept_bools_and_exact_floats():

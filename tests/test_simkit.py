@@ -69,6 +69,31 @@ def test_trial_rng_rejects_keys_outside_64_bits(seed, trial):
         trial_rng(seed, trial)
 
 
+@pytest.mark.parametrize("seed, trial", [(2, 0), (2**64 - 1, 2**64 - 1)])
+def test_uniform_past_is_the_integers_draw(seed, trial):
+    # the past bits taken from whole Philox blocks are those of
+    # rng.integers, and the stream goes on as after it: one bit per byte, so
+    # n = 1..70 ends a draw at every position in a uint32 word, a uint64 and
+    # a 32-byte block, and 10^4 + 1 reads an odd count of uint32 words over
+    # many blocks
+    bitgen = np.random.Philox(0)
+    for n in [*range(1, 71), 10**4 + 1]:
+        ref = trial_rng(seed, trial)
+        expected = ref.integers(0, 2, n, dtype=np.uint8)
+        bits = simkit._uniform_past(bitgen, seed, trial, n)
+        assert bits.dtype == np.uint8 and np.array_equal(bits, expected), n
+        ours, theirs = bitgen.state, ref.bit_generator.state
+        if not theirs["has_uint32"]:
+            # integers leaves the last upper half it read, which no draw reads
+            theirs["uinteger"] = ours["uinteger"]
+        np.testing.assert_equal(ours, theirs, err_msg=f"n = {n}")
+        rng = np.random.Generator(bitgen)
+        for draw in (lambda r: r.integers(0, 2**32, dtype=np.uint32),
+                     lambda r: r.integers(0, 2**64, dtype=np.uint64),
+                     lambda r: r.random(), lambda r: r.permutation(240)):
+            np.testing.assert_equal(draw(rng), draw(ref), err_msg=f"n = {n}")
+
+
 def _config(**fields):
     base = dict(ensemble=EnsembleSpec("uniform", 100), dist=DIST, eps=0.1, trials=2, seed=1)
     return SimConfig(**{**base, **fields})
@@ -360,7 +385,7 @@ def test_build_instances_batch_is_union_of_single_trials(ensemble, mode):
                     or "falls outside the used range" in result.violation), t
 
 
-@pytest.mark.parametrize("n", [1, 2, 5, 100])
+@pytest.mark.parametrize("n", [1, 2, 5, 8, 32, 33, 100])
 @pytest.mark.parametrize("kind", ["uniform", "modified"])
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("seed, trials", [(2, range(12)), (2**64 - 1, range(2**64 - 6, 2**64)),
@@ -371,9 +396,11 @@ def test_build_instances_is_each_trial_built_alone(n, kind, mode, seed, trials):
     # and channel draws are those of each trial built alone from a fresh
     # trial_rng(seed, t) by the slow path, dropped trials included (uniform
     # N = 5 and 100 drop some) and at trial indices up to 2**64 - 1, in any
-    # order, with gaps and repeats; at N = 100 every uniform past draw
-    # leaves half a uint32 buffered, which the next trial must not see; at
-    # N = 1 and 2 a uniform trial has no parity, and N = 1 is one free wire
+    # order, with gaps and repeats. A uniform past draw of N wires reads
+    # ceil(N/4) uint32 words: an even count at N = 8, one whole Philox block
+    # at N = 32, and an odd count at N = 33 and 100, which leaves half a
+    # uint32 buffered for the trial's next draw but not for the next trial;
+    # at N = 1 and 2 a uniform trial has no parity, and N = 1 is one free wire
     ensemble = EnsembleSpec(kind, n)
     inst = build_instances(seed, trials, DIST, ensemble, mode)
     alone = {t: trial_instance(seed, t, DIST, ensemble, mode) for t in trials}
