@@ -263,10 +263,8 @@ def _sample_graphs(
     ``_permutation_size(num_info[i], num_parity[i], dist)``, laid end to end
     in instance order, each offset by the lengths before it: instance i
     shuffles its own slice of ``arange(perm.size)``. The sockets of every
-    instance, offset, are scattered through it in one step: when the drawn
-    instances share one size, as the trials of a uniform ensemble do, as
-    the shared socket arrays plus one offset per instance row. One
-    instance uses its socket array itself as its check side.
+    instance, offset, are scattered through it in one step. One instance
+    uses its socket array itself as its check side.
     """
     _check_graph_size(num_info, num_parity, dist)
     drawn = [i for i, (k, q) in enumerate(zip(num_info, num_parity)) if k and q]
@@ -276,6 +274,8 @@ def _sample_graphs(
     # One lookup per instance size: trials of a uniform ensemble share theirs.
     table = {(k, q): (_var_sockets(k, dist), _check_sockets(k, q, dist))
              for k, q in {(num_info[i], num_parity[i]) for i in drawn}}
+    sockets = [table[num_info[i], num_parity[i]] for i in drawn]
+    counts = [c.size for _, c in sockets]
     info_off = np.cumsum((0, *num_info), dtype=np.int32)
     par_off = np.cumsum((0, *num_parity), dtype=np.int32)
     # Each instance's chain starts at its first parity; an instance without
@@ -284,19 +284,11 @@ def _sample_graphs(
     firsts = par_off[:-1]
     chain_start[firsts[firsts < par_off[-1]]] = True
     edge_info = edge_check = np.zeros(0, dtype=np.int32)  # no edges
-    if table:
-        if len(table) == 1:
-            # One size: the shared sockets plus one offset per instance row.
-            [(v_sockets, c_sockets)] = table.values()
-            v_all = (v_sockets + info_off[drawn, None]).ravel()
-            edge_check = (c_sockets + par_off[drawn, None]).ravel()
-        else:
-            v_parts, c_parts = zip(*[table[num_info[i], num_parity[i]] for i in drawn])
-            counts = [c.size for c in c_parts]
-            v_all = np.concatenate(v_parts) + np.repeat(info_off[drawn], counts)
-            edge_check = np.concatenate(c_parts) + np.repeat(par_off[drawn], counts)
+    if sockets:
+        v_parts, c_parts = zip(*sockets)
         edge_info = np.empty(perm.size, dtype=np.int32)
-        edge_info[perm] = v_all
+        edge_info[perm] = np.concatenate(v_parts) + np.repeat(info_off[drawn], counts)
+        edge_check = np.concatenate(c_parts) + np.repeat(par_off[drawn], counts)
     return IraGraph(int(info_off[-1]), int(par_off[-1]), edge_info, edge_check, chain_start)
 
 

@@ -124,19 +124,13 @@ def _check_key_word(name: str, value: object) -> None:
         raise ValueError(f"{name} must lie in [0, 2**64), got {value}")
 
 
-def _trial_state(seed: int, trial_index: int, blocks: int = 0,
-                 buffer: Sequence[int] = (0, 0, 0, 0), buffer_pos: int = 4,
-                 half: Optional[int] = None) -> dict:
-    """A state of the trial stream keyed [seed, trial_index]: ``blocks``
-    Philox blocks drawn, the last one ``buffer`` with ``buffer_pos`` of its
-    four uint64 words read, and ``half``, when given, the upper half of the
-    last word, buffered for the next uint32. By default the state the
-    stream starts from: counter 0 and an empty buffer, which also drops the
-    half uint32 a draw before it may have left behind."""
+def _trial_state(seed: int, trial_index: int) -> dict:
+    """The state a trial stream starts from: Philox with counter 0, key
+    [seed, trial_index] and an empty buffer, which also drops the half
+    uint32 a draw before it may have left behind."""
     return {"bit_generator": "Philox",
-            "state": {"counter": (blocks, 0, 0, 0), "key": (seed, trial_index)},
-            "buffer": buffer, "buffer_pos": buffer_pos,
-            "has_uint32": int(half is not None), "uinteger": half or 0}
+            "state": {"counter": (0, 0, 0, 0), "key": (seed, trial_index)},
+            "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
 
 def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
@@ -180,14 +174,19 @@ def _uniform_past(bitgen: np.random.Philox, seed: int, trial_index: int, n: int)
     at N = 100, 8.9 against 27.9 us at N = 10^4, re-key included (2-vCPU
     Xeon, numpy 2.4.6).
     """
-    bitgen.state = _trial_state(seed, trial_index)
+    state = _trial_state(seed, trial_index)
+    bitgen.state = state
     words = -(-n // 4)
     draws = -(-words // 2)
     blocks = -(-draws // 4)
     raw = bitgen.random_raw(4 * blocks)
+    # The state after the draw: ``blocks`` blocks drawn, the last one read
+    # up to word ``pos``, and an odd word count's upper half buffered.
     last, pos = raw[-4:].tolist(), draws - 4 * (blocks - 1)
-    bitgen.state = _trial_state(seed, trial_index, blocks, last, pos,
-                                last[pos - 1] >> 32 if words & 1 else None)
+    state["state"]["counter"] = (blocks, 0, 0, 0)
+    state.update(buffer=last, buffer_pos=pos, has_uint32=words & 1,
+                 uinteger=last[pos - 1] >> 32 if words & 1 else 0)
+    bitgen.state = state
     return raw.astype("<u8", copy=False).view(np.uint8)[:n] >> 7
 
 
@@ -337,9 +336,9 @@ def build_instances(
     its past state and takes no place in the union, and every other trial
     draws in full before the next is keyed. A uniform-ensemble trial takes
     its past bits from whole Philox blocks (``_uniform_past``), and a kept
-    one draws its uniforms into its row of one array, whose columns are
-    the batch's word and channel draws: the same draws as each trial's
-    stream makes alone, with fewer numpy calls per trial.
+    one draws its word and channel uniforms into its row of one array,
+    whose columns are the batch's word and channel draws: the same draws
+    as each trial's stream makes alone, with fewer numpy calls per trial.
     """
     trials = tuple(trials)
     if not trials:
@@ -362,8 +361,7 @@ def build_instances(
         _check_graph_size([n - p] * len(trials), [p] * len(trials), dist)
     sockets = _permutation_size(n - p, p, dist) if uniform else 0
     perm = np.arange(len(trials) * sockets)
-    # A trial's uniforms, its word's in 'uniform-codeword' mode, then its
-    # channel's: a kept uniform-ensemble trial draws them into the next row.
+    # A kept uniform-ensemble trial draws its uniforms into the next row.
     rows = np.empty((len(trials), (1 + codeword) * n)) if uniform else None
     kept, pasts, parity_runs, num_parity, perms, words, tails = [], [], [], [], [], [], []
     for t in trials:
@@ -374,7 +372,6 @@ def build_instances(
                 continue
             q = p
             trial_perm = perm[len(kept) * sockets:(len(kept) + 1) * sockets]
-            tail = rows[len(kept)]
         else:
             bitgen.state = _trial_state(seed, t)
             x, runs = _draw_modified(n, r_ecc, rng)
@@ -382,8 +379,6 @@ def build_instances(
             trial_perm = np.arange(_permutation_size(x.size - q, q, dist))
             parity_runs.append(runs)
             perms.append(trial_perm)
-            tail = np.empty((1 + codeword) * x.size)
-            tails.append(tail)
         kept.append(t)
         pasts.append(x)
         num_parity.append(q)
@@ -394,7 +389,11 @@ def build_instances(
                         else _layout_from_runs(x.size, starts, lengths, runs)).segments
             payload = rng.integers(0, 2, _payload_bits(segments), dtype=np.uint8)
             words.append(_encode_segments(payload, x, segments))
-        rng.random(out=tail)
+        # its word's uniforms in 'uniform-codeword' mode, then its channel's
+        if uniform:
+            rng.random(out=rows[len(kept) - 1])
+        else:
+            tails.append(rng.random((1 + codeword) * x.size))
 
     insufficient = len(trials) - len(kept)
     if not kept:

@@ -192,15 +192,13 @@ def _mixed_sizes(seed, count):
     _mixed_sizes(5, 40),
     [(0, 5), (40, 10), (7, 0), (0, 0), (24, 6), (51, 13), (3, 0)],
     [(0, 4), (9, 0)],
-    [(40, 10), (0, 5), (40, 10), (7, 0), (40, 10)],
-], ids=["uniform", "mixed", "with-empty", "no-edges", "one-size-with-empty"])
+], ids=["uniform", "mixed", "with-empty", "no-edges"])
 def test_sample_graphs_is_the_union_of_single_samples(sizes):
     # edge for edge and chain for chain the union of one sample_graph per
     # trial stream, when each stream shuffles its own slice of one range:
     # that draws what sample_graph's rng.permutation draws, so each stream
     # is left where sample_graph leaves it, and an instance without info
-    # nodes or parities draws nothing; drawn instances of one size take
-    # their sockets by broadcasting, of mixed sizes by concatenation
+    # nodes or parities draws nothing
     dist = DegreeDistribution(((2, 0.3), (3, 0.7)), ((10, 0.5), (12, 0.5)))
     num_info, num_parity = (list(x) for x in zip(*sizes))
     batch_rngs = [trial_rng(8, t) for t in range(len(sizes))]
