@@ -43,7 +43,7 @@ from typing import Iterable, NamedTuple, Optional, Union
 
 import numpy as np
 
-from .buscore import BitsLike, as_bits, check_transition, _check_int
+from .buscore import BitsLike, as_bits, check_transition
 from .cac import _decode_segments
 from .ira import IraGraph, ira_encode
 from .jointcode import WireLayout, _check_fit
@@ -58,7 +58,6 @@ __all__ = [
 ]
 
 ERASED = 2  # symbol value for '?'
-_MAX_OUTER = 200  # bp_decode's default limit on outer iterations
 
 SymbolsLike = Union["ErasureWord", str, Iterable[int], np.ndarray]
 
@@ -162,7 +161,6 @@ class DecodeResult:
     word: ErasureWord
     info_bits: Optional[tuple[int, ...]]
     iterations: int
-    converged: bool
     residual_erasures: int
     x_ecc_trace: Optional[tuple[float, ...]] = None
     # Set when payload extraction found the resolved word inconsistent: the
@@ -179,33 +177,31 @@ def build_factor_graph(a: BitsLike, graph: IraGraph, layout: WireLayout) -> Fact
 def bp_decode(
     received: SymbolsLike,
     fg: FactorGraph,
-    max_outer: int = _MAX_OUTER,
     record_trace: bool = False,
     extract_payload: bool = True,
 ) -> DecodeResult:
     """Run the scheduled message-passing decoder on one received word.
 
-    Stops at the first outer iteration that adds no knowledge (reported as
-    ``converged``: no wire resolves, and no check-to-variable message and
-    no wire's intrinsic message becomes known) or after ``max_outer``
-    iterations. When every wire resolves and ``extract_payload`` is set,
-    the word is first checked against the received pinned wires, the
-    crosstalk constraints and the parity checks; an inconsistent word
-    yields ``info_bits=None`` and names what it breaks in ``violation``. Otherwise the payload is re-extracted
-    from the code-carrying wires; a word whose index falls outside the
-    payload range yields ``info_bits=None`` and the codec's out-of-range
-    message in ``violation``. ``record_trace`` captures the
-    erased fraction of the variable-to-check messages of step 3 per
-    iteration.
+    Runs to its fixed point, by the rule every trial decode follows: it
+    stops at the first outer iteration that adds no knowledge (no wire
+    resolves, and no check-to-variable message and no wire's intrinsic
+    message becomes known). When every wire resolves and
+    ``extract_payload`` is set, the word is first checked against the
+    received pinned wires, the crosstalk constraints and the parity checks;
+    an inconsistent word yields ``info_bits=None`` and names what it breaks
+    in ``violation``. Otherwise the payload is re-extracted from the
+    code-carrying wires; a word whose index falls outside the payload range
+    yields ``info_bits=None`` and the codec's out-of-range message in
+    ``violation``. ``record_trace`` captures the erased fraction of the
+    variable-to-check messages of step 3 per iteration.
     """
-    _check_int("max_outer", max_outer, 1)
     rcv = received if isinstance(received, ErasureWord) else ErasureWord(received)
     if len(rcv) != fg.n:
         raise ValueError(f"received word has {len(rcv)} symbols, bus has {fg.n} wires")
     symbols = rcv.symbols
     # The decode's per-edge and per-check arrays are freed before the
     # payload is read, the step that needs the most memory on a wide bus.
-    dec = _propagate(symbols, fg, max_outer)
+    dec = _propagate(symbols, fg)
 
     residual = int(np.count_nonzero(~dec.resolved))
     out = np.where(dec.resolved, dec.val, ERASED).astype(np.uint8)
@@ -226,7 +222,6 @@ def bp_decode(
         word=ErasureWord(out),
         info_bits=info_bits,
         iterations=dec.iterations,
-        converged=dec.converged,
         residual_erasures=residual,
         x_ecc_trace=tuple(dec.trace) if record_trace else None,
         violation=violation,
@@ -248,7 +243,8 @@ def _propagate(symbols: np.ndarray, fg: FactorGraph, max_outer: Optional[int] = 
     ``symbols``. With no ``max_outer`` it runs to its fixed point: every
     iteration before the last makes one more wire's intrinsic message, wire
     value or check-to-variable message known, so on E sparse edges a limit
-    of 2N + E + 1 iterations cannot bind."""
+    of 2N + E + 1 iterations cannot bind. ``max_outer`` cuts it short, as
+    ``de_vs_simulation`` does to stop at the trace it reports."""
     n = fg.n
     a = fg.a_bits
     layout = fg.layout

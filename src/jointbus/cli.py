@@ -322,7 +322,6 @@ def cmd_codec_decode(args: argparse.Namespace) -> int:
     print(f"word:               {result.word}")
     print(f"residual erasures:  {result.residual_erasures}")
     print(f"iterations:         {result.iterations}")
-    print(f"converged:          {result.converged}")
     return 0
 
 

@@ -156,7 +156,10 @@ class IraGraph:
     Multi-edges are kept; encoding and validation collapse them modulo 2.
     ``sample_graph`` stores both endpoint arrays as int32, half the memory
     of intp on a wide bus, and so refuses a graph of 2**31 or more sockets,
-    info nodes or parities.
+    info nodes or parities. The constructor refuses a graph whose fields
+    disagree: endpoint arrays that are not integers, differ in length or
+    name a node the graph does not have, and a ``chain_start`` that is not
+    one bool per parity. Every function that takes a graph relies on this.
     """
 
     num_info: int
@@ -166,10 +169,30 @@ class IraGraph:
     chain_start: np.ndarray | None = None
 
     def __post_init__(self):
+        _check_int("num_info", self.num_info, 0)
+        _check_int("num_parity", self.num_parity, 0)
+        for name, nodes in (("info", self.num_info), ("check", self.num_parity)):
+            arr = np.asarray(getattr(self, "edge_" + name))
+            if arr.ndim != 1 or arr.dtype.kind not in "iu":
+                raise ValueError(f"edge_{name} must be a 1-D array of integers, got "
+                                 f"shape {arr.shape} of {arr.dtype}")
+            if arr.size and (arr.min() < 0 or arr.max() >= nodes):
+                k = int(np.flatnonzero((arr < 0) | (arr >= nodes))[0])
+                raise ValueError(f"edge {k + 1} joins {name} node {arr[k]}, outside "
+                                 f"[0, {nodes})")
+            object.__setattr__(self, "edge_" + name, arr)
+        if self.edge_info.size != self.edge_check.size:
+            raise ValueError(f"edge_info has {self.edge_info.size} entries and edge_check "
+                             f"{self.edge_check.size}: each needs one per edge")
         if self.chain_start is None:
             mask = np.zeros(self.num_parity, dtype=bool)
             mask[:1] = True
             object.__setattr__(self, "chain_start", mask)
+        starts = np.asarray(self.chain_start)
+        if starts.dtype != bool or starts.shape != (self.num_parity,):
+            raise ValueError(f"chain_start must be one bool per parity, {self.num_parity} "
+                             f"in all, got shape {starts.shape} of {starts.dtype}")
+        object.__setattr__(self, "chain_start", starts)
 
     @property
     def num_edges(self) -> int:
@@ -205,26 +228,15 @@ def sample_graph(
     matched through one uniform permutation, variable socket k meeting
     check socket perm[k], and the edges are listed by check socket. Without
     info nodes or without parities the graph has no edges, and nothing is
-    drawn.
+    drawn. This is the one-instance case of the trial sampler
+    ``_sample_graphs``.
     """
     _check_int("num_info", num_info, 0)
     _check_int("num_parity", num_parity, 0)
+    # Refused before the permutation is drawn and allocated.
     _check_graph_size((num_info,), (num_parity,), dist)
-    if not (num_info and num_parity):
-        return _sample_graphs((num_info,), (num_parity,), dist, np.zeros(0, dtype=np.intp))
-    # The check side comes after the permutation is freed: on a wide bus the
-    # two would otherwise add to the peak.
-    edge_info = _info_side(num_info, dist, rng.permutation(_var_sockets(num_info, dist).size))
-    return IraGraph(num_info, num_parity, edge_info, _check_sockets(num_info, num_parity, dist))
-
-
-def _info_side(num_info: int, dist: DegreeDistribution, perm: np.ndarray) -> np.ndarray:
-    """Info endpoints of one instance's edges in check order: its variable
-    sockets scattered through the socket permutation it drew."""
-    v_sockets = _var_sockets(num_info, dist)
-    edge_info = np.empty_like(v_sockets)
-    edge_info[perm] = v_sockets
-    return edge_info
+    return _sample_graphs((num_info,), (num_parity,), dist,
+                          rng.permutation(_permutation_size(num_info, num_parity, dist)))
 
 
 def _permutation_size(num_info: int, num_parity: int, dist: DegreeDistribution) -> int:
@@ -270,7 +282,11 @@ def _sample_graphs(
     drawn = [i for i, (k, q) in enumerate(zip(num_info, num_parity)) if k and q]
     if len(num_info) == 1 and drawn:
         k, q = num_info[0], num_parity[0]
-        return IraGraph(k, q, _info_side(k, dist, perm), _check_sockets(k, q, dist))
+        v_sockets = _var_sockets(k, dist)
+        edge_info = np.empty_like(v_sockets)
+        edge_info[perm] = v_sockets
+        del v_sockets  # freed before the check side is built
+        return IraGraph(k, q, edge_info, _check_sockets(k, q, dist))
     # One lookup per instance size: trials of a uniform ensemble share theirs.
     table = {(k, q): (_var_sockets(k, dist), _check_sockets(k, q, dist))
              for k, q in {(num_info[i], num_parity[i]) for i in drawn}}
@@ -297,15 +313,16 @@ def _socket_total(num_info: int, dist: DegreeDistribution) -> int:
     return sum(d * t for d, t in zip(*_degree_counts(num_info, dist.L_coeffs)))
 
 
-# Socket arrays before matching, one entry each (read-only: many trials of
-# one size share them). The trials of a uniform-ensemble campaign all share
-# one size, and more entries would pin megabytes per size on wide buses.
-@functools.lru_cache(maxsize=1)
+# Socket arrays before matching. The variable side is built per call and
+# freed once scattered: held in a cache, it would still be alive, beside the
+# socket permutation, when the check side is built (4.8 against 3.7 MiB
+# for one 10^5-wire graph). The check side has one cache entry (read-only:
+# a sampled graph keeps it as its edge_check, and many trials of one size
+# share it); the trials of a uniform-ensemble campaign all share one size,
+# and more entries would pin megabytes per size on wide buses.
 def _var_sockets(num_info: int, dist: DegreeDistribution) -> np.ndarray:
-    v_sockets = np.repeat(np.arange(num_info, dtype=np.int32),
-                          np.repeat(*_degree_counts(num_info, dist.L_coeffs)))
-    v_sockets.setflags(write=False)
-    return v_sockets
+    return np.repeat(np.arange(num_info, dtype=np.int32),
+                     np.repeat(*_degree_counts(num_info, dist.L_coeffs)))
 
 
 @functools.lru_cache(maxsize=1)

@@ -352,15 +352,16 @@ def build_instances(
     bitgen = np.random.Philox(0)
     rng = np.random.Generator(bitgen)
     codeword = mode == "uniform-codeword"
-    # A kept uniform-ensemble trial shuffles its socket permutation as the
-    # next slice of one range, which leaves the permutations offset as the
-    # graph union numbers its sockets (shuffled as intp: an int32 shuffle
-    # draws the same permutation, slower). Modified-ensemble sizes vary per
-    # trial, and are checked once drawn.
+    # A kept trial shuffles its socket permutation as the range of the
+    # sockets that the graph union numbers after those of the trials before
+    # it (shuffled as intp: an int32 shuffle draws the same permutation,
+    # slower). Uniform-ensemble trials take slices of one range.
+    # Modified-ensemble sizes vary per trial, and are checked once drawn.
     if uniform:
         _check_graph_size([n - p] * len(trials), [p] * len(trials), dist)
     sockets = _permutation_size(n - p, p, dist) if uniform else 0
     perm = np.arange(len(trials) * sockets)
+    offset = 0  # sockets of the modified-ensemble trials kept so far
     # A kept uniform-ensemble trial draws its uniforms into the next row.
     rows = np.empty((len(trials), (1 + codeword) * n)) if uniform else None
     kept, pasts, parity_runs, num_parity, perms, words, tails = [], [], [], [], [], [], []
@@ -376,7 +377,8 @@ def build_instances(
             bitgen.state = _trial_state(seed, t)
             x, runs = _draw_modified(n, r_ecc, rng)
             q = int(np.count_nonzero(runs))
-            trial_perm = np.arange(_permutation_size(x.size - q, q, dist))
+            trial_perm = np.arange(offset, offset + _permutation_size(x.size - q, q, dist))
+            offset += trial_perm.size
             parity_runs.append(runs)
             perms.append(trial_perm)
         kept.append(t)
@@ -407,8 +409,7 @@ def build_instances(
         perm = perm[:len(kept) * sockets]
     else:
         layout = _layout_from_runs(a.size, starts, lengths, np.concatenate(parity_runs))
-        sizes = [x.size for x in perms]
-        perm = np.concatenate(perms) + np.repeat(np.cumsum([0] + sizes[:-1]), sizes)
+        perm = np.concatenate(perms)
         del perms
     num_info = (np.diff(offsets) - num_parity).tolist()
     graph = _sample_graphs(num_info, num_parity, dist, perm)

@@ -541,7 +541,7 @@ def peel_decode(a, graph: IraGraph, layout: WireLayout, received) -> np.ndarray:
 def sweep_decode(
     received: SymbolsLike,
     fg: FactorGraph,
-    max_outer: int = 200,
+    max_outer: Optional[int] = None,
     saturate_runs: bool = True,
     record_trace: bool = False,
     extract_payload: bool = True,
@@ -551,11 +551,12 @@ def sweep_decode(
     crosstalk pass until it forces nothing new. Reference for ``bp_decode``,
     which must return an equal ``DecodeResult``.
 
-    Stops at the first outer iteration that adds no knowledge (reported as
-    ``converged``) or after ``max_outer`` iterations: its signature (wires
-    resolved, check-to-variable messages known, wires whose intrinsic
-    message is known) is that of the iteration before, or of the received
-    word for the first. When every wire resolves and ``extract_payload`` is
+    Stops at the first outer iteration that adds no knowledge, or after
+    ``max_outer`` iterations when given (the cut decodes of
+    ``bpdecode._propagate``): its signature (wires resolved,
+    check-to-variable messages known, wires whose intrinsic message is
+    known) is that of the iteration before, or of the received word for the
+    first. When every wire resolves and ``extract_payload`` is
     set, the word is first checked against the received pinned wires, the
     crosstalk constraints and the parity checks; an inconsistent word yields
     ``info_bits=None`` and names what it breaks in ``violation``. Otherwise the payload is re-extracted
@@ -610,10 +611,11 @@ def sweep_decode(
 
     trace: list[float] = []
     iterations = 0
-    converged = False
     prev_sig = (int(resolved.sum()), 0, int(intrinsic.sum()))
 
-    for it in range(1, max_outer + 1):
+    # Every iteration before the last adds knowledge, so a fixed point comes
+    # within 2N + E + 1 iterations.
+    for it in range(1, (2 * n + num_e + 1 if max_outer is None else max_outer) + 1):
         iterations = it
 
         # Steps 1-2: a known transitioning wire pins both in-run neighbours
@@ -699,11 +701,9 @@ def sweep_decode(
             src_ecc_wire[fg.layout.info_wire_array] = cnt_ci > 0
 
         if resolved.all():
-            converged = True
             break
         sig = (int(resolved.sum()), int(known_ci.sum()), int(intrinsic.sum()))
         if sig == prev_sig:
-            converged = True
             break
         prev_sig = sig
 
@@ -725,7 +725,6 @@ def sweep_decode(
         word=ErasureWord(out),
         info_bits=info_bits,
         iterations=iterations,
-        converged=converged,
         residual_erasures=residual,
         x_ecc_trace=tuple(trace) if record_trace else None,
         violation=violation,

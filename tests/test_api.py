@@ -160,12 +160,6 @@ DIST = ira.DegreeDistribution.regular(3, 12)
 MODEL = densevo.DeModel.for_code(DIST, 0.8)
 
 
-def _decode_with(max_outer):
-    fg = bpdecode.build_factor_graph("0101", ira.sample_graph(4, 0, DIST, np.random.default_rng(0)),
-                                     jointcode.build_layout("0101", 0))
-    return bpdecode.bp_decode("0e01", fg, max_outer=max_outer)
-
-
 @pytest.mark.parametrize("call, message", [
     (lambda: jointcode.build_layout("0000", 1.5), "p_needed must be an integer, got 1.5"),
     (lambda: jointcode.build_layout("0000", -1), "p_needed must be >= 0, got -1"),
@@ -196,9 +190,8 @@ def _decode_with(max_outer):
      "degree must be an integer, got 3.0"),
     (lambda: ira.sample_graph(-1, 3, DIST, np.random.default_rng(0)),
      "num_info must be >= 0, got -1"),
-    (lambda: _decode_with(2.5), "max_outer must be an integer, got 2.5"),
-    (lambda: _decode_with(True), "max_outer must be an integer, got True"),
-    (lambda: _decode_with(0), "max_outer must be >= 1, got 0"),
+    (lambda: ira.IraGraph(4, 1.0, np.zeros(0, np.int64), np.zeros(0, np.int64)),
+     "num_parity must be an integer, got 1.0"),
     (lambda: simkit.gen_past_uniform(1.5, np.random.default_rng(0)), "n must be an integer"),
     (lambda: simkit.gen_past_uniform(0, np.random.default_rng(0)), "n must be >= 1, got 0"),
     (lambda: buscore.fib(True), "Fibonacci index must be an integer, got True"),

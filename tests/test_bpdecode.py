@@ -26,6 +26,7 @@ from jointbus import (
     recc_from_rldpc,
     sample_graph,
 )
+from jointbus.bpdecode import _propagate
 from jointbus.ira import IraGraph
 
 from helpers import (
@@ -274,7 +275,7 @@ def test_factor_graph_checks_itself():
 def test_bp_decode_no_erasures():
     fg = build_factor_graph("0000", _empty_graph(4), build_layout("0000", 0))
     res = bp_decode("1011", fg)
-    assert res.converged and res.iterations == 1
+    assert res.iterations == 1
     assert res.residual_erasures == 0
     assert str(res.word) == "1011"
     assert res.info_bits == (1, 0, 1, 1)
@@ -355,17 +356,31 @@ def test_bp_decode_literal_schedule_equivalent():
         assert np.array_equal(res_sat.word.symbols, res_lit.word.symbols)
 
 
-def _assert_same_result(fg, rcv, max_outer, context):
-    got = bp_decode(rcv, fg, max_outer=max_outer, record_trace=True)
-    want = sweep_decode(rcv, fg, max_outer=max_outer, record_trace=True)
-    assert got == want, context
+def _cut_word(dec):
+    """The word a run of the decode engine leaves, erased where unresolved."""
+    return np.where(dec.resolved, dec.val, ERASED).astype(np.uint8)
+
+
+def _assert_same_result(fg, rcv, context, cuts=(1, 2, 3, 200)):
+    # bp_decode returns the sweep's DecodeResult field by field; the decode
+    # engine cut after each of ``cuts`` iterations leaves the word, the
+    # iteration count and the trace of the sweep cut alike
+    full = bp_decode(rcv, fg, record_trace=True)
+    assert full == sweep_decode(rcv, fg, record_trace=True), context
+    for max_outer in cuts:
+        dec = _propagate(ErasureWord(rcv).symbols, fg, max_outer)
+        want = sweep_decode(rcv, fg, max_outer=max_outer, record_trace=True)
+        assert np.array_equal(_cut_word(dec), want.word.symbols), (context, max_outer)
+        assert (dec.iterations, tuple(dec.trace)) == (want.iterations, want.x_ecc_trace), \
+            (context, max_outer)
 
 
 def test_bp_decode_matches_full_sweep_reference():
     # the frontier decoder returns what recomputing every message in every
     # iteration returns, field by field: word, payload, iteration count,
-    # stopping flag, residual, trace and violation, also when a stall or
-    # max_outer cuts the decode short and when known bits contradict
+    # residual, trace and violation, also when a stall stops the decode and
+    # when known bits contradict; cut short, its engine stops where the
+    # sweep does
     rng = np.random.default_rng(71)
     for trial in range(120):
         a, layout, graph = random_instance(rng, n_max=64, allow_shields=(trial % 2 == 0))
@@ -375,8 +390,7 @@ def test_bp_decode_matches_full_sweep_reference():
         if trial % 3 == 0:
             rcv[rng.random(a.size) < 0.05] ^= 1
         rcv[rng.random(a.size) < rng.uniform(0.0, 0.6)] = ERASED
-        for max_outer in (1, 2, 3, 200):
-            _assert_same_result(fg, rcv, max_outer, (trial, max_outer))
+        _assert_same_result(fg, rcv, trial)
     for ensemble in (EnsembleSpec("uniform", 300), EnsembleSpec("modified", 300)):
         inst = build_instances(7, range(12), DIST, ensemble=ensemble, mode="uniform-codeword")
         fg = inst.fg
@@ -385,8 +399,7 @@ def test_bp_decode_matches_full_sweep_reference():
             if eps == 0.3:
                 rcv[rng.random(rcv.size) < 0.01] ^= 1
             rcv[rng.random(rcv.size) < eps] = ERASED
-            for max_outer in (1, 2, 3, 200):
-                _assert_same_result(fg, rcv, max_outer, (ensemble.kind, eps, max_outer))
+            _assert_same_result(fg, rcv, (ensemble.kind, eps))
     # in any order of the edges within each check, the block visits and
     # the fill order give the sweep's result
     for trial in range(60):
@@ -398,8 +411,7 @@ def test_bp_decode_matches_full_sweep_reference():
         if trial % 3 == 0:
             rcv[rng.random(a.size) < 0.05] ^= 1
         rcv[rng.random(a.size) < rng.uniform(0.0, 0.6)] = ERASED
-        for max_outer in (1, 2, 3, 200):
-            _assert_same_result(fg, rcv, max_outer, ("permuted", trial, max_outer))
+        _assert_same_result(fg, rcv, ("permuted", trial))
 
 
 def test_bp_decode_without_sparse_edges_matches_full_sweep_reference():
@@ -419,8 +431,7 @@ def test_bp_decode_without_sparse_edges_matches_full_sweep_reference():
         for _ in range(4):
             rcv = encode_instance(rng, a, layout, graph)
             rcv[rng.random(a.size) < 0.5] = ERASED
-            for max_outer in (1, 2, 200):
-                _assert_same_result(fg, rcv, max_outer, (trial, max_outer))
+            _assert_same_result(fg, rcv, trial, cuts=(1, 2, 200))
 
 
 def _graph_with_empty_checks(rng, num_info, num_parity, empty):
@@ -457,15 +468,14 @@ def test_bp_decode_checks_without_sparse_edges_anywhere_in_a_chain_match_the_swe
         rcv[rng.random(rcv.size) < rng.uniform(0.1, 0.6)] = ERASED
         a, layout, graph = disjoint_union(parts) if len(parts) > 1 else parts[0]
         fg = build_factor_graph(a, graph, layout)
-        for max_outer in (1, 2, 3, 200):
-            _assert_same_result(fg, rcv, max_outer, (trial, max_outer))
+        _assert_same_result(fg, rcv, trial)
 
 
 def test_bp_decode_stops_on_a_stopping_set():
-    # the erasures left by a converged decode form a stopping set of the
-    # joint graph, on small random instances and on wide buses near the
-    # threshold; a decode cut off after one iteration leaves a check or
-    # crosstalk pair that could still resolve, and is flagged
+    # the erasures bp_decode leaves form a stopping set of the joint graph,
+    # on small random instances and on wide buses near the threshold; a
+    # decode cut off after one iteration leaves a check or crosstalk pair
+    # that could still resolve, and is flagged
     rng = np.random.default_rng(5)
     cut_short = 0
     for _ in range(200):
@@ -474,28 +484,20 @@ def test_bp_decode_stops_on_a_stopping_set():
         rcv = encode_instance(rng, a, layout, graph)
         rcv[rng.random(a.size) < rng.uniform(0.1, 0.7)] = ERASED
         res = bp_decode(rcv, fg, extract_payload=False)
-        assert res.converged
         assert stopping_set_violation(fg, res.word.symbols) is None
-        first = bp_decode(rcv, fg, max_outer=1, extract_payload=False)
-        if first.word != res.word:
+        first = _cut_word(_propagate(rcv, fg, 1))
+        if not np.array_equal(first, res.word.symbols):
             cut_short += 1
-            assert stopping_set_violation(fg, first.word.symbols) is not None
+            assert stopping_set_violation(fg, first) is not None
     assert cut_short >= 20
     for n, trials in ((10**4, 6), (10**5, 1)):
         inst = build_instances(3, range(trials), DIST, EnsembleSpec("uniform", n))
         rcv = np.where(inst.u < 0.226, ERASED, inst.word)
         res = bp_decode(rcv, inst.fg, extract_payload=False)
-        assert res.converged and res.residual_erasures > 0, n
+        assert res.residual_erasures > 0, n
         assert stopping_set_violation(inst.fg, res.word.symbols) is None, n
-        first = bp_decode(rcv, inst.fg, max_outer=1, extract_payload=False)
-        assert stopping_set_violation(inst.fg, first.word.symbols) is not None, n
-
-
-def test_bp_decode_rejects_nonpositive_max_outer():
-    fg = build_factor_graph("0101", _empty_graph(4), build_layout("0101", 0))
-    for bad in (0, -1):
-        with pytest.raises(ValueError, match="max_outer"):
-            bp_decode("0e01", fg, max_outer=bad)
+        first = _cut_word(_propagate(rcv, inst.fg, 1))
+        assert stopping_set_violation(inst.fg, first) is not None, n
 
 
 def test_bp_decode_monotone_trace():
@@ -573,7 +575,6 @@ def test_bp_decode_reports_stall():
     # a lone erased info wire inside a run with no code help stays erased
     fg = build_factor_graph("0101", _empty_graph(4), build_layout("0101", 0))
     res = bp_decode("0e01", fg)
-    assert res.converged
     assert res.residual_erasures >= 1
     assert res.info_bits is None
 
@@ -585,14 +586,14 @@ def test_bp_decode_stops_at_the_first_iteration_that_adds_no_knowledge():
     inst = build_instances(3, [0], DIST, EnsembleSpec("uniform", 10_000))
     received = ErasureWord(np.where(inst.u < 0.24, ERASED, inst.word))
     res = bp_decode(received, inst.fg, record_trace=True)
-    assert (res.iterations, res.residual_erasures, res.converged) == (21, 1017, True)
+    assert (res.iterations, res.residual_erasures) == (21, 1017)
     assert res == sweep_decode(received, inst.fg, record_trace=True)
 
 
 def test_bp_decode_schedule_is_pinned_at_ten_thousand_wires():
     # every DecodeResult field of 24 decodes around the threshold at
-    # N = 10^4 (word, payload, iteration count, stopping flag, residual,
-    # trace and violation), hashed: the schedule must not move
+    # N = 10^4 (word, payload, iteration count, residual, trace and
+    # violation), hashed: the schedule must not move
     digest = hashlib.sha256()
     iterations = []
     for seed, eps in zip(range(3), (0.20, 0.22, 0.24)):
@@ -602,16 +603,16 @@ def test_bp_decode_schedule_is_pinned_at_ten_thousand_wires():
             res = bp_decode(received, inst.fg, record_trace=True)
             iterations.append(res.iterations)
             digest.update(res.word.symbols.tobytes())
-            digest.update(repr((res.info_bits, res.iterations, res.converged,
-                                res.residual_erasures, res.x_ecc_trace, res.violation)).encode())
+            digest.update(repr((res.info_bits, res.iterations, res.residual_erasures,
+                                res.x_ecc_trace, res.violation)).encode())
     assert iterations == [10, 12, 14, 13, 12, 12, 10, 14, 22, 18, 21, 26, 26, 27, 26, 26,
                           10, 12, 21, 9, 12, 20, 11, 14]
-    assert digest.hexdigest() == "2606ced709c9d9b5d60b0692ab268922cee2a02c0e22fa32b3f27da5b8f7da28"
+    assert digest.hexdigest() == "bc774c42a9cf43934e6dd83ad2278ede4f4f05a3ca4ce83b01ccc6857056b097"
 
 
 def test_bp_decode_all_erased_stops_after_one_iteration():
     # nothing is known but the pins, which never transition: the first
-    # iteration adds no knowledge, and a decode cut off there has converged
+    # iteration adds no knowledge, and the engine cut off there has converged
     rng = np.random.default_rng(11)
     shielded = 0
     for _ in range(100):
@@ -619,9 +620,11 @@ def test_bp_decode_all_erased_stops_after_one_iteration():
         shielded += bool(layout.pinned)
         fg = build_factor_graph(a, graph, layout)
         received = np.full(fg.n, ERASED, dtype=np.uint8)
-        res = bp_decode(received, fg, max_outer=1)
-        assert res.iterations == 1 and res.converged
-        assert res == bp_decode(received, fg) == sweep_decode(received, fg)
+        cut = _propagate(received, fg, 1)
+        assert cut.iterations == 1 and cut.converged
+        res = bp_decode(received, fg)
+        assert res.iterations == 1 and np.array_equal(res.word.symbols, _cut_word(cut))
+        assert res == sweep_decode(received, fg)
     assert shielded >= 5
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import sys
@@ -222,14 +223,25 @@ def test_sample_graphs_is_the_union_of_single_samples(sizes):
     assert [r.random() for r in batch_rngs] == [r.random() for r in single_rngs]
 
 
-def test_sample_graphs_of_one_instance_draws_one_permutation():
+IRREGULAR = DegreeDistribution(((2, 0.3), (3, 0.7)), ((10, 0.5), (12, 0.5)))
+
+
+@pytest.mark.parametrize("dist, num_info, num_parity", [
+    (DegreeDistribution.regular(3, 12), 80, 20),
+    # 138 info sockets against 6 * 10 + 7 * 12 = 144: the last check has 6
+    (IRREGULAR, 51, 13),
+    (DegreeDistribution.regular(3, 12), 80_000, 20_000),
+], ids=["regular", "residual", "wide"])
+def test_sample_graphs_of_one_instance_draws_one_permutation(dist, num_info, num_parity):
     # one instance: the socket array itself on the check side, and the info
     # side scattered through the one permutation rng.permutation draws
-    dist = DegreeDistribution.regular(3, 12)
     rng = trial_rng(3, 0)
-    g = sample_graph(80, 20, dist, rng)
-    v_sockets, c_sockets = _var_sockets(80, dist), _check_sockets(80, 20, dist)
+    g = sample_graph(num_info, num_parity, dist, rng)
+    v_sockets = _var_sockets(num_info, dist)
+    c_sockets = _check_sockets(num_info, num_parity, dist)
     assert g.edge_check is c_sockets
+    if dist is IRREGULAR:
+        assert np.bincount(c_sockets)[-1] == 6
     ref = trial_rng(3, 0)
     perm = ref.permutation(c_sockets.size)
     expect = np.empty_like(v_sockets)
@@ -237,7 +249,8 @@ def test_sample_graphs_of_one_instance_draws_one_permutation():
     assert np.array_equal(g.edge_info, expect)
     assert rng.random() == ref.random()
     assert np.flatnonzero(g.chain_start).tolist() == [0]
-    assert np.array_equal(_sample_graphs([80], [20], dist, perm).edge_info, expect)
+    assert np.array_equal(_sample_graphs([num_info], [num_parity], dist, perm).edge_info,
+                          expect)
 
 
 @pytest.mark.parametrize("num_info, num_parity", [
@@ -302,6 +315,46 @@ def test_ira_encode_accumulates():
 def test_ira_encode_collapses_multi_edges():
     g = _chain_graph([(0, 0), (0, 0)], num_info=1, num_parity=1)
     assert ira_encode([1], g).tolist() == [0]
+
+
+@pytest.mark.parametrize("fields, message", [
+    ((6, 2, [0, -1, 1], [0, 0, 1]), "edge 2 joins info node -1, outside [0, 6)"),
+    ((6, 2, [0, 5, 6], [0, 0, 1]), "edge 3 joins info node 6, outside [0, 6)"),
+    ((6, 2, [0, 1, 2], [0, 2, 1]), "edge 2 joins check node 2, outside [0, 2)"),
+    ((6, 0, [0], [0]), "edge 1 joins check node 0, outside [0, 0)"),
+    ((6, 2, [0, 1], [0, 0, 1]), "edge_info has 2 entries and edge_check 3: each needs one"),
+    ((6, 2, [0, 1, 2], [0, 1]), "edge_info has 3 entries and edge_check 2: each needs one"),
+    ((6, 2, [0, 1], [0, 1], np.ones(1, dtype=bool)),
+     "chain_start must be one bool per parity, 2 in all, got shape (1,) of bool"),
+    ((6, 2, [0, 1], [0, 1], np.array([1, 0], dtype=np.int64)),
+     "chain_start must be one bool per parity, 2 in all, got shape (2,) of int64"),
+    ((6, 2, np.array([0.0, 1.0]), [0, 1]),
+     "edge_info must be a 1-D array of integers, got shape (2,) of float64"),
+    ((6, 2, [0, 1], [[0, 1]]), "edge_check must be a 1-D array of integers, got shape (1, 2)"),
+    ((6, -1, [], []), "num_parity must be >= 0, got -1"),
+], ids=["negative-info", "info-past-end", "check-past-end", "no-checks", "fewer-info-ends",
+        "fewer-check-ends", "short-chain-start", "int-chain-start", "float-ends",
+        "two-dim-ends", "negative-count"])
+def test_graph_refuses_fields_that_disagree(fields, message):
+    # each malformed graph used to pass: ira_encode read the last info node
+    # for a -1 endpoint, unequal endpoint lists decoded, and a short
+    # chain_start failed deep in the decoder. Refused at construction, none
+    # reaches ira_encode, validate_checks, embedded_encode,
+    # build_factor_graph or the dmin scans.
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        IraGraph(*fields)
+
+
+def test_graph_keeps_its_endpoint_arrays():
+    # arrays are kept as given (a sampled graph shares its cached check
+    # side), lists become arrays, and a replaced field is checked again
+    edge_info, edge_check = np.array([0, 1], dtype=np.int32), np.array([0, 1], dtype=np.int32)
+    g = IraGraph(2, 2, edge_info, edge_check)
+    assert g.edge_info is edge_info and g.edge_check is edge_check
+    listed = IraGraph(2, 2, [0, 1], [0, 1])
+    assert listed.num_edges == 2 and ira_encode([1, 1], listed).tolist() == [1, 0]
+    with pytest.raises(ValueError, match=re.escape("edge 1 joins info node 2, outside [0, 2)")):
+        dataclasses.replace(g, edge_info=np.array([2, 0]))
 
 
 def test_validate_checks_and_linearity():

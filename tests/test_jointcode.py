@@ -487,8 +487,8 @@ def wide_word():
 
 
 def _sample_cold(w):
-    # the socket caches are cleared, so their arrays count too
-    ira._var_sockets.cache_clear()
+    # the check-side cache is cleared, so its array counts too (the
+    # variable side is built per call)
     ira._check_sockets.cache_clear()
     return sample_graph(w.graph.num_info, w.graph.num_parity, DIST, np.random.default_rng(5))
 

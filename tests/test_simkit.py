@@ -563,14 +563,15 @@ def _path_instance() -> CodeInstances:
                          fg=build_factor_graph(a, graph, layout), word=word, u=u)
 
 
-def test_run_batch_decodes_past_bp_decodes_limit(monkeypatch):
-    # bp_decode's default of 200 iterations cuts this decode with 99 wires
-    # left; the trial engine runs it to the sent word, so the trial counts
-    # no error
+def test_run_batch_and_bp_decode_run_past_two_hundred_iterations(monkeypatch):
+    # no decode stops at a guessed limit: this one needs 299 iterations, and
+    # bp_decode, like the trial engine, runs it to the sent word, so the
+    # trial counts no error (a 200-iteration cut left 99 wires erased)
     inst = _path_instance()
     received = np.where(inst.u < 0.5, ERASED, inst.word)
-    cut = bp_decode(received, inst.fg, extract_payload=False)
-    assert (cut.iterations, cut.converged, cut.residual_erasures) == (200, False, 99)
+    res = bp_decode(received, inst.fg)
+    assert (res.iterations, res.residual_erasures) == (299, 0)
+    assert np.array_equal(res.word.symbols, inst.word)
     monkeypatch.setattr(simkit, "build_instances", lambda *args: inst)
     config = SimConfig(ensemble=EnsembleSpec("uniform", 600), dist=DIST, eps=0.5, trials=1,
                        seed=1)
@@ -579,6 +580,34 @@ def test_run_batch_decodes_past_bp_decodes_limit(monkeypatch):
     dec = simkit._propagate(received, inst.fg)
     assert (dec.iterations, dec.converged) == (299, True)
     assert np.array_equal(dec.val, inst.word)
+    assert simkit._propagate(received, inst.fg, 200).resolved.sum() == 501
+
+
+@pytest.mark.parametrize("ensemble", ENSEMBLES, ids=["uniform", "modified"])
+def test_bp_decode_stops_where_the_trial_engine_stops(monkeypatch, ensemble):
+    # one stop rule: on the unions the trials decode, bp_decode leaves
+    # exactly the wires the engine leaves for _run_batch, after as many
+    # iterations
+    engine = simkit._propagate
+    seen = []
+
+    def record(symbols, fg, max_outer=None):
+        seen.append((symbols, engine(symbols, fg, max_outer)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(simkit, "_propagate", record)
+    config = SimConfig(ensemble=ensemble, dist=DIST, eps=0.2, trials=100, seed=6)
+    _run_batch(config, [0.15, 0.22, 0.3], range(100))
+    inst = build_instances(6, range(100), DIST, ensemble)
+    assert len(seen) == 3
+    for symbols, dec in seen:
+        res = bp_decode(symbols, inst.fg, extract_payload=False)
+        assert np.array_equal(res.word.symbols != ERASED, dec.resolved)
+        assert np.array_equal(res.word.symbols, np.where(dec.resolved, dec.val, ERASED))
+        assert res.iterations == dec.iterations
+    # the grid crosses the threshold: the residual grows along it
+    residuals = [int(np.count_nonzero(~dec.resolved)) for _, dec in seen]
+    assert residuals == sorted(set(residuals)), residuals
 
 
 def test_run_sweep_is_run_trials_at_each_point():
