@@ -347,6 +347,25 @@ def _check_sockets(num_info: int, num_parity: int, dist: DegreeDistribution) -> 
     return c_sockets
 
 
+# Fancy indexing through an index array that is not intp, such as a graph's
+# int32 endpoints, takes numpy's slow path: 63.6 against 17.9 us with an
+# intp index for 24,000 edges (2-vCPU Xeon, numpy 2.4.6). ``take`` gathers
+# through it in 22.5 us, but first casts it to an intp copy, 18.3 MiB at
+# 2.4 M edges; gathering in chunks of this many entries bounds that copy.
+_GATHER_CHUNK = 1 << 16
+
+
+def _gather(values: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``values[index]`` for a 1-D integer ``index`` of any dtype, gathered
+    by ``take``, in chunks of ``_GATHER_CHUNK`` entries past that size."""
+    if index.size <= _GATHER_CHUNK:
+        return values.take(index)
+    out = np.empty(index.size, dtype=values.dtype)
+    for lo in range(0, index.size, _GATHER_CHUNK):
+        values.take(index[lo:lo + _GATHER_CHUNK], out=out[lo:lo + _GATHER_CHUNK])
+    return out
+
+
 def ira_encode(systematic_bits: BitsLike, graph: IraGraph) -> np.ndarray:
     """Accumulated parities p_j = p_{j-1} xor s_j for the systematic word,
     with p_{j-1} = 0 at the start of each chain."""
@@ -355,7 +374,7 @@ def ira_encode(systematic_bits: BitsLike, graph: IraGraph) -> np.ndarray:
         raise ValueError(f"expected {graph.num_info} systematic bits, got {bits.size}")
     # An integer count of the edges whose bit is 1: float64 weights would
     # take a copy of every edge. ``compress`` selects as fast as weights sum.
-    ones = np.bincount(graph.edge_check.compress(bits[graph.edge_info].view(bool)),
+    ones = np.bincount(graph.edge_check.compress(_gather(bits, graph.edge_info).view(bool)),
                        minlength=graph.num_parity)
     s = (ones & 1).astype(np.uint8)
     cum = np.bitwise_xor.accumulate(s)

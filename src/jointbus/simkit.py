@@ -21,7 +21,7 @@ import numpy as np
 
 from .buscore import (BitsLike, BusState, as_bits, fib, _check_int, _free_wire_count,
                       _run_bounds, _stable_argsort, _state_from_runs)
-from .bpdecode import ERASED, ErasureWord, FactorGraph, build_factor_graph, _propagate
+from .bpdecode import ErasureWord, FactorGraph, build_factor_graph, _erase, _propagate
 from .cac import _encode_segments, _payload_bits
 from .densevo import DeModel, de_trajectory, _check_eps
 from .ira import (DegreeDistribution, _check_graph_size, _permutation_size, _sample_graphs,
@@ -151,7 +151,7 @@ def bec_transmit(b: BitsLike, eps: float, rng: np.random.Generator) -> ErasureWo
     """Erase each symbol independently with probability eps; never flips."""
     _check_eps(eps)
     bits = as_bits(b)
-    return ErasureWord(np.where(rng.random(bits.size) < eps, ERASED, bits))
+    return ErasureWord(_erase(bits, rng.random(bits.size) < eps))
 
 
 def gen_past_uniform(n: int, rng: np.random.Generator) -> BusState:
@@ -160,10 +160,12 @@ def gen_past_uniform(n: int, rng: np.random.Generator) -> BusState:
     return BusState(rng.integers(0, 2, n, dtype=np.uint8))
 
 
-def _uniform_past(bitgen: np.random.Philox, seed: int, trial_index: int, n: int) -> np.ndarray:
-    """The bits ``gen_past_uniform(n, trial_rng(seed, trial_index))`` draws,
-    taken from whole Philox blocks, with ``bitgen`` left in the state that
-    draw leaves the trial's stream in.
+def _uniform_past(bitgen: np.random.Philox, seed: int, trial_index: int,
+                  out: np.ndarray) -> np.ndarray:
+    """The bits ``gen_past_uniform(out.size, trial_rng(seed, trial_index))``
+    draws, taken from whole Philox blocks and written into the uint8 array
+    ``out``, which is returned, with ``bitgen`` left in the state that draw
+    leaves the trial's stream in.
 
     ``integers(0, 2, n, dtype=np.uint8)`` reads ceil(n/4) uint32 words, two
     to a uint64 draw, low half first, and returns the top bit of each of
@@ -174,6 +176,7 @@ def _uniform_past(bitgen: np.random.Philox, seed: int, trial_index: int, n: int)
     at N = 100, 8.9 against 27.9 us at N = 10^4, re-key included (2-vCPU
     Xeon, numpy 2.4.6).
     """
+    n = out.size
     state = _trial_state(seed, trial_index)
     bitgen.state = state
     words = -(-n // 4)
@@ -187,7 +190,7 @@ def _uniform_past(bitgen: np.random.Philox, seed: int, trial_index: int, n: int)
     state.update(buffer=last, buffer_pos=pos, has_uint32=words & 1,
                  uinteger=last[pos - 1] >> 32 if words & 1 else 0)
     bitgen.state = state
-    return raw.astype("<u8", copy=False).view(np.uint8)[:n] >> 7
+    return np.right_shift(raw.astype("<u8", copy=False).view(np.uint8)[:n], 7, out=out)
 
 
 @cache
@@ -335,10 +338,12 @@ def build_instances(
     both modes: a uniform-ensemble trial short of free wires stops after
     its past state and takes no place in the union, and every other trial
     draws in full before the next is keyed. A uniform-ensemble trial takes
-    its past bits from whole Philox blocks (``_uniform_past``), and a kept
-    one draws its word and channel uniforms into its row of one array,
-    whose columns are the batch's word and channel draws: the same draws
-    as each trial's stream makes alone, with fewer numpy calls per trial.
+    its past bits from whole Philox blocks (``_uniform_past``) into its row
+    of one uint8 array, and a kept one draws its word and channel uniforms
+    into its row of another, whose columns are the batch's word and
+    channel draws: the same draws as each trial's stream makes alone, with
+    fewer numpy calls per trial. The rows of the kept trials are the
+    union's past state, and N and their count fix its offsets and sizes.
     """
     trials = tuple(trials)
     if not trials:
@@ -362,16 +367,18 @@ def build_instances(
     sockets = _permutation_size(n - p, p, dist) if uniform else 0
     perm = np.arange(len(trials) * sockets)
     offset = 0  # sockets of the modified-ensemble trials kept so far
-    # A kept uniform-ensemble trial draws its uniforms into the next row.
-    rows = np.empty((len(trials), (1 + codeword) * n)) if uniform else None
+    # A uniform-ensemble trial draws its past bits into the next row of
+    # ``past_rows``, and a kept one its uniforms into the next row of ``rows``.
+    if uniform:
+        past_rows = np.empty((len(trials), n), dtype=np.uint8)
+        rows = np.empty((len(trials), (1 + codeword) * n))
     kept, pasts, parity_runs, num_parity, perms, words, tails = [], [], [], [], [], [], []
     for t in trials:
         _check_key_word("trial index", t)
         if uniform:
-            x = _uniform_past(bitgen, seed, t, n)
+            x = _uniform_past(bitgen, seed, t, past_rows[len(kept)])
             if _free_wire_count(x) < p:
                 continue
-            q = p
             trial_perm = perm[len(kept) * sockets:(len(kept) + 1) * sockets]
         else:
             bitgen.state = _trial_state(seed, t)
@@ -381,9 +388,9 @@ def build_instances(
             offset += trial_perm.size
             parity_runs.append(runs)
             perms.append(trial_perm)
+            pasts.append(x)
+            num_parity.append(q)
         kept.append(t)
-        pasts.append(x)
-        num_parity.append(q)
         rng.shuffle(trial_perm)
         if not codeword:
             starts, lengths = _run_bounds(x)
@@ -397,32 +404,36 @@ def build_instances(
         else:
             tails.append(rng.random((1 + codeword) * x.size))
 
-    insufficient = len(trials) - len(kept)
-    if not kept:
+    k = len(kept)
+    insufficient = len(trials) - k
+    if not k:
         return _no_instances(insufficient)
     # The past states side by side, their runs cut at every word offset.
-    offsets = np.cumsum([0] + [x.size for x in pasts])
-    a = np.concatenate(pasts)
-    starts, lengths = _run_bounds(a, offsets[:-1])
     if uniform:
+        offsets = np.arange(k + 1) * n
+        a = past_rows[:k].reshape(-1)
+        starts, lengths = _run_bounds(a, offsets[:-1])
         layout = _stride_layout(a.size, starts, lengths, offsets, p)
-        perm = perm[:len(kept) * sockets]
+        num_info, num_parity, perm = [n - p] * k, [p] * k, perm[:k * sockets]
     else:
+        offsets = np.cumsum([0] + [x.size for x in pasts])
+        a = np.concatenate(pasts)
+        starts, lengths = _run_bounds(a, offsets[:-1])
         layout = _layout_from_runs(a.size, starts, lengths, np.concatenate(parity_runs))
+        num_info = (np.diff(offsets) - num_parity).tolist()
         perm = np.concatenate(perms)
         del perms
-    num_info = (np.diff(offsets) - num_parity).tolist()
     graph = _sample_graphs(num_info, num_parity, dist, perm)
     del perm, trial_perm  # the last trial's view keeps a uniform batch's permutation alive
     if codeword:
-        heads = (rows[:len(kept), :n].reshape(-1) if uniform
+        heads = (rows[:k, :n].reshape(-1) if uniform
                  else np.concatenate([tail[:x.size] for tail, x in zip(tails, pasts)]))
         word_runs = np.diff(np.searchsorted(starts, offsets))
         word = _valid_word(a, starts, lengths, heads,
                            np.repeat(np.arange(word_runs.size), word_runs))
     else:
         word = np.concatenate(words)
-    u = (rows[:len(kept), -n:].flatten() if uniform
+    u = (rows[:k, -n:].flatten() if uniform
          else np.concatenate([tail[-x.size:] for tail, x in zip(tails, pasts)]))
     _complete_word(word, a, layout, graph)
     return CodeInstances(trials=tuple(kept), offsets=offsets,
@@ -460,8 +471,8 @@ def _run_batch(config: SimConfig, eps: list[float], trials: range) -> list[Trial
     out: list[TrialStats] = [dropped] * len(eps)
     below = None  # the wires left unresolved by the last decode
     for i in sorted(range(len(eps)), key=eps.__getitem__):
-        dec = _propagate(np.where(inst.u < eps[i], ERASED, inst.word), fg)
-        if not np.array_equal(dec.val.compress(dec.resolved), inst.word.compress(dec.resolved)):
+        dec = _propagate(_erase(inst.word, inst.u < eps[i]), fg)
+        if ((dec.val ^ inst.word) & dec.resolved).any():
             raise RuntimeError("decoder emitted a bit that differs from the transmitted word")
         if below is not None and np.any(below & dec.resolved):
             wire = int(np.flatnonzero(below & dec.resolved)[0])
@@ -499,7 +510,7 @@ def run_sweep(config: SimConfig, eps: Sequence[float]) -> list[TrialStats]:
         _check_eps(x)
     size = max(1, BATCH_WIRES // config.ensemble.n)
     batches = [range(lo, min(lo + size, config.trials)) for lo in range(0, config.trials, size)]
-    workers = min(config.jobs, len(batches), os.cpu_count() or 1)
+    workers = 1 if config.jobs == 1 else min(config.jobs, len(batches), os.cpu_count() or 1)
     if workers > 1:
         # The pool's module costs about half of this module's import time,
         # so only a campaign that uses it imports it.
@@ -552,8 +563,7 @@ def de_vs_simulation(
     inst = build_instances(seed, [0], dist, EnsembleSpec("uniform", n))
     if inst.insufficient:
         raise ValueError("drawn past state lacks free wires; use a larger n or another seed")
-    received = np.where(inst.u < eps, ERASED, inst.word)
-    empirical = _propagate(received, inst.fg, iterations).trace
+    empirical = _propagate(_erase(inst.word, inst.u < eps), inst.fg, iterations).trace
     empirical += [empirical[-1]] * (iterations - len(empirical))
     predicted += [predicted[-1] if predicted else 0.0] * (iterations - len(predicted))
     return [(t + 1, empirical[t], predicted[t]) for t in range(iterations)]

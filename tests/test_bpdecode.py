@@ -27,7 +27,7 @@ from jointbus import (
     sample_graph,
 )
 from jointbus.bpdecode import _propagate
-from jointbus.ira import IraGraph
+from jointbus.ira import IraGraph, ira_encode, validate_checks
 
 from helpers import (
     ReferenceDecoder,
@@ -612,7 +612,8 @@ def test_bp_decode_schedule_is_pinned_at_ten_thousand_wires():
 
 def test_bp_decode_all_erased_stops_after_one_iteration():
     # nothing is known but the pins, which never transition: the first
-    # iteration adds no knowledge, and the engine cut off there has converged
+    # iteration adds no knowledge, so the engine cut off there leaves what
+    # the uncut engine leaves, at its fixed point
     rng = np.random.default_rng(11)
     shielded = 0
     for _ in range(100):
@@ -620,12 +621,44 @@ def test_bp_decode_all_erased_stops_after_one_iteration():
         shielded += bool(layout.pinned)
         fg = build_factor_graph(a, graph, layout)
         received = np.full(fg.n, ERASED, dtype=np.uint8)
-        cut = _propagate(received, fg, 1)
-        assert cut.iterations == 1 and cut.converged
+        cut, full = _propagate(received, fg, 1), _propagate(received, fg)
+        assert cut.iterations == full.iterations == 1
+        for field in ("val", "resolved", "trace"):
+            np.testing.assert_equal(getattr(cut, field), getattr(full, field))
         res = bp_decode(received, fg)
         assert res.iterations == 1 and np.array_equal(res.word.symbols, _cut_word(cut))
         assert res == sweep_decode(received, fg)
     assert shielded >= 5
+
+
+@pytest.mark.parametrize("dtype", ["int8", "uint8", "uint16", "int32", "uint32", "int64",
+                                   "uint64"])
+def test_every_integer_endpoint_dtype_gives_the_same_results(dtype):
+    # an IraGraph takes endpoint arrays of every integer kind, and the
+    # encoder and decoder gather through them: each kind gives the results
+    # of intp endpoints, valid words and broken ones alike
+    rng = np.random.default_rng(29)
+    for _ in range(20):
+        a, layout, graph = random_instance(rng, allow_shields=True)
+        cast = IraGraph(graph.num_info, graph.num_parity, graph.edge_info.astype(dtype),
+                        graph.edge_check.astype(dtype), graph.chain_start)
+        assert cast.edge_info.dtype == dtype
+        word = encode_instance(rng, a, layout, graph)
+        info = word[layout.info_wire_array]
+        parities = ira_encode(info, graph)
+        assert np.array_equal(ira_encode(info, cast), parities)
+        broken = parities ^ (np.arange(parities.size) == rng.integers(parities.size))
+        for par in (parities, broken):
+            assert validate_checks(info, par, cast) == validate_checks(info, par, graph)
+        fg, fg_cast = (build_factor_graph(a, g, layout) for g in (graph, cast))
+        for eps in (0.0, 0.2, 0.4, 1.0):
+            received = np.where(rng.random(word.size) < eps, ERASED, word)
+            assert bp_decode(received, fg_cast, record_trace=True) == \
+                bp_decode(received, fg, record_trace=True)
+        received = word.copy()
+        received[layout.parity_slot_array[:1]] ^= 1  # a parity check fails
+        res = bp_decode(received, fg_cast)
+        assert res.violation is not None and res == bp_decode(received, fg)
 
 
 def test_bp_decode_disjoint_union_matches_single_decodes():

@@ -16,7 +16,8 @@ from jointbus import (
     sample_graph,
     validate_checks,
 )
-from jointbus.ira import _check_sockets, _permutation_size, _sample_graphs, _var_sockets
+from jointbus.ira import (_GATHER_CHUNK, _check_sockets, _gather, _permutation_size,
+                         _sample_graphs, _var_sockets)
 from jointbus.simkit import trial_rng
 
 from helpers import graph_union
@@ -383,6 +384,22 @@ def test_ira_encode_union_restarts_each_chain():
     parities = np.concatenate([ira_encode(b, g) for b, g in zip(bits, graphs)])
     assert np.array_equal(ira_encode(np.concatenate(bits), union), parities)
     assert validate_checks(np.concatenate(bits), parities, union)
+
+
+@pytest.mark.parametrize("dtype", ["int32", "uint64"])
+def test_gather_is_fancy_indexing_at_every_chunk_boundary(dtype):
+    # the encoder's and decoder's edge gathers: one take up to a chunk, then
+    # chunk by chunk, for bytes and for wire indices alike
+    rng = np.random.default_rng(17)
+    for values in (rng.integers(0, 2, 1000, dtype=np.uint8), rng.integers(0, 10**6, 1000)):
+        for size in (0, 1, _GATHER_CHUNK, _GATHER_CHUNK + 1, 2 * _GATHER_CHUNK + 5):
+            index = rng.integers(0, values.size, size).astype(dtype)
+            got = _gather(values, index)
+            assert got.dtype == values.dtype and np.array_equal(got, values[index]), size
+    index = np.zeros(_GATHER_CHUNK + 1, dtype=dtype)
+    index[-1] = values.size
+    with pytest.raises(IndexError):
+        _gather(values, index)
 
 
 def test_graph_without_mask_has_one_chain():

@@ -80,8 +80,9 @@ def test_uniform_past_is_the_integers_draw(seed, trial):
     for n in [*range(1, 71), 10**4 + 1]:
         ref = trial_rng(seed, trial)
         expected = ref.integers(0, 2, n, dtype=np.uint8)
-        bits = simkit._uniform_past(bitgen, seed, trial, n)
-        assert bits.dtype == np.uint8 and np.array_equal(bits, expected), n
+        out = np.empty(n, dtype=np.uint8)
+        bits = simkit._uniform_past(bitgen, seed, trial, out)
+        assert bits is out and np.array_equal(bits, expected), n
         ours, theirs = bitgen.state, ref.bit_generator.state
         if not theirs["has_uint32"]:
             # integers leaves the last upper half it read, which no draw reads
@@ -516,13 +517,12 @@ def test_run_batch_refuses_a_decoded_bit_that_differs(monkeypatch):
         _run_batch(config, [0.1], range(4))
 
 
-@pytest.mark.parametrize("claim", [True, False], ids=["claims-converged", "reports-cut"])
-def test_run_batch_checks_that_residual_erasures_nest(monkeypatch, claim):
+def test_run_batch_checks_that_residual_erasures_nest(monkeypatch):
     # the points of a batch are decoded in ascending eps on shared channel
     # draws: a decode at eps 0.1 stopped after one iteration leaves wires
     # unresolved that the full decode at 0.2 resolves. Every trial decode
-    # runs to its fixed point, so the batch compares every decode, whether
-    # it claims to have converged or reports itself cut, and refuses this one
+    # runs to its fixed point, so the batch compares every decode and
+    # refuses this one
     engine = simkit._propagate
     cut = []
 
@@ -530,8 +530,7 @@ def test_run_batch_checks_that_residual_erasures_nest(monkeypatch, claim):
         if cut:
             return engine(symbols, fg, max_outer)
         cut.append(engine(symbols, fg, 1))
-        assert not cut[0].converged
-        return cut[0]._replace(converged=claim)
+        return cut[0]
 
     monkeypatch.setattr(simkit, "_propagate", stop_the_first)
     config = SimConfig(ensemble=EnsembleSpec("uniform", 100), dist=DIST, eps=0.1, trials=100,
@@ -578,7 +577,7 @@ def test_run_batch_and_bp_decode_run_past_two_hundred_iterations(monkeypatch):
     assert _run_batch(config, [0.5], range(1)) == [
         TrialStats(trials=1, bits_code=600, bits_info=300, rng_seed=1)]
     dec = simkit._propagate(received, inst.fg)
-    assert (dec.iterations, dec.converged) == (299, True)
+    assert dec.iterations == 299
     assert np.array_equal(dec.val, inst.word)
     assert simkit._propagate(received, inst.fg, 200).resolved.sum() == 501
 
@@ -587,7 +586,9 @@ def test_run_batch_and_bp_decode_run_past_two_hundred_iterations(monkeypatch):
 def test_bp_decode_stops_where_the_trial_engine_stops(monkeypatch, ensemble):
     # one stop rule: on the unions the trials decode, bp_decode leaves
     # exactly the wires the engine leaves for _run_batch, after as many
-    # iterations
+    # iterations. The engine decodes the sent word erased where the channel
+    # draw lies strictly below eps: the grid holds both ends and one eps
+    # equal to a drawn u, whose wire arrives
     engine = simkit._propagate
     seen = []
 
@@ -596,11 +597,14 @@ def test_bp_decode_stops_where_the_trial_engine_stops(monkeypatch, ensemble):
         return seen[-1][1]
 
     monkeypatch.setattr(simkit, "_propagate", record)
-    config = SimConfig(ensemble=ensemble, dist=DIST, eps=0.2, trials=100, seed=6)
-    _run_batch(config, [0.15, 0.22, 0.3], range(100))
     inst = build_instances(6, range(100), DIST, ensemble)
-    assert len(seen) == 3
-    for symbols, dec in seen:
+    drawn = float(inst.u[np.argmin(np.abs(inst.u - 0.2))])
+    grid = [0.15, 0.22, 0.3, 0.0, 1.0, drawn]
+    config = SimConfig(ensemble=ensemble, dist=DIST, eps=0.2, trials=100, seed=6)
+    _run_batch(config, grid, range(100))
+    assert len(seen) == len(grid)
+    for eps, (symbols, dec) in zip(sorted(grid), seen):
+        assert np.array_equal(symbols, np.where(inst.u < eps, ERASED, inst.word)), eps
         res = bp_decode(symbols, inst.fg, extract_payload=False)
         assert np.array_equal(res.word.symbols != ERASED, dec.resolved)
         assert np.array_equal(res.word.symbols, np.where(dec.resolved, dec.val, ERASED))
