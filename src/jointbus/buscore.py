@@ -177,21 +177,31 @@ def _run_bounds(a: np.ndarray, cuts: Optional[np.ndarray] = None) -> tuple[np.nd
     return starts, lengths
 
 
-def _free_wire_count(a: np.ndarray) -> int:
-    """The number of free wires of a bit array, the length-1 runs of
-    ``_run_bounds``, counted without parsing the runs.
+def _segment_array(starts: np.ndarray, lengths: np.ndarray,
+                   keep: Optional[np.ndarray] = None) -> np.ndarray:
+    """(start, length) of the runs ``keep`` selects, of every run without
+    it: an int64 (k, 2) array, allocated once and written a column at a
+    time (19 against 26 us for the 2,700 segments of a 9,000-wire state
+    by ``np.column_stack``, 2-vCPU Xeon, numpy 2.4.6)."""
+    if keep is None:
+        out = np.empty((starts.size, 2), dtype=np.int64)
+        out[:, 0], out[:, 1] = starts, lengths
+    else:
+        out = np.empty((np.count_nonzero(keep), 2), dtype=np.int64)
+        starts.compress(keep, out=out[:, 0])
+        lengths.compress(keep, out=out[:, 1])
+    return out
 
-    The wires are read as the binary digits of one integer v. Bit j of
-    t = v ^ (v >> 1), below bit n - 1, marks a change between the wires at
-    digits j and j + 1, so t | (t << 1) marks exactly the wires next to a
-    change: the others are free, the lone wire of a one-wire bus included.
-    At N = 100 this takes 0.9 us, against 2.2 us for the same count by
-    three numpy calls (2-vCPU Xeon), and a simulated trial makes it once.
-    """
-    n = a.size
-    v = int(a.tobytes().translate(bytes.maketrans(b"\0\1", b"01")), 2)
-    t = (v ^ (v >> 1)) & ((1 << (n - 1)) - 1)
-    return n - (t | (t << 1)).bit_count()
+
+def _free_wire_counts(rows: np.ndarray) -> np.ndarray:
+    """The number of free wires of each row of a 2-D bit array, the
+    length-1 runs of ``_run_bounds``, counted without parsing the runs: a
+    wire equal to both neighbours, an end wire equal to its one neighbour,
+    and the lone wire of a one-wire bus."""
+    if rows.shape[1] == 1:
+        return np.ones(rows.shape[0], dtype=np.int64)
+    same = rows[:, 1:] == rows[:, :-1]
+    return (same[:, 1:] & same[:, :-1]).sum(axis=1) + same[:, 0] + same[:, -1]
 
 
 def _stable_argsort(keys: np.ndarray, bound: int) -> np.ndarray:

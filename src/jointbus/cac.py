@@ -30,7 +30,7 @@ import math
 
 import numpy as np
 
-from .buscore import BitsLike, as_bits, fib, _check_int, _fib_pair, _run_bounds
+from .buscore import BitsLike, as_bits, fib, _check_int, _fib_pair, _run_bounds, _segment_array
 
 __all__ = [
     "RunCodebook",
@@ -125,7 +125,7 @@ def count_codewords(a: BitsLike) -> int:
 def _runs(a: np.ndarray) -> np.ndarray:
     """(start, length) of every run of ``a``, 0-based, wire order: an int64
     (k, 2) array."""
-    return np.column_stack(_run_bounds(a))
+    return _segment_array(*_run_bounds(a))
 
 
 def _radices(segments: np.ndarray) -> list[int]:

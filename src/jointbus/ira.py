@@ -235,7 +235,7 @@ def sample_graph(
     _check_int("num_parity", num_parity, 0)
     # Refused before the permutation is drawn and allocated.
     _check_graph_size((num_info,), (num_parity,), dist)
-    return _sample_graphs((num_info,), (num_parity,), dist,
+    return _sample_graphs(np.array([num_info]), np.array([num_parity]), dist,
                           rng.permutation(_permutation_size(num_info, num_parity, dist)))
 
 
@@ -261,15 +261,16 @@ def _check_graph_size(num_info: Sequence[int], num_parity: Sequence[int],
 
 
 def _sample_graphs(
-    num_info: Sequence[int],
-    num_parity: Sequence[int],
+    num_info: np.ndarray,
+    num_parity: np.ndarray,
     dist: DegreeDistribution,
     perm: np.ndarray,
 ) -> IraGraph:
     """Disjoint union of sampled instances: edge for edge the instances
     ``sample_graph(num_info[i], num_parity[i], dist, rng_i)`` laid side by
     side (``tests/helpers.graph_union``), each instance's nodes numbered
-    after those before it, built without a graph per instance.
+    after those before it, built without a graph per instance. The node
+    counts are 1-D integer arrays, one entry per instance.
 
     ``perm`` holds what each ``rng_i.permutation`` draws, of length
     ``_permutation_size(num_info[i], num_parity[i], dist)``, laid end to end
@@ -278,10 +279,11 @@ def _sample_graphs(
     instance, offset, are scattered through it in one step. One instance
     uses its socket array itself as its check side.
     """
-    _check_graph_size(num_info, num_parity, dist)
-    drawn = [i for i, (k, q) in enumerate(zip(num_info, num_parity)) if k and q]
-    if len(num_info) == 1 and drawn:
-        k, q = num_info[0], num_parity[0]
+    info, parity = num_info.tolist(), num_parity.tolist()
+    _check_graph_size(info, parity, dist)
+    drawn = [i for i, (k, q) in enumerate(zip(info, parity)) if k and q]
+    if len(info) == 1 and drawn:
+        k, q = info[0], parity[0]
         v_sockets = _var_sockets(k, dist)
         edge_info = np.empty_like(v_sockets)
         edge_info[perm] = v_sockets
@@ -289,11 +291,14 @@ def _sample_graphs(
         return IraGraph(k, q, edge_info, _check_sockets(k, q, dist))
     # One lookup per instance size: trials of a uniform ensemble share theirs.
     table = {(k, q): (_var_sockets(k, dist), _check_sockets(k, q, dist))
-             for k, q in {(num_info[i], num_parity[i]) for i in drawn}}
-    sockets = [table[num_info[i], num_parity[i]] for i in drawn]
+             for k, q in {(info[i], parity[i]) for i in drawn}}
+    sockets = [table[info[i], parity[i]] for i in drawn]
     counts = [c.size for _, c in sockets]
-    info_off = np.cumsum((0, *num_info), dtype=np.int32)
-    par_off = np.cumsum((0, *num_parity), dtype=np.int32)
+    # Node offsets, from 0: the checked totals fit int32.
+    info_off = np.zeros(len(info) + 1, dtype=np.int32)
+    par_off = np.zeros(len(info) + 1, dtype=np.int32)
+    np.cumsum(num_info, out=info_off[1:])
+    np.cumsum(num_parity, out=par_off[1:])
     # Each instance's chain starts at its first parity; an instance without
     # parities shares its offset with the next, or sits past the end.
     chain_start = np.zeros(par_off[-1], dtype=bool)
@@ -361,8 +366,11 @@ def _gather(values: np.ndarray, index: np.ndarray) -> np.ndarray:
     if index.size <= _GATHER_CHUNK:
         return values.take(index)
     out = np.empty(index.size, dtype=values.dtype)
+    # ``take(..., out=)`` in its default mode 'raise' buffers the output
+    # (1.23 against 0.60 ms at 240,000 values): each chunk's result is
+    # copied into its slice instead, and an index out of range still raises.
     for lo in range(0, index.size, _GATHER_CHUNK):
-        values.take(index[lo:lo + _GATHER_CHUNK], out=out[lo:lo + _GATHER_CHUNK])
+        out[lo:lo + _GATHER_CHUNK] = values.take(index[lo:lo + _GATHER_CHUNK])
     return out
 
 

@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .buscore import BitsLike, BusState, as_bits, _check_int, _run_bounds
+from .buscore import BitsLike, BusState, as_bits, _check_int, _run_bounds, _segment_array
 from .cac import cac_rate, _decode_segments, _encode_segments, _payload_bits
 from .ira import IraGraph, ira_encode
 
@@ -124,9 +124,8 @@ def _layout_from_runs(n: int, starts: np.ndarray, lengths: np.ndarray,
                       slot_runs: np.ndarray) -> WireLayout:
     """Layout whose parity slots are the chosen length-1 runs and whose
     segments are all other runs; nothing is pinned."""
-    seg = ~slot_runs
     return WireLayout(n=n, parity_slot_array=starts[slot_runs], pinned=(),
-                      segments=np.column_stack((starts[seg], lengths[seg])))
+                      segments=_segment_array(starts, lengths, ~slot_runs))
 
 
 def _stride_layout(n: int, starts: np.ndarray, lengths: np.ndarray, offsets: np.ndarray,

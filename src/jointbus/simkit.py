@@ -12,14 +12,15 @@ erasure probability of its grid.
 
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass, fields
 from functools import cache, reduce
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .buscore import (BitsLike, BusState, as_bits, fib, _check_int, _free_wire_count,
+from .buscore import (BitsLike, BusState, as_bits, fib, _check_int, _free_wire_counts,
                       _run_bounds, _stable_argsort, _state_from_runs)
 from .bpdecode import ErasureWord, FactorGraph, build_factor_graph, _erase, _propagate
 from .cac import _encode_segments, _payload_bits
@@ -124,6 +125,15 @@ def _check_key_word(name: str, value: object) -> None:
         raise ValueError(f"{name} must lie in [0, 2**64), got {value}")
 
 
+def _check_trial_indices(trials: tuple) -> None:
+    """Refuse a batch in which any trial index is not a key word, naming
+    the first such index. Python ints in range pass in one sweep; anything
+    else is checked index by index."""
+    if not (set(map(type, trials)) <= {int} and min(trials) >= 0 and max(trials) < 2**64):
+        for t in trials:
+            _check_key_word("trial index", t)
+
+
 def _trial_state(seed: int, trial_index: int) -> dict:
     """The state a trial stream starts from: Philox with counter 0, key
     [seed, trial_index] and an empty buffer, which also drops the half
@@ -160,37 +170,46 @@ def gen_past_uniform(n: int, rng: np.random.Generator) -> BusState:
     return BusState(rng.integers(0, 2, n, dtype=np.uint8))
 
 
-def _uniform_past(bitgen: np.random.Philox, seed: int, trial_index: int,
-                  out: np.ndarray) -> np.ndarray:
-    """The bits ``gen_past_uniform(out.size, trial_rng(seed, trial_index))``
-    draws, taken from whole Philox blocks and written into the uint8 array
-    ``out``, which is returned, with ``bitgen`` left in the state that draw
-    leaves the trial's stream in.
+def _draw_uniform_pasts(bitgen: np.random.Philox, seed: int, trials: Sequence[int],
+                        n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pass 1 of a uniform-ensemble batch: the bits
+    ``gen_past_uniform(n, trial_rng(seed, t))`` draws for each trial t, as
+    the rows of one (len(trials), n) uint8 array, and the last Philox block
+    each trial reads, as the rows of a (len(trials), 4) uint64 array.
 
     ``integers(0, 2, n, dtype=np.uint8)`` reads ceil(n/4) uint32 words, two
     to a uint64 draw, low half first, and returns the top bit of each of
     their bytes, lowest first: the top bits of the bytes of the uint64
-    draws read as little-endian '<u8'. An odd count of words leaves the
-    upper half of the last draw buffered. One ``random_raw`` call and one
-    state set replace the per-call work of ``integers``: 4.2 against 6.2 us
-    at N = 100, 8.9 against 27.9 us at N = 10^4, re-key included (2-vCPU
-    Xeon, numpy 2.4.6).
+    draws read as little-endian '<u8'. Each trial reads its whole blocks
+    with one ``random_raw`` call into its row, and one shift of the whole
+    batch gives every past state. ``bitgen`` is left past the last trial's
+    blocks: ``_uniform_past_states`` gives the state each draw leaves.
     """
-    n = out.size
-    state = _trial_state(seed, trial_index)
-    bitgen.state = state
-    words = -(-n // 4)
-    draws = -(-words // 2)
-    blocks = -(-draws // 4)
-    raw = bitgen.random_raw(4 * blocks)
-    # The state after the draw: ``blocks`` blocks drawn, the last one read
-    # up to word ``pos``, and an odd word count's upper half buffered.
-    last, pos = raw[-4:].tolist(), draws - 4 * (blocks - 1)
-    state["state"]["counter"] = (blocks, 0, 0, 0)
-    state.update(buffer=last, buffer_pos=pos, has_uint32=words & 1,
-                 uinteger=last[pos - 1] >> 32 if words & 1 else 0)
-    bitgen.state = state
-    return np.right_shift(raw.astype("<u8", copy=False).view(np.uint8)[:n], 7, out=out)
+    blocks = -(-n // 32)  # a block is 4 uint64 draws: 32 bytes, one bit each
+    raw = np.empty((len(trials), 4 * blocks), dtype=np.uint64)
+    for row, t in zip(raw, trials):
+        bitgen.state = _trial_state(seed, t)
+        row[:] = bitgen.random_raw(4 * blocks)
+    return np.right_shift(raw.astype("<u8", copy=False).view(np.uint8)[:, :n], 7), raw[:, -4:]
+
+
+def _uniform_past_states(seed: int, trials: Sequence[int], last_blocks: np.ndarray,
+                         n: int) -> Iterator[dict]:
+    """Pass 2's start: for each trial t, with the last block of its pass 1
+    draw as its row of the (len(trials), 4) uint64 array ``last_blocks``,
+    the state ``gen_past_uniform(n, trial_rng(seed, t))`` leaves its
+    stream in. That is ceil(n/32) blocks drawn, the last one read up to
+    draw ceil(n/8), and, after an odd count of uint32 words, the upper
+    half of that draw buffered. ``integers`` leaves the last upper half it
+    read in ``uinteger`` even when it buffers none; no draw reads it."""
+    blocks, draws = -(-n // 32), -(-n // 8)
+    pos = draws - 4 * (blocks - 1)
+    odd = -(-n // 4) & 1  # an odd count of uint32 words
+    for t, last in zip(trials, last_blocks.tolist()):
+        yield {"bit_generator": "Philox",
+               "state": {"counter": (blocks, 0, 0, 0), "key": (seed, t)},
+               "buffer": last, "buffer_pos": pos, "has_uint32": odd,
+               "uinteger": last[pos - 1] >> 32 if odd else 0}
 
 
 @cache
@@ -333,112 +352,115 @@ def build_instances(
     bits as the trial's own segments carry. Either way the parity slots
     then take their parities.
 
-    One generator serves the whole batch: it is re-keyed for each trial to
-    the state ``trial_rng(seed, t)`` starts from. One rule keeps a trial, in
-    both modes: a uniform-ensemble trial short of free wires stops after
-    its past state and takes no place in the union, and every other trial
-    draws in full before the next is keyed. A uniform-ensemble trial takes
-    its past bits from whole Philox blocks (``_uniform_past``) into its row
-    of one uint8 array, and a kept one draws its word and channel uniforms
-    into its row of another, whose columns are the batch's word and
-    channel draws: the same draws as each trial's stream makes alone, with
-    fewer numpy calls per trial. The rows of the kept trials are the
-    union's past state, and N and their count fix its offsets and sizes.
+    The trial indices are checked before any draw. One generator serves
+    the whole batch: it is set, for each trial in turn, to a state of that
+    trial's stream. The streams are independent, so the order in which
+    they are drawn leaves every value unchanged. A modified-ensemble trial
+    draws in full before the next is keyed. The uniform ensemble draws in
+    two passes: first every trial's past state, read from whole Philox
+    blocks (``_draw_uniform_pasts``), and the count of its free wires, for
+    the whole batch at once; then each kept trial, from the state its past
+    draw left, draws its graph, its payload in 'info-bits' mode, and its
+    word and channel uniforms into its row of one array, whose columns are
+    the batch's word and channel draws. A dropped trial draws nothing past
+    its past state. The rows of the kept trials are the union's past
+    state, and N and their count fix its offsets and sizes.
     """
     trials = tuple(trials)
     if not trials:
         raise ValueError("at least one trial is required")
     _check_mode(mode)
     _check_key_word("seed", seed)
+    _check_trial_indices(trials)
     r_ecc = recc_from_rldpc(rate_ldpc(dist))
     n = ensemble.n
-    uniform = ensemble.kind == "uniform"
-    p = round(n * (1.0 - r_ecc))  # parities of a uniform-ensemble trial
     bitgen = np.random.Philox(0)
     rng = np.random.Generator(bitgen)
     codeword = mode == "uniform-codeword"
     # A kept trial shuffles its socket permutation as the range of the
     # sockets that the graph union numbers after those of the trials before
     # it (shuffled as intp: an int32 shuffle draws the same permutation,
-    # slower). Uniform-ensemble trials take slices of one range.
-    # Modified-ensemble sizes vary per trial, and are checked once drawn.
+    # slower).
+    words = []  # the CAC-encoded words of 'info-bits' mode
+    uniform = ensemble.kind == "uniform"
     if uniform:
+        p = round(n * (1.0 - r_ecc))  # parities of a trial
+        # Refused before anything is drawn and allocated.
         _check_graph_size([n - p] * len(trials), [p] * len(trials), dist)
-    sockets = _permutation_size(n - p, p, dist) if uniform else 0
-    perm = np.arange(len(trials) * sockets)
-    offset = 0  # sockets of the modified-ensemble trials kept so far
-    # A uniform-ensemble trial draws its past bits into the next row of
-    # ``past_rows``, and a kept one its uniforms into the next row of ``rows``.
-    if uniform:
-        past_rows = np.empty((len(trials), n), dtype=np.uint8)
-        rows = np.empty((len(trials), (1 + codeword) * n))
-    kept, pasts, parity_runs, num_parity, perms, words, tails = [], [], [], [], [], [], []
-    for t in trials:
-        _check_key_word("trial index", t)
-        if uniform:
-            x = _uniform_past(bitgen, seed, t, past_rows[len(kept)])
-            if _free_wire_count(x) < p:
-                continue
-            trial_perm = perm[len(kept) * sockets:(len(kept) + 1) * sockets]
-        else:
+        past, last_blocks = _draw_uniform_pasts(bitgen, seed, trials, n)
+        keep = _free_wire_counts(past) >= p
+        kept = tuple(itertools.compress(trials, keep.tolist()))
+        k = len(kept)
+        if not k:
+            return _no_instances(len(trials))
+        past, last_blocks = past[keep], last_blocks[keep]
+        sockets = _permutation_size(n - p, p, dist)
+        perm = np.arange(k * sockets)
+        rows = np.empty((k, (1 + codeword) * n))  # each trial's word and channel draws
+        for i, state in enumerate(_uniform_past_states(seed, kept, last_blocks, n)):
+            bitgen.state = state
+            rng.shuffle(perm[i * sockets:(i + 1) * sockets])
+            if not codeword:
+                x = past[i]
+                starts, lengths = _run_bounds(x)
+                segments = _stride_layout(n, starts, lengths, np.array([0, n]), p).segments
+                payload = rng.integers(0, 2, _payload_bits(segments), dtype=np.uint8)
+                words.append(_encode_segments(payload, x, segments))
+            rng.random(out=rows[i])
+        # The past states side by side, their runs cut at every word offset.
+        offsets = np.arange(k + 1) * n
+        a = past.reshape(-1)
+        starts, lengths = _run_bounds(a, offsets[:-1])
+        layout = _stride_layout(a.size, starts, lengths, offsets, p)
+        num_info, num_parity = np.full(k, n - p), np.full(k, p)
+    else:
+        kept, pasts, parity_runs, num_parity, perms, tails = [], [], [], [], [], []
+        offset = 0  # sockets of the trials drawn so far
+        for t in trials:
             bitgen.state = _trial_state(seed, t)
             x, runs = _draw_modified(n, r_ecc, rng)
             q = int(np.count_nonzero(runs))
+            # Sizes vary per trial, and are checked once drawn.
             trial_perm = np.arange(offset, offset + _permutation_size(x.size - q, q, dist))
             offset += trial_perm.size
             parity_runs.append(runs)
             perms.append(trial_perm)
             pasts.append(x)
             num_parity.append(q)
-        kept.append(t)
-        rng.shuffle(trial_perm)
-        if not codeword:
-            starts, lengths = _run_bounds(x)
-            segments = (_stride_layout(n, starts, lengths, np.array([0, n]), p) if uniform
-                        else _layout_from_runs(x.size, starts, lengths, runs)).segments
-            payload = rng.integers(0, 2, _payload_bits(segments), dtype=np.uint8)
-            words.append(_encode_segments(payload, x, segments))
-        # its word's uniforms in 'uniform-codeword' mode, then its channel's
-        if uniform:
-            rng.random(out=rows[len(kept) - 1])
-        else:
+            kept.append(t)
+            rng.shuffle(trial_perm)
+            if not codeword:
+                starts, lengths = _run_bounds(x)
+                segments = _layout_from_runs(x.size, starts, lengths, runs).segments
+                payload = rng.integers(0, 2, _payload_bits(segments), dtype=np.uint8)
+                words.append(_encode_segments(payload, x, segments))
+            # its word's uniforms in 'uniform-codeword' mode, then its channel's
             tails.append(rng.random((1 + codeword) * x.size))
-
-    k = len(kept)
-    insufficient = len(trials) - k
-    if not k:
-        return _no_instances(insufficient)
-    # The past states side by side, their runs cut at every word offset.
-    if uniform:
-        offsets = np.arange(k + 1) * n
-        a = past_rows[:k].reshape(-1)
-        starts, lengths = _run_bounds(a, offsets[:-1])
-        layout = _stride_layout(a.size, starts, lengths, offsets, p)
-        num_info, num_parity, perm = [n - p] * k, [p] * k, perm[:k * sockets]
-    else:
+        kept = tuple(kept)
         offsets = np.cumsum([0] + [x.size for x in pasts])
         a = np.concatenate(pasts)
         starts, lengths = _run_bounds(a, offsets[:-1])
         layout = _layout_from_runs(a.size, starts, lengths, np.concatenate(parity_runs))
-        num_info = (np.diff(offsets) - num_parity).tolist()
+        num_parity = np.array(num_parity)
+        num_info = np.diff(offsets) - num_parity
         perm = np.concatenate(perms)
-        del perms
+        del perms, trial_perm
     graph = _sample_graphs(num_info, num_parity, dist, perm)
-    del perm, trial_perm  # the last trial's view keeps a uniform batch's permutation alive
+    del perm
     if codeword:
-        heads = (rows[:k, :n].reshape(-1) if uniform
+        heads = (rows[:, :n].reshape(-1) if uniform
                  else np.concatenate([tail[:x.size] for tail, x in zip(tails, pasts)]))
         word_runs = np.diff(np.searchsorted(starts, offsets))
         word = _valid_word(a, starts, lengths, heads,
                            np.repeat(np.arange(word_runs.size), word_runs))
     else:
         word = np.concatenate(words)
-    u = (rows[:k, -n:].flatten() if uniform
+    u = (rows[:, -n:].flatten() if uniform
          else np.concatenate([tail[-x.size:] for tail, x in zip(tails, pasts)]))
     _complete_word(word, a, layout, graph)
-    return CodeInstances(trials=tuple(kept), offsets=offsets,
+    return CodeInstances(trials=kept, offsets=offsets,
                          fg=build_factor_graph(a, graph, layout), word=word, u=u,
-                         insufficient=insufficient)
+                         insufficient=len(trials) - len(kept))
 
 
 def _no_instances(insufficient: int) -> CodeInstances:

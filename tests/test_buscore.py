@@ -13,8 +13,8 @@ from jointbus import (
     free_wires,
     parse_runs,
 )
-from jointbus.buscore import (_FIB, _FIB_CAP, _fib_pair, _free_wire_count, _stable_argsort,
-                              _state_from_runs, as_bits)
+from jointbus.buscore import (_FIB, _FIB_CAP, _fib_pair, _free_wire_counts, _run_bounds,
+                              _segment_array, _stable_argsort, _state_from_runs, as_bits)
 
 
 @pytest.mark.parametrize("size, bound", [(0, 1), (1, 1), (300, 7), (24000, 2000),
@@ -148,11 +148,28 @@ def test_free_wires_are_length_one_runs(bits):
 
 
 @pytest.mark.parametrize("n", range(1, 11))
-def test_free_wire_count_counts_free_wires(n):
-    # every word of n wires: the count without a run parse, one-wire bus included
-    words = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
-    for x in words.astype(np.uint8):
-        assert _free_wire_count(x) == len(free_wires(x))
+def test_free_wire_counts_count_free_wires_per_row(n):
+    # every word of n wires as the rows of one batch: the count without a
+    # run parse, one-wire bus included
+    words = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(np.uint8)
+    counts = _free_wire_counts(words)
+    assert counts.shape == (1 << n,)
+    assert counts.tolist() == [len(free_wires(x)) for x in words]
+
+
+@pytest.mark.parametrize("bits", ["0", "0110", "00100", "0101101110010"])
+def test_segment_array_is_the_column_stack(bits):
+    # (start, length) rows of the kept runs or of every run, int64 and
+    # C-ordered as np.column_stack builds them, an empty selection included
+    starts, lengths = _run_bounds(as_bits(bits))
+    rng = np.random.default_rng(len(bits))
+    for keep in (None, np.ones(starts.size, bool), np.zeros(starts.size, bool),
+                 rng.random(starts.size) < 0.5):
+        expect = np.column_stack((starts, lengths) if keep is None
+                                 else (starts[keep], lengths[keep]))
+        got = _segment_array(starts, lengths, keep)
+        assert got.dtype == np.int64 and got.flags.c_contiguous
+        assert got.shape == expect.shape and np.array_equal(got, expect)
 
 
 @given(st.lists(st.integers(0, 1), min_size=1, max_size=200))

@@ -209,7 +209,7 @@ def test_sample_graphs_is_the_union_of_single_samples(sizes):
     perm = np.arange(bounds[-1])
     for rng, lo, hi in zip(batch_rngs, bounds, bounds[1:]):
         rng.shuffle(perm[lo:hi])
-    batch = _sample_graphs(num_info, num_parity, dist, perm)
+    batch = _sample_graphs(np.array(num_info), np.array(num_parity), dist, perm)
     singles = [sample_graph(k, q, dist, rng)
                for k, q, rng in zip(num_info, num_parity, single_rngs)]
     union = graph_union(singles)
@@ -250,8 +250,9 @@ def test_sample_graphs_of_one_instance_draws_one_permutation(dist, num_info, num
     assert np.array_equal(g.edge_info, expect)
     assert rng.random() == ref.random()
     assert np.flatnonzero(g.chain_start).tolist() == [0]
-    assert np.array_equal(_sample_graphs([num_info], [num_parity], dist, perm).edge_info,
-                          expect)
+    assert np.array_equal(
+        _sample_graphs(np.array([num_info]), np.array([num_parity]), dist, perm).edge_info,
+        expect)
 
 
 @pytest.mark.parametrize("num_info, num_parity", [
@@ -269,7 +270,8 @@ def test_sample_graphs_refuse_what_int32_cannot_index(num_info, num_parity):
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match=r"does not fit int32 indices"):
-            _sample_graphs(num_info, num_parity, dist, np.zeros(0, dtype=np.intp))
+            _sample_graphs(np.array(num_info), np.array(num_parity), dist,
+                           np.zeros(0, dtype=np.intp))
         if len(num_info) == 1:
             with pytest.raises(ValueError, match=r"does not fit int32 indices"):
                 sample_graph(num_info[0], num_parity[0], dist, rng)
@@ -400,6 +402,19 @@ def test_gather_is_fancy_indexing_at_every_chunk_boundary(dtype):
     index[-1] = values.size
     with pytest.raises(IndexError):
         _gather(values, index)
+
+
+def test_gather_refuses_an_endpoint_broken_after_the_graph_was_built():
+    # the constructor bounds every endpoint; one written out of range
+    # afterwards, in the second gather chunk, raises rather than reading
+    # another node's bit
+    g = sample_graph(30_000, 7_500, DegreeDistribution.regular(3, 12), np.random.default_rng(4))
+    assert g.num_edges > _GATHER_CHUNK
+    bits = np.zeros(g.num_info, dtype=np.uint8)
+    ira_encode(bits, g)
+    g.edge_info[-1] = g.num_info
+    with pytest.raises(IndexError):
+        ira_encode(bits, g)
 
 
 def test_graph_without_mask_has_one_chain():

@@ -69,30 +69,32 @@ def test_trial_rng_rejects_keys_outside_64_bits(seed, trial):
         trial_rng(seed, trial)
 
 
-@pytest.mark.parametrize("seed, trial", [(2, 0), (2**64 - 1, 2**64 - 1)])
-def test_uniform_past_is_the_integers_draw(seed, trial):
-    # the past bits taken from whole Philox blocks are those of
-    # rng.integers, and the stream goes on as after it: one bit per byte, so
-    # n = 1..70 ends a draw at every position in a uint32 word, a uint64 and
-    # a 32-byte block, and 10^4 + 1 reads an odd count of uint32 words over
-    # many blocks
+@pytest.mark.parametrize("seed, trials", [(2, (0, 5)), (2**64 - 1, (2**64 - 1, 0))])
+def test_uniform_past_passes_are_the_integers_draw(seed, trials):
+    # pass 1's past bits, read from whole Philox blocks, are those of
+    # rng.integers, and pass 2 sets each trial's stream as it leaves it:
+    # one bit per byte, so n = 1..70 ends a draw at every position in a
+    # uint32 word, a uint64 and a 32-byte block, and 10^4 + 1 reads an odd
+    # count of uint32 words over many blocks
     bitgen = np.random.Philox(0)
     for n in [*range(1, 71), 10**4 + 1]:
-        ref = trial_rng(seed, trial)
-        expected = ref.integers(0, 2, n, dtype=np.uint8)
-        out = np.empty(n, dtype=np.uint8)
-        bits = simkit._uniform_past(bitgen, seed, trial, out)
-        assert bits is out and np.array_equal(bits, expected), n
-        ours, theirs = bitgen.state, ref.bit_generator.state
-        if not theirs["has_uint32"]:
-            # integers leaves the last upper half it read, which no draw reads
-            theirs["uinteger"] = ours["uinteger"]
-        np.testing.assert_equal(ours, theirs, err_msg=f"n = {n}")
-        rng = np.random.Generator(bitgen)
-        for draw in (lambda r: r.integers(0, 2**32, dtype=np.uint32),
-                     lambda r: r.integers(0, 2**64, dtype=np.uint64),
-                     lambda r: r.random(), lambda r: r.permutation(240)):
-            np.testing.assert_equal(draw(rng), draw(ref), err_msg=f"n = {n}")
+        past, last_blocks = simkit._draw_uniform_pasts(bitgen, seed, trials, n)
+        assert past.shape == (len(trials), n) and past.dtype == np.uint8
+        states = simkit._uniform_past_states(seed, trials, last_blocks, n)
+        for t, bits, state in zip(trials, past, states, strict=True):
+            ref = trial_rng(seed, t)
+            assert np.array_equal(bits, ref.integers(0, 2, n, dtype=np.uint8)), n
+            bitgen.state = state
+            ours, theirs = bitgen.state, ref.bit_generator.state
+            if not theirs["has_uint32"]:
+                # integers leaves the last upper half it read, which no draw reads
+                theirs["uinteger"] = ours["uinteger"]
+            np.testing.assert_equal(ours, theirs, err_msg=f"n = {n}")
+            rng = np.random.Generator(bitgen)
+            for draw in (lambda r: r.integers(0, 2**32, dtype=np.uint32),
+                         lambda r: r.integers(0, 2**64, dtype=np.uint64),
+                         lambda r: r.random(), lambda r: r.permutation(240)):
+                np.testing.assert_equal(draw(rng), draw(ref), err_msg=f"n = {n}")
 
 
 def _config(**fields):
@@ -120,6 +122,28 @@ def test_integer_fields_refuse_other_numbers(make, field):
     # drew seed 1's trials and reported rng_seed 1.5
     with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
         make()
+
+
+@pytest.mark.parametrize("kind", ["uniform", "modified"])
+@pytest.mark.parametrize("bad, message", [
+    (1.5, "must be an integer, got 1.5"),
+    (True, "must be an integer, got True"),
+    (-1, r"must lie in \[0, 2\*\*64\), got -1$"),
+    (2**64, r"must lie in \[0, 2\*\*64\), got 18446744073709551616$"),
+])
+@pytest.mark.parametrize("at", [2, 3], ids=["middle", "end"])
+def test_build_instances_checks_every_trial_index_before_any_draw(monkeypatch, kind, bad,
+                                                                  message, at):
+    # the whole batch is checked before the first trial's stream is set,
+    # and the error names the bad index as a one-trial batch would
+    def no_draw(seed, trial_index):
+        raise AssertionError("a trial stream was set before the indices were checked")
+
+    trials = [0, 1, 2]
+    trials.insert(at, bad)
+    monkeypatch.setattr(simkit, "_trial_state", no_draw)
+    with pytest.raises(ValueError, match="^trial index " + message):
+        build_instances(3, trials, DIST, EnsembleSpec(kind, 100))
 
 
 def test_integer_fields_take_numpy_integers():
@@ -386,28 +410,32 @@ def test_build_instances_batch_is_union_of_single_trials(ensemble, mode):
                     or "falls outside the used range" in result.violation), t
 
 
-@pytest.mark.parametrize("n", [1, 2, 5, 8, 32, 33, 100])
+@pytest.mark.parametrize("n", [1, 2, 5, 8, 32, 33, 100, 10**4 + 1])
 @pytest.mark.parametrize("kind", ["uniform", "modified"])
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("seed, trials", [(2, range(12)), (2**64 - 1, range(2**64 - 6, 2**64)),
-                                           (2, (11, 3, 40, 3, 0, 2**64 - 1, 7))],
-                         ids=["low", "top", "unsorted"])
+                                           (2, (11, 3, 40, 3, 0, 2**64 - 1, 7)),
+                                           (2, (20, 2, 5, 2))],
+                         ids=["low", "top", "unsorted", "dropped"])
 def test_build_instances_is_each_trial_built_alone(n, kind, mode, seed, trials):
     # the batch builder keys one generator per trial; its instances, words
     # and channel draws are those of each trial built alone from a fresh
     # trial_rng(seed, t) by the slow path, dropped trials included (uniform
-    # N = 5 and 100 drop some) and at trial indices up to 2**64 - 1, in any
-    # order, with gaps and repeats. A uniform past draw of N wires reads
-    # ceil(N/4) uint32 words: an even count at N = 8, one whole Philox block
-    # at N = 32, and an odd count at N = 33 and 100, which leaves half a
-    # uint32 buffered for the trial's next draw but not for the next trial;
-    # at N = 1 and 2 a uniform trial has no parity, and N = 1 is one free wire
+    # N = 5 and 100 drop some, and N = 5 drops every trial of "dropped") and
+    # at trial indices up to 2**64 - 1, in any order, with gaps and repeats.
+    # A uniform past draw of N wires reads ceil(N/4) uint32 words: an even
+    # count at N = 8, one whole Philox block at N = 32, and an odd count at
+    # N = 33, 100 and 10^4 + 1, which leaves half a uint32 buffered for the
+    # trial's next draw but not for the next trial; at N = 1 and 2 a uniform
+    # trial has no parity, and N = 1 is one free wire
     ensemble = EnsembleSpec(kind, n)
     inst = build_instances(seed, trials, DIST, ensemble, mode)
     alone = {t: trial_instance(seed, t, DIST, ensemble, mode) for t in trials}
     kept = [t for t in trials if alone[t] is not None]
     assert inst.trials == tuple(kept)
     assert inst.insufficient == len(trials) - len(kept)
+    if (kind, n, trials) == ("uniform", 5, (20, 2, 5, 2)):
+        assert not kept
     if not kept:
         assert inst.fg is None and inst.word.size == 0 and inst.u.size == 0
         return
